@@ -9,7 +9,6 @@ clock and invocation details go to a separate .meta.json file.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -32,12 +31,14 @@ from .criteria import (
     classify_lq,
     classify_whole_space,
     equivalence_check,
+    jsonable,
 )
 from .databuilder import build_t1_data
 from .heatkernel import (
     BallIndicator,
     KernelConstants,
     QUAD_ABS_TOL,
+    QuadratureError,
     kernel_constants,
     verify_lower_bounds,
 )
@@ -105,20 +106,6 @@ def _floats(text) -> list:
     return [float(x) for x in str(text).split(",") if x.strip()]
 
 
-def jsonable(obj):
-    if hasattr(obj, "to_dict"):
-        return jsonable(obj.to_dict())
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
 def atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -184,13 +171,6 @@ def resolve_f(args):
         except ParseError as exc:
             raise CliError(f"cannot parse f: {exc}")
     raise CliError("provide --f EXPR or --builtin NAME")
-
-
-def _max_workers() -> int:
-    env = os.environ.get("HEATLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 # --- commands ----------------------------------------------------------------
@@ -418,8 +398,7 @@ def experiment_equivalence_suite(args, argv) -> int:
         while 1.95 < a < 2.05:  # keep clear of the critical power
             a = rng.uniform(1.3, 2.7)
         cases.append((a, rng.uniform(0.0, 1.5), d))
-    with concurrent.futures.ThreadPoolExecutor(_max_workers()) as pool:
-        results = list(pool.map(_suite_case, cases))
+    results = [_suite_case(case) for case in cases]
     decided = [r for r in results if r["agree"] is not None]
     disagreements = [r for r in decided if not r["agree"]]
     report = {"command": "experiment", "kind": "equivalence_suite",
@@ -514,8 +493,8 @@ def main(argv=None) -> int:
         if args.command == "verify-kernel":
             return cmd_verify_kernel(args, argv)
         return EXPERIMENTS[args.kind](args, argv)
-    except (CliError, AuditError, SolverError, ParseError, ValueError,
-            OSError) as exc:
+    except (CliError, AuditError, SolverError, ParseError, QuadratureError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

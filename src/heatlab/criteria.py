@@ -51,7 +51,7 @@ class Verdict:
             "outcome": self.outcome,
             "criterion": self.criterion,
             "dead_band": self.dead_band,
-            "evidence": _jsonable(self.evidence),
+            "evidence": jsonable(self.evidence),
         }
 
     def to_json(self, **kwargs) -> str:
@@ -64,15 +64,19 @@ class Verdict:
         return list(zip(grid, vals))
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """obj as plain JSON data: objects with to_dict() expanded, numpy scalars
+    and arrays unwrapped, inf/nan spelled out (JSON has neither)."""
+    if hasattr(obj, "to_dict"):
+        return jsonable(obj.to_dict())
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)  # json has no inf/nan
+        return repr(obj)
     return obj
 
 
@@ -210,9 +214,6 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int,
     gamma = 1.0 + 2.0 * q / d
     est = limsup_estimate(f, gamma, s_max)
     outcome = decide_tail(est.trend, est.tail_growth, est.overflow, dead_band)
-    if outcome == NO_LOCAL_EXISTENCE and not est.overflow:
-        # divergence also needs the running max to actually grow
-        pass
     evidence = {
         "gamma": gamma,
         "slope": est.trend,

@@ -249,9 +249,6 @@ class IterationTrace:
     residual: float
     n_iter: int
 
-    def final_field(self, j: int) -> np.ndarray:
-        return self.v[j]
-
 
 def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                     v_init, T: float, n_time: int = 64, n_iter: int = 50,

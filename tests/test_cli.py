@@ -67,6 +67,18 @@ def test_classify_audit_rejection_exit():
                  "--beta", "10", "--q", "1"]) == EXIT_ERROR
 
 
+def test_classify_beyond_three_dimensions(capsys):
+    # the ball profile has no dimension limit, so neither has the constants
+    # block every report embeds
+    code, rep = run_json(capsys, ["classify", "--f", "s^2", "--d", "4",
+                                  "--q", "2"])
+    assert code == EXIT_OK and rep["verdict"]["outcome"] == "Exists"
+    kernel = rep["constants"]["kernel"]
+    assert kernel["d"] == 4
+    assert 0.0 < kernel["c_d"] < 1.0
+    assert kernel["beta_d"] == pytest.approx(kernel["c_d"] / 16, rel=1e-15)
+
+
 # --- determinism, config, artifacts -------------------------------------------
 
 
@@ -137,6 +149,25 @@ def test_verify_kernel_inflated_constant_fails(capsys):
         3.0 * check["witness"]["defining_value"], rel=1e-12)
 
 
+def test_verify_kernel_narrow_peak_passes(capsys):
+    # a sweep point whose kernel peak is far narrower than the ball
+    code, rep = run_json(capsys, ["verify-kernel", "--d", "2",
+                                  "--r-grid", "30", "--t-grid", "1e-3"])
+    assert code == EXIT_OK and rep["passed"]
+
+
+def test_verify_kernel_out_of_range_is_an_error(capsys):
+    # r^2/2t = 5e14 is beyond the evaluator's range: a one-line error, not a
+    # verdict on the theorem
+    assert main(["verify-kernel", "--d", "2", "--r-grid", "1e3",
+                 "--t-grid", "1e-9"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 # --- experiments ---------------------------------------------------------------
 
 
@@ -188,8 +219,7 @@ def test_experiment_blowup_trend_monotone(capsys):
     assert peaks == sorted(peaks)
 
 
-def test_experiment_equivalence_suite_small(capsys, monkeypatch):
-    monkeypatch.setenv("HEATLAB_THREADS", "2")
+def test_experiment_equivalence_suite_small(capsys):
     code, rep = run_json(capsys, ["experiment", "equivalence_suite",
                                   "--seed", "7", "--count", "4", "--d", "2"])
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)

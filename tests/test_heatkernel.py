@@ -1,21 +1,25 @@
 """Heat kernel, ball-indicator semigroup and constant certification tests.
 
 Oracles: erf closed forms (d=1), seeded Monte-Carlo integration (d=2),
-direct Gaussian convolution quadrature for the semigroup property.
+an mpmath evaluation of the Brownian hitting probability (d=1..5), radial
+quadrature of the mass, direct Gaussian convolution quadrature for the
+semigroup property.
 """
 
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
 from heatlab.heatkernel import (
+    QUAD_ABS_TOL,
     BallIndicator,
     QuadratureError,
-    _ball_mass,
+    _ball_profile,
     gaussian_kernel,
     heat_on_ball,
     kernel_constants,
@@ -28,6 +32,9 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
+    assert unit_ball_volume(4) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-14)
+    assert unit_ball_volume(5) == pytest.approx(8.0 * math.pi ** 2 / 15.0,
+                                                rel=1e-14)
 
 
 # --- gaussian kernel ---------------------------------------------------------
@@ -65,8 +72,9 @@ def test_kernel_rejects_nonpositive_time():
 # --- heat_on_ball ------------------------------------------------------------
 
 def test_heat_on_ball_identity_limit():
+    # t = 1e-10 puts r^2/2t = 5e9 just inside the evaluated range
     chi = BallIndicator(radius=1.0)
-    assert heat_on_ball(chi, [0.5], 1e-12, 1) == pytest.approx(1.0, abs=1e-10)
+    assert heat_on_ball(chi, [0.5], 1e-10, 1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_heat_on_ball_erf_oracle():
@@ -107,14 +115,14 @@ def test_heat_on_ball_d3_origin_matches_radial_quadrature():
 
 
 def test_heat_on_ball_d3_small_offset_continuity():
-    # the rho -> 0 formula and the generic one must agree across tiny offsets
+    # the profile is continuous at the centre: tiny offsets change nothing
     chi = BallIndicator(radius=1.0)
     v0 = heat_on_ball(chi, [0.0, 0.0, 0.0], 0.5, 3)
     v1 = heat_on_ball(chi, [1e-9, 0.0, 0.0], 0.5, 3)
     assert v1 == pytest.approx(v0, rel=1e-8)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_heat_on_ball_radially_nonincreasing(d):
     chi = BallIndicator(radius=1.0)
     rhos = np.linspace(0.0, 4.0, 25)
@@ -123,12 +131,18 @@ def test_heat_on_ball_radially_nonincreasing(d):
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_heat_on_ball_mass(d):
-    # whole space conserves mass: integral of S(t)chi_r equals omega_d r^d
+    # whole space conserves mass: the radial integral of S(t)chi_r equals
+    # omega_d r^d, the exact mass the certifier uses
     r, t = 1.3, 0.7
-    assert _ball_mass(BallIndicator(radius=r), t, d) == pytest.approx(
-        unit_ball_volume(d) * r ** d, rel=1e-8)
+    chi = BallIndicator(radius=r)
+    sigma = d * unit_ball_volume(d)
+    mass, _ = quad(lambda rho: sigma * rho ** (d - 1) *
+                   heat_on_ball(chi, [rho] + [0.0] * (d - 1), t, d),
+                   0.0, r + 12.0 * math.sqrt(t), epsabs=1e-10, epsrel=1e-12,
+                   limit=200)
+    assert mass == pytest.approx(unit_ball_volume(d) * r ** d, rel=1e-8)
 
 
 def test_semigroup_property_d1():
@@ -144,13 +158,69 @@ def test_semigroup_property_d1():
         assert direct == pytest.approx(conv, abs=1e-6)
 
 
-def test_quadrature_budget_enforced():
+def _hitting_probability(r, t, rho, d):
+    """mpmath oracle for P(|rho e_1 + sqrt(2t) Z| <= r), Z standard normal
+    in R^d. Conditioning on y = a + Z_1 (a = rho/s, b = r/s, s = sqrt(2t))
+    leaves the chi-square(d - 1) event |Z'|^2 <= b^2 - y^2; the Gaussian
+    factor is cut at 12 standard deviations, and the integrand's fast drop
+    within about 1/b of y = +-b gets breakpoints of its own."""
+    with mp.workdps(20):
+        s = mp.sqrt(2 * mp.mpf(t))
+        a, b = mp.mpf(rho) / s, mp.mpf(r) / s
+        if d == 1:
+            return mp.ncdf(b - a) - mp.ncdf(-b - a)
+        lo, hi = max(-b, a - 12), min(b, a + 12)
+        if lo >= hi:
+            return mp.mpf(0)
+        cuts = {lo, hi, a} | {e * (b - k / b) for e in (1, -1)
+                              for k in (1, 30)}
+        return mp.quad(lambda y: mp.npdf(y - a) * mp.gammainc(
+            mp.mpf(d - 1) / 2, 0, (b * b - y * y) / 2, regularized=True),
+            sorted(p for p in cuts if lo <= p <= hi))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_ball_profile_mpmath_oracle(d):
+    points = [
+        (1.0, 1.0, 0.5),                # kernel wider than the ball
+        (1.0, 0.05, 1.1),               # just outside the edge
+        (26.892, 1.59e-4, 19.631),      # peak narrow against the ball
+        (1.0, 5e-10, 1.0 - 3e-5),       # r^2/2t = 1e9, near the edge
+    ]
+    for r, t, rho in points:
+        val = float(_ball_profile(r, t, rho, d))
+        ref = float(_hitting_probability(r, t, rho, d))
+        assert abs(val - ref) <= QUAD_ABS_TOL / 1000, (r, t, rho)
+
+
+def test_ball_profile_vectorised():
+    rhos = np.linspace(0.0, 2.0, 7)
+    vals = _ball_profile(1.0, 0.3, rhos, 3)
+    assert vals.shape == rhos.shape
+    for rho, val in zip(rhos, vals):
+        assert val == heat_on_ball(BallIndicator(radius=1.0),
+                                   [float(rho), 0.0, 0.0], 0.3, 3)
+
+
+def test_profile_refused_beyond_scaled_radius():
+    # r^2/2t above 1e10 is refused rather than evaluated, in every dimension
+    assert heat_on_ball(BallIndicator(radius=1.0), [0.5], 5e-11, 1) == 1.0
+    for d in (1, 2, 3):
+        with pytest.raises(QuadratureError):
+            heat_on_ball(BallIndicator(radius=1.0), [0.5] + [0.0] * (d - 1),
+                         1e-12, d)
     with pytest.raises(QuadratureError):
-        heat_on_ball(BallIndicator(radius=1.0), [0.5, 0.0], 0.25, 2,
-                     quad_tol=1e-18)
+        verify_lower_bounds(2, [1e3], [1e-9])
 
 
 # --- constants ---------------------------------------------------------------
+
+def test_ball_profile_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        _ball_profile(1.0, 0.0, 0.5, 2)
+    with pytest.raises(ValueError):
+        _ball_profile(1.0, 1.0, 0.5, 0)
+
 
 def test_c_prime_d1_closed_form():
     kc = kernel_constants(1, "whole_space")
@@ -214,6 +284,34 @@ def test_verify_lower_bounds_d2_sweep():
     assert rep.min_margin >= 0.0
     names = {c.bound for c in rep.checks}
     assert names == {"lemma", "mass", "beta"}
+    counts = {c.bound: c.n_checked for c in rep.checks}
+    assert counts["lemma"] == 3 * 3 * 9 and counts["mass"] == 3 * 3
+
+
+def test_verify_lower_bounds_exact_mass_margin():
+    # the mass is omega_d r^d exactly, so its margin is (omega_d - alpha_d)
+    # r^d at the smallest radius, independent of t
+    rep = verify_lower_bounds(3, [0.5, 2.0], [0.01, 1.0], n_points=5)
+    kc = rep.constants
+    mass = {c.bound: c for c in rep.checks}["mass"]
+    assert mass.min_margin == pytest.approx(
+        (kc.omega_d - kc.alpha_d) * 0.5 ** 3, rel=1e-14)
+    assert mass.witness[:2] == (0.5, 0.01)
+
+
+def test_verify_lower_bounds_witness_is_worst_point():
+    # the reported lemma witness is the sampled point of smallest margin
+    r, t, n = 1.0, 0.5, 11
+    rep = verify_lower_bounds(2, [r], [t], n_points=n)
+    kc = rep.constants
+    reach = r + math.sqrt(t)
+    margins = [heat_on_ball(BallIndicator(radius=r), [rho, 0.0], t, 2)
+               - kc.c_d * (r / reach) ** 2 - QUAD_ABS_TOL
+               for rho in np.linspace(0.0, reach, n)]
+    lemma = {c.bound: c for c in rep.checks}["lemma"]
+    assert lemma.min_margin == min(margins)
+    assert lemma.witness == (r, t, float(np.linspace(0.0, reach, n)[
+        int(np.argmin(margins))]))
 
 
 def test_verify_lower_bounds_fails_with_inflated_constant():
