@@ -33,7 +33,7 @@ from .criteria import (
     equivalence_check,
     jsonable,
 )
-from .databuilder import build_t1_data
+from .databuilder import ScheduleError, build_t1_data
 from .heatkernel import (
     BallIndicator,
     KernelConstants,
@@ -48,12 +48,11 @@ from .solver import (
     RadialGrid,
     SimulationControls,
     SolverError,
-    _ZERO,
     build_propagator,
     duhamel_iterate,
     duhamel_lower_bound,
-    duhamel_map,
     find_existence_horizon,
+    heat_series,
     indicator,
     lq_norm,
     simulate_forward,
@@ -100,6 +99,20 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
             raise CliError(f"missing required parameter: {name.replace('_', '-')}")
+
+
+def _d_and_q(args, d=None, q=None):
+    """--d as an integer >= 1 and --q (if given or defaulted) as a finite
+    exponent >= 1; d and q give the defaults."""
+    d = int(args.d if args.d is not None else d)
+    if d < 1:
+        raise CliError("d must be a positive integer")
+    q = getattr(args, "q", None) or q
+    if q is not None:
+        q = float(q)
+        if not (math.isfinite(q) and q >= 1.0):
+            raise CliError("q must be a finite exponent >= 1")
+    return d, q
 
 
 def _floats(text) -> list:
@@ -177,8 +190,8 @@ def resolve_f(args):
 
 def cmd_classify(args, argv) -> int:
     _require(args, "d", "q")
+    d, q = _d_and_q(args)
     f = resolve_f(args)
-    d, q = int(args.d), float(args.q)
     domain = args.domain or "bounded"
     try:
         if domain == "whole_space":
@@ -203,7 +216,7 @@ def cmd_classify(args, argv) -> int:
 
 
 def cmd_verify_kernel(args, argv) -> int:
-    d = int(args.d or 1)
+    d, _ = _d_and_q(args, d=1)
     variant = args.variant or "whole_space"
     r_grid = _floats(args.r_grid or "0.25,1,4")
     t_grid = _floats(args.t_grid or "0.01,0.25,1,4")
@@ -236,8 +249,7 @@ def cmd_verify_kernel(args, argv) -> int:
     return EXIT_OK if passed else EXIT_ERROR
 
 
-def _setup_problem(args):
-    d = int(args.d)
+def _setup_problem(args, d):
     R = float(args.R or 1.0)
     n_nodes = int(args.nodes or 257)
     grid = RadialGrid.uniform(d, R, n_nodes)
@@ -249,26 +261,26 @@ def _setup_problem(args):
 
 def experiment_horizon(args, argv) -> int:
     _require(args, "d", "u0_l1")
+    d, _ = _d_and_q(args)
     f = resolve_f(args)
-    rep = find_existence_horizon(float(args.u0_l1), f, int(args.d),
+    rep = find_existence_horizon(float(args.u0_l1), f, d,
                                  A=float(args.A or 2.0))
     report = {"command": "experiment", "kind": "horizon",
               "f": f.source_text, "result": vars(rep).copy(),
-              "constants": constants_block(int(args.d))}
+              "constants": constants_block(d)}
     emit_report(report, args.out, argv)
     return EXIT_OK
 
 
 def experiment_iterate(args, argv) -> int:
     _require(args, "d")
+    d, _ = _d_and_q(args)
     f = resolve_f(args)
-    P, u0 = _setup_problem(args)
+    P, u0 = _setup_problem(args, d)
     A = float(args.A or 2.0)
-    hor = find_existence_horizon(lq_norm(u0, 1.0), f, P.grid.d, A=A)
+    hor = find_existence_horizon(lq_norm(u0, 1.0), f, d, A=A)
     n_time = int(args.n_time or 64)
-    times = np.linspace(0.0, hor.T, n_time)
-    base = duhamel_map(P, u0, _ZERO,
-                       np.zeros((n_time, P.grid.n_interior)), times)
+    base = heat_series(P, u0, np.linspace(0.0, hor.T, n_time))
     chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v_init = A * base + chi.values[None, :P.grid.n_interior]
     margin = supersolution_check(P, u0, f, v_init, hor.T, n_time=n_time)
@@ -292,10 +304,10 @@ def experiment_iterate(args, argv) -> int:
 
 def experiment_simulate(args, argv) -> int:
     _require(args, "d", "T")
+    d, q = _d_and_q(args, q=2.0)
     f = resolve_f(args)
-    P, u0 = _setup_problem(args)
-    controls = SimulationControls(q=float(args.q or 2.0),
-                                  dt_init=float(args.dt or 1e-3))
+    P, u0 = _setup_problem(args, d)
+    controls = SimulationControls(q=q, dt_init=float(args.dt or 1e-3))
     traj = simulate_forward(P, u0, f, float(args.T), controls)
     report = {
         "command": "experiment", "kind": "simulate", "f": f.source_text,
@@ -316,16 +328,17 @@ def experiment_simulate(args, argv) -> int:
 
 def experiment_lower_bound(args, argv) -> int:
     _require(args, "d", "r", "t")
+    d, q = _d_and_q(args, q=1.0)
     f = resolve_f(args)
     lb = duhamel_lower_bound(
         BallIndicator(radius=float(args.r),
                       amplitude=float(args.amplitude or 1.0)),
-        f, float(args.t), int(args.d), q=float(args.q or 1.0))
+        f, float(args.t), d, q=q)
     report = {
         "command": "experiment", "kind": "lower_bound", "f": f.source_text,
         "t": float(args.t), "lq": lb.lq, "q": lb.q,
         "min_on_ball": lb.min_on_ball(float(args.r)),
-        "constants": constants_block(int(args.d)),
+        "constants": constants_block(d),
     }
     emit_report(report, args.out, argv)
     if args.csv:
@@ -336,8 +349,8 @@ def experiment_lower_bound(args, argv) -> int:
 
 def experiment_blowup_trend(args, argv) -> int:
     _require(args, "d", "q", "N_range")
+    d, q = _d_and_q(args)
     f = resolve_f(args)
-    d, q = int(args.d), float(args.q)
     lo, hi = (int(x) for x in str(args.N_range).split(".."))
     epsilon = float(args.epsilon or 0.5)
     R = float(args.R or 1.0)
@@ -390,7 +403,7 @@ def _suite_case(case):
 def experiment_equivalence_suite(args, argv) -> int:
     seed = int(args.seed or 7)
     count = int(args.count or 20)
-    d = int(args.d or 2)
+    d, _ = _d_and_q(args, d=2)
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
@@ -494,7 +507,7 @@ def main(argv=None) -> int:
             return cmd_verify_kernel(args, argv)
         return EXPERIMENTS[args.kind](args, argv)
     except (CliError, AuditError, SolverError, ParseError, QuadratureError,
-            ValueError, OSError) as exc:
+            ScheduleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -147,22 +147,20 @@ def build_propagator(grid: RadialGrid) -> HeatPropagator:
     nodes, faces, vols = grid.nodes, grid.faces, grid.quad_weights
     sigma = grid.d * unit_ball_volume(grid.d)
     V = vols[:m]
-    A = np.zeros((m, m))
-    # internal faces i = 1..n-1 separate node i-1 from node i (node n-1 is
-    # the Dirichlet boundary, entering only through the diagonal)
-    for i in range(1, grid.n):
-        area = sigma * faces[i] ** (grid.d - 1)
-        h = nodes[i] - nodes[i - 1]
-        k = area / h
-        A[i - 1, i - 1] += k / V[i - 1]
-        if i < grid.n - 1:
-            A[i, i] += k / V[i]
-            A[i - 1, i] -= k / V[i - 1]
-            A[i, i - 1] -= k / V[i]
+    # k[i - 1] conducts through internal face i = 1..n-1 between nodes i-1
+    # and i (node n-1 is the Dirichlet boundary, entering only through the
+    # diagonal); float_power rounds like a scalar power, where ndarray ** 2
+    # squares and can differ from it by one ulp
+    k = sigma * np.float_power(faces[1:-1], grid.d - 1) / np.diff(nodes)
+    diag = k / V
+    diag[1:] += k[:-1] / V[1:]
     sqrt_w = np.sqrt(V)
-    B = A * (sqrt_w[:, None] / sqrt_w[None, :])
-    B = 0.5 * (B + B.T)  # symmetrize round-off
-    lam, Q = eigh(B)
+    # similarity transform sqrt(V) A / sqrt(V) of the two off-diagonals,
+    # averaged to symmetrize round-off
+    upper = -(k[:-1] / V[:-1]) * (sqrt_w[:-1] / sqrt_w[1:])
+    lower = -(k[:-1] / V[1:]) * (sqrt_w[1:] / sqrt_w[:-1])
+    off = 0.5 * (upper + lower)
+    lam, Q = eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     if lam[0] <= 0:
         raise SolverError(f"non-positive eigenvalue {lam[0]:.3e}: "
                           "bad discretization")
@@ -188,21 +186,13 @@ def semigroup_apply(P: HeatPropagator, t: float, u: RadialField) -> RadialField:
 
 # --- Duhamel machinery -------------------------------------------------------
 
-def _as_time_indexed(P: HeatPropagator, v, n_time: int) -> np.ndarray:
-    """Coerce a time-indexed field (array, list of RadialField, or a single
-    field replicated in time) to shape (n_time, n_interior)."""
-    m = P.grid.n_interior
-    if isinstance(v, RadialField):
-        return np.tile(v.values[:m], (n_time, 1))
-    if isinstance(v, (list, tuple)):
-        arr = np.array([fld.values[:m] for fld in v], dtype=float)
-    else:
-        arr = np.asarray(v, dtype=float)
-        if arr.shape[1] == P.grid.n:
-            arr = arr[:, :m]
-    if arr.shape != (n_time, m):
-        raise ValueError("time-indexed field has wrong shape")
-    return arr
+def heat_series(P: HeatPropagator, u0: RadialField,
+                times: np.ndarray) -> np.ndarray:
+    """S(t_j)u0 on the interior nodes for every time slice, shape
+    (len(times), n_interior), from one modal product."""
+    coeffs = np.exp(-np.outer(times, P.eigenvalues)) \
+        * P.to_modal(u0.values[:P.grid.n_interior])
+    return (coeffs @ P.modes.T) / P.sqrt_w
 
 
 def _eval_f(f: NonlinearityExpr, arr: np.ndarray) -> np.ndarray:
@@ -214,27 +204,27 @@ def _eval_f(f: NonlinearityExpr, arr: np.ndarray) -> np.ndarray:
 
 def duhamel_map(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                 v: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """F(v)(t_j) = S(t_j)u0 + int_0^{t_j} S(t_j - s) f(v(s)) ds, composite
-    trapezoid on the uniform time grid, semigroup factors exact in modal
-    space."""
+    """F(v)(t_j) = S(t_j)u0 + int_0^{t_j} S(t_j - s) f(v(s)) ds for v of
+    shape (n_time, n_interior), composite trapezoid on the uniform time
+    grid, semigroup factors exact in modal space. The history obeys
+    I_j = r I_(j-1) + (dt/2)(r g_(j-1) + g_j) with r = e^(-lam dt)."""
+    times = np.asarray(times, dtype=float)
     n_time = len(times)
-    m = P.grid.n_interior
-    dt = times[1] - times[0] if n_time > 1 else 0.0
-    u0_hat = P.to_modal(u0.values[:m])
-    decay = np.exp(-np.outer(times, P.eigenvalues))  # decay[j] = e^(-lam t_j)
-    fv = _eval_f(f, v)
-    fv_hat = (fv * P.sqrt_w) @ P.modes  # modal transform per time slice
-    out = np.empty_like(v)
-    for j in range(n_time):
-        acc = decay[j] * u0_hat
-        if j > 0:
-            c = np.ones(j + 1)
-            c[0] = c[j] = 0.5
-            # S(t_j - t_m) = decay[j - m] on the uniform grid
-            acc = acc + dt * np.einsum("m,mk,mk->k", c, decay[j::-1],
-                                       fv_hat[:j + 1])
-        out[j] = P.from_modal(acc)
-    return out
+    if n_time < 2:
+        raise ValueError("need at least two time slices")
+    dt = times[1] - times[0]
+    if dt < 0 or not np.allclose(np.diff(times), dt, rtol=1e-9, atol=0.0):
+        raise ValueError("times must be uniformly spaced and non-decreasing")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n_time, P.grid.n_interior):
+        raise ValueError("time-indexed field must have shape "
+                         "(n_time, n_interior)")
+    g = (_eval_f(f, v) * P.sqrt_w) @ P.modes  # modal transform per slice
+    r = np.exp(-P.eigenvalues * dt)
+    hist = np.zeros_like(g)
+    for j in range(1, n_time):
+        hist[j] = r * hist[j - 1] + 0.5 * dt * (r * g[j - 1] + g[j])
+    return heat_series(P, u0, times) + (hist @ P.modes.T) / P.sqrt_w
 
 
 @dataclass
@@ -255,8 +245,8 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                     tol: float = 1e-8) -> IterationTrace:
     """Monotone supersolution iteration v_(n+1) = F(v_n)."""
     times = np.linspace(0.0, T, n_time)
-    v = _as_time_indexed(P, v_init, n_time)
-    baseline = duhamel_map(P, u0, _ZERO, v * 0.0, times)
+    v = np.asarray(v_init, dtype=float)
+    baseline = heat_series(P, u0, times)
     sup_deltas = []
     max_increase = -math.inf
     min_above = math.inf
@@ -297,21 +287,11 @@ def supersolution_check(P: HeatPropagator, u0: RadialField,
     """min over (node, time) of v(t) - F(v)(t); non-negative certifies a
     discrete supersolution."""
     times = np.linspace(0.0, T, n_time)
-    varr = _as_time_indexed(P, v, n_time)
+    varr = np.asarray(v, dtype=float)
     diff = varr - duhamel_map(P, u0, f, varr, times)
     j, i = np.unravel_index(np.argmin(diff), diff.shape)
     return MarginReport(margin=float(diff[j, i]),
                         witness=(float(times[j]), float(P.grid.nodes[i])))
-
-
-class _Zero:
-    source_text = "0"
-
-    def eval_raw(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-
-_ZERO = _Zero()
 
 
 # --- existence horizon (supersolution construction) --------------------------
@@ -567,6 +547,8 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     """Exponential-integrator stepping u_(m+1) = S(dt)(u_m + dt f(u_m)) with
     adaptive step halving; declares numeric blow-up (not a proof) when the
     sup norm exceeds the guard or dt underflows."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be finite and positive")
     ct = controls or SimulationControls()
     u = u0.copy()
     t, dt = 0.0, min(ct.dt_init, T)

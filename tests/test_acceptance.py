@@ -35,12 +35,11 @@ from heatlab.nonlinearity import builtin_family, parse_nonlinearity
 from heatlab.solver import (
     RadialGrid,
     SimulationControls,
-    _ZERO,
     build_propagator,
     duhamel_iterate,
     duhamel_lower_bound,
-    duhamel_map,
     find_existence_horizon,
+    heat_series,
     indicator,
     lq_norm,
     semigroup_apply,
@@ -139,8 +138,7 @@ def test_monotone_iteration():
     assert hor.T > 0.0
     n_time = 64
     times = np.linspace(0.0, hor.T, n_time)
-    base = duhamel_map(P, u0, _ZERO,
-                       np.zeros((n_time, grid.n_interior)), times)
+    base = heat_series(P, u0, times)
     chi = indicator(grid, BallIndicator(grid.R * (1 - 1e-12)))
     v_init = 2.0 * base + chi.values[None, :grid.n_interior]
     margin = supersolution_check(P, u0, f, v_init, hor.T, n_time=n_time)

@@ -225,3 +225,45 @@ def test_experiment_equivalence_suite_small(capsys):
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
     assert rep["n_disagreements"] == 0
     assert len(rep["cases"]) == 4
+
+
+# --- inputs outside the solver's or the theorem's scope -------------------------
+
+
+def _assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_blowup_trend_schedule_error(capsys):
+    # f = s^2 has no spike schedule for d = 2, q = 1
+    assert main(["experiment", "blowup_trend", "--f", "s^2", "--d", "2",
+                 "--q", "1", "--N-range", "3..5"]) == EXIT_ERROR
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--f", "s^2", "--d", "0", "--q", "1"],
+    ["classify", "--f", "s^2", "--d", "-2", "--q", "2"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "nan"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "inf"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "0.5"],
+    ["classify", "--builtin", "log_family", "--d", "0", "--beta", "1",
+     "--q", "1"],
+    ["verify-kernel", "--d", "0"],
+    ["experiment", "horizon", "--f", "s^2", "--d", "0", "--u0-l1", "1"],
+    ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
+     "--t", "0.01", "--q", "inf"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "1",
+     "--q", "nan"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "-1"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "0"],
+    ["experiment", "equivalence_suite", "--d", "0", "--count", "2"],
+])
+def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
+    assert main(argv) == EXIT_ERROR
+    _assert_one_line_error(capsys)

@@ -2,15 +2,20 @@
 
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
 via heat_on_ball, the linear-nonlinearity closed form of the existence
-horizon, and grid/time refinement self-consistency.
+horizon, grid/time refinement self-consistency, and two slow references
+kept here: the face-by-face propagator assembly and the re-summed Duhamel
+history.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from heatlab.heatkernel import BallIndicator, heat_on_ball, kernel_constants
+from heatlab.databuilder import build_t1_data
+from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
+                                unit_ball_volume)
 from heatlab.nonlinearity import parse_nonlinearity
 from heatlab.solver import (
     HorizonReport,
@@ -18,12 +23,12 @@ from heatlab.solver import (
     RadialGrid,
     SimulationControls,
     SolverError,
-    _ZERO,
     build_propagator,
     duhamel_iterate,
     duhamel_lower_bound,
     duhamel_map,
     find_existence_horizon,
+    heat_series,
     indicator,
     lq_norm,
     semigroup_apply,
@@ -31,6 +36,8 @@ from heatlab.solver import (
     supersolution_check,
     warmup_shell_sums,
 )
+
+ZERO = parse_nonlinearity("0")
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +50,6 @@ def prop_d1():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_weights_sum_to_ball_volume(d):
-    from heatlab.heatkernel import unit_ball_volume
     g = RadialGrid.uniform(d, 2.0, 65)
     assert g.quad_weights.sum() == pytest.approx(
         unit_ball_volume(d) * 2.0 ** d, rel=1e-12)
@@ -97,6 +103,51 @@ def test_eigenvalues_increasing(prop_d1):
 def test_propagator_requires_resolution():
     with pytest.raises(ValueError):
         build_propagator(RadialGrid.uniform(1, 1.0, 16))
+
+
+def _face_by_face_eigh(grid):
+    """Reference: assemble the operator one face at a time, symmetrize it
+    under the cell volumes and diagonalise it densely."""
+    m = grid.n_interior
+    nodes, faces, V = grid.nodes, grid.faces, grid.quad_weights[:m]
+    sigma = grid.d * unit_ball_volume(grid.d)
+    A = np.zeros((m, m))
+    for i in range(1, grid.n):
+        k = sigma * faces[i] ** (grid.d - 1) / (nodes[i] - nodes[i - 1])
+        A[i - 1, i - 1] += k / V[i - 1]
+        if i < grid.n - 1:
+            A[i, i] += k / V[i]
+            A[i - 1, i] -= k / V[i - 1]
+            A[i, i - 1] -= k / V[i]
+    sqrt_w = np.sqrt(V)
+    B = A * (sqrt_w[:, None] / sqrt_w[None, :])
+    return eigh(0.5 * (B + B.T))
+
+
+def _t1_grid(d, N):
+    _, u0 = build_t1_data(parse_nonlinearity("s^5.547523027016545"), d=d,
+                          q=2.0, N=N, epsilon=0.5, R=1.0)
+    return u0.grid
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: RadialGrid.uniform(1, math.pi, 257),
+    lambda: RadialGrid.uniform(2, 1.0, 65),
+    lambda: RadialGrid.uniform(3, 2.0, 129),
+    lambda: RadialGrid.graded(2, 1.0, 129, 1e-6),
+    # h_min = 6.8e-10; its ill-conditioned low spectrum moves with any
+    # change of rounding
+    lambda: _t1_grid(1, 5),
+    # a face where ndarray ** 2 and a scalar power differ by one ulp
+    lambda: _t1_grid(3, 3),
+], ids=["uniform-d1", "uniform-d2", "uniform-d3", "graded-d2", "t1-d1-N5",
+        "t1-d3-N3"])
+def test_propagator_matches_face_by_face_assembly(make_grid):
+    grid = make_grid()
+    P = build_propagator(grid)
+    lam, Q = _face_by_face_eigh(grid)
+    assert np.array_equal(P.eigenvalues, lam)
+    assert np.array_equal(P.modes, Q)
 
 
 def test_eigenmode_decay(prop_d1):
@@ -155,10 +206,88 @@ def test_duhamel_zero_nonlinearity_one_step(prop_d1):
     P = prop_d1
     u0 = indicator(P.grid, BallIndicator(1.0, amplitude=0.5))
     v0 = np.ones((16, P.grid.n_interior))
-    tr = duhamel_iterate(P, u0, _ZERO, v0, T=0.5, n_time=16, n_iter=5)
+    tr = duhamel_iterate(P, u0, ZERO, v0, T=0.5, n_time=16, n_iter=5)
     assert tr.converged and tr.n_iter <= 2
     # iterate equals S(t)u0
     assert np.max(np.abs(tr.v - tr.baseline)) < 1e-12
+
+
+def _history_sum_duhamel(P, u0, f, v, times):
+    """Reference: the composite trapezoid with the whole history re-summed
+    at every slice, O(n_time^2 m)."""
+    m = P.grid.n_interior
+    dt = times[1] - times[0]
+    decay = np.exp(-np.outer(times, P.eigenvalues))
+    u0_hat = P.to_modal(u0.values[:m])
+    g = (f.eval_raw(np.maximum(v, 0.0)) * P.sqrt_w) @ P.modes
+    out = np.empty_like(v)
+    for j in range(len(times)):
+        acc = decay[j] * u0_hat
+        if j > 0:
+            c = np.ones(j + 1)
+            c[0] = c[j] = 0.5
+            acc = acc + dt * np.einsum("m,mk,mk->k", c, decay[j::-1],
+                                       g[:j + 1])
+        out[j] = P.from_modal(acc)
+    return out
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_duhamel_recurrence_matches_history_sum(d, graded):
+    grid = (RadialGrid.graded(d, 1.0, 129, 1e-4) if graded
+            else RadialGrid.uniform(d, 1.0, 129))
+    P = build_propagator(grid)
+    u0 = indicator(grid, BallIndicator(0.4, amplitude=0.5))
+    f = parse_nonlinearity("s + s^2")
+    times = np.linspace(0.0, 0.2, 48)
+    v = np.random.default_rng(d).uniform(0.0, 2.0, (48, grid.n_interior))
+    F = duhamel_map(P, u0, f, v, times)
+    ref = _history_sum_duhamel(P, u0, f, v, times)
+    assert np.max(np.abs(F - ref)) <= 1e-13 * max(1.0, np.max(np.abs(F)))
+
+
+def test_heat_series_matches_semigroup_apply(prop_d1):
+    P = prop_d1
+    u0 = indicator(P.grid, BallIndicator(1.0, amplitude=0.5))
+    times = np.array([0.0, 0.01, 0.3, 2.0])  # need not be uniform
+    series = heat_series(P, u0, times)
+    assert series.shape == (len(times), P.grid.n_interior)
+    for t, row in zip(times, series):
+        ref = semigroup_apply(P, t, u0).values[:-1]
+        assert np.max(np.abs(row - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_time", [0, 1])
+def test_duhamel_needs_two_time_slices(prop_d1, n_time):
+    P = prop_d1
+    u0 = indicator(P.grid, BallIndicator(1.0))
+    f = parse_nonlinearity("s^2")
+    v = np.ones((n_time, P.grid.n_interior))
+    with pytest.raises(ValueError, match="two time slices"):
+        duhamel_map(P, u0, f, v, np.linspace(0.0, 0.1, n_time))
+    with pytest.raises(ValueError, match="two time slices"):
+        duhamel_iterate(P, u0, f, v, 0.1, n_time=n_time)
+    with pytest.raises(ValueError, match="two time slices"):
+        supersolution_check(P, u0, f, v, 0.1, n_time=n_time)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.1, 0.3], [0.2, 0.1, 0.0],
+                                   [0.0, math.nan, 0.2]])
+def test_duhamel_rejects_non_uniform_times(prop_d1, times):
+    P = prop_d1
+    u0 = indicator(P.grid, BallIndicator(1.0))
+    v = np.ones((3, P.grid.n_interior))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        duhamel_map(P, u0, ZERO, v, np.array(times))
+
+
+def test_duhamel_takes_interior_values_only(prop_d1):
+    P = prop_d1
+    u0 = indicator(P.grid, BallIndicator(1.0))
+    with pytest.raises(ValueError, match="shape"):
+        duhamel_map(P, u0, ZERO, np.ones((4, P.grid.n)),
+                    np.linspace(0.0, 0.1, 4))
 
 
 def test_iteration_monotone_and_bounded(prop_d1):
@@ -167,7 +296,7 @@ def test_iteration_monotone_and_bounded(prop_d1):
     u0 = indicator(P.grid, BallIndicator(0.5, amplitude=0.1))
     hor = find_existence_horizon(lq_norm(u0, 1.0), f, 1, A=2.0)
     times = np.linspace(0.0, hor.T, 64)
-    base = duhamel_map(P, u0, _ZERO, np.zeros((64, P.grid.n_interior)), times)
+    base = heat_series(P, u0, times)
     chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v_init = 2.0 * base + chi.values[None, :P.grid.n_interior]
     check = supersolution_check(P, u0, f, v_init, hor.T)
@@ -185,15 +314,13 @@ def test_iteration_refined_time_grid_consistency(prop_d1):
     f = parse_nonlinearity("s^2")
     u0 = indicator(P.grid, BallIndicator(0.5, amplitude=0.1))
     hor = find_existence_horizon(lq_norm(u0, 1.0), f, 1, A=2.0)
-    base = duhamel_map(P, u0, _ZERO, np.zeros((64, P.grid.n_interior)),
-                       np.linspace(0, hor.T, 64))
+    base = heat_series(P, u0, np.linspace(0, hor.T, 64))
     chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v_init = 2.0 * base + chi.values[None, :P.grid.n_interior]
     tr = duhamel_iterate(P, u0, f, v_init, hor.T, n_time=64)
     # solving the fixed-point identity on a 2x finer time grid (sharing
     # every coarse point) reproduces the limit there within 1e-4
-    base_f = duhamel_map(P, u0, _ZERO, np.zeros((127, P.grid.n_interior)),
-                         np.linspace(0, hor.T, 127))
+    base_f = heat_series(P, u0, np.linspace(0, hor.T, 127))
     v_init_f = 2.0 * base_f + chi.values[None, :P.grid.n_interior]
     tr_f = duhamel_iterate(P, u0, f, v_init_f, hor.T, n_time=127)
     assert np.max(np.abs(tr.v - tr_f.v[::2])) < 1e-4
@@ -212,8 +339,8 @@ def test_supersolution_margin_zero_for_linear_flow(prop_d1):
     P = prop_d1
     u0 = indicator(P.grid, BallIndicator(1.0, amplitude=0.5))
     times = np.linspace(0.0, 0.5, 32)
-    base = duhamel_map(P, u0, _ZERO, np.zeros((32, P.grid.n_interior)), times)
-    rep = supersolution_check(P, u0, _ZERO, base, 0.5, n_time=32)
+    base = heat_series(P, u0, times)
+    rep = supersolution_check(P, u0, ZERO, base, 0.5, n_time=32)
     assert rep.margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -221,8 +348,7 @@ def test_supersolution_fails_for_supercritical(prop_d1):
     P = prop_d1
     f = parse_nonlinearity("s^4")
     u0 = indicator(P.grid, BallIndicator(1.0, amplitude=5.0))
-    base = duhamel_map(P, u0, _ZERO, np.zeros((32, P.grid.n_interior)),
-                       np.linspace(0, 1.0, 32))
+    base = heat_series(P, u0, np.linspace(0, 1.0, 32))
     chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v = 2.0 * base + chi.values[None, :P.grid.n_interior]
     rep = supersolution_check(P, u0, f, v, 1.0, n_time=32)
@@ -232,7 +358,7 @@ def test_supersolution_fails_for_supercritical(prop_d1):
 # --- existence horizon -------------------------------------------------------
 
 def test_horizon_zero_nonlinearity_capped():
-    rep = find_existence_horizon(0.0, _ZERO, 2)
+    rep = find_existence_horizon(0.0, ZERO, 2)
     assert rep.T == 100.0 and rep.capped_at_max
 
 
@@ -273,7 +399,7 @@ def test_horizon_is_a_report(prop_d1):
 
 def test_lower_bound_zero_nonlinearity():
     chi = BallIndicator(0.5, amplitude=2.0)
-    lb = duhamel_lower_bound(chi, _ZERO, 0.25, 1)
+    lb = duhamel_lower_bound(chi, ZERO, 0.25, 1)
     kc = kernel_constants(1)
     level = 2.0 * kc.c_d * (0.5 / 1.0) ** 1
     assert lb.min_on_ball(0.5) == pytest.approx(level, rel=1e-12)
@@ -324,9 +450,16 @@ def test_warmup_subcritical_saturates():
 def test_simulate_heat_flow_contracts(prop_d1):
     P = prop_d1
     u0 = indicator(P.grid, BallIndicator(1.0))
-    traj = simulate_forward(P, u0, _ZERO, 1.0)
+    traj = simulate_forward(P, u0, ZERO, 1.0)
     assert not traj.blowup
     assert all(a >= b - 1e-12 for a, b in zip(traj.lq, traj.lq[1:]))
+
+
+@pytest.mark.parametrize("T", [-1.0, 0.0, math.inf, math.nan])
+def test_simulate_rejects_bad_horizon(prop_d1, T):
+    u0 = indicator(prop_d1.grid, BallIndicator(1.0))
+    with pytest.raises(ValueError, match="finite and positive"):
+        simulate_forward(prop_d1, u0, ZERO, T)
 
 
 def test_simulate_small_data_stays_below_supersolution(prop_d1):
@@ -375,7 +508,7 @@ def test_simulate_grid_refinement_under_one_percent():
 def test_trajectory_csv_roundtrip(tmp_path, prop_d1):
     traj = simulate_forward(prop_d1,
                             indicator(prop_d1.grid, BallIndicator(1.0)),
-                            _ZERO, 0.1)
+                            ZERO, 0.1)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     rows = path.read_text().strip().splitlines()
