@@ -9,6 +9,7 @@ clock and invocation details go to a separate .meta.json file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,13 +37,12 @@ from .criteria import (
 from .databuilder import ScheduleError, build_t1_data
 from .heatkernel import (
     BallIndicator,
-    KernelConstants,
     QUAD_ABS_TOL,
     QuadratureError,
     kernel_constants,
     verify_lower_bounds,
 )
-from .nonlinearity import (ParseError, builtin_family, eval_f,
+from .nonlinearity import (DomainError, ParseError, builtin_family, eval_f,
                            parse_nonlinearity)
 from .solver import (
     RadialGrid,
@@ -151,10 +151,9 @@ def write_csv(path: str, header, rows) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def constants_block(d: int, variant: str = "whole_space") -> dict:
-    kc = kernel_constants(d, variant)
+def constants_block(d: int) -> dict:
     return {
-        "kernel": kc.to_dict(),
+        "kernel": kernel_constants(d).to_dict(),
         "dead_bands": {"slope": SLOPE_DEAD_BAND, "sigma": SIGMA_DEAD_BAND,
                        "tau": TAU_DEAD_BAND},
         "quadrature_tolerance": QUAD_ABS_TOL,
@@ -193,12 +192,14 @@ def cmd_classify(args, argv) -> int:
     d, q = _d_and_q(args)
     f = resolve_f(args)
     domain = args.domain or "bounded"
+    s_max = float(args.s_max or 1e8)
+    if not math.isfinite(s_max):
+        raise CliError("s-max must be finite")
     try:
         if domain == "whole_space":
             verdict = classify_whole_space(f, q, d)
         elif q > 1:
-            verdict = classify_lq(f, q, d,
-                                  s_max=float(args.s_max or 1e8))
+            verdict = classify_lq(f, q, d, s_max=s_max)
         else:
             verdict = classify_l1(f, d)
     except AuditError as exc:
@@ -217,24 +218,21 @@ def cmd_classify(args, argv) -> int:
 
 def cmd_verify_kernel(args, argv) -> int:
     d, _ = _d_and_q(args, d=1)
-    variant = args.variant or "whole_space"
     r_grid = _floats(args.r_grid or "0.25,1,4")
     t_grid = _floats(args.t_grid or "0.01,0.25,1,4")
-    consts = kernel_constants(d, variant)
+    consts = kernel_constants(d)
+    c_max = consts.c_d
     inflate = float(args.inflate_cd or 1.0)
     if inflate != 1.0:  # falsification hook for testing the certifier
         c_d = consts.c_d * inflate
-        consts = KernelConstants(
-            d=d, variant=variant, c_prime=consts.c_prime,
-            c_doubleprime=consts.c_doubleprime, c_d=c_d,
-            alpha_d=c_d * consts.omega_d, beta_d=c_d * 2.0 ** (-d),
-            omega_d=consts.omega_d)
-    rep = verify_lower_bounds(d, r_grid, t_grid, variant=variant,
+        consts = dataclasses.replace(consts, c_d=c_d,
+                                     alpha_d=c_d * consts.omega_d,
+                                     beta_d=c_d * 2.0 ** (-d))
+    rep = verify_lower_bounds(d, r_grid, t_grid,
                               n_points=int(args.n_points or 17),
                               constants=consts)
     # consistency of the supplied constant with its defining identity;
     # the sampled bounds alone have slack, this check has none
-    c_max = kernel_constants(d, variant).c_d
     definition = {
         "bound": "definition",
         "min_margin": c_max - consts.c_d,
@@ -244,7 +242,7 @@ def cmd_verify_kernel(args, argv) -> int:
     report = {"command": "verify-kernel", "report": rep.to_dict(),
               "definition_check": definition, "passed": passed,
               "inflate_cd": inflate,
-              "constants": constants_block(d, variant)}
+              "constants": constants_block(d)}
     emit_report(report, args.out, argv)
     return EXIT_OK if passed else EXIT_ERROR
 
@@ -352,6 +350,9 @@ def experiment_blowup_trend(args, argv) -> int:
     d, q = _d_and_q(args)
     f = resolve_f(args)
     lo, hi = (int(x) for x in str(args.N_range).split(".."))
+    if lo >= hi:
+        raise CliError("N-range LO..HI needs LO < HI: a trend takes at "
+                       "least two N")
     epsilon = float(args.epsilon or 0.5)
     R = float(args.R or 1.0)
     # one grid and one fixed step size for every N, so trajectories for
@@ -462,9 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-kernel", help="certify the kernel bounds")
     common(pv)
-    pv.add_argument("--d"), pv.add_argument("--variant",
-                                            choices=["whole_space",
-                                                     "dirichlet"])
+    pv.add_argument("--d")
     pv.add_argument("--r-grid", dest="r_grid")
     pv.add_argument("--t-grid", dest="t_grid")
     pv.add_argument("--n-points", dest="n_points")
@@ -506,8 +505,8 @@ def main(argv=None) -> int:
         if args.command == "verify-kernel":
             return cmd_verify_kernel(args, argv)
         return EXPERIMENTS[args.kind](args, argv)
-    except (CliError, AuditError, SolverError, ParseError, QuadratureError,
-            ScheduleError, ValueError, OSError) as exc:
+    except (CliError, AuditError, SolverError, ParseError, DomainError,
+            QuadratureError, ScheduleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

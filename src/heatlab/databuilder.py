@@ -120,8 +120,7 @@ def _sample_sum(grid: RadialGrid, amplitudes, radii) -> RadialField:
 
 def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
                   epsilon: float, R: float,
-                  grid: Optional[RadialGrid] = None,
-                  variant: str = "whole_space"):
+                  grid: Optional[RadialGrid] = None):
     """Truncated sum u0 = sum_k beta_d^(-1) phi_k chi_(r_k), k = 1..N, with
     f(phi_k) >= phi_k^p e^(k/q), p = 1 + 2q/d, and
     r_k = epsilon phi_k^(-q/d) k^(-2q/d).
@@ -133,7 +132,7 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     if q < 1:
         raise ValueError("q must be at least 1")
     p = 1.0 + 2.0 * q / d
-    consts = kernel_constants(d, variant)
+    consts = kernel_constants(d)
 
     phi = []
     prev = 0.0
@@ -178,8 +177,7 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
 def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
                     theta: float = 2.0,
                     k_schedule: Callable[[int], int] = None,
-                    grid: Optional[RadialGrid] = None,
-                    variant: str = "whole_space"):
+                    grid: Optional[RadialGrid] = None):
     """Truncated sum u0 = sum_n n^(-2) alpha_n^d chi_(1/alpha_n) built from a
     divergent-series witness: phi_k = c_d^(-1) s_k, zeta_n the smallest index
     with phi_(k_n + 1) <= phi_(zeta_n) / 2, alpha_n = (n^2 phi_(zeta_n))^(1/d).
@@ -189,7 +187,7 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     """
     if k_schedule is None:
         k_schedule = lambda n: n  # noqa: E731
-    consts = kernel_constants(d, variant)
+    consts = kernel_constants(d)
     witness = series_search(f, d, theta=theta)
     if series_verdict(witness).outcome != NO_LOCAL_EXISTENCE:
         raise ScheduleError("series witness is not numerically divergent; "

@@ -163,7 +163,6 @@ class BoundCheck:
 @dataclass(frozen=True)
 class CertificationReport:
     d: int
-    variant: str
     r_grid: tuple
     t_grid: tuple
     tolerance: float
@@ -181,7 +180,7 @@ class CertificationReport:
     def to_dict(self) -> dict:
         return {
             "d": self.d,
-            "variant": self.variant,
+            "variant": "whole_space",  # the kernel that was evaluated
             "grid": {"r": list(self.r_grid), "t": list(self.t_grid)},
             "tolerance": self.tolerance,
             "constants": self.constants.to_dict(),
@@ -197,31 +196,27 @@ class CertificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
-def verify_lower_bounds(d: int, r_grid, t_grid, variant: str = "whole_space",
-                        n_points: int = 17, delta: float = None,
+def verify_lower_bounds(d: int, r_grid, t_grid, n_points: int = 17,
                         constants: KernelConstants = None) -> CertificationReport:
-    """Numerically certify the three ball lower bounds on a grid.
+    """Numerically certify the three whole-space ball lower bounds on a
+    non-empty grid.
 
     lemma: [S(t)chi_r](x) >= c_d (r/(r+sqrt t))^d for |x| <= r + sqrt t
     mass:  integral of S(t)chi_r              >= alpha_d r^d
     beta:  [S(t)chi_r](x) >= beta_d for |x| <= r + sqrt t, when t <= r^2
-           (Dirichlet variant additionally requires t <= delta^2)
 
     Pointwise margins have the evaluator's budget QUAD_ABS_TOL already
     subtracted, so a non-negative min_margin certifies the inequality up to
     floating-point rounding. The mass is the exact whole-space value
     omega_d r^d (mass conservation).
     """
-    consts = constants if constants is not None \
-        else kernel_constants(d, variant)
+    consts = constants if constants is not None else kernel_constants(d)
     r_grid = tuple(float(r) for r in r_grid)
     t_grid = tuple(float(t) for t in t_grid)
+    if not (r_grid and t_grid):
+        raise ValueError("grids must be non-empty")
     if any(r <= 0 for r in r_grid) or any(t <= 0 for t in t_grid):
         raise ValueError("grids must be positive")
-    if variant == "dirichlet" and delta is not None:
-        t_beta_cap = delta ** 2
-    else:
-        t_beta_cap = math.inf
 
     worst = {"lemma": (math.inf, None, 0), "mass": (math.inf, None, 0),
              "beta": (math.inf, None, 0)}
@@ -241,13 +236,13 @@ def verify_lower_bounds(d: int, r_grid, t_grid, variant: str = "whole_space",
             rhos = np.linspace(0.0, reach, n_points)
             vals = _ball_profile(r, t, rhos, d)
             record("lemma", vals - lemma_level - QUAD_ABS_TOL, r, t, rhos)
-            if t <= r ** 2 and t <= t_beta_cap:
+            if t <= r ** 2:
                 record("beta", vals - consts.beta_d - QUAD_ABS_TOL, r, t, rhos)
             record("mass", [omega * r ** d - consts.alpha_d * r ** d], r, t,
                    [math.nan])
 
     checks = tuple(BoundCheck(bound=k, min_margin=m, witness=w, n_checked=n)
                    for k, (m, w, n) in worst.items() if n > 0)
-    return CertificationReport(d=d, variant=variant, r_grid=r_grid,
-                               t_grid=t_grid, tolerance=QUAD_ABS_TOL,
-                               checks=checks, constants=consts)
+    return CertificationReport(d=d, r_grid=r_grid, t_grid=t_grid,
+                               tolerance=QUAD_ABS_TOL, checks=checks,
+                               constants=consts)

@@ -309,23 +309,24 @@ class HorizonReport:
 
 
 def _tilde_tail_integral(envelope, d: int, s0: float) -> float:
-    """(2/d) * integral over [max(s0, 1), infinity) of s^-(1+2/d) F(s) ds.
+    """(2/d) * integral over [s0, infinity) of s^-(1+2/d) F(s) ds, s0 >= 1.
 
     This equals the tau-substituted integral of tau^(d/2) ftilde(tau^(-d/2))
-    over the region where the argument exceeds 1. The part beyond the
-    envelope grid is estimated with F frozen at its last value.
+    over (0, s0^(-2/d)]. The part beyond the envelope grid is estimated with
+    F frozen at its last value.
     """
     grid, vals = envelope.grid, envelope.values
     s_end, f_end = float(grid[-1]), float(vals[-1])
-    s0 = max(s0, 1.0)
-    p = 1.0 + 2.0 / d
-    tail = f_end * s_end ** (-2.0 / d) * (2.0 / d) * (d / 2.0)  # = F/s^{2/d}
     if s0 >= s_end:
         return f_end * s0 ** (-2.0 / d)
+    p = 1.0 + 2.0 / d
     sel = grid > s0
     xs = np.concatenate([[s0], grid[sel]])
     fs = np.concatenate([[envelope.at(s0)], vals[sel]])
     body = (2.0 / d) * np.trapezoid(xs ** (-p) * fs, xs)
+    # the tail is F/s^(2/d); (2/d)(d/2) is 1 only in exact arithmetic, and
+    # dropping it moves integral_value by an ulp in d = 3, 5, 6, ...
+    tail = f_end * s_end ** (-2.0 / d) * (2.0 / d) * (d / 2.0)
     return float(body + tail)
 
 
@@ -338,12 +339,17 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     C^(2/d) * int_0^(T C^(-2/d)) tau^(d/2) ftilde(tau^(-d/2)) dtau <= (A-1)/A
     with C = 2 A c ||u0||_1 and c = (4 pi)^(-d/2), and the smoothing-estimate
     validity cap T <= (A c ||u0||_1)^(2/d) (needed so that
-    A c s^(-d/2) ||u0||_1 >= 1 throughout [0, T]).
+    A c s^(-d/2) ||u0||_1 >= 1 throughout [0, T]). The cap is 2^(-2/d)
+    C^(2/d), so the integral is only ever needed for tau < 1. The condition
+    is tested at min(T_max, cap); if it fails there, an 80-step bisection on
+    [0, T_max] finds T, counting every midpoint above the cap as failing.
     """
-    if A <= 1:
+    if not A > 1:
         raise ValueError("A must exceed 1")
-    if u0_l1_norm < 0:
-        raise ValueError("||u0||_1 must be non-negative")
+    if not 0 <= u0_l1_norm < math.inf:
+        raise ValueError("||u0||_1 must be finite and non-negative")
+    if not T_max > 0:
+        raise ValueError("T_max must be positive")
     bound = (A - 1.0) / A
     csm = (4.0 * math.pi) ** (-d / 2.0)
 
@@ -356,49 +362,30 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                              smoothing_capped=False)
 
     env = sup_ratio_envelope(f, float(2 ** 48))
-    C = 2.0 * A * csm * u0_l1_norm
-    scale = C ** (2.0 / d)
-
-    from scipy.integrate import quad
-
-    def integral(T_prime: float) -> float:
-        if T_prime <= 0:
-            return 0.0
-        total = _tilde_tail_integral(env, d, min(T_prime, 1.0) ** (-d / 2.0))
-        if T_prime > 1.0:
-            # tau > 1 region: argument tau^(-d/2) < 1, so ftilde = f there
-            part, _ = quad(
-                lambda tau: tau ** (d / 2.0) *
-                float(np.asarray(f.eval_raw(
-                    np.array([tau ** (-d / 2.0)])))[0]),
-                1.0, T_prime, limit=200)
-            total += part
-        return total
+    scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
+    cap = (A * csm * u0_l1_norm) ** (2.0 / d)
 
     def condition(T: float) -> float:
-        return scale * integral(T / scale)
+        return scale * _tilde_tail_integral(env, d, (T / scale) ** (-d / 2.0))
 
-    if condition(T_max) <= bound:
-        T, capped = T_max, True
-    else:
+    T = min(T_max, cap)
+    at_endpoint = condition(T) <= bound
+    if not at_endpoint:
         lo, hi = 0.0, T_max
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if condition(mid) <= bound:
+            if mid <= cap and condition(mid) <= bound:
                 lo = mid
             else:
                 hi = mid
-        T, capped = lo, False
+        T = lo
         if T == 0.0:
             raise SolverError("integral condition unsatisfiable: the "
                               "ftilde integral appears divergent")
-    smoothing_cap = (A * csm * u0_l1_norm) ** (2.0 / d)
-    smoothing_capped = T > smoothing_cap
-    T = min(T, smoothing_cap)
     return HorizonReport(T=T, integral_value=condition(T),
                          condition_bound=bound, A=A, u0_l1=u0_l1_norm, d=d,
-                         capped_at_max=capped and not smoothing_capped,
-                         smoothing_capped=smoothing_capped)
+                         capped_at_max=at_endpoint and T_max <= cap,
+                         smoothing_capped=at_endpoint and T_max > cap)
 
 
 # --- certified Duhamel lower bound -------------------------------------------
@@ -418,15 +405,14 @@ class LowerBoundResult:
 
 
 def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
-                        d: int, variant: str = "whole_space", q: float = 1.0,
-                        n_time: int = 513,
+                        d: int, q: float = 1.0, n_time: int = 513,
                         radii: Optional[np.ndarray] = None) -> LowerBoundResult:
     """Certified pointwise lower bound on any local integral solution with
     u0 >= chi, via u(t) >= S(t)chi + int_0^t S(t-s) f(S(s)chi) ds and the
     ball bounds S(s)chi_r >= c_d (r/(r+sqrt s))^d chi_(r+sqrt s)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    consts = kernel_constants(d, variant)
+    consts = kernel_constants(d)
     r, amp = chi.radius, chi.amplitude
     if radii is None:
         radii = np.linspace(0.0, r + math.sqrt(t), 129)

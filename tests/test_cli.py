@@ -136,6 +136,17 @@ def test_verify_kernel_passes(capsys):
     assert code == EXIT_OK and rep["passed"]
     assert rep["report"]["passed"]
     assert rep["definition_check"]["min_margin"] == 0.0
+    assert rep["report"]["variant"] == "whole_space"
+    assert rep["constants"]["kernel"]["variant"] == "whole_space"
+
+
+def test_verify_kernel_has_no_dirichlet_variant(capsys):
+    # only the whole-space kernel is evaluated, so there is nothing to
+    # certify for the Dirichlet constants
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-kernel", "--d", "1", "--variant", "dirichlet"])
+    assert exc.value.code == 2
+    assert "--variant" in capsys.readouterr().err
 
 
 def test_verify_kernel_inflated_constant_fails(capsys):
@@ -263,6 +274,15 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "0"],
     ["experiment", "equivalence_suite", "--d", "0", "--count", "2"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "2", "--s-max", "1e400"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "2", "--s-max", "nan"],
+    ["classify", "--f", "log(s-1)", "--d", "1", "--q", "2"],
+    ["verify-kernel", "--d", "2", "--r-grid", ",", "--t-grid", "1"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "5..3"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3..3"],
+    ["experiment", "horizon", "--f", "s^2", "--d", "1", "--u0-l1", "inf"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR

@@ -314,6 +314,14 @@ def test_verify_lower_bounds_witness_is_worst_point():
         int(np.argmin(margins))]))
 
 
+@pytest.mark.parametrize("r_grid,t_grid", [([], [1.0]), ([1.0], []),
+                                            ([], [])])
+def test_verify_lower_bounds_rejects_empty_grid(r_grid, t_grid):
+    # an empty grid checks no bound, so it must not report a pass
+    with pytest.raises(ValueError, match="non-empty"):
+        verify_lower_bounds(2, r_grid, t_grid)
+
+
 def test_verify_lower_bounds_fails_with_inflated_constant():
     from heatlab.heatkernel import KernelConstants
     kc = kernel_constants(1, "whole_space")

@@ -2,21 +2,25 @@
 
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
 via heat_on_ball, the linear-nonlinearity closed form of the existence
-horizon, grid/time refinement self-consistency, and two slow references
-kept here: the face-by-face propagator assembly and the re-summed Duhamel
-history.
+horizon, grid/time refinement self-consistency, and three slow references
+kept here: the face-by-face propagator assembly, the re-summed Duhamel
+history and the quad-based horizon search.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import heatlab
 from heatlab.databuilder import build_t1_data
 from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
                                 unit_ball_volume)
-from heatlab.nonlinearity import parse_nonlinearity
+from heatlab.nonlinearity import parse_nonlinearity, sup_ratio_envelope
 from heatlab.solver import (
     HorizonReport,
     RadialField,
@@ -389,10 +393,137 @@ def test_horizon_monotone_in_norm_where_integral_binds():
     assert r2.T < r1.T
 
 
+@pytest.mark.parametrize("norm,A,T_max", [
+    (0.5, 2.0, 0.0), (0.5, 2.0, -1.0), (0.5, 2.0, math.nan),
+    (math.inf, 2.0, 100.0), (math.nan, 2.0, 100.0), (-1.0, 2.0, 100.0),
+    (0.5, math.nan, 100.0), (0.5, 1.0, 100.0),
+])
+def test_horizon_rejects_bad_input(norm, A, T_max):
+    with pytest.raises(ValueError):
+        find_existence_horizon(norm, parse_nonlinearity("s^2"), 1, A=A,
+                               T_max=T_max)
+
+
 def test_horizon_is_a_report(prop_d1):
     rep = find_existence_horizon(0.1, parse_nonlinearity("s^2"), 1)
     assert isinstance(rep, HorizonReport)
     assert rep.integral_value <= rep.condition_bound + 1e-12
+
+
+def _quad_horizon(u0_l1_norm, f, d, A=2.0, T_max=100.0):
+    """Reference: the horizon search that evaluates the integral condition
+    at every bisection midpoint, with scipy's quad for the tau > 1 part, and
+    clamps to the smoothing cap afterwards."""
+    from scipy.integrate import quad
+
+    bound = (A - 1.0) / A
+    csm = (4.0 * math.pi) ** (-d / 2.0)
+    if u0_l1_norm == 0.0:
+        f1 = float(np.asarray(f.eval_raw(np.array([1.0])))[0])
+        T = T_max if f1 == 0.0 else min(T_max, 1.0 / f1)
+        return HorizonReport(T=T, integral_value=0.0, condition_bound=bound,
+                             A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
+                             smoothing_capped=False)
+    env = sup_ratio_envelope(f, float(2 ** 48))
+    scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
+
+    def tail(s0):
+        grid, vals = env.grid, env.values
+        s_end, f_end = float(grid[-1]), float(vals[-1])
+        s0 = max(s0, 1.0)
+        p = 1.0 + 2.0 / d
+        frozen = f_end * s_end ** (-2.0 / d) * (2.0 / d) * (d / 2.0)
+        if s0 >= s_end:
+            return f_end * s0 ** (-2.0 / d)
+        sel = grid > s0
+        xs = np.concatenate([[s0], grid[sel]])
+        fs = np.concatenate([[env.at(s0)], vals[sel]])
+        return float((2.0 / d) * np.trapezoid(xs ** (-p) * fs, xs) + frozen)
+
+    def integral(T_prime):
+        if T_prime <= 0:
+            return 0.0
+        total = tail(min(T_prime, 1.0) ** (-d / 2.0))
+        if T_prime > 1.0:
+            part, _ = quad(lambda tau: tau ** (d / 2.0) * float(np.asarray(
+                f.eval_raw(np.array([tau ** (-d / 2.0)])))[0]),
+                1.0, T_prime, limit=200)
+            total += part
+        return total
+
+    def condition(T):
+        return scale * integral(T / scale)
+
+    if condition(T_max) <= bound:
+        T, capped = T_max, True
+    else:
+        lo, hi = 0.0, T_max
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if condition(mid) <= bound:
+                lo = mid
+            else:
+                hi = mid
+        T, capped = lo, False
+        if T == 0.0:
+            raise SolverError("integral condition unsatisfiable: the "
+                              "ftilde integral appears divergent")
+    smoothing_cap = (A * csm * u0_l1_norm) ** (2.0 / d)
+    smoothing_capped = T > smoothing_cap
+    T = min(T, smoothing_cap)
+    return HorizonReport(T=T, integral_value=condition(T),
+                         condition_bound=bound, A=A, u0_l1=u0_l1_norm, d=d,
+                         capped_at_max=capped and not smoothing_capped,
+                         smoothing_capped=smoothing_capped)
+
+
+@pytest.mark.parametrize("expr,d,norm,T_max,kind", [
+    ("s^2", 1, 0.05, 100.0, "smoothing"),
+    ("s", 2, 0.05, 100.0, "smoothing"),
+    ("s", 3, 1.0, 100.0, "smoothing"),
+    ("s^2", 1, 0.5, 1e-4, "T_max"),
+    ("s^1.5", 2, 0.5, 1e-4, "T_max"),
+    ("s^1.5", 3, 0.5, 1e-4, "T_max"),
+    ("0", 1, 50.0, 100.0, "T_max"),
+    ("4*s", 1, 0.0, 100.0, "zero"),
+    ("s^2", 2, 0.0, 100.0, "zero"),
+    ("0", 3, 0.0, 100.0, "zero"),
+    ("s^2", 1, 5.0, 100.0, "integral"),
+    ("s^1.5", 2, 5.0, 100.0, "integral"),
+    ("s^1.5", 3, 5.0, 100.0, "integral"),
+    ("s + s^2", 2, 0.5, 100.0, "integral"),  # the README example
+])
+def test_horizon_matches_quad_reference(expr, d, norm, T_max, kind):
+    f = parse_nonlinearity(expr)
+    rep = find_existence_horizon(norm, f, d, T_max=T_max)
+    assert vars(rep) == vars(_quad_horizon(norm, f, d, T_max=T_max))
+    found = ("zero" if norm == 0.0 else "smoothing" if rep.smoothing_capped
+             else "T_max" if rep.capped_at_max else "integral")
+    assert found == kind
+
+
+def test_horizon_refusal_matches_quad_reference():
+    f = parse_nonlinearity("s^2.95")
+    with pytest.raises(SolverError) as ref:
+        _quad_horizon(0.44, f, 1)
+    with pytest.raises(SolverError) as exc:
+        find_existence_horizon(0.44, f, 1)
+    assert str(exc.value) == str(ref.value)
+
+
+def test_horizon_leaves_scipy_integrate_unimported(tmp_path):
+    script = ("import sys\n"
+              "from heatlab.cli import main\n"
+              "main(['experiment', 'horizon', '--f', 's + s^2', '--d', '2',"
+              " '--u0-l1', '0.5', '--out', sys.argv[1]])\n"
+              "print('scipy.integrate' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script,
+                          str(tmp_path / "h.json")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+    assert (tmp_path / "h.json").exists()
 
 
 # --- certified lower bound ---------------------------------------------------
