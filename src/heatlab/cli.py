@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -349,7 +350,11 @@ def experiment_blowup_trend(args, argv) -> int:
     _require(args, "d", "q", "N_range")
     d, q = _d_and_q(args)
     f = resolve_f(args)
-    lo, hi = (int(x) for x in str(args.N_range).split(".."))
+    bounds = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", str(args.N_range))
+    if bounds is None:
+        raise CliError("N-range must have the form LO..HI with integers "
+                       f"LO < HI, got {args.N_range!r}")
+    lo, hi = int(bounds[1]), int(bounds[2])
     if lo >= hi:
         raise CliError("N-range LO..HI needs LO < HI: a trend takes at "
                        "least two N")

@@ -217,6 +217,9 @@ def verify_lower_bounds(d: int, r_grid, t_grid, n_points: int = 17,
         raise ValueError("grids must be non-empty")
     if any(r <= 0 for r in r_grid) or any(t <= 0 for t in t_grid):
         raise ValueError("grids must be positive")
+    if n_points < 2:
+        raise ValueError("n-points must be at least 2, so that the samples "
+                         "reach the edge rho = r + sqrt(t)")
 
     worst = {"lemma": (math.inf, None, 0), "mass": (math.inf, None, 0),
              "beta": (math.inf, None, 0)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
 
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
 from .nonlinearity import NonlinearityExpr, sup_ratio_envelope
@@ -140,7 +140,8 @@ class HeatPropagator:
 
 
 def build_propagator(grid: RadialGrid) -> HeatPropagator:
-    """Eigendecomposition of the finite-volume radial Dirichlet Laplacian."""
+    """Eigendecomposition of the finite-volume radial Dirichlet Laplacian,
+    by LAPACK MRRR (stemr) on its symmetric tridiagonal band."""
     m = grid.n_interior
     if m < 32:
         raise ValueError("need at least 32 interior nodes")
@@ -160,7 +161,7 @@ def build_propagator(grid: RadialGrid) -> HeatPropagator:
     upper = -(k[:-1] / V[:-1]) * (sqrt_w[:-1] / sqrt_w[1:])
     lower = -(k[:-1] / V[1:]) * (sqrt_w[1:] / sqrt_w[:-1])
     off = 0.5 * (upper + lower)
-    lam, Q = eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    lam, Q = eigh_tridiagonal(diag, off, lapack_driver="stemr")
     if lam[0] <= 0:
         raise SolverError(f"non-positive eigenvalue {lam[0]:.3e}: "
                           "bad discretization")
@@ -362,8 +363,14 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                              smoothing_capped=False)
 
     env = sup_ratio_envelope(f, float(2 ** 48))
-    scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
-    cap = (A * csm * u0_l1_norm) ** (2.0 / d)
+    try:
+        scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
+        cap = (A * csm * u0_l1_norm) ** (2.0 / d)
+    except OverflowError:
+        scale = cap = math.inf
+    if not (0.0 < cap and scale < math.inf):
+        raise ValueError("(2 A c ||u0||_1)^(2/d) overflows or underflows: "
+                         "||u0||_1 or A is out of range")
 
     def condition(T: float) -> float:
         return scale * _tilde_tail_integral(env, d, (T / scale) ** (-d / 2.0))

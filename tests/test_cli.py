@@ -283,7 +283,23 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
      "--N-range", "3..3"],
     ["experiment", "horizon", "--f", "s^2", "--d", "1", "--u0-l1", "inf"],
+    ["verify-kernel", "--d", "2", "--n-points", "1"],
+    ["verify-kernel", "--d", "2", "--n-points", "0"],
+    ["experiment", "horizon", "--f", "s^2", "--d", "1", "--u0-l1", "1e200"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3.."],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "a..b"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("N_range", ["3", "3..", "a..b", "3..4..5"])
+def test_blowup_trend_names_the_range_form(capsys, N_range):
+    assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
+                 "--q", "1", "--N-range", N_range]) == EXIT_ERROR
+    assert "LO..HI" in capsys.readouterr().err

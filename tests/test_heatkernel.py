@@ -322,6 +322,14 @@ def test_verify_lower_bounds_rejects_empty_grid(r_grid, t_grid):
         verify_lower_bounds(2, r_grid, t_grid)
 
 
+@pytest.mark.parametrize("n_points", [1, 0, -3])
+def test_verify_lower_bounds_rejects_fewer_than_two_points(n_points):
+    # one sample sits at rho = 0 and never reaches the edge r + sqrt(t),
+    # where the lemma and beta bounds bind
+    with pytest.raises(ValueError, match="at least 2"):
+        verify_lower_bounds(2, [1.0], [0.1], n_points=n_points)
+
+
 def test_verify_lower_bounds_fails_with_inflated_constant():
     from heatlab.heatkernel import KernelConstants
     kc = kernel_constants(1, "whole_space")

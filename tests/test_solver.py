@@ -3,7 +3,8 @@
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
 via heat_on_ball, the linear-nonlinearity closed form of the existence
 horizon, grid/time refinement self-consistency, and three slow references
-kept here: the face-by-face propagator assembly, the re-summed Duhamel
+kept here: the face-by-face propagator assembly diagonalised by dense
+eigh, the re-summed Duhamel
 history and the quad-based horizon search.
 """
 
@@ -11,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,14 +146,37 @@ def _t1_grid(d, N):
     lambda: _t1_grid(1, 5),
     # a face where ndarray ** 2 and a scalar power differ by one ulp
     lambda: _t1_grid(3, 3),
+    lambda: _t1_grid(2, 7),
+    lambda: RadialGrid.uniform(1, math.pi, 1025),
+    lambda: RadialGrid.uniform(2, 1.0, 1025),
+    lambda: RadialGrid.uniform(3, 2.0, 1025),
 ], ids=["uniform-d1", "uniform-d2", "uniform-d3", "graded-d2", "t1-d1-N5",
-        "t1-d3-N3"])
+        "t1-d3-N3", "t1-d2-N7", "uniform-d1-1025", "uniform-d2-1025",
+        "uniform-d3-1025"])
 def test_propagator_matches_face_by_face_assembly(make_grid):
+    # dense eigh runs syevr = sytrd + stemr + ormtr; on a tridiagonal input
+    # every Householder reflector is the identity, so MRRR on the band must
+    # return its eigenpairs bit for bit
     grid = make_grid()
     P = build_propagator(grid)
     lam, Q = _face_by_face_eigh(grid)
     assert np.array_equal(P.eigenvalues, lam)
     assert np.array_equal(P.modes, Q)
+
+
+def test_propagator_build_allocates_one_dense_matrix():
+    # the modes are the one m x m array; a dense assembly of the band
+    # peaks at about three of them
+    grid = RadialGrid.uniform(2, 1.0, 1025)
+    m = grid.n_interior
+    build_propagator(grid)
+    tracemalloc.start()
+    try:
+        build_propagator(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m * m * 8
 
 
 def test_eigenmode_decay(prop_d1):
@@ -397,6 +422,8 @@ def test_horizon_monotone_in_norm_where_integral_binds():
     (0.5, 2.0, 0.0), (0.5, 2.0, -1.0), (0.5, 2.0, math.nan),
     (math.inf, 2.0, 100.0), (math.nan, 2.0, 100.0), (-1.0, 2.0, 100.0),
     (0.5, math.nan, 100.0), (0.5, 1.0, 100.0),
+    # (2 A c ||u0||_1)^(2/d) overflows, underflows or is infinite in d = 1
+    (1e200, 2.0, 100.0), (1e-200, 2.0, 100.0), (0.5, math.inf, 100.0),
 ])
 def test_horizon_rejects_bad_input(norm, A, T_max):
     with pytest.raises(ValueError):
