@@ -193,6 +193,9 @@ def cmd_classify(args, argv) -> int:
     d, q = _d_and_q(args)
     f = resolve_f(args)
     domain = args.domain or "bounded"
+    if args.s_max is not None and (domain == "whole_space" or q == 1):
+        raise CliError("s-max applies only to the bounded-domain limsup "
+                       "test (q > 1)")
     s_max = float(args.s_max or 1e8)
     if not math.isfinite(s_max):
         raise CliError("s-max must be finite")
@@ -454,15 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="JSON report path (default stdout)")
         p.add_argument("--csv", help="CSV evidence/trajectory path")
 
+    def nonlinearity(p):
+        p.add_argument("--f", help="nonlinearity expression in s")
+        p.add_argument("--builtin",
+                       choices=["power", "log_family", "piecewise_power"])
+        p.add_argument("--p"), p.add_argument("--beta")
+        p.add_argument("--p-low", dest="p_low")
+        p.add_argument("--p-high", dest="p_high")
+        p.add_argument("--d"), p.add_argument("--q")
+
     pc = sub.add_parser("classify", help="existence classification")
     common(pc)
-    pc.add_argument("--f", help="nonlinearity expression in s")
-    pc.add_argument("--builtin",
-                    choices=["power", "log_family", "piecewise_power"])
-    pc.add_argument("--p"), pc.add_argument("--beta")
-    pc.add_argument("--p-low", dest="p_low")
-    pc.add_argument("--p-high", dest="p_high")
-    pc.add_argument("--d"), pc.add_argument("--q")
+    nonlinearity(pc)
     pc.add_argument("--domain", choices=["bounded", "whole_space"])
     pc.add_argument("--s-max", dest="s_max")
 
@@ -478,13 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("experiment", help="solver / databuilder experiments")
     common(pe)
     pe.add_argument("kind", choices=sorted(EXPERIMENTS))
-    pe.add_argument("--f")
-    pe.add_argument("--builtin",
-                    choices=["power", "log_family", "piecewise_power"])
-    pe.add_argument("--p"), pe.add_argument("--beta")
-    pe.add_argument("--p-low", dest="p_low")
-    pe.add_argument("--p-high", dest="p_high")
-    pe.add_argument("--d"), pe.add_argument("--q")
+    nonlinearity(pe)
     pe.add_argument("--u0-l1", dest="u0_l1")
     pe.add_argument("--A"), pe.add_argument("--T"), pe.add_argument("--t")
     pe.add_argument("--r"), pe.add_argument("--amplitude")

@@ -7,7 +7,6 @@ Inconclusive is a first-class outcome, never an error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,6 +28,9 @@ SLOPE_DEAD_BAND = 0.05
 BLOCK_RATIO_DEAD_BAND = 0.05
 DEFAULT_S_MAX = 1e8
 ENVELOPE_S_MAX = float(2 ** 48)
+WITNESS_RATIO = 2.0     # theta: consecutive witness candidates theta^j
+WITNESS_TERMS = 64      # K: windows searched for the series witness
+GAMMA_HI = 12.0         # upper end of the critical-exponent bisections
 
 
 class AuditError(Exception):
@@ -53,9 +55,6 @@ class Verdict:
             "dead_band": self.dead_band,
             "evidence": jsonable(self.evidence),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
     def evidence_rows(self):
         """(s, statistic) rows of the evidence grid, for CSV export."""
@@ -85,15 +84,9 @@ class LimsupEstimate:
     gamma: float
     samples_s: np.ndarray
     samples_log_g: np.ndarray  # natural log of s^-gamma f(s); +inf = overflow
-    running_max_tail: np.ndarray
     trend: float  # log-log slope of the tail
     tail_growth: float  # log10(max over last decade / max over previous)
     overflow: bool
-
-    @property
-    def samples(self):
-        with np.errstate(over="ignore"):
-            return list(zip(self.samples_s, np.exp(self.samples_log_g)))
 
 
 @dataclass(frozen=True)
@@ -154,17 +147,9 @@ def limsup_estimate(f: NonlinearityExpr, gamma: float,
     log_g = log_f - gamma * np.log(grid)
 
     overflow = bool(np.isposinf(log_f).any())
-    finite = np.isfinite(log_g)
-
-    # suffix maxima of log g
-    run_tail = np.maximum.accumulate(np.where(finite, log_g, -np.inf)[::-1])[::-1]
-    if overflow:
-        run_tail = np.where(np.isposinf(log_f), np.inf, run_tail)
-
     trend, growth = _tail_statistics(grid, log_g, s_max)
     return LimsupEstimate(gamma=gamma, samples_s=grid, samples_log_g=log_g,
-                          running_max_tail=run_tail, trend=trend,
-                          tail_growth=growth, overflow=overflow)
+                          trend=trend, tail_growth=growth, overflow=overflow)
 
 
 def _tail_statistics(grid, log_g, s_max):
@@ -182,19 +167,19 @@ def _tail_statistics(grid, log_g, s_max):
     return slope, growth
 
 
-def decide_tail(slope: float, growth: float, overflow: bool = False,
-                dead_band: float = SLOPE_DEAD_BAND) -> str:
+def decide_tail(slope: float, growth: float, overflow: bool = False) -> str:
     """Decide the boundedness of a sampled tail statistic.
 
     The Exists and NoLocalExistence regions are separated by at least one
-    dead-band in each statistic, so perturbations smaller than the dead-band
-    can only move a decision into Inconclusive, never flip it.
+    dead-band SLOPE_DEAD_BAND in each statistic, so perturbations smaller
+    than the dead-band can only move a decision into Inconclusive, never
+    flip it.
     """
     if overflow:
         return NO_LOCAL_EXISTENCE
-    if slope >= dead_band and growth >= dead_band:
+    if slope >= SLOPE_DEAD_BAND and growth >= SLOPE_DEAD_BAND:
         return NO_LOCAL_EXISTENCE
-    if slope <= -dead_band:
+    if slope <= -SLOPE_DEAD_BAND:
         return EXISTS
     if growth <= 1e-12:
         return EXISTS  # tail running max is non-increasing
@@ -202,18 +187,15 @@ def decide_tail(slope: float, growth: float, overflow: bool = False,
 
 
 def classify_lq(f: NonlinearityExpr, q: float, d: int,
-                s_max: float = DEFAULT_S_MAX,
-                dead_band: float = SLOPE_DEAD_BAND,
-                skip_audit: bool = False) -> Verdict:
+                s_max: float = DEFAULT_S_MAX) -> Verdict:
     """Local existence in L^q(Omega), q > 1: the limsup criterion with
     exponent 1 + 2q/d."""
     if q <= 1:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
-    if not skip_audit:
-        _require_audit(f, s_max)
+    _require_audit(f, s_max)
     gamma = 1.0 + 2.0 * q / d
     est = limsup_estimate(f, gamma, s_max)
-    outcome = decide_tail(est.trend, est.tail_growth, est.overflow, dead_band)
+    outcome = decide_tail(est.trend, est.tail_growth, est.overflow)
     evidence = {
         "gamma": gamma,
         "slope": est.trend,
@@ -224,7 +206,7 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int,
         "grid_values": est.samples_log_g[:: max(1, len(est.samples_s) // 64)],
     }
     return Verdict(outcome=outcome, criterion="LqLimsup",
-                   dead_band=dead_band, evidence=evidence)
+                   dead_band=SLOPE_DEAD_BAND, evidence=evidence)
 
 
 # --- integral (q = 1) route --------------------------------------------------
@@ -276,37 +258,35 @@ def block_trend_fit(blocks: np.ndarray) -> tuple:
     return float(coef[1]), float(coef[2])
 
 
-def decide_blocks(sigma: float, tau: float, overflow: bool = False,
-                  sigma_db: float = SIGMA_DEAD_BAND,
-                  tau_db: float = TAU_DEAD_BAND) -> str:
+def decide_blocks(sigma: float, tau: float, overflow: bool = False) -> str:
     """Convergence decision for a positive series from its fitted tail law
     b_j ~ 2^(sigma*j) * j^tau.
 
     A geometric rate outside the sigma dead-band decides outright. Inside it
     the series is critical and sum j^tau converges iff tau < -1; divergence
     is declared down to tau = -1 - tau_db and convergence from
-    tau = -1 - 2*tau_db, leaving an honest gap of width tau_db.
+    tau = -1 - 2*tau_db, leaving an honest gap of width tau_db
+    (sigma_db = SIGMA_DEAD_BAND, tau_db = TAU_DEAD_BAND).
     """
     if overflow:
         return NO_LOCAL_EXISTENCE
     if math.isnan(sigma) or math.isnan(tau):
         return INCONCLUSIVE
-    if sigma >= sigma_db:
+    if sigma >= SIGMA_DEAD_BAND:
         return NO_LOCAL_EXISTENCE
-    if sigma <= -sigma_db:
+    if sigma <= -SIGMA_DEAD_BAND:
         return EXISTS
-    if tau >= -1.0 - tau_db:
+    if tau >= -1.0 - TAU_DEAD_BAND:
         return NO_LOCAL_EXISTENCE
-    if tau <= -1.0 - 2.0 * tau_db:
+    if tau <= -1.0 - 2.0 * TAU_DEAD_BAND:
         return EXISTS
     return INCONCLUSIVE
 
 
-def integral_tail_test(envelope: RatioEnvelope, d: int,
-                       s_max: float = ENVELOPE_S_MAX,
-                       dead_band: float = BLOCK_RATIO_DEAD_BAND) -> Verdict:
-    """Convergence of the weighted envelope integral over [1, infinity)."""
-    s_max = min(s_max, float(envelope.grid[-1]))
+def integral_tail_test(envelope: RatioEnvelope, d: int) -> Verdict:
+    """Convergence of the weighted envelope integral over [1, infinity),
+    from its dyadic blocks up to ENVELOPE_S_MAX."""
+    s_max = min(ENVELOPE_S_MAX, float(envelope.grid[-1]))
     if s_max < 1e8:
         raise ValueError("envelope must reach at least 1e8")
     blocks = dyadic_block_integrals(envelope, d, s_max)
@@ -323,40 +303,32 @@ def integral_tail_test(envelope: RatioEnvelope, d: int,
         "grid_values": blocks,
     }
     return Verdict(outcome=outcome, criterion="L1Integral",
-                   dead_band=dead_band, evidence=evidence)
+                   dead_band=BLOCK_RATIO_DEAD_BAND, evidence=evidence)
 
 
-def classify_l1(f: NonlinearityExpr, d: int, origin: str = "1",
-                s_max: float = ENVELOPE_S_MAX,
-                dead_band: float = BLOCK_RATIO_DEAD_BAND,
-                skip_audit: bool = False) -> Verdict:
+def classify_l1(f: NonlinearityExpr, d: int, origin: str = "1") -> Verdict:
     """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds."""
-    if not skip_audit:
-        _require_audit(f, s_max)
-    envelope = sup_ratio_envelope(f, s_max, origin=origin)
-    return integral_tail_test(envelope, d, s_max, dead_band)
+    _require_audit(f, ENVELOPE_S_MAX)
+    envelope = sup_ratio_envelope(f, ENVELOPE_S_MAX, origin=origin)
+    return integral_tail_test(envelope, d)
 
 
 # --- series (q = 1) route ----------------------------------------------------
 
-def series_search(f: NonlinearityExpr, d: int, theta: float = 2.0,
-                  K: int = 64, skip_audit: bool = False) -> SeriesWitness:
+def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     """Greedy witness sequence for the divergent-series criterion.
 
-    Candidates live on the grid theta^j; window k covers exponents
-    {2k, 2k+1} and we keep the candidate maximising s^-p f(s). Any two
-    choices from consecutive windows are a factor of at least theta apart.
+    Candidates live on the grid theta^j, theta = WITNESS_RATIO; window k
+    (k < WITNESS_TERMS) covers exponents {2k, 2k+1} and we keep the
+    candidate maximising s^-p f(s). Any two choices from consecutive
+    windows are a factor of at least theta apart.
     """
-    if theta <= 1:
-        raise ValueError("theta must exceed 1")
-    if K < 16:
-        raise ValueError("need at least 16 terms")
-    if not skip_audit:
-        _require_audit(f, DEFAULT_S_MAX)
+    _require_audit(f, DEFAULT_S_MAX)
+    theta = WITNESS_RATIO
     p = 1.0 + 2.0 / d
     seq, terms = [], []
     overflow = False
-    for k in range(K):
+    for k in range(WITNESS_TERMS):
         cands = np.array([theta ** (2 * k), theta ** (2 * k + 1)])
         if cands[0] > 1e300:
             break
@@ -375,8 +347,7 @@ def series_search(f: NonlinearityExpr, d: int, theta: float = 2.0,
                          partial_sums=np.cumsum(terms), overflow=overflow)
 
 
-def series_verdict(witness: SeriesWitness,
-                   dead_band: float = BLOCK_RATIO_DEAD_BAND) -> Verdict:
+def series_verdict(witness: SeriesWitness) -> Verdict:
     """Divergence decision for the witness series by dyadic condensation of
     its terms."""
     sigma, tau = block_trend_fit(witness.terms)
@@ -393,16 +364,14 @@ def series_verdict(witness: SeriesWitness,
         "grid_values": witness.terms,
     }
     return Verdict(outcome=outcome, criterion="L1Series",
-                   dead_band=dead_band, evidence=evidence)
+                   dead_band=BLOCK_RATIO_DEAD_BAND, evidence=evidence)
 
 
-def equivalence_check(f: NonlinearityExpr, d: int,
-                      theta: float = 2.0) -> EquivalenceReport:
+def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:
     """Cross-check the series and integral blow-up criteria against each
     other; they are provably equivalent for non-decreasing f."""
-    _require_audit(f, DEFAULT_S_MAX)
-    sv = series_verdict(series_search(f, d, theta=theta, skip_audit=True))
-    iv = classify_l1(f, d, skip_audit=True)
+    sv = series_verdict(series_search(f, d))
+    iv = classify_l1(f, d)
     if not (sv.decided and iv.decided):
         return EquivalenceReport(agree=None, series_verdict=sv,
                                  integral_verdict=iv)
@@ -412,28 +381,26 @@ def equivalence_check(f: NonlinearityExpr, d: int,
 
 # --- critical exponent -------------------------------------------------------
 
-def critical_exponent_report(f: NonlinearityExpr, d: int,
-                             gamma_hi: float = 12.0,
-                             s_max: float = DEFAULT_S_MAX,
-                             dead_band: float = SLOPE_DEAD_BAND,
-                             skip_audit: bool = False) -> CriticalExponentReport:
+def critical_exponent_report(f: NonlinearityExpr,
+                             d: int) -> CriticalExponentReport:
     """Estimate gamma* = sup{gamma : limsup s^-gamma f(s) = infinity}.
 
     gamma* itself comes from extrapolating the tail slope of log f over two
     decade windows (the fitted slope converges to gamma* like 1/log s for the
     built-in families). The bracket endpoints are found by bisecting the
-    classifier's own decided regions, so the classifier is NoLocalExistence
-    below the bracket and Exists above it on the same samples.
+    classifier's own decided regions (on [0, GAMMA_HI]), so the classifier
+    is NoLocalExistence below the bracket and Exists above it on the same
+    samples.
     """
-    if not skip_audit:
-        _require_audit(f, s_max)
+    s_max = DEFAULT_S_MAX
+    _require_audit(f, s_max)
     decades = math.log10(s_max)
     grid = np.geomspace(1.0, s_max, max(200, int(40 * decades)))
     log_f = _log_f_samples(f, grid)
     overflow = bool(np.isposinf(log_f).any())
     if overflow:
         return CriticalExponentReport(gamma_star=math.inf, q_star=math.inf,
-                                      bracket=(gamma_hi, math.inf), d=d)
+                                      bracket=(GAMMA_HI, math.inf), d=d)
 
     log10s = np.log10(grid)
     log10f = log_f / math.log(10)
@@ -459,16 +426,16 @@ def critical_exponent_report(f: NonlinearityExpr, d: int,
 
     def is_nle(gamma):
         slope, growth = stats(gamma)
-        return decide_tail(slope, growth, False, dead_band) == NO_LOCAL_EXISTENCE
+        return decide_tail(slope, growth) == NO_LOCAL_EXISTENCE
 
     def is_exists(gamma):
         slope, growth = stats(gamma)
-        return decide_tail(slope, growth, False, dead_band) == EXISTS
+        return decide_tail(slope, growth) == EXISTS
 
-    lo_end = _bisect_boundary(is_nle, 0.0, gamma_hi, want_low=True)
-    hi_end = _bisect_boundary(is_exists, 0.0, gamma_hi, want_low=False)
-    bracket = (min(lo_end, gamma_star - dead_band),
-               max(hi_end, gamma_star + dead_band))
+    lo_end = _bisect_boundary(is_nle, 0.0, GAMMA_HI, want_low=True)
+    hi_end = _bisect_boundary(is_exists, 0.0, GAMMA_HI, want_low=False)
+    bracket = (min(lo_end, gamma_star - SLOPE_DEAD_BAND),
+               max(hi_end, gamma_star + SLOPE_DEAD_BAND))
     q_star = d * (gamma_star - 1.0) / 2.0
     return CriticalExponentReport(gamma_star=float(gamma_star),
                                   q_star=float(q_star),
@@ -511,8 +478,7 @@ def _bisect_boundary(pred, lo, hi, want_low, tol=0.005):
 
 # --- whole space -------------------------------------------------------------
 
-def near_zero_ratio_check(f: NonlinearityExpr,
-                          dead_band: float = SLOPE_DEAD_BAND) -> dict:
+def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
     """Sample f(s)/s on [1e-8, 1e-2] and classify limsup_{s->0} f(s)/s.
 
     Returns {"bounded": True/False/None, ...diagnostics}.
@@ -531,9 +497,9 @@ def near_zero_ratio_check(f: NonlinearityExpr,
         slope = float(np.polyfit(np.log(grid[finite]), log_r[finite], 1)[0])
     if f0 is not None and not math.isnan(f0) and f0 > 0:
         bounded = False
-    elif np.isposinf(log_r).any() or slope <= -dead_band:
+    elif np.isposinf(log_r).any() or slope <= -SLOPE_DEAD_BAND:
         bounded = False
-    elif slope >= dead_band or np.all(np.diff(
+    elif slope >= SLOPE_DEAD_BAND or np.all(np.diff(
             np.maximum.accumulate(np.where(finite, log_r, -np.inf)[::-1])[::-1]
     ) <= 1e-12):
         bounded = True
@@ -543,26 +509,25 @@ def near_zero_ratio_check(f: NonlinearityExpr,
             "grid": grid, "ratios": np.exp(np.clip(log_r, -700, 700))}
 
 
-def classify_whole_space(f: NonlinearityExpr, q: float, d: int,
-                         dead_band: float = SLOPE_DEAD_BAND) -> Verdict:
+def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     """Existence on the whole space: the near-zero ratio condition combined
     with the bounded-domain criterion at infinity (q > 1 limsup; q = 1
     integral with the 0+ envelope origin)."""
     if q < 1:
         raise ValueError("q must be at least 1")
     _require_audit(f, DEFAULT_S_MAX)
-    zero = near_zero_ratio_check(f, dead_band)
+    zero = near_zero_ratio_check(f)
     if zero["bounded"] is False:
         return Verdict(outcome=NO_LOCAL_EXISTENCE, criterion="WholeSpaceZero",
-                       dead_band=dead_band,
+                       dead_band=SLOPE_DEAD_BAND,
                        evidence={"slope_at_zero": zero["slope_at_zero"],
                                  "f_at_zero": zero["f_at_zero"],
                                  "grid": zero["grid"],
                                  "grid_values": zero["ratios"]})
     if q > 1:
-        inner = classify_lq(f, q, d, skip_audit=True)
+        inner = classify_lq(f, q, d)
     else:
-        inner = classify_l1(f, d, origin="0+", skip_audit=True)
+        inner = classify_l1(f, d, origin="0+")
     if zero["bounded"] is None and inner.outcome == EXISTS:
         outcome = INCONCLUSIVE  # zero end undecided, cannot certify existence
     else:

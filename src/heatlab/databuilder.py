@@ -4,7 +4,6 @@ inflation, together with the predicted per-term lower bounds."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -66,9 +65,6 @@ class BlowupDataSpec:
             out["zeta"] = list(map(int, self.zeta))
             out["k_n"] = list(map(int, self.k_n))
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def _f_scalar(f: NonlinearityExpr, s: float) -> float:
@@ -175,7 +171,6 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
 
 
 def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
-                    theta: float = 2.0,
                     k_schedule: Callable[[int], int] = None,
                     grid: Optional[RadialGrid] = None):
     """Truncated sum u0 = sum_n n^(-2) alpha_n^d chi_(1/alpha_n) built from a
@@ -188,7 +183,7 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     if k_schedule is None:
         k_schedule = lambda n: n  # noqa: E731
     consts = kernel_constants(d)
-    witness = series_search(f, d, theta=theta)
+    witness = series_search(f, d)
     if series_verdict(witness).outcome != NO_LOCAL_EXISTENCE:
         raise ScheduleError("series witness is not numerically divergent; "
                             "the construction does not apply")

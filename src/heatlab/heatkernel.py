@@ -10,7 +10,6 @@ error budget that this evaluator is checked to meet.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -45,7 +44,6 @@ class BallIndicator:
 @dataclass(frozen=True)
 class KernelConstants:
     d: int
-    variant: str  # "dirichlet" | "whole_space"
     c_prime: float
     c_doubleprime: float
     c_d: float
@@ -55,7 +53,7 @@ class KernelConstants:
 
     def to_dict(self) -> dict:
         return {
-            "d": self.d, "variant": self.variant,
+            "d": self.d, "variant": "whole_space",
             "c_prime": self.c_prime, "c_doubleprime": self.c_doubleprime,
             "c_d": self.c_d, "alpha_d": self.alpha_d,
             "beta_d": self.beta_d, "omega_d": self.omega_d,
@@ -122,25 +120,19 @@ def heat_on_ball(chi: BallIndicator, x, t: float, d: int) -> float:
     return chi.amplitude * float(_ball_profile(chi.radius, t, rho, d))
 
 
-def kernel_constants(d: int, variant: str = "whole_space") -> KernelConstants:
-    """Constants of the ball lower bound S(t)chi_r >= c_d (r/(r+sqrt t))^d.
+def kernel_constants(d: int) -> KernelConstants:
+    """Constants of the whole-space ball lower bound
+    S(t)chi_r >= c_d (r/(r+sqrt t))^d.
 
     c'_d = pi^(-d/2) * integral of exp(-|w|^2) over the ball of radius 1/2
     centred at a unit vector, which equals [S(1/4) chi_(1/2)] evaluated at
-    distance 1; c''_d = pi^(-d/2) 2^(-d) e^(-9/4). The Dirichlet variant
-    multiplies both by the boundary factor e^(-d^2 pi^2 / 4).
+    distance 1; c''_d = pi^(-d/2) 2^(-d) e^(-9/4).
     """
-    if variant not in ("dirichlet", "whole_space"):
-        raise ValueError("variant must be 'dirichlet' or 'whole_space'")
     c_prime = float(_ball_profile(0.5, 0.25, 1.0, d))
     c_dp = math.pi ** (-d / 2.0) * 2.0 ** (-d) * math.exp(-9.0 / 4.0)
-    if variant == "dirichlet":
-        factor = math.exp(-d * d * math.pi ** 2 / 4.0)
-        c_prime *= factor
-        c_dp *= factor
     c_d = min(c_prime, c_dp)
     omega = unit_ball_volume(d)
-    return KernelConstants(d=d, variant=variant, c_prime=c_prime,
+    return KernelConstants(d=d, c_prime=c_prime,
                            c_doubleprime=c_dp, c_d=c_d,
                            alpha_d=c_d * omega, beta_d=c_d * 2.0 ** (-d),
                            omega_d=omega)
@@ -191,9 +183,6 @@ class CertificationReport:
                 for c in self.checks
             ],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def verify_lower_bounds(d: int, r_grid, t_grid, n_points: int = 17,

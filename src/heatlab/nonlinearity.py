@@ -317,7 +317,6 @@ class NonlinearityExpr:
 
 @dataclass(frozen=True)
 class MonotonicityAudit:
-    sample_grid: np.ndarray
     is_nondecreasing: bool
     nonneg: bool
     first_violation: Optional[tuple] = None
@@ -334,7 +333,6 @@ class RatioEnvelope:
     grid: np.ndarray
     values: np.ndarray
     origin: str  # "1" or "0+"
-    ratio_samples: np.ndarray = field(default=None, repr=False)
     limit_at_zero: float = math.nan
     expr: Optional["NonlinearityExpr"] = field(default=None, repr=False)
 
@@ -352,6 +350,7 @@ class RatioEnvelope:
 
 
 AUDIT_TOL = 1e-10
+AUDIT_SAMPLES = 400
 ENVELOPE_GRID_RATIO = 1.05
 ZERO_ORIGIN_EPS = 1e-8
 
@@ -382,10 +381,11 @@ def _raw_samples(expr: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
     return vals
 
 
-def monotonicity_audit(expr: NonlinearityExpr, s_max: float = 1e8,
-                       n_samples: int = 400) -> MonotonicityAudit:
-    """Sample f on a geometric grid in [0, s_max] and check the standing
-    hypotheses: non-negative and non-decreasing.
+def monotonicity_audit(expr: NonlinearityExpr,
+                       s_max: float = 1e8) -> MonotonicityAudit:
+    """Sample f at 0 and on a geometric grid up to s_max (AUDIT_SAMPLES
+    points in all) and check the standing hypotheses: non-negative and
+    non-decreasing.
 
     A reported violation pair is refined by extra sampling between the
     offending grid neighbours so that the pair is as tight as the refinement
@@ -393,11 +393,9 @@ def monotonicity_audit(expr: NonlinearityExpr, s_max: float = 1e8,
     """
     if s_max <= 0:
         raise ValueError("s_max must be positive")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
     grid = np.concatenate(
         [[0.0], np.geomspace(min(ZERO_ORIGIN_EPS, s_max / 10), s_max,
-                             n_samples - 1)])
+                             AUDIT_SAMPLES - 1)])
     vals = _raw_samples(expr, grid)
 
     nonneg = bool(np.all(vals >= -AUDIT_TOL))
@@ -411,8 +409,7 @@ def monotonicity_audit(expr: NonlinearityExpr, s_max: float = 1e8,
         i = int(bad[0])
         violation = _refine_violation(expr, grid[i], grid[i + 1])
 
-    return MonotonicityAudit(sample_grid=grid,
-                             is_nondecreasing=violation is None,
+    return MonotonicityAudit(is_nondecreasing=violation is None,
                              nonneg=nonneg,
                              first_violation=violation)
 
@@ -500,7 +497,7 @@ def sup_ratio_envelope(expr: NonlinearityExpr, s_max: float,
     values = np.maximum.accumulate(values)
 
     return RatioEnvelope(grid=grid, values=values, origin=origin,
-                         ratio_samples=ratios, limit_at_zero=limit0, expr=expr)
+                         limit_at_zero=limit0, expr=expr)
 
 
 def _zero_limit_estimate(grid: np.ndarray, ratios: np.ndarray) -> float:
@@ -518,10 +515,17 @@ def _zero_limit_estimate(grid: np.ndarray, ratios: np.ndarray) -> float:
 # --- built-in families -----------------------------------------------------
 
 def log_family_lambda() -> float:
-    """Largest positive root of exp(x) = e^2 * x (monotonicity threshold)."""
-    from scipy.optimize import brentq
-    return float(brentq(lambda x: math.exp(x) - math.e ** 2 * x, 2.0, 4.0,
-                        xtol=1e-14))
+    """Largest positive root of exp(x) = e^2 * x (monotonicity threshold).
+
+    Newton's iteration from x = 4: above the root the function is convex and
+    increasing, so the iterates decrease onto it; the loop stops when
+    rounding stops them decreasing.
+    """
+    e2 = math.e ** 2
+    x, prev = 4.0, math.inf
+    while x < prev:
+        prev, x = x, x - (math.exp(x) - e2 * x) / (math.exp(x) - e2)
+    return prev
 
 
 def log_family_beta_max(d: int) -> float:

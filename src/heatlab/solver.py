@@ -8,7 +8,6 @@ volumes, so the semigroup is evaluated exactly in its eigenbasis.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,6 +20,12 @@ from .nonlinearity import NonlinearityExpr, sup_ratio_envelope
 
 CLAMP_TOL = 1e-9
 OVERFLOW_GUARD = 1e12
+ITERATION_TOL = 1e-8       # sup change that ends duhamel_iterate
+# step control of simulate_forward
+REL_CHANGE_TARGET = 0.05   # halve dt above it, grow by DT_GROWTH below half
+DT_GROWTH = 1.4
+DT_MIN = 1e-14             # halving below it declares blow-up
+MAX_STEPS = 200000
 
 
 class SolverError(Exception):
@@ -242,9 +247,10 @@ class IterationTrace:
 
 
 def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
-                    v_init, T: float, n_time: int = 64, n_iter: int = 50,
-                    tol: float = 1e-8) -> IterationTrace:
-    """Monotone supersolution iteration v_(n+1) = F(v_n)."""
+                    v_init, T: float, n_time: int = 64,
+                    n_iter: int = 50) -> IterationTrace:
+    """Monotone supersolution iteration v_(n+1) = F(v_n), until the sup
+    change falls below ITERATION_TOL or n_iter iterations have run."""
     times = np.linspace(0.0, T, n_time)
     v = np.asarray(v_init, dtype=float)
     baseline = heat_series(P, u0, times)
@@ -262,7 +268,7 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         max_increase = max(max_increase, float(np.max(v_new - v)))
         min_above = min(min_above, float(np.min(v_new - baseline)))
         v = v_new
-        if sup_deltas[-1] < tol:
+        if sup_deltas[-1] < ITERATION_TOL:
             converged = True
             break
     residual = float(np.max(np.abs(duhamel_map(P, u0, f, v, times) - v)))
@@ -499,12 +505,7 @@ def warmup_shell_sums(f: NonlinearityExpr, d: int, n_shells: int = 12,
 class SimulationControls:
     dt_init: float = 1e-3
     adaptive: bool = True
-    rel_change_target: float = 0.05
-    dt_growth: float = 1.4
-    dt_min: float = 1e-14
-    blowup_sup: float = OVERFLOW_GUARD
     q: float = 2.0
-    max_steps: int = 200000
 
 
 @dataclass
@@ -524,15 +525,6 @@ class Trajectory:
     def peak_l1(self) -> float:
         return max(self.l1)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "l1", f"l{self.q:g}", "linf", "dt",
-                        "clamp_count"])
-            for row in zip(self.times, self.l1, self.lq, self.linf,
-                           self.dts, self.clamp_counts):
-                w.writerow(row)
-
 
 def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                      T: float,
@@ -549,7 +541,7 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                       linf=[lq_norm(u, math.inf)], dts=[dt], clamp_counts=[0],
                       q=ct.q, blowup=False, blowup_time=None, final=u)
     steps = 0
-    while t < T and steps < ct.max_steps:
+    while t < T and steps < MAX_STEPS:
         steps += 1
         dt = min(dt, T - t)
         try:
@@ -564,9 +556,9 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         sup = lq_norm(u_new, math.inf)
         base = max(lq_norm(u, math.inf), 1e-300)
         rel = float(np.max(np.abs(u_new.values - u.values))) / base
-        if ct.adaptive and rel > ct.rel_change_target and dt > ct.dt_min:
+        if ct.adaptive and rel > REL_CHANGE_TARGET and dt > DT_MIN:
             dt *= 0.5
-            if dt < ct.dt_min:
+            if dt < DT_MIN:
                 traj.blowup, traj.blowup_time = True, t
                 break
             continue
@@ -578,10 +570,10 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         traj.linf.append(sup)
         traj.dts.append(dt)
         traj.clamp_counts.append(u.clamp_count)
-        if sup > ct.blowup_sup:
+        if sup > OVERFLOW_GUARD:
             traj.blowup, traj.blowup_time = True, t
             break
-        if ct.adaptive and rel < 0.5 * ct.rel_change_target:
-            dt *= ct.dt_growth
+        if ct.adaptive and rel < 0.5 * REL_CHANGE_TARGET:
+            dt *= DT_GROWTH
     traj.final = u
     return traj

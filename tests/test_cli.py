@@ -209,8 +209,10 @@ def test_experiment_simulate_trajectory(tmp_path, capsys):
                                   "--amplitude", "0.1", "--T", "0.01",
                                   "--nodes", "129", "--csv", str(csv_path)])
     assert code == EXIT_OK and not rep["blowup"]
-    header = csv_path.read_text().splitlines()[0]
-    assert header.split(",")[:3] == ["t", "l1", "l2"]
+    rows = csv_path.read_text().splitlines()
+    assert rows[0].split(",") == ["t", "l1", "l2", "linf", "dt", "clamps"]
+    # a header, the initial state and one row per accepted step
+    assert len(rows) == rep["steps"] + 2
 
 
 def test_experiment_lower_bound(capsys):
@@ -292,6 +294,9 @@ def test_blowup_trend_schedule_error(capsys):
      "--N-range", "3.."],
     ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
      "--N-range", "a..b"],
+    ["classify", "--f", "s^3", "--d", "1", "--q", "1", "--s-max", "1e300"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "2", "--domain",
+     "whole_space", "--s-max", "1e6"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR

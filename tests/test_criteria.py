@@ -25,6 +25,7 @@ from heatlab.criteria import (
     decide_tail,
     equivalence_check,
     integral_tail_test,
+    jsonable,
     limsup_estimate,
     series_search,
     series_verdict,
@@ -102,7 +103,7 @@ def test_dead_band_honesty_tail():
     growths = np.linspace(0.001, 0.3, 25)
     for slope in np.linspace(-0.3, 0.3, 61):
         for growth in growths:
-            out = decide_tail(float(slope), float(growth), dead_band=db)
+            out = decide_tail(float(slope), float(growth))
             if out == EXISTS:
                 assert slope <= -db
             elif out == NO_LOCAL_EXISTENCE:
@@ -281,7 +282,7 @@ def test_whole_space_defers_to_infinity_behaviour():
 
 def test_verdict_json_roundtrip():
     v = classify_lq(power(4.0), 2.0, 2)
-    data = json.loads(v.to_json())
+    data = json.loads(json.dumps(jsonable(v), allow_nan=False))
     assert data["outcome"] == NO_LOCAL_EXISTENCE
     assert data["criterion"] == "LqLimsup"
     assert data["dead_band"] == pytest.approx(0.05)

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from heatlab.criteria import jsonable
 from heatlab.heatkernel import (
     QUAD_ABS_TOL,
     BallIndicator,
@@ -223,34 +224,25 @@ def test_ball_profile_rejects_bad_arguments():
 
 
 def test_c_prime_d1_closed_form():
-    kc = kernel_constants(1, "whole_space")
+    kc = kernel_constants(1)
     assert kc.c_prime == pytest.approx(0.5 * (erf(1.5) - erf(0.5)), rel=1e-10)
 
 
 def test_c_doubleprime_formula():
     for d in (1, 2, 3):
-        kc = kernel_constants(d, "whole_space")
+        kc = kernel_constants(d)
         assert kc.c_doubleprime == pytest.approx(
             math.pi ** (-d / 2) * 2.0 ** (-d) * math.exp(-2.25), rel=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_constants_invariants(d):
-    for variant in ("whole_space", "dirichlet"):
-        kc = kernel_constants(d, variant)
-        assert 0.0 < kc.c_d < 1.0
-        assert kc.c_d == min(kc.c_prime, kc.c_doubleprime)
-        assert kc.alpha_d == pytest.approx(kc.c_d * kc.omega_d, rel=1e-15)
-        assert kc.beta_d == pytest.approx(kc.c_d * 2.0 ** (-d), rel=1e-15)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_dirichlet_constants_smaller(d):
-    ws = kernel_constants(d, "whole_space")
-    di = kernel_constants(d, "dirichlet")
-    factor = math.exp(-d * d * math.pi ** 2 / 4.0)
-    assert di.c_d == pytest.approx(ws.c_d * factor, rel=1e-12)
-    assert di.c_d < ws.c_d
+    kc = kernel_constants(d)
+    assert 0.0 < kc.c_d < 1.0
+    assert kc.c_d == min(kc.c_prime, kc.c_doubleprime)
+    assert kc.alpha_d == pytest.approx(kc.c_d * kc.omega_d, rel=1e-15)
+    assert kc.beta_d == pytest.approx(kc.c_d * 2.0 ** (-d), rel=1e-15)
+    assert kc.to_dict()["variant"] == "whole_space"
 
 
 def test_c_prime_against_gauss_ball_quadrature():
@@ -262,7 +254,7 @@ def test_c_prime_against_gauss_ball_quadrature():
         return 2 * s * math.exp(-(1 + s * s)) * i0(2 * s)
 
     ref, _ = quad(integrand, 0.0, 0.5, epsabs=1e-12)
-    kc = kernel_constants(2, "whole_space")
+    kc = kernel_constants(2)
     assert kc.c_prime == pytest.approx(ref, rel=1e-8)
 
 
@@ -332,8 +324,8 @@ def test_verify_lower_bounds_rejects_fewer_than_two_points(n_points):
 
 def test_verify_lower_bounds_fails_with_inflated_constant():
     from heatlab.heatkernel import KernelConstants
-    kc = kernel_constants(1, "whole_space")
-    bad = KernelConstants(d=1, variant="whole_space", c_prime=kc.c_prime,
+    kc = kernel_constants(1)
+    bad = KernelConstants(d=1, c_prime=kc.c_prime,
                           c_doubleprime=kc.c_doubleprime, c_d=1.0,
                           alpha_d=1.0 * kc.omega_d, beta_d=0.5,
                           omega_d=kc.omega_d)
@@ -346,8 +338,9 @@ def test_verify_lower_bounds_fails_with_inflated_constant():
 
 
 def test_certification_report_json():
+    # the mass witness rho is NaN, which JSON cannot hold as a number
     rep = verify_lower_bounds(1, [0.5, 1.0], [0.25], n_points=5)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(jsonable(rep), allow_nan=False))
     assert data["d"] == 1 and data["variant"] == "whole_space"
     assert data["passed"] is True
     assert {b["bound"] for b in data["bounds"]} == {"lemma", "mass", "beta"}

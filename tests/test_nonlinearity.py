@@ -1,7 +1,11 @@
 """Parser, audit and envelope tests for the nonlinearity module."""
 
 import math
+import os
+import subprocess
+import sys
 
+import heatlab
 import mpmath
 import numpy as np
 import pytest
@@ -125,6 +129,22 @@ def test_log_family_lambda_root():
     lam = log_family_lambda()
     assert math.exp(lam) == pytest.approx(math.e ** 2 * lam, rel=1e-12)
     assert lam > 1.0  # the larger of the two roots
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda x: mpmath.exp(x) - mpmath.e ** 2 * x,
+                               3.1)
+    assert lam == float(root)  # 3.14619322062058258...
+
+
+def test_log_family_beta_max_leaves_scipy_optimize_unimported():
+    script = ("import sys\n"
+              "from heatlab.nonlinearity import log_family_beta_max\n"
+              "log_family_beta_max(2)\n"
+              "print('scipy.optimize' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- sup-ratio envelope ------------------------------------------------------

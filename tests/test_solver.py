@@ -664,11 +664,17 @@ def test_simulate_grid_refinement_under_one_percent():
 
 
 def test_trajectory_csv_roundtrip(tmp_path, prop_d1):
+    # the trajectory goes through cli.write_csv, the one CSV writer
+    from heatlab.cli import write_csv
     traj = simulate_forward(prop_d1,
                             indicator(prop_d1.grid, BallIndicator(1.0)),
                             ZERO, 0.1)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    write_csv(str(path), ["t", "l1", "l2", "linf", "dt", "clamps"],
+              list(zip(traj.times, traj.l1, traj.lq, traj.linf,
+                       traj.dts, traj.clamp_counts)))
     rows = path.read_text().strip().splitlines()
     assert rows[0].startswith("t,l1,")
     assert len(rows) == len(traj.times) + 1
+    assert [float(v) for v in rows[-1].split(",")[:2]] == \
+        [traj.times[-1], traj.l1[-1]]
