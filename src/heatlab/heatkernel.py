@@ -6,17 +6,25 @@ Brownian-motion representation, [S(t) chi_r](x) = P(|x + sqrt(2t) Z| <= r)
 for a standard normal Z in R^d, the non-central chi-square CDF
 chndtr(r^2/2t, d, |x|^2/2t). Certification margins subtract an absolute
 error budget that this evaluator is checked to meet.
+
+scipy is imported where the profile is evaluated, not at module level: the
+constants c_d, alpha_d, beta_d come from a stdlib series, so commands that
+only need them run on numpy and the stdlib alone.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chndtr
 
 QUAD_ABS_TOL = 1e-8
+# sqrt(pi) = Gamma(1/2) to 70 digits, for c'_d in odd dimensions
+_SQRT_PI = ("1.772453850905516027298167483341145182797549456122387128213807"
+            "789852911")
 # largest r^2/2t accepted: beyond it chndtr slows down sharply near the
 # ball's edge and past about 1e11 returns NaN there
 MAX_SCALED_RADIUS = 1e10
@@ -105,6 +113,7 @@ def _ball_profile(r: float, t: float, rho, d: int):
         raise QuadratureError(
             f"r^2/2t = {x:.3g} exceeds {MAX_SCALED_RADIUS:.0e}, beyond which "
             f"the ball profile is not evaluated (d={d}, r={r}, t={t})")
+    from scipy.special import chndtr  # the only scipy use here
     rho = np.asarray(rho, dtype=float)
     val = chndtr(x, d, rho * rho / (2.0 * t))
     if not np.all(np.isfinite(val)):
@@ -120,15 +129,50 @@ def heat_on_ball(chi: BallIndicator, x, t: float, d: int) -> float:
     return chi.amplitude * float(_ball_profile(chi.radius, t, rho, d))
 
 
+def _c_prime(d: int) -> float:
+    """c'_d = chndtr(1/2, d, 2), correctly rounded.
+
+    The non-central chi-square CDF is the Poisson(1) mixture
+    sum_j e^-1/j! P(d/2 + j, 1/4) of regularised incomplete gammas, and
+    P(a, z) = e^-z sum_n z^(a+n) / Gamma(a+n+1). Collecting m = j + n, with
+    z^(d/2) = 2^-d exactly,
+
+        c'_d = e^(-5/4) 2^-d sum_m 4^-m (sum_(j<=m) 1/j!) / Gamma(d/2+m+1).
+
+    Every term is positive and the terms fall faster than 4^-m, so the sum
+    is taken at 40 digits until it stops changing and rounded once.
+    """
+    if d < 1:
+        raise ValueError("d must be a positive dimension")
+    D = decimal.Decimal
+    with decimal.localcontext(prec=40):
+        gamma = D(_SQRT_PI) if d % 2 else D(1)  # Gamma(1/2) or Gamma(1)
+        for k in range(2 - d % 2, d + 1, 2):    # up to Gamma(d/2 + 1)
+            gamma *= D(k) / 2
+        half_d = D(d) / 2
+        weight = 1 / gamma          # 4^-m / Gamma(d/2 + m + 1)
+        inv_fact, e_partial, total, m = D(1), D(0), D(0), 0
+        while True:
+            e_partial += inv_fact   # sum_(j<=m) 1/j!
+            new_total = total + weight * e_partial
+            if new_total == total:
+                break
+            total, m = new_total, m + 1
+            inv_fact /= m
+            weight /= 4 * (half_d + m)
+        return float(total * (D(-5) / 4).exp() / D(2) ** d)
+
+
+@functools.cache
 def kernel_constants(d: int) -> KernelConstants:
     """Constants of the whole-space ball lower bound
     S(t)chi_r >= c_d (r/(r+sqrt t))^d.
 
     c'_d = pi^(-d/2) * integral of exp(-|w|^2) over the ball of radius 1/2
     centred at a unit vector, which equals [S(1/4) chi_(1/2)] evaluated at
-    distance 1; c''_d = pi^(-d/2) 2^(-d) e^(-9/4).
+    distance 1 (see _c_prime); c''_d = pi^(-d/2) 2^(-d) e^(-9/4).
     """
-    c_prime = float(_ball_profile(0.5, 0.25, 1.0, d))
+    c_prime = _c_prime(d)
     c_dp = math.pi ** (-d / 2.0) * 2.0 ** (-d) * math.exp(-9.0 / 4.0)
     c_d = min(c_prime, c_dp)
     omega = unit_ball_volume(d)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
 from .nonlinearity import NonlinearityExpr, sup_ratio_envelope
@@ -147,6 +146,7 @@ class HeatPropagator:
 def build_propagator(grid: RadialGrid) -> HeatPropagator:
     """Eigendecomposition of the finite-volume radial Dirichlet Laplacian,
     by LAPACK MRRR (stemr) on its symmetric tridiagonal band."""
+    from scipy.linalg import eigh_tridiagonal  # the only scipy use here
     m = grid.n_interior
     if m < 32:
         raise ValueError("need at least 32 interior nodes")

@@ -1,9 +1,13 @@
 """End-to-end CLI tests: exit codes, determinism, config handling, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import heatlab
 from heatlab.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -308,3 +312,35 @@ def test_blowup_trend_names_the_range_form(capsys, N_range):
     assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
                  "--q", "1", "--N-range", N_range]) == EXIT_ERROR
     assert "LO..HI" in capsys.readouterr().err
+
+
+# --- cold start ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    [],  # import heatlab alone
+    ["classify", "--f", "s^3", "--d", "1", "--q", "1"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "2"],
+    ["classify", "--builtin", "log_family", "--d", "2", "--beta", "1",
+     "--q", "1"],
+    ["classify", "--config", "run.cfg", "--q", "3"],
+    ["experiment", "horizon", "--f", "s + s^2", "--d", "2", "--u0-l1", "0.5"],
+    ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
+     "--t", "0.01"],
+    ["experiment", "equivalence_suite", "--seed", "7", "--count", "3",
+     "--d", "2"],
+])
+def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
+    # only evaluating a ball profile or diagonalising a band needs scipy;
+    # the constants, the classifiers and the horizon run without it
+    (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
+    script = ("import sys\n"
+              "import heatlab\n"
+              "from heatlab.cli import main\n"
+              "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(rc, sorted(m for m in sys.modules\n"
+              "                 if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    out = subprocess.run([sys.executable, "-c", script, *argv],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.splitlines()[-1] in ("0 []", "2 []")

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import chndtr, erf
 
 from heatlab.criteria import jsonable
 from heatlab.heatkernel import (
@@ -233,6 +233,47 @@ def test_c_doubleprime_formula():
         kc = kernel_constants(d)
         assert kc.c_doubleprime == pytest.approx(
             math.pi ** (-d / 2) * 2.0 ** (-d) * math.exp(-2.25), rel=1e-14)
+
+
+def _c_prime_mpmath(d):
+    """c'_d = chndtr(1/2, d, 2) as the Poisson(1) mixture
+    sum_j e^-1/j! P(d/2 + j, 1/4) at 50 digits, rounded once to a double
+    (through a decimal string, which rounds subnormals correctly too)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        val = mp.fsum(mp.exp(-1) / mp.factorial(j) * mp.gammainc(
+            mp.mpf(d) / 2 + j, 0, mp.mpf(1) / 4, regularized=True)
+            for j in range(60))
+        return float(mp.nstr(val, 45))
+
+
+# d = 270 is subnormal, d = 280 underflows to 0
+@pytest.mark.parametrize("d", list(range(1, 21)) + [30, 50, 100, 200, 260,
+                                                    270, 280])
+def test_c_prime_correctly_rounded(d):
+    assert kernel_constants(d).c_prime == _c_prime_mpmath(d)
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_c_prime_matches_chndtr(d):
+    # the stdlib series and the evaluator of the ball profile agree
+    c_prime = kernel_constants(d).c_prime
+    assert abs(c_prime - float(chndtr(0.5, d, 2.0))) <= 16 * math.ulp(c_prime)
+
+
+def test_c_d_switches_from_c_doubleprime_to_c_prime_at_16():
+    for d in range(1, 16):
+        kc = kernel_constants(d)
+        assert kc.c_d == kc.c_doubleprime < kc.c_prime, d
+    for d in range(16, 271):
+        kc = kernel_constants(d)
+        assert kc.c_d == kc.c_prime < kc.c_doubleprime, d
+
+
+def test_kernel_constants_cached_and_checked():
+    assert kernel_constants(3) is kernel_constants(3)
+    with pytest.raises(ValueError):
+        kernel_constants(0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
