@@ -38,7 +38,7 @@ from .criteria import (
 from .databuilder import ScheduleError, build_t1_data
 from .heatkernel import (
     BallIndicator,
-    QUAD_ABS_TOL,
+    KERNEL_REL_TOL,
     QuadratureError,
     kernel_constants,
     verify_lower_bounds,
@@ -157,7 +157,7 @@ def constants_block(d: int) -> dict:
         "kernel": kernel_constants(d).to_dict(),
         "dead_bands": {"slope": SLOPE_DEAD_BAND, "sigma": SIGMA_DEAD_BAND,
                        "tau": TAU_DEAD_BAND},
-        "quadrature_tolerance": QUAD_ABS_TOL,
+        "quadrature_tolerance": KERNEL_REL_TOL,
     }
 
 

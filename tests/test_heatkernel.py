@@ -17,7 +17,7 @@ from scipy.special import chndtr, erf
 
 from heatlab.criteria import jsonable
 from heatlab.heatkernel import (
-    QUAD_ABS_TOL,
+    KERNEL_REL_TOL,
     BallIndicator,
     QuadratureError,
     _ball_profile,
@@ -164,8 +164,9 @@ def _hitting_probability(r, t, rho, d):
     in R^d. Conditioning on y = a + Z_1 (a = rho/s, b = r/s, s = sqrt(2t))
     leaves the chi-square(d - 1) event |Z'|^2 <= b^2 - y^2; the Gaussian
     factor is cut at 12 standard deviations, and the integrand's fast drop
-    within about 1/b of y = +-b gets breakpoints of its own."""
-    with mp.workdps(20):
+    within about 1/b of y = +-b gets breakpoints of its own. 30 digits keep
+    the relative error far below the budget also on values near 1e-25."""
+    with mp.workdps(30):
         s = mp.sqrt(2 * mp.mpf(t))
         a, b = mp.mpf(rho) / s, mp.mpf(r) / s
         if d == 1:
@@ -187,11 +188,14 @@ def test_ball_profile_mpmath_oracle(d):
         (1.0, 0.05, 1.1),               # just outside the edge
         (26.892, 1.59e-4, 19.631),      # peak narrow against the ball
         (1.0, 5e-10, 1.0 - 3e-5),       # r^2/2t = 1e9, near the edge
+        (1e-2, 10.0, 3.17),             # ball far narrower than the kernel
+        (0.1, 100.0, 10.1),             # the same at the sweep's edge
+        (1e-3, 1e3, 31.6),              # values from 2e-8 (d=1) to 2e-25
     ]
     for r, t, rho in points:
         val = float(_ball_profile(r, t, rho, d))
         ref = float(_hitting_probability(r, t, rho, d))
-        assert abs(val - ref) <= QUAD_ABS_TOL / 1000, (r, t, rho)
+        assert abs(val - ref) <= ref * KERNEL_REL_TOL / 1000, (r, t, rho)
 
 
 def test_ball_profile_vectorised():
@@ -339,12 +343,27 @@ def test_verify_lower_bounds_witness_is_worst_point():
     kc = rep.constants
     reach = r + math.sqrt(t)
     margins = [heat_on_ball(BallIndicator(radius=r), [rho, 0.0], t, 2)
-               - kc.c_d * (r / reach) ** 2 - QUAD_ABS_TOL
+               * (1.0 - KERNEL_REL_TOL) - kc.c_d * (r / reach) ** 2
                for rho in np.linspace(0.0, reach, n)]
     lemma = {c.bound: c for c in rep.checks}["lemma"]
     assert lemma.min_margin == min(margins)
     assert lemma.witness == (r, t, float(np.linspace(0.0, reach, n)[
         int(np.argmin(margins))]))
+
+
+def test_verify_lower_bounds_certifies_tiny_values():
+    # S(t)chi_r is about 2.3e-9 at the edge rho = r + sqrt(t) and the lemma
+    # level is 7.4e-11; an absolute budget of 1e-8 would fail this point
+    r, t = 1e-2, 10.0
+    rep = verify_lower_bounds(3, [r], [t])
+    assert rep.passed
+    lemma = {c.bound: c for c in rep.checks}["lemma"]
+    rho = lemma.witness[2]
+    exact = float(_hitting_probability(r, t, rho, 3)) \
+        - rep.constants.c_d * (r / (r + math.sqrt(t))) ** 3
+    assert 0.0 < lemma.min_margin <= exact
+    assert exact - lemma.min_margin <= 2 * KERNEL_REL_TOL * (
+        exact + rep.constants.c_d)
 
 
 @pytest.mark.parametrize("r_grid,t_grid", [([], [1.0]), ([1.0], []),
@@ -385,5 +404,5 @@ def test_certification_report_json():
     assert data["d"] == 1 and data["variant"] == "whole_space"
     assert data["passed"] is True
     assert {b["bound"] for b in data["bounds"]} == {"lemma", "mass", "beta"}
-    assert data["tolerance"] == pytest.approx(1e-8)
+    assert data["tolerance"] == KERNEL_REL_TOL
     assert data["constants"]["c_d"] == pytest.approx(rep.constants.c_d)
