@@ -25,7 +25,6 @@ NO_LOCAL_EXISTENCE = "NoLocalExistence"
 INCONCLUSIVE = "Inconclusive"
 
 SLOPE_DEAD_BAND = 0.05
-BLOCK_RATIO_DEAD_BAND = 0.05
 DEFAULT_S_MAX = 1e8
 ENVELOPE_S_MAX = float(2 ** 48)
 WITNESS_RATIO = 2.0     # theta: consecutive witness candidates theta^j
@@ -41,7 +40,7 @@ class AuditError(Exception):
 class Verdict:
     outcome: str
     criterion: str  # LqLimsup | L1Integral | L1Series | WholeSpaceZero
-    dead_band: float
+    dead_band: float | dict  # slope band, or the sigma and tau bands (L1)
     evidence: dict = field(default_factory=dict)
 
     @property
@@ -235,6 +234,8 @@ def dyadic_block_integrals(envelope: RatioEnvelope, d: int,
 
 SIGMA_DEAD_BAND = 0.04  # per-block geometric rate, in log2
 TAU_DEAD_BAND = 0.15    # polynomial-in-index exponent around the -1 boundary
+# the dead bands decide_blocks decides with, as L1 verdicts report them
+BLOCK_DEAD_BANDS = {"sigma": SIGMA_DEAD_BAND, "tau": TAU_DEAD_BAND}
 
 
 def block_trend_fit(blocks: np.ndarray) -> tuple:
@@ -303,7 +304,7 @@ def integral_tail_test(envelope: RatioEnvelope, d: int) -> Verdict:
         "grid_values": blocks,
     }
     return Verdict(outcome=outcome, criterion="L1Integral",
-                   dead_band=BLOCK_RATIO_DEAD_BAND, evidence=evidence)
+                   dead_band=dict(BLOCK_DEAD_BANDS), evidence=evidence)
 
 
 def classify_l1(f: NonlinearityExpr, d: int, origin: str = "1") -> Verdict:
@@ -364,7 +365,7 @@ def series_verdict(witness: SeriesWitness) -> Verdict:
         "grid_values": witness.terms,
     }
     return Verdict(outcome=outcome, criterion="L1Series",
-                   dead_band=BLOCK_RATIO_DEAD_BAND, evidence=evidence)
+                   dead_band=dict(BLOCK_DEAD_BANDS), evidence=evidence)
 
 
 def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:

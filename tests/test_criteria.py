@@ -130,6 +130,21 @@ def test_dead_band_honesty_blocks():
     assert decide_blocks(-1.0, -9.0, overflow=True) == NO_LOCAL_EXISTENCE
 
 
+def test_l1_verdicts_report_the_bands_that_decide():
+    # decide_blocks decides every L1 verdict, so they carry its sigma and
+    # tau bands, not the tail-slope band of the q > 1 verdicts
+    from heatlab import criteria
+    bands = {"sigma": criteria.SIGMA_DEAD_BAND, "tau": criteria.TAU_DEAD_BAND}
+    f = power(3.0)
+    for v in (classify_l1(f, 1), series_verdict(series_search(f, 1)),
+              classify_whole_space(f, 1.0, 1)):
+        assert v.criterion in ("L1Integral", "L1Series")
+        assert v.dead_band == bands
+        assert json.loads(json.dumps(jsonable(v)))["dead_band"] == bands
+    assert classify_lq(f, 2.0, 1).dead_band == criteria.SLOPE_DEAD_BAND
+    assert not hasattr(criteria, "BLOCK_RATIO_DEAD_BAND")
+
+
 # --- integral / q = 1 --------------------------------------------------------
 
 def test_classify_l1_log_family_boundary():
