@@ -24,8 +24,8 @@ import numpy as np
 # relative error budget of the ball profile. Against an mpmath oracle the
 # profile is within 1e-15 relative down to values of 1e-25; near the edge of
 # a narrow peak the rounding of r^2/2t and rho^2/2t costs up to about 1e-11
-# (at r^2/2t = 1e9 to 1e10). Since the profile is at most 1, this budget is
-# never larger than the absolute 1e-8 that it replaces.
+# (at r^2/2t = 1e9 to 1e10). The profile is at most 1, so the budget is at
+# most 1e-8 in absolute terms.
 KERNEL_REL_TOL = 1e-8
 # sqrt(pi) = Gamma(1/2) to 70 digits, for c'_d in odd dimensions
 _SQRT_PI = ("1.772453850905516027298167483341145182797549456122387128213807"
@@ -118,7 +118,9 @@ def _ball_profile(r: float, t: float, rho, d: int):
         raise QuadratureError(
             f"r^2/2t = {x:.3g} exceeds {MAX_SCALED_RADIUS:.0e}, beyond which "
             f"the ball profile is not evaluated (d={d}, r={r}, t={t})")
-    from scipy.special import chndtr  # the only scipy use here
+    # imported here, not at module level: loading scipy.special costs more
+    # than a whole cold classify, which needs no ball profile
+    from scipy.special import chndtr
     rho = np.asarray(rho, dtype=float)
     val = chndtr(x, d, rho * rho / (2.0 * t))
     if not np.all(np.isfinite(val)):

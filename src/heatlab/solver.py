@@ -146,7 +146,7 @@ class HeatPropagator:
 def build_propagator(grid: RadialGrid) -> HeatPropagator:
     """Eigendecomposition of the finite-volume radial Dirichlet Laplacian,
     by LAPACK MRRR (stemr) on its symmetric tridiagonal band."""
-    from scipy.linalg import eigh_tridiagonal  # the only scipy use here
+    from scipy.linalg import eigh_tridiagonal  # see heatkernel._ball_profile
     m = grid.n_interior
     if m < 32:
         raise ValueError("need at least 32 interior nodes")
