@@ -157,7 +157,7 @@ def constants_block(d: int) -> dict:
         "kernel": kernel_constants(d).to_dict(),
         "dead_bands": {"slope": SLOPE_DEAD_BAND, "sigma": SIGMA_DEAD_BAND,
                        "tau": TAU_DEAD_BAND},
-        "quadrature_tolerance": KERNEL_REL_TOL,
+        "kernel_rel_tol": KERNEL_REL_TOL,
     }
 
 

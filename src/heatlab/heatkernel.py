@@ -15,7 +15,6 @@ only need them run on numpy and the stdlib alone.
 from __future__ import annotations
 
 import decimal
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -152,7 +151,8 @@ def _c_prime(d: int) -> float:
     if d < 1:
         raise ValueError("d must be a positive dimension")
     D = decimal.Decimal
-    with decimal.localcontext(prec=40):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
         gamma = D(_SQRT_PI) if d % 2 else D(1)  # Gamma(1/2) or Gamma(1)
         for k in range(2 - d % 2, d + 1, 2):    # up to Gamma(d/2 + 1)
             gamma *= D(k) / 2
@@ -170,7 +170,6 @@ def _c_prime(d: int) -> float:
         return float(total * (D(-5) / 4).exp() / D(2) ** d)
 
 
-@functools.cache
 def kernel_constants(d: int) -> KernelConstants:
     """Constants of the whole-space ball lower bound
     S(t)chi_r >= c_d (r/(r+sqrt t))^d.
@@ -208,7 +207,7 @@ class CertificationReport:
     d: int
     r_grid: tuple
     t_grid: tuple
-    tolerance: float
+    kernel_rel_tol: float
     checks: tuple = field(default_factory=tuple)
     constants: KernelConstants = None
 
@@ -225,7 +224,7 @@ class CertificationReport:
             "d": self.d,
             "variant": "whole_space",  # the kernel that was evaluated
             "grid": {"r": list(self.r_grid), "t": list(self.t_grid)},
-            "tolerance": self.tolerance,
+            "kernel_rel_tol": self.kernel_rel_tol,
             "constants": self.constants.to_dict(),
             "passed": self.passed,
             "bounds": [
@@ -288,5 +287,5 @@ def verify_lower_bounds(d: int, r_grid, t_grid, n_points: int = 17,
     checks = tuple(BoundCheck(bound=k, min_margin=m, witness=w, n_checked=n)
                    for k, (m, w, n) in worst.items() if n > 0)
     return CertificationReport(d=d, r_grid=r_grid, t_grid=t_grid,
-                               tolerance=KERNEL_REL_TOL, checks=checks,
+                               kernel_rel_tol=KERNEL_REL_TOL, checks=checks,
                                constants=consts)

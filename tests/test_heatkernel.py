@@ -274,8 +274,7 @@ def test_c_d_switches_from_c_doubleprime_to_c_prime_at_16():
         assert kc.c_d == kc.c_prime < kc.c_doubleprime, d
 
 
-def test_kernel_constants_cached_and_checked():
-    assert kernel_constants(3) is kernel_constants(3)
+def test_kernel_constants_refuses_nonpositive_dimension():
     with pytest.raises(ValueError):
         kernel_constants(0)
 
@@ -404,5 +403,5 @@ def test_certification_report_json():
     assert data["d"] == 1 and data["variant"] == "whole_space"
     assert data["passed"] is True
     assert {b["bound"] for b in data["bounds"]} == {"lemma", "mass", "beta"}
-    assert data["tolerance"] == KERNEL_REL_TOL
+    assert data["kernel_rel_tol"] == KERNEL_REL_TOL
     assert data["constants"]["c_d"] == pytest.approx(rep.constants.c_d)
