@@ -314,6 +314,7 @@ def experiment_simulate(args, argv) -> int:
     report = {
         "command": "experiment", "kind": "simulate", "f": f.source_text,
         "T": float(args.T), "steps": len(traj.times) - 1,
+        "rejected_steps": traj.rejected_steps,
         "blowup": traj.blowup, "blowup_time": traj.blowup_time,
         "peak_l1": traj.peak_l1, "final_l1": traj.l1[-1],
         "final_linf": traj.linf[-1],

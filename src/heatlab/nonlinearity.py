@@ -55,7 +55,7 @@ class Num(Node):
     value: float
 
     def eval_raw(self, s):
-        return np.broadcast_to(np.float64(self.value), np.shape(s)).copy() \
+        return np.full(np.shape(s), self.value, dtype=float) \
             if np.ndim(s) else float(self.value)
 
     def to_text(self) -> str:
@@ -74,7 +74,7 @@ class Var(Node):
 @dataclass(frozen=True)
 class Euler(Node):
     def eval_raw(self, s):
-        return np.broadcast_to(np.float64(math.e), np.shape(s)).copy() \
+        return np.full(np.shape(s), math.e, dtype=float) \
             if np.ndim(s) else math.e
 
     def to_text(self) -> str:

@@ -97,7 +97,7 @@ class RadialField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n,):
             raise ValueError("values must have one entry per node")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
     def copy(self) -> "RadialField":
@@ -181,12 +181,15 @@ def semigroup_apply(P: HeatPropagator, t: float, u: RadialField) -> RadialField:
     if u.grid is not P.grid and not np.array_equal(u.grid.nodes, P.grid.nodes):
         raise ValueError("field grid does not match the propagator grid")
     m = P.grid.n_interior
-    coeffs = P.to_modal(u.values[:m])
-    out = P.from_modal(np.exp(-P.eigenvalues * t) * coeffs)
-    tol = CLAMP_TOL * max(1.0, float(np.max(np.abs(u.values))))
-    n_clamped = int(np.sum(out < -tol))
-    out = np.maximum(out, 0.0) if np.min(u.values) >= 0.0 else out
-    vals = np.concatenate([out, [0.0]])
+    coeffs = np.exp(-P.eigenvalues * t) * P.to_modal(u.values[:m])
+    vals = np.empty(m + 1)
+    vals[m] = 0.0  # Dirichlet boundary node
+    out = vals[:m]
+    np.divide(P.modes @ coeffs, P.sqrt_w, out=out)  # P.from_modal, in place
+    tol = CLAMP_TOL * max(1.0, float(np.abs(u.values).max()))
+    n_clamped = int(np.count_nonzero(out < -tol))
+    if u.values.min() >= 0.0:
+        np.maximum(out, 0.0, out=out)
     return RadialField(P.grid, vals, clamp_count=n_clamped)
 
 
@@ -203,7 +206,7 @@ def heat_series(P: HeatPropagator, u0: RadialField,
 
 def _eval_f(f: NonlinearityExpr, arr: np.ndarray) -> np.ndarray:
     vals = np.asarray(f.eval_raw(np.maximum(arr, 0.0)), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise SolverError("nonlinearity overflow during Duhamel evaluation")
     return vals
 
@@ -516,6 +519,7 @@ class Trajectory:
     linf: list
     dts: list
     clamp_counts: list
+    rejected_steps: int     # attempts whose dt was halved
     q: float
     blowup: bool
     blowup_time: Optional[float]
@@ -531,15 +535,23 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                      controls: SimulationControls = None) -> Trajectory:
     """Exponential-integrator stepping u_(m+1) = S(dt)(u_m + dt f(u_m)) with
     adaptive step halving; declares numeric blow-up (not a proof) when the
-    sup norm exceeds the guard or dt underflows."""
+    sup norm exceeds the guard or dt underflows. Running out of MAX_STEPS
+    attempts before T is a SolverError.
+
+    Each attempt costs one semigroup_apply (two modal products) and one
+    abs pass, from which an accepted step takes its l1, l^q and sup norms
+    with lq_norm's operations; the sup is the next attempt's base."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and positive")
     ct = controls or SimulationControls()
+    q, w = ct.q, P.grid.quad_weights
     u = u0.copy()
     t, dt = 0.0, min(ct.dt_init, T)
-    traj = Trajectory(times=[0.0], l1=[lq_norm(u, 1.0)], lq=[lq_norm(u, ct.q)],
-                      linf=[lq_norm(u, math.inf)], dts=[dt], clamp_counts=[0],
-                      q=ct.q, blowup=False, blowup_time=None, final=u)
+    sup = lq_norm(u, math.inf)
+    traj = Trajectory(times=[0.0], l1=[lq_norm(u, 1.0)], lq=[lq_norm(u, q)],
+                      linf=[sup], dts=[dt], clamp_counts=[0],
+                      rejected_steps=0, q=q, blowup=False, blowup_time=None,
+                      final=u)
     steps = 0
     while t < T and steps < MAX_STEPS:
         steps += 1
@@ -549,24 +561,26 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         except SolverError:
             traj.blowup, traj.blowup_time = True, t
             break
-        cand = RadialField(u.grid,
-                           np.concatenate([u.values[:-1] + dt * fu[:-1],
-                                           [0.0]]))
-        u_new = semigroup_apply(P, dt, cand)
-        sup = lq_norm(u_new, math.inf)
-        base = max(lq_norm(u, math.inf), 1e-300)
-        rel = float(np.max(np.abs(u_new.values - u.values))) / base
+        cand = u.values + dt * fu
+        cand[-1] = 0.0  # Dirichlet boundary node
+        u_new = semigroup_apply(P, dt, RadialField(u.grid, cand))
+        base = max(sup, 1e-300)
+        a = np.abs(u_new.values)
+        new_sup = float(a.max())
+        rel = float(np.abs(u_new.values - u.values).max()) / base
         if ct.adaptive and rel > REL_CHANGE_TARGET and dt > DT_MIN:
+            traj.rejected_steps += 1
             dt *= 0.5
             if dt < DT_MIN:
                 traj.blowup, traj.blowup_time = True, t
                 break
             continue
         t += dt
-        u = u_new
+        u, sup = u_new, new_sup
         traj.times.append(t)
-        traj.l1.append(lq_norm(u, 1.0))
-        traj.lq.append(lq_norm(u, ct.q))
+        traj.l1.append(float((w * a).sum()))
+        traj.lq.append(sup if q == math.inf
+                       else float((w * a ** q).sum() ** (1.0 / q)))
         traj.linf.append(sup)
         traj.dts.append(dt)
         traj.clamp_counts.append(u.clamp_count)
@@ -575,5 +589,8 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
             break
         if ct.adaptive and rel < 0.5 * REL_CHANGE_TARGET:
             dt *= DT_GROWTH
+    if t < T and not traj.blowup:
+        raise SolverError(f"step budget of {MAX_STEPS} steps ran out at "
+                          f"t = {t:.6g} before T = {T:.6g}")
     traj.final = u
     return traj

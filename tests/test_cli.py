@@ -213,10 +213,21 @@ def test_experiment_simulate_trajectory(tmp_path, capsys):
                                   "--amplitude", "0.1", "--T", "0.01",
                                   "--nodes", "129", "--csv", str(csv_path)])
     assert code == EXIT_OK and not rep["blowup"]
+    assert isinstance(rep["rejected_steps"], int)
     rows = csv_path.read_text().splitlines()
     assert rows[0].split(",") == ["t", "l1", "l2", "linf", "dt", "clamps"]
     # a header, the initial state and one row per accepted step
     assert len(rows) == rep["steps"] + 2
+
+
+def test_experiment_simulate_step_budget_exit(monkeypatch, capsys):
+    import heatlab.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 5)
+    code = main(["experiment", "simulate", "--f", "s^2", "--d", "1",
+                 "--nodes", "33", "--T", "1", "--dt", "1e-6"])
+    err = capsys.readouterr().err.strip()
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and "step budget of 5 steps" in err
 
 
 def test_experiment_lower_bound(capsys):

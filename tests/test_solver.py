@@ -663,6 +663,106 @@ def test_simulate_grid_refinement_under_one_percent():
         assert abs(a - b) / b < 0.01
 
 
+def _reference_simulate(P, u0, f, T, ct):
+    """The stepper as first written: three lq_norm passes per accepted step,
+    the previous step's sup recomputed as the base, the candidate assembled
+    by concatenation. Also counts the attempts whose unclamped S(dt) image
+    has a negative entry, so a case can show that it exercises the clamp."""
+    m = P.grid.n_interior
+    u = u0.copy()
+    t, dt = 0.0, min(ct.dt_init, T)
+    out = {"times": [0.0], "l1": [lq_norm(u, 1.0)], "lq": [lq_norm(u, ct.q)],
+           "linf": [lq_norm(u, math.inf)], "dts": [dt], "clamp_counts": [0],
+           "rejected_steps": 0, "blowup": False, "blowup_time": None}
+    negative_images = 0
+    steps = 0
+    while t < T and steps < 200000:
+        steps += 1
+        dt = min(dt, T - t)
+        fu = np.asarray(f.eval_raw(np.maximum(u.values, 0.0)), dtype=float)
+        if not np.all(np.isfinite(fu)):
+            out["blowup"], out["blowup_time"] = True, t
+            break
+        cand = RadialField(u.grid,
+                           np.concatenate([u.values[:-1] + dt * fu[:-1],
+                                           [0.0]]))
+        raw = P.from_modal(np.exp(-P.eigenvalues * dt)
+                           * P.to_modal(cand.values[:m]))
+        negative_images += bool(np.any(raw < 0.0))
+        u_new = semigroup_apply(P, dt, cand)
+        sup = lq_norm(u_new, math.inf)
+        base = max(lq_norm(u, math.inf), 1e-300)
+        rel = float(np.max(np.abs(u_new.values - u.values))) / base
+        if ct.adaptive and rel > 0.05 and dt > 1e-14:
+            out["rejected_steps"] += 1
+            dt *= 0.5
+            if dt < 1e-14:
+                out["blowup"], out["blowup_time"] = True, t
+                break
+            continue
+        t += dt
+        u = u_new
+        out["times"].append(t)
+        out["l1"].append(lq_norm(u, 1.0))
+        out["lq"].append(lq_norm(u, ct.q))
+        out["linf"].append(sup)
+        out["dts"].append(dt)
+        out["clamp_counts"].append(u.clamp_count)
+        if sup > 1e12:
+            out["blowup"], out["blowup_time"] = True, t
+            break
+        if ct.adaptive and rel < 0.025:
+            dt *= 1.4
+    return out, u, negative_images
+
+
+def _assert_same_trajectory(P, u0, f, T, ct):
+    ref, ref_final, negative_images = _reference_simulate(P, u0, f, T, ct)
+    traj = simulate_forward(P, u0, f, T, ct)
+    for key, expected in ref.items():
+        assert getattr(traj, key) == expected, key
+    assert np.array_equal(traj.final.values, ref_final.values)
+    assert traj.final.clamp_count == ref_final.clamp_count
+    return traj, negative_images
+
+
+def test_simulate_matches_reference_fixed_step_graded_grid():
+    f = parse_nonlinearity("s^4")
+    _, u0 = build_t1_data(f, d=1, q=1.0, N=3, epsilon=0.5, R=1.0)
+    P = build_propagator(u0.grid)
+    sup = lq_norm(u0, math.inf)
+    T = 0.1 * sup / sup ** 4
+    ct = SimulationControls(dt_init=T / 200, adaptive=False, q=1.5)
+    traj, _ = _assert_same_trajectory(P, u0, f, T, ct)
+    assert len(traj.times) > 200 and traj.times[-1] >= T
+    assert traj.rejected_steps == 0 and not traj.blowup
+
+
+def test_simulate_matches_reference_adaptive_blowup():
+    g = RadialGrid.uniform(1, 1.0, 65)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=30.0))
+    ct = SimulationControls(dt_init=1e-2, q=2.0)
+    traj, negative_images = _assert_same_trajectory(
+        P, u0, parse_nonlinearity("s^4"), 1.0, ct)
+    assert traj.blowup and traj.rejected_steps > 0
+    assert negative_images > 0  # the clamp to zero changed some values
+
+
+def test_simulate_step_budget_is_an_error(monkeypatch):
+    # d = 1, 33 nodes, s^2, T = 1 at a fixed dt of 1e-6 needs a million
+    # steps; a run cut at the budget (t = 0.2 at MAX_STEPS) without an
+    # error would read as a run that reached T without blow-up
+    import heatlab.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "MAX_STEPS", 50)
+    g = RadialGrid.uniform(1, 1.0, 33)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=0.1))
+    ct = SimulationControls(dt_init=1e-6, adaptive=False)
+    with pytest.raises(SolverError, match=r"ran out at t = 5e-05 before T = 1"):
+        simulate_forward(P, u0, parse_nonlinearity("s^2"), 1.0, ct)
+
+
 def test_trajectory_csv_roundtrip(tmp_path, prop_d1):
     # the trajectory goes through cli.write_csv, the one CSV writer
     from heatlab.cli import write_csv
