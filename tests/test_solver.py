@@ -2,10 +2,11 @@
 
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
 via heat_on_ball, the linear-nonlinearity closed form of the existence
-horizon, grid/time refinement self-consistency, and three slow references
+horizon, grid/time refinement self-consistency, and four slow references
 kept here: the face-by-face propagator assembly diagonalised by dense
 eigh, the re-summed Duhamel
-history and the quad-based horizon search.
+history, the quad-based horizon search and the forward stepper with one
+lq_norm call per norm.
 """
 
 import math
