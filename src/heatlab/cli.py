@@ -104,7 +104,8 @@ def _require(args, *names):
 
 def _d_and_q(args, d=None, q=None):
     """--d as an integer >= 1 and --q (if given or defaulted) as a finite
-    exponent >= 1; d and q give the defaults."""
+    exponent >= 1 whose critical power 1 + 2q/d is finite; d and q give the
+    defaults."""
     d = int(args.d if args.d is not None else d)
     if d < 1:
         raise CliError("d must be a positive integer")
@@ -113,6 +114,9 @@ def _d_and_q(args, d=None, q=None):
         q = float(q)
         if not (math.isfinite(q) and q >= 1.0):
             raise CliError("q must be a finite exponent >= 1")
+        if not math.isfinite(1.0 + 2.0 * q / d):
+            raise CliError(f"q = {q:g} is too large: the critical power "
+                           "1 + 2q/d overflows")
     return d, q
 
 
@@ -413,6 +417,8 @@ def _suite_case(case):
 def experiment_equivalence_suite(args, argv) -> int:
     seed = int(args.seed or 7)
     count = int(args.count or 20)
+    if count < 1:
+        raise CliError("count must be a positive integer")
     d, _ = _d_and_q(args, d=2)
     rng = np.random.default_rng(seed)
     cases = []

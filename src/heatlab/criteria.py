@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .nonlinearity import (
+    DomainError,
     NonlinearityExpr,
     RatioEnvelope,
     monotonicity_audit,
@@ -122,7 +123,7 @@ def _require_audit(f: NonlinearityExpr, s_max: float) -> None:
 
 
 def _log_f_samples(f: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f.eval_raw(grid), dtype=float)
+    vals = f.eval_raw(grid)
     if np.isnan(vals).any():
         raise AuditError(f"f undefined on the sampling grid: {f.source_text!r}")
     with np.errstate(divide="ignore"):
@@ -486,7 +487,7 @@ def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
     """
     try:
         f0 = f(0.0)
-    except Exception:
+    except DomainError:
         f0 = math.nan
     grid = np.geomspace(1e-8, 1e-2, 60)
     log_f = _log_f_samples(f, grid)
@@ -496,7 +497,7 @@ def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
         slope = 0.0 if not np.isposinf(log_r).any() else -math.inf
     else:
         slope = float(np.polyfit(np.log(grid[finite]), log_r[finite], 1)[0])
-    if f0 is not None and not math.isnan(f0) and f0 > 0:
+    if not math.isnan(f0) and f0 > 0:
         bounded = False
     elif np.isposinf(log_r).any() or slope <= -SLOPE_DEAD_BAND:
         bounded = False

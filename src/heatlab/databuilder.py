@@ -67,10 +67,6 @@ class BlowupDataSpec:
         return out
 
 
-def _f_scalar(f: NonlinearityExpr, s: float) -> float:
-    return float(np.asarray(f.eval_raw(np.array([s])))[0])
-
-
 def _search_phi(f: NonlinearityExpr, p: float, k: int, q: float,
                 start: float) -> float:
     """First point of the ratio-1.1 geometric grid from `start` satisfying
@@ -78,7 +74,7 @@ def _search_phi(f: NonlinearityExpr, p: float, k: int, q: float,
     target = k / q  # compare in logs: log f(phi) - p log phi >= k/q
     phi = start
     while phi <= PHI_CAP:
-        val = _f_scalar(f, phi)
+        val = float(f.eval_raw(phi))
         if math.isfinite(val) and val > 0 and \
                 math.log(val) - p * math.log(phi) >= target - 1e-12:
             return phi
@@ -142,7 +138,7 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
 
     # schedule re-verification with fresh evaluations
     for k, (ph, r) in enumerate(zip(phi, radii), start=1):
-        if not _f_scalar(f, ph) >= ph ** p * math.exp(k / q) * (1 - 1e-9):
+        if not float(f.eval_raw(ph)) >= ph ** p * math.exp(k / q) * (1 - 1e-9):
             raise ScheduleError(f"schedule inequality fails at k={k}")
         assert math.isclose(r, epsilon * ph ** (-q / d) * k ** (-2 * q / d))
     if 2.0 * radii.max() > R:
@@ -273,7 +269,7 @@ def predicted_bounds(spec: BlowupDataSpec):
         q, d = spec.q, spec.d
         kpow = 2.0 * q * (d + 2.0 * q) / d
         out = []
-        f_phi = np.asarray(spec.f.eval_raw(spec.phi), dtype=float)
+        f_phi = spec.f.eval_raw(spec.phi)
         for i, k in enumerate(range(1, spec.N + 1)):
             t_k = float(spec.radii[i] ** 2)
             pw = consts.beta_d * t_k * float(f_phi[i])

@@ -44,6 +44,7 @@ class DomainError(ExpressionError):
 
 class Node:
     def eval_raw(self, s):
+        """Values at s, a 1-D float array (NonlinearityExpr.eval_raw)."""
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -55,8 +56,7 @@ class Num(Node):
     value: float
 
     def eval_raw(self, s):
-        return np.full(np.shape(s), self.value, dtype=float) \
-            if np.ndim(s) else float(self.value)
+        return np.full(np.shape(s), self.value, dtype=float)
 
     def to_text(self) -> str:
         return repr(self.value)
@@ -65,7 +65,7 @@ class Num(Node):
 @dataclass(frozen=True)
 class Var(Node):
     def eval_raw(self, s):
-        return np.asarray(s, dtype=float) if np.ndim(s) else float(s)
+        return s
 
     def to_text(self) -> str:
         return "s"
@@ -74,8 +74,7 @@ class Var(Node):
 @dataclass(frozen=True)
 class Euler(Node):
     def eval_raw(self, s):
-        return np.full(np.shape(s), math.e, dtype=float) \
-            if np.ndim(s) else math.e
+        return np.full(np.shape(s), math.e, dtype=float)
 
     def to_text(self) -> str:
         return "e"
@@ -98,9 +97,9 @@ class BinOp(Node):
             if self.op == "*":
                 return a * b
             if self.op == "/":
-                return np.divide(a, b) if np.ndim(s) else _scalar_div(a, b)
+                return np.divide(a, b)
             if self.op == "^":
-                return np.power(a, b) if np.ndim(s) else _scalar_pow(a, b)
+                return np.power(a, b)
         raise ExpressionError(f"unknown operator {self.op!r}")
 
     def to_text(self) -> str:
@@ -140,24 +139,6 @@ class Call(Node):
     def to_text(self) -> str:
         inner = ", ".join(a.to_text() for a in self.args)
         return f"{self.name}({inner})"
-
-
-def _scalar_div(a, b):
-    if b == 0.0:
-        return math.inf if a > 0 else (-math.inf if a < 0 else math.nan)
-    return a / b
-
-
-def _scalar_pow(a, b):
-    try:
-        v = a ** b
-    except OverflowError:
-        return math.inf
-    except ZeroDivisionError:
-        return math.inf
-    if isinstance(v, complex):
-        return math.nan
-    return v
 
 
 # --- parser ----------------------------------------------------------------
@@ -304,12 +285,16 @@ class NonlinearityExpr:
         return self.root.to_text()
 
     def eval_raw(self, s):
-        """Evaluate without domain checks; arrays in, arrays out.
+        """Evaluate without domain checks, in the shape of s (0-d for a
+        scalar).
 
-        NaN marks a domain failure (log of a non-positive argument,
-        fractional power of a negative number); +/-inf marks overflow.
+        The one evaluator of the tree: s is flattened to a 1-D float array,
+        so a point gives the same double alone as inside a grid. NaN marks
+        a domain failure (log of a non-positive argument, fractional power
+        of a negative number); +/-inf marks overflow.
         """
-        return self.root.eval_raw(s)
+        s = np.asarray(s, dtype=float)
+        return self.root.eval_raw(s.reshape(-1)).reshape(s.shape)
 
     def __call__(self, s):
         return eval_f(self, s)
@@ -333,17 +318,17 @@ class RatioEnvelope:
     grid: np.ndarray
     values: np.ndarray
     origin: str  # "1" or "0+"
-    limit_at_zero: float = math.nan
-    expr: Optional["NonlinearityExpr"] = field(default=None, repr=False)
+    limit_at_zero: float
+    expr: NonlinearityExpr = field(repr=False)
 
     def at(self, s: float) -> float:
         """F(s): the stored running max up to the nearest grid point below s,
-        folded with the exact ratio f(s)/s when the expression is attached."""
+        folded with the exact ratio f(s)/s."""
         idx = int(np.searchsorted(self.grid, s, side="right")) - 1
         idx = max(idx, 0)
         val = float(self.values[idx])
-        if self.expr is not None and s > 0:
-            fs = float(np.asarray(self.expr.eval_raw(np.array([s])))[0])
+        if s > 0:
+            fs = float(self.expr.eval_raw(s))
             if math.isfinite(fs):
                 val = max(val, fs / s)
         return val
@@ -364,8 +349,7 @@ def eval_f(expr: NonlinearityExpr, s: float) -> float:
     """Evaluate f(s) for scalar s >= 0, raising on domain failures."""
     if s < 0:
         raise DomainError("s must be non-negative", s)
-    v = expr.eval_raw(float(s))
-    v = float(v)
+    v = float(expr.eval_raw(s))
     if math.isnan(v):
         raise DomainError("evaluation is undefined", s)
     if v < 0:
@@ -374,7 +358,7 @@ def eval_f(expr: NonlinearityExpr, s: float) -> float:
 
 
 def _raw_samples(expr: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
-    vals = np.asarray(expr.eval_raw(grid), dtype=float)
+    vals = expr.eval_raw(grid)
     if np.isnan(vals).any():
         bad = float(grid[np.flatnonzero(np.isnan(vals))[0]])
         raise DomainError("evaluation is undefined", bad)

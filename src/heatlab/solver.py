@@ -205,7 +205,7 @@ def heat_series(P: HeatPropagator, u0: RadialField,
 
 
 def _eval_f(f: NonlinearityExpr, arr: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f.eval_raw(np.maximum(arr, 0.0)), dtype=float)
+    vals = f.eval_raw(np.maximum(arr, 0.0))
     if not np.isfinite(vals).all():
         raise SolverError("nonlinearity overflow during Duhamel evaluation")
     return vals
@@ -253,7 +253,9 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                     v_init, T: float, n_time: int = 64,
                     n_iter: int = 50) -> IterationTrace:
     """Monotone supersolution iteration v_(n+1) = F(v_n), until the sup
-    change falls below ITERATION_TOL or n_iter iterations have run."""
+    change falls below ITERATION_TOL or n_iter >= 1 iterations have run."""
+    if n_iter < 1:
+        raise ValueError("n-iter must be at least 1")
     times = np.linspace(0.0, T, n_time)
     v = np.asarray(v_init, dtype=float)
     baseline = heat_series(P, u0, times)
@@ -261,7 +263,6 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     max_increase = -math.inf
     min_above = math.inf
     converged = False
-    it = 0
     for it in range(1, n_iter + 1):
         v_new = duhamel_map(P, u0, f, v, times)
         if np.max(np.abs(v_new)) > OVERFLOW_GUARD:
@@ -365,7 +366,7 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
 
     if u0_l1_norm == 0.0:
         # v = chi_Omega is a supersolution while t f(1) <= 1
-        f1 = float(np.asarray(f.eval_raw(np.array([1.0])))[0])
+        f1 = float(f.eval_raw(1.0))
         T = T_max if f1 == 0.0 else min(T_max, 1.0 / f1)
         return HorizonReport(T=T, integral_value=0.0, condition_bound=bound,
                              A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
@@ -436,7 +437,7 @@ def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
 
     s_grid = np.linspace(0.0, t, n_time)
     inner_amp = amp * consts.c_d * (r / (r + np.sqrt(s_grid))) ** d
-    f_inner = np.asarray(f.eval_raw(inner_amp), dtype=float)
+    f_inner = f.eval_raw(inner_amp)
     if not np.all(np.isfinite(f_inner)):
         raise SolverError("nonlinearity overflow in the lower-bound integrand")
     inner_reach = r + np.sqrt(s_grid)
@@ -492,7 +493,7 @@ def warmup_shell_sums(f: NonlinearityExpr, d: int, n_shells: int = 12,
     ks = np.arange(1, n_shells + 2)
     phi = theta ** ks
     t_k = c * phi ** (-2.0 / d)
-    f_phi = np.asarray(f.eval_raw(phi[:-1]), dtype=float)
+    f_phi = f.eval_raw(phi[:-1])
     expo = (2.0 + d) / 2.0
     increments = omega * f_phi * (t_k[:-1] ** expo - t_k[1:] ** expo) / expo
     const = omega * (2.0 / (2.0 + d)) * c ** expo * (1.0 - theta ** (-p))
@@ -536,7 +537,9 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     """Exponential-integrator stepping u_(m+1) = S(dt)(u_m + dt f(u_m)) with
     adaptive step halving; declares numeric blow-up (not a proof) when the
     sup norm exceeds the guard or dt underflows. Running out of MAX_STEPS
-    attempts before T is a SolverError.
+    attempts before T is a SolverError. A remainder T - t within one ulp of
+    T per summed step is the rounding of that sum, so the run has reached
+    T: a fixed step T/n takes exactly n steps.
 
     Each attempt costs one semigroup_apply (two modal products) and one
     abs pass, from which an accepted step takes its l1, l^q and sup norms
@@ -544,6 +547,8 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and positive")
     ct = controls or SimulationControls()
+    if not (math.isfinite(ct.dt_init) and ct.dt_init > 0):
+        raise ValueError("dt must be finite and positive")
     q, w = ct.q, P.grid.quad_weights
     u = u0.copy()
     t, dt = 0.0, min(ct.dt_init, T)
@@ -553,7 +558,10 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                       rejected_steps=0, q=q, blowup=False, blowup_time=None,
                       final=u)
     steps = 0
-    while t < T and steps < MAX_STEPS:
+    while T - t > len(traj.times) * math.ulp(T):
+        if steps == MAX_STEPS:
+            raise SolverError(f"step budget of {MAX_STEPS} steps ran out at "
+                              f"t = {t:.6g} before T = {T:.6g}")
         steps += 1
         dt = min(dt, T - t)
         try:
@@ -589,8 +597,5 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
             break
         if ct.adaptive and rel < 0.5 * REL_CHANGE_TARGET:
             dt *= DT_GROWTH
-    if t < T and not traj.blowup:
-        raise SolverError(f"step budget of {MAX_STEPS} steps ran out at "
-                          f"t = {t:.6g} before T = {T:.6g}")
     traj.final = u
     return traj

@@ -312,6 +312,20 @@ def test_blowup_trend_schedule_error(capsys):
     ["classify", "--f", "s^3", "--d", "1", "--q", "1", "--s-max", "1e300"],
     ["classify", "--f", "s^2", "--d", "2", "--q", "2", "--domain",
      "whole_space", "--s-max", "1e6"],
+    ["experiment", "equivalence_suite", "--count", "0"],
+    ["experiment", "equivalence_suite", "--count", "-1"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-iter", "0"],
+    ["classify", "--f", "s^2", "--d", "1", "--q", "1e308"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1e308",
+     "--N-range", "3..5"],
+    ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
+     "--t", "0.01", "--q", "1e308"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--dt", "0"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--dt", "-1"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--dt", "nan"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR

@@ -83,11 +83,20 @@ def test_roundtrip_through_text(s):
 
 
 def test_vector_eval_matches_scalar():
-    f = parse_nonlinearity("s^1.5/log(e+s)")
-    grid = np.geomspace(0.01, 1e4, 37)
-    vec = f.eval_raw(grid)
-    for s, v in zip(grid, vec):
-        assert v == pytest.approx(eval_f(f, float(s)), rel=1e-14)
+    # one evaluator: a point gives the same double alone (eval_f, a 0-d
+    # eval_raw) as inside a grid of any shape
+    grid = np.geomspace(1e-6, 1e9, 5001)
+    for f in (builtin_family("log_family", {"d": 2, "beta": 6.0}),
+              parse_nonlinearity("s^1.5/log(e+s)"),
+              parse_nonlinearity("s^2.7+s^1.3"),
+              parse_nonlinearity("max(s^0.97, s^2.41)*exp(s/(1+s))")):
+        vec = f.eval_raw(grid)
+        assert [eval_f(f, float(s)) for s in grid] == vec.tolist(), \
+            f.source_text
+        assert [float(f.eval_raw(s)) for s in grid] == vec.tolist(), \
+            f.source_text
+        assert np.array_equal(f.eval_raw(grid[:5000].reshape(50, 100)),
+                              vec[:5000].reshape(50, 100))
 
 
 # --- monotonicity audit ------------------------------------------------------

@@ -667,8 +667,9 @@ def test_simulate_grid_refinement_under_one_percent():
 def _reference_simulate(P, u0, f, T, ct):
     """The stepper as first written: three lq_norm passes per accepted step,
     the previous step's sup recomputed as the base, the candidate assembled
-    by concatenation. Also counts the attempts whose unclamped S(dt) image
-    has a negative entry, so a case can show that it exercises the clamp."""
+    by concatenation; it stops once T - t is within one ulp of T per summed
+    step. Also counts the attempts whose unclamped S(dt) image has a
+    negative entry, so a case can show that it exercises the clamp."""
     m = P.grid.n_interior
     u = u0.copy()
     t, dt = 0.0, min(ct.dt_init, T)
@@ -677,7 +678,7 @@ def _reference_simulate(P, u0, f, T, ct):
            "rejected_steps": 0, "blowup": False, "blowup_time": None}
     negative_images = 0
     steps = 0
-    while t < T and steps < 200000:
+    while T - t > len(out["times"]) * math.ulp(T) and steps < 200000:
         steps += 1
         dt = min(dt, T - t)
         fu = np.asarray(f.eval_raw(np.maximum(u.values, 0.0)), dtype=float)
@@ -735,7 +736,7 @@ def test_simulate_matches_reference_fixed_step_graded_grid():
     T = 0.1 * sup / sup ** 4
     ct = SimulationControls(dt_init=T / 200, adaptive=False, q=1.5)
     traj, _ = _assert_same_trajectory(P, u0, f, T, ct)
-    assert len(traj.times) > 200 and traj.times[-1] >= T
+    assert len(traj.times) == 201 and T - traj.times[-1] <= 200 * math.ulp(T)
     assert traj.rejected_steps == 0 and not traj.blowup
 
 
@@ -748,6 +749,33 @@ def test_simulate_matches_reference_adaptive_blowup():
         P, u0, parse_nonlinearity("s^4"), 1.0, ct)
     assert traj.blowup and traj.rejected_steps > 0
     assert negative_images > 0  # the clamp to zero changed some values
+
+
+@pytest.mark.parametrize("T", [0.01, 0.7])
+def test_simulate_fixed_step_takes_exactly_n_steps(T):
+    # the 200 summed steps of T/200 fall short of T by 3.3e-17 (T = 0.01)
+    # and 2.6e-15 (T = 0.7); that remainder is rounding, not a 201st step
+    g = RadialGrid.uniform(1, 1.0, 65)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=0.1))
+    ct = SimulationControls(dt_init=T / 200, adaptive=False)
+    traj = simulate_forward(P, u0, parse_nonlinearity("s^2"), T, ct)
+    assert len(traj.times) == 201
+    assert traj.dts[1:] == [T / 200] * 200
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+def test_simulate_rejects_bad_step(prop_d1, dt):
+    u0 = indicator(prop_d1.grid, BallIndicator(1.0))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        simulate_forward(prop_d1, u0, ZERO, 1.0, SimulationControls(dt_init=dt))
+
+
+def test_iteration_needs_one_iteration(prop_d1):
+    u0 = indicator(prop_d1.grid, BallIndicator(0.5, amplitude=0.1))
+    v = np.zeros((8, prop_d1.grid.n_interior))
+    with pytest.raises(ValueError, match="n-iter must be at least 1"):
+        duhamel_iterate(prop_d1, u0, ZERO, v, 0.1, n_time=8, n_iter=0)
 
 
 def test_simulate_step_budget_is_an_error(monkeypatch):
