@@ -144,7 +144,11 @@ def limsup_estimate(f: NonlinearityExpr, gamma: float,
     decades = math.log10(s_max)
     grid = np.geomspace(1.0, s_max, max(200, int(40 * decades)))
     log_f = _log_f_samples(f, grid)
-    log_g = log_f - gamma * np.log(grid)
+    # a huge gamma makes gamma log s overflow: log g = -inf, g below every
+    # double (and inf - inf = nan where f overflows too, which `overflow`
+    # decides)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_g = log_f - gamma * np.log(grid)
 
     overflow = bool(np.isposinf(log_f).any())
     trend, growth = _tail_statistics(grid, log_g, s_max)
@@ -153,16 +157,20 @@ def limsup_estimate(f: NonlinearityExpr, gamma: float,
 
 
 def _tail_statistics(grid, log_g, s_max):
-    """(log-log slope over the last two decades, per-decade max growth)."""
+    """(log-log slope over the last two decades, per-decade max growth).
+
+    log g = -inf is g = 0: where the last sample is -inf, g vanishes at the
+    end of the tail, which is bounded evidence (-inf), not overflow (inf)."""
+    vanishes = bool(np.isneginf(log_g[-1]))
     tail = (grid >= s_max / 100.0) & np.isfinite(log_g)
     if tail.sum() < 4:
-        return math.inf, math.inf  # tail is all overflow
+        return (-math.inf, -math.inf) if vanishes else (math.inf, math.inf)
     slope = float(np.polyfit(np.log10(grid[tail]),
                              log_g[tail] / math.log(10), 1)[0])
     last = (grid >= s_max / 10.0) & np.isfinite(log_g)
     prev = (grid >= s_max / 100.0) & (grid < s_max / 10.0) & np.isfinite(log_g)
     if not last.any() or not prev.any():
-        return slope, math.inf
+        return slope, -math.inf if vanishes else math.inf
     growth = float((np.max(log_g[last]) - np.max(log_g[prev])) / math.log(10))
     return slope, growth
 
@@ -501,6 +509,8 @@ def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
         bounded = False
     elif np.isposinf(log_r).any() or slope <= -SLOPE_DEAD_BAND:
         bounded = False
+    elif np.isneginf(log_r[-1]):
+        bounded = True  # f = 0 at 1e-2, so on the whole sample (f monotone)
     elif slope >= SLOPE_DEAD_BAND or np.all(np.diff(
             np.maximum.accumulate(np.where(finite, log_r, -np.inf)[::-1])[::-1]
     ) <= 1e-12):

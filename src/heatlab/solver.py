@@ -123,8 +123,18 @@ def lq_norm(u: RadialField, q: float) -> float:
         return float(np.max(np.abs(u.values)))
     if q < 1:
         raise ValueError("q must be >= 1 (or inf)")
-    w = u.grid.quad_weights
-    return float(np.sum(w * np.abs(u.values) ** q) ** (1.0 / q))
+    return _lq(u.grid.quad_weights, np.abs(u.values), q)
+
+
+def _lq(w: np.ndarray, a: np.ndarray, q: float) -> float:
+    """(sum w a^q)^(1/q) for a = |u| and finite q; a SolverError when the sum
+    is not finite, or underflows to 0 for a non-zero field."""
+    with np.errstate(over="ignore"):
+        total = (w * a ** q).sum()
+    if not (math.isfinite(total) and (total > 0.0 or not a.any())):
+        raise SolverError(f"the l^{q:g} norm does not fit in a double: "
+                          f"sum of w |u|^q is {float(total):g}")
+    return float(total ** (1.0 / q))
 
 
 # --- propagator --------------------------------------------------------------
@@ -211,12 +221,10 @@ def _eval_f(f: NonlinearityExpr, arr: np.ndarray) -> np.ndarray:
     return vals
 
 
-def duhamel_map(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
-                v: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """F(v)(t_j) = S(t_j)u0 + int_0^{t_j} S(t_j - s) f(v(s)) ds for v of
-    shape (n_time, n_interior), composite trapezoid on the uniform time
-    grid, semigroup factors exact in modal space. The history obeys
-    I_j = r I_(j-1) + (dt/2)(r g_(j-1) + g_j) with r = e^(-lam dt)."""
+def _time_slices(P: HeatPropagator, times, v) -> tuple:
+    """(times, v, dt) as float arrays, after checking that times is a
+    uniform, non-decreasing grid of at least two slices and that v holds one
+    row of interior values per slice."""
     times = np.asarray(times, dtype=float)
     n_time = len(times)
     if n_time < 2:
@@ -228,12 +236,43 @@ def duhamel_map(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     if v.shape != (n_time, P.grid.n_interior):
         raise ValueError("time-indexed field must have shape "
                          "(n_time, n_interior)")
+    return times, v, dt
+
+
+def _duhamel(P: HeatPropagator, f: NonlinearityExpr, v: np.ndarray,
+             dt: float) -> np.ndarray:
+    """int_0^{t_j} S(t_j - s) f(v(s)) ds on checked slices: the modal
+    transform g of f(v), the trapezoid history
+    I_j = r I_(j-1) + (dt/2)(r g_(j-1) + g_j) with r = e^(-lam dt), and its
+    back-transform. The history is built in place: every slice's
+    (dt/2)(r g_(j-1) + g_j) at once, then the sequential sweep through one
+    vector; the back-transform reuses g's storage. Callers add S(t_j)u0 to
+    the result in place, after the evaluation of f and its temporaries."""
     g = (_eval_f(f, v) * P.sqrt_w) @ P.modes  # modal transform per slice
     r = np.exp(-P.eigenvalues * dt)
-    hist = np.zeros_like(g)
-    for j in range(1, n_time):
-        hist[j] = r * hist[j - 1] + 0.5 * dt * (r * g[j - 1] + g[j])
-    return heat_series(P, u0, times) + (hist @ P.modes.T) / P.sqrt_w
+    hist = np.empty_like(g)
+    hist[0] = 0.0
+    np.multiply(r, g[:-1], out=hist[1:])
+    hist[1:] += g[1:]
+    hist[1:] *= 0.5 * dt
+    carry = np.empty_like(r)
+    for j in range(1, len(hist)):  # j = 1 adds r * 0, as the sum did
+        np.multiply(r, hist[j - 1], out=carry)
+        hist[j] += carry
+    out = np.matmul(hist, P.modes.T, out=g)
+    out /= P.sqrt_w
+    return out
+
+
+def duhamel_map(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
+                v: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """F(v)(t_j) = S(t_j)u0 + int_0^{t_j} S(t_j - s) f(v(s)) ds for v of
+    shape (n_time, n_interior), composite trapezoid on the uniform time
+    grid, semigroup factors exact in modal space (see _duhamel)."""
+    times, v, dt = _time_slices(P, times, v)
+    out = _duhamel(P, f, v, dt)
+    out += heat_series(P, u0, times)
+    return out
 
 
 @dataclass
@@ -253,18 +292,22 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                     v_init, T: float, n_time: int = 64,
                     n_iter: int = 50) -> IterationTrace:
     """Monotone supersolution iteration v_(n+1) = F(v_n), until the sup
-    change falls below ITERATION_TOL or n_iter >= 1 iterations have run."""
+    change falls below ITERATION_TOL or n_iter >= 1 iterations have run.
+
+    S(t)u0 is computed once (the baseline); each iterate, and the final
+    residual, then costs two m x m modal products and the history
+    recurrence of duhamel_map."""
     if n_iter < 1:
         raise ValueError("n-iter must be at least 1")
-    times = np.linspace(0.0, T, n_time)
-    v = np.asarray(v_init, dtype=float)
+    times, v, dt = _time_slices(P, np.linspace(0.0, T, n_time), v_init)
     baseline = heat_series(P, u0, times)
     sup_deltas = []
     max_increase = -math.inf
     min_above = math.inf
     converged = False
     for it in range(1, n_iter + 1):
-        v_new = duhamel_map(P, u0, f, v, times)
+        v_new = _duhamel(P, f, v, dt)
+        v_new += baseline
         if np.max(np.abs(v_new)) > OVERFLOW_GUARD:
             raise SolverError("iteration diverged: v_init was likely not a "
                               "supersolution")
@@ -275,7 +318,9 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         if sup_deltas[-1] < ITERATION_TOL:
             converged = True
             break
-    residual = float(np.max(np.abs(duhamel_map(P, u0, f, v, times) - v)))
+    final = _duhamel(P, f, v, dt)
+    final += baseline
+    residual = float(np.max(np.abs(final - v)))
     return IterationTrace(times=times, v=v, baseline=baseline,
                           sup_deltas=sup_deltas, max_increase=max_increase,
                           min_above_baseline=min_above, converged=converged,
@@ -543,7 +588,8 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
 
     Each attempt costs one semigroup_apply (two modal products) and one
     abs pass, from which an accepted step takes its l1, l^q and sup norms
-    with lq_norm's operations; the sup is the next attempt's base."""
+    with lq_norm's operations; the sup is the next attempt's base. An l^q
+    norm that does not fit in a double is a SolverError, as in lq_norm."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and positive")
     ct = controls or SimulationControls()
@@ -587,8 +633,7 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         u, sup = u_new, new_sup
         traj.times.append(t)
         traj.l1.append(float((w * a).sum()))
-        traj.lq.append(sup if q == math.inf
-                       else float((w * a ** q).sum() ** (1.0 / q)))
+        traj.lq.append(sup if q == math.inf else _lq(w, a, q))
         traj.linf.append(sup)
         traj.dts.append(dt)
         traj.clamp_counts.append(u.clamp_count)

@@ -326,10 +326,40 @@ def test_blowup_trend_schedule_error(capsys):
      "--dt", "-1"],
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
      "--dt", "nan"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--q", "1e300"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--q", "1e300", "--amplitude", "0.1"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, codes", [
+    (["classify", "--f", "0*s", "--d", "1", "--q", "2"], {EXIT_OK}),
+    (["classify", "--f", "0*s", "--d", "2", "--q", "2", "--domain",
+      "whole_space"], {EXIT_OK}),
+    (["classify", "--f", "s^2", "--d", "1", "--q", "1e307"], {EXIT_OK}),
+    (["classify", "--f", "0*s", "--d", "1", "--q", "1"],
+     {EXIT_OK, EXIT_INCONCLUSIVE}),
+    (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+      "--q", "1e300"], {EXIT_ERROR}),
+])
+def test_vanishing_or_overflowing_powers_run_clean(tmp_path, argv, codes):
+    # in a fresh process, so that numpy's RuntimeWarnings reach stderr
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    out = subprocess.run([sys.executable, "-m", "heatlab.cli", *argv],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode in codes
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+    if argv[0] == "classify":
+        verdict = json.loads(out.stdout)["verdict"]["outcome"]
+        assert verdict == ("Exists" if codes == {EXIT_OK} else "Inconclusive")
+    else:
+        assert out.stderr.startswith("error: ") and \
+            out.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("N_range", ["3", "3..", "a..b", "3..4..5"])

@@ -72,6 +72,19 @@ def test_classify_lq_overflow_means_divergence():
     assert v.evidence["overflow"]
 
 
+@pytest.mark.parametrize("f, q, d", [
+    ("0*s", 2.0, 1),       # f = 0: log g = -inf on the whole tail
+    ("s^2", 1e307, 1),     # s^-gamma underflows: gamma log s overflows
+])
+def test_classify_lq_vanishing_tail_means_existence(f, q, d):
+    # log g = -inf is g = 0 (or g below every double): bounded, so Exists,
+    # where the tail was once read as all overflow
+    v = classify_lq(parse_nonlinearity(f), q, d)
+    assert v.outcome == EXISTS
+    assert not v.evidence["overflow"]
+    assert v.evidence["slope"] == v.evidence["tail_growth"] == -math.inf
+
+
 def test_classify_lq_scale_invariance():
     # multiplying f by a constant cannot change the verdict
     for c in (0.1, 10.0):
@@ -291,6 +304,20 @@ def test_whole_space_defers_to_infinity_behaviour():
     # q = 1 route uses the 0+ envelope
     assert classify_whole_space(parse_nonlinearity("s^1.5"), 1.0, 2).outcome \
         == EXISTS
+
+
+def test_whole_space_zero_nonlinearity():
+    f = parse_nonlinearity("0*s")
+    v = classify_whole_space(f, 2.0, 2)
+    assert v.outcome == EXISTS
+    assert v.evidence["near_zero"]["bounded"] is True
+    # the L^1 block fit has no positive block to fit: undecided, never
+    # NoLocalExistence
+    assert classify_whole_space(f, 1.0, 2).outcome == INCONCLUSIVE
+    assert classify_l1(f, 1).outcome == INCONCLUSIVE
+    # f = 0 up to s = 1 has f(s)/s = 0 near 0 as well
+    v = classify_whole_space(parse_nonlinearity("max(s-1,0)^2"), 2.0, 2)
+    assert v.outcome == EXISTS
 
 
 # --- serialization -----------------------------------------------------------

@@ -96,6 +96,34 @@ def test_lq_norm_closed_forms():
     assert lq_norm(u2, 2.0) == pytest.approx(3.0 * lq_norm(u, 2.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("amplitude, q", [(2.0, 1e300), (0.5, 1e300),
+                                          (1e-200, 2.0)])
+def test_lq_norm_refuses_what_a_double_cannot_hold(amplitude, q):
+    # 2^1e300 overflows; 0.5^1e300 and (1e-200)^2 underflow to 0 for a field
+    # that is not zero
+    u = indicator(RadialGrid.uniform(1, 1.0, 65),
+                  BallIndicator(0.5, amplitude=amplitude))
+    with pytest.raises(SolverError, match="does not fit in a double"):
+        lq_norm(u, q)
+
+
+def test_lq_norm_of_zero_field_is_zero():
+    g = RadialGrid.uniform(1, 1.0, 65)
+    assert lq_norm(RadialField(g, np.zeros(g.n)), 1e300) == 0.0
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.1])
+def test_simulate_refuses_lq_norm_out_of_range(amplitude):
+    # amplitude 1: the initial norm fits, a later step's (values above 1)
+    # overflows; amplitude 0.1: the initial norm underflows
+    g = RadialGrid.uniform(1, 1.0, 65)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=amplitude))
+    ct = SimulationControls(dt_init=1e-3, q=1e300)
+    with pytest.raises(SolverError, match="does not fit in a double"):
+        simulate_forward(P, u0, parse_nonlinearity("s^2"), 0.01, ct)
+
+
 # --- propagator --------------------------------------------------------------
 
 def test_smallest_eigenvalue_d1(prop_d1):
@@ -363,6 +391,85 @@ def test_iteration_divergence_guard(prop_d1):
     v_init = np.full((16, P.grid.n_interior), 100.0)
     with pytest.raises(SolverError):
         duhamel_iterate(P, u0, f, v_init, T=5.0, n_time=16, n_iter=50)
+
+
+def _loop_duhamel_map(P, u0, f, v, times):
+    """duhamel_map as first written: the history recurrence one slice at a
+    time, S(t)u0 recomputed on every call."""
+    dt = times[1] - times[0]
+    g = (f.eval_raw(np.maximum(v, 0.0)) * P.sqrt_w) @ P.modes
+    r = np.exp(-P.eigenvalues * dt)
+    hist = np.zeros_like(g)
+    for j in range(1, len(times)):
+        hist[j] = r * hist[j - 1] + 0.5 * dt * (r * g[j - 1] + g[j])
+    return heat_series(P, u0, times) + (hist @ P.modes.T) / P.sqrt_w
+
+
+def _reference_iterate(P, u0, f, v_init, T, n_time, n_iter, duhamel):
+    """duhamel_iterate's loop before S(t)u0 was hoisted out of it: every
+    iterate, and the residual, is a call of a whole Duhamel map."""
+    times = np.linspace(0.0, T, n_time)
+    v = np.asarray(v_init, dtype=float)
+    baseline = heat_series(P, u0, times)
+    out = {"sup_deltas": [], "max_increase": -math.inf,
+           "min_above_baseline": math.inf, "converged": False}
+    for it in range(1, n_iter + 1):
+        v_new = duhamel(P, u0, f, v, times)
+        out["sup_deltas"].append(float(np.max(np.abs(v_new - v))))
+        out["max_increase"] = max(out["max_increase"],
+                                  float(np.max(v_new - v)))
+        out["min_above_baseline"] = min(out["min_above_baseline"],
+                                        float(np.min(v_new - baseline)))
+        v = v_new
+        if out["sup_deltas"][-1] < 1e-8:
+            out["converged"] = True
+            break
+    out["residual"] = float(np.max(np.abs(duhamel(P, u0, f, v, times) - v)))
+    out["n_iter"], out["v"] = it, v
+    return out
+
+
+@pytest.mark.parametrize("n_time", [64, 65])
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_duhamel_iterate_matches_reference_iteration(d, graded, n_time):
+    # bit for bit: against the loop over the public duhamel_map, and against
+    # the same loop over the slice-by-slice recurrence
+    grid = (RadialGrid.graded(d, 1.0, 129, 1e-3) if graded
+            else RadialGrid.uniform(d, 1.0, 129))
+    P = build_propagator(grid)
+    m = grid.n_interior
+    f = parse_nonlinearity("s + s^1.5")
+    u0 = indicator(grid, BallIndicator(0.4, amplitude=0.3))
+    T = find_existence_horizon(lq_norm(u0, 1.0), f, d, A=2.0).T
+    chi = indicator(grid, BallIndicator(grid.R * (1 - 1e-12)))
+    v_init = 2.0 * heat_series(P, u0, np.linspace(0.0, T, n_time)) \
+        + chi.values[None, :m]
+    tr = duhamel_iterate(P, u0, f, v_init, T, n_time=n_time, n_iter=50)
+    assert tr.n_iter > 2
+    for duhamel in (duhamel_map, _loop_duhamel_map):
+        ref = _reference_iterate(P, u0, f, v_init, T, n_time, 50, duhamel)
+        assert np.array_equal(tr.v, ref.pop("v"))
+        for key, expected in ref.items():
+            assert getattr(tr, key) == expected, key
+
+
+@pytest.mark.parametrize("T, n_time, cols", [
+    (0.1, 1, 0),          # one time slice
+    (0.1, 8, 1),          # v_init with the boundary node
+    (-0.1, 8, 0),         # decreasing times
+    (math.nan, 8, 0),
+])
+def test_duhamel_iterate_keeps_duhamel_map_refusals(prop_d1, T, n_time, cols):
+    P = prop_d1
+    u0 = indicator(P.grid, BallIndicator(1.0))
+    f = parse_nonlinearity("s^2")
+    v = np.ones((n_time, P.grid.n_interior + cols))
+    with pytest.raises(ValueError) as want:
+        duhamel_map(P, u0, f, v, np.linspace(0.0, T, n_time))
+    with pytest.raises(ValueError) as got:
+        duhamel_iterate(P, u0, f, v, T, n_time=n_time)
+    assert str(got.value) == str(want.value)
 
 
 def test_supersolution_margin_zero_for_linear_flow(prop_d1):
