@@ -411,6 +411,10 @@ def critical_exponent_report(f: NonlinearityExpr,
     if overflow:
         return CriticalExponentReport(gamma_star=math.inf, q_star=math.inf,
                                       bracket=(GAMMA_HI, math.inf), d=d)
+    if np.isneginf(log_f).all():
+        # f = 0 on the sample: gamma* sits at its clamp 0, q* = d(0 - 1)/2
+        return CriticalExponentReport(gamma_star=0.0, q_star=-d / 2.0,
+                                      bracket=(0.0, 0.0), d=d)
 
     log10s = np.log10(grid)
     log10f = log_f / math.log(10)
@@ -459,31 +463,21 @@ def _bisect_boundary(pred, lo, hi, want_low, tol=0.005):
     the largest gamma where it holds. Otherwise pred holds for large gamma
     and the smallest such gamma is returned.
     """
-    if want_low:
-        if not pred(lo):
-            return lo
-        if pred(hi):
-            return hi
-        a, b = lo, hi  # pred(a) True, pred(b) False
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if pred(mid):
-                a = mid
-            else:
-                b = mid
-        return a
-    if pred(lo):
+    def inside(gamma):  # on the low side of the boundary
+        return pred(gamma) == want_low
+
+    if not inside(lo):
         return lo
-    if not pred(hi):
+    if inside(hi):
         return hi
-    a, b = lo, hi  # pred(a) False, pred(b) True
+    a, b = lo, hi  # inside(a), not inside(b)
     while b - a > tol:
         mid = 0.5 * (a + b)
-        if pred(mid):
-            b = mid
-        else:
+        if inside(mid):
             a = mid
-    return b
+        else:
+            b = mid
+    return a if want_low else b
 
 
 # --- whole space -------------------------------------------------------------
@@ -511,9 +505,7 @@ def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
         bounded = False
     elif np.isneginf(log_r[-1]):
         bounded = True  # f = 0 at 1e-2, so on the whole sample (f monotone)
-    elif slope >= SLOPE_DEAD_BAND or np.all(np.diff(
-            np.maximum.accumulate(np.where(finite, log_r, -np.inf)[::-1])[::-1]
-    ) <= 1e-12):
+    elif slope >= SLOPE_DEAD_BAND or np.all(np.diff(log_r[finite]) >= -1e-12):
         bounded = True
     else:
         bounded = None

@@ -9,7 +9,12 @@ The expression grammar (EBNF, also documented in the README):
     atom   := NUMBER | "s" | "e" | FUNC "(" expr ("," expr)* ")" | "(" expr ")"
     FUNC   := "log" | "exp" | "max"
 
-`log` is the natural logarithm and `e` is Euler's constant.
+`log` is the natural logarithm and `e` is Euler's constant. An expression
+nested deeper than MAX_DEPTH levels, or whose tree is deeper, is refused.
+
+A parsed expression is a tree of tuples `(op, *children)`: the leaves are
+`("num", value)` and `("s",)`, and every other op names its numpy ufunc in
+_UFUNCS.
 """
 
 from __future__ import annotations
@@ -40,105 +45,58 @@ class DomainError(ExpressionError):
         self.s = s
 
 
-# --- AST -------------------------------------------------------------------
+# --- expression tree ---------------------------------------------------------
 
-class Node:
-    def eval_raw(self, s):
-        """Values at s, a 1-D float array (NonlinearityExpr.eval_raw)."""
-        raise NotImplementedError
+# "max" folds its arguments left to right; "neg", "log" and "exp" are unary
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power, "neg": np.negative, "log": np.log, "exp": np.exp,
+           "max": np.maximum}
 
-    def to_text(self) -> str:
-        raise NotImplementedError
+_FUNCS = ("log", "exp", "max")
 
-
-@dataclass(frozen=True)
-class Num(Node):
-    value: float
-
-    def eval_raw(self, s):
-        return np.full(np.shape(s), self.value, dtype=float)
-
-    def to_text(self) -> str:
-        return repr(self.value)
+# Deepest nesting (parentheses, unary minus, exponents) and deepest tree the
+# parser accepts: the parser spends up to five frames per nesting level and
+# _eval one per tree level, both well inside the default recursion limit.
+MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Var(Node):
-    def eval_raw(self, s):
+def _eval(node, s):
+    """Values of the tree at s, a 1-D float array; the caller sets errstate."""
+    op = node[0]
+    if op == "s":
         return s
+    if op == "num":
+        return np.full(s.shape, node[1], dtype=float)
+    ufunc = _UFUNCS[op]
+    out = _eval(node[1], s)
+    if len(node) == 2:
+        return ufunc(out)
+    for child in node[2:]:
+        out = ufunc(out, _eval(child, s))
+    return out
 
-    def to_text(self) -> str:
+
+def _text(node) -> str:
+    op = node[0]
+    if op == "s":
         return "s"
+    if op == "num":
+        return repr(node[1])
+    args = [_text(child) for child in node[1:]]
+    if op == "neg":
+        return f"(-{args[0]})"
+    if op in _FUNCS:
+        return f"{op}({', '.join(args)})"
+    return f"({args[0]} {op} {args[1]})"
 
 
-@dataclass(frozen=True)
-class Euler(Node):
-    def eval_raw(self, s):
-        return np.full(np.shape(s), math.e, dtype=float)
-
-    def to_text(self) -> str:
-        return "e"
-
-
-@dataclass(frozen=True)
-class BinOp(Node):
-    op: str
-    left: Node
-    right: Node
-
-    def eval_raw(self, s):
-        a = self.left.eval_raw(s)
-        b = self.right.eval_raw(s)
-        with np.errstate(all="ignore"):
-            if self.op == "+":
-                return a + b
-            if self.op == "-":
-                return a - b
-            if self.op == "*":
-                return a * b
-            if self.op == "/":
-                return np.divide(a, b)
-            if self.op == "^":
-                return np.power(a, b)
-        raise ExpressionError(f"unknown operator {self.op!r}")
-
-    def to_text(self) -> str:
-        return f"({self.left.to_text()} {self.op} {self.right.to_text()})"
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    child: Node
-
-    def eval_raw(self, s):
-        return -self.child.eval_raw(s)
-
-    def to_text(self) -> str:
-        return f"(-{self.child.to_text()})"
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    name: str
-    args: tuple
-
-    def eval_raw(self, s):
-        vals = [a.eval_raw(s) for a in self.args]
-        with np.errstate(all="ignore"):
-            if self.name == "log":
-                return np.log(vals[0])
-            if self.name == "exp":
-                return np.exp(vals[0])
-            if self.name == "max":
-                out = vals[0]
-                for v in vals[1:]:
-                    out = np.maximum(out, v)
-                return out
-        raise ExpressionError(f"unknown function {self.name!r}")
-
-    def to_text(self) -> str:
-        inner = ", ".join(a.to_text() for a in self.args)
-        return f"{self.name}({inner})"
+def _tree_depth(node) -> int:
+    """Depth of the tree, walked level by level without recursion."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [c for n in level for c in n[1:] if isinstance(c, tuple)]
+    return depth
 
 
 # --- parser ----------------------------------------------------------------
@@ -148,8 +106,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
-
-_FUNCS = ("log", "exp", "max")
 
 
 def _tokenize(text: str):
@@ -161,17 +117,9 @@ def _tokenize(text: str):
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is None and m.group().strip() == "":
-            pos = m.end()
-            continue
         kind = m.lastgroup
-        start = m.start(kind) if kind else m.start()
-        if kind == "num":
-            tokens.append(("num", float(m.group(0)), start))
-        elif kind == "name":
-            tokens.append(("name", m.group("name"), start))
-        else:
-            tokens.append(("op", m.group("op"), start))
+        value = float(m.group(0)) if kind == "num" else m.group(kind)
+        tokens.append((kind, value, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -179,91 +127,84 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def accept(self, ops: str):
+        """Consume the next token and return it if it is one of ops."""
+        kind, val, _ = self.tokens[self.i]
+        if kind == "op" and val in ops:
+            self.i += 1
+            return val
+        return None
 
     def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+        if not self.accept(op):
+            raise ParseError(f"expected {op!r}", self.peek()[2])
 
-    def parse(self) -> Node:
+    def parse(self) -> tuple:
         node = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", pos)
+        if _tree_depth(node) > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels",
+                             0)
         return node
 
-    def expr(self) -> Node:
+    def expr(self) -> tuple:
         node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
+        while op := self.accept("+-"):
+            node = (op, node, self.term())
+        return node
 
-    def term(self) -> Node:
+    def term(self) -> tuple:
         node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
+        while op := self.accept("*/"):
+            node = (op, node, self.unary())
+        return node
 
-    def unary(self) -> Node:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+    def unary(self) -> tuple:
+        # every recursion of the parser passes through here
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} "
+                             "levels", self.peek()[2])
+        node = ("neg", self.unary()) if self.accept("-") else self.power()
+        self.depth -= 1
+        return node
 
-    def power(self) -> Node:
+    def power(self) -> tuple:
         base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
+        if self.accept("^"):
+            return ("^", base, self.unary())
         return base
 
-    def atom(self) -> Node:
-        kind, val, pos = self.advance()
+    def atom(self) -> tuple:
+        kind, val, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
-            return Num(val)
+            return ("num", val)
         if kind == "name":
             if val == "s":
-                return Var()
+                return ("s",)
             if val == "e":
-                return Euler()
+                return ("num", math.e)
             if val in _FUNCS:
                 self.expect_op("(")
                 args = [self.expr()]
-                while True:
-                    k2, v2, p2 = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
+                while self.accept(","):
+                    args.append(self.expr())
                 self.expect_op(")")
                 if val != "max" and len(args) != 1:
                     raise ParseError(f"{val} takes one argument", pos)
                 if val == "max" and len(args) < 2:
                     raise ParseError("max takes at least two arguments", pos)
-                return Call(val, tuple(args))
+                return (val, *args)
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
             node = self.expr()
@@ -278,11 +219,11 @@ class _Parser:
 class NonlinearityExpr:
     """A parsed nonlinearity f: [0, inf) -> [0, inf)."""
 
-    root: Node
+    root: tuple
     source_text: str
 
     def to_text(self) -> str:
-        return self.root.to_text()
+        return _text(self.root)
 
     def eval_raw(self, s):
         """Evaluate without domain checks, in the shape of s (0-d for a
@@ -294,7 +235,8 @@ class NonlinearityExpr:
         of a negative number); +/-inf marks overflow.
         """
         s = np.asarray(s, dtype=float)
-        return self.root.eval_raw(s.reshape(-1)).reshape(s.shape)
+        with np.errstate(all="ignore"):
+            return _eval(self.root, s.reshape(-1)).reshape(s.shape)
 
     def __call__(self, s):
         return eval_f(self, s)

@@ -330,6 +330,8 @@ def test_blowup_trend_schedule_error(capsys):
      "--q", "1e300"],
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
      "--q", "1e300", "--amplitude", "0.1"],
+    ["classify", "--f=" + "(" * 200 + "s" + ")" * 200, "--d", "1", "--q", "2"],
+    ["classify", "--f=s^2" + "+0" * 989, "--d", "1", "--q", "2"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR

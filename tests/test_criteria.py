@@ -27,6 +27,7 @@ from heatlab.criteria import (
     integral_tail_test,
     jsonable,
     limsup_estimate,
+    near_zero_ratio_check,
     series_search,
     series_verdict,
 )
@@ -282,6 +283,13 @@ def test_critical_exponent_bracket_consistent_with_classifier():
     assert classify_lq(power(3.0), q_hi, 2).outcome == EXISTS
 
 
+def test_critical_exponent_of_zero_nonlinearity():
+    # f = 0 has no growth to measure: gamma* is its clamp 0, not NaN
+    rep = critical_exponent_report(parse_nonlinearity("0*s"), d=2)
+    assert rep.gamma_star == 0.0 and rep.q_star == -1.0  # d(0 - 1)/2
+    assert rep.bracket == (0.0, 0.0)
+
+
 # --- whole space -------------------------------------------------------------
 
 def test_whole_space_positive_at_zero():
@@ -318,6 +326,20 @@ def test_whole_space_zero_nonlinearity():
     # f = 0 up to s = 1 has f(s)/s = 0 near 0 as well
     v = classify_whole_space(parse_nonlinearity("max(s-1,0)^2"), 2.0, 2)
     assert v.outcome == EXISTS
+
+
+@pytest.mark.parametrize("text", ["s", "2*s", "s+s^2", "s^1.02"])
+def test_near_zero_ratio_that_does_not_grow_is_bounded(text):
+    assert near_zero_ratio_check(parse_nonlinearity(text))["bounded"] is True
+
+
+@pytest.mark.parametrize("text", ["s^0.99", "s^0.97+s^2", "s*(2+s)/(1+s)"])
+def test_near_zero_ratio_growing_toward_zero_is_undecided(text):
+    # f(s)/s grows as s -> 0, more slowly than the slope dead band sees; the
+    # first two grow without bound, so Exists would be wrong
+    f = parse_nonlinearity(text)
+    assert near_zero_ratio_check(f)["bounded"] is None
+    assert classify_whole_space(f, 2.0, 2).outcome == INCONCLUSIVE
 
 
 # --- serialization -----------------------------------------------------------

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatlab.nonlinearity import (
+    MAX_DEPTH,
     DomainError,
+    NonlinearityExpr,
     ParseError,
     builtin_family,
     eval_f,
@@ -74,12 +76,42 @@ def test_precedence_and_associativity():
     assert eval_f(g, 2.0) == pytest.approx(4.0 + 12.0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=1e-6, max_value=1e6))
-def test_roundtrip_through_text(s):
-    f = parse_nonlinearity("s^2.5 / log(e + s)^2 + exp(s / (1 + s))")
+# every production of the grammar: numbers, s, e (parsed to its double),
+# the binary operators, unary minus, log, exp and max of 2-3 arguments
+_TREES = st.recursive(
+    st.one_of(st.floats(min_value=0.0, max_value=1e300).map(
+        lambda v: ("num", v)), st.just(("s",)), st.just(("num", math.e))),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), sub, sub),
+        st.tuples(st.sampled_from(("neg", "log", "exp")), sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: ("max", *a))),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_roundtrip_through_text(tree):
+    f = NonlinearityExpr(root=tree, source_text="drawn")
     g = parse_nonlinearity(f.to_text())
-    assert eval_f(g, s) == pytest.approx(eval_f(f, s), rel=1e-14)
+    assert g.root == tree
+    grid = np.array([0.0, 1e-300, 0.5, 1.0, math.e, 7.0, 1e8, 1e300])
+    assert np.array_equal(g.eval_raw(grid), f.eval_raw(grid), equal_nan=True)
+
+
+def test_depth_limit():
+    # at the limit an expression parses and evaluates; one level deeper, in
+    # parentheses, in a left-associative chain or in unary minus, is refused
+    # before the parser or the evaluator can exhaust the stack
+    def nested(k):
+        return ("(" * k + "s" + ")" * k, "s" + "+0" * k, "-" * k + "s")
+
+    grid = np.array([0.0, 1.5, 1e300])
+    for text in nested(MAX_DEPTH - 1):
+        vals = parse_nonlinearity(text).eval_raw(grid)
+        assert np.array_equal(np.abs(vals), grid), text
+    for text in nested(MAX_DEPTH):
+        with pytest.raises(ParseError):
+            parse_nonlinearity(text)
 
 
 def test_vector_eval_matches_scalar():
