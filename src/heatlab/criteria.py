@@ -400,7 +400,8 @@ def critical_exponent_report(f: NonlinearityExpr,
     built-in families). The bracket endpoints are found by bisecting the
     classifier's own decided regions (on [0, GAMMA_HI]), so the classifier
     is NoLocalExistence below the bracket and Exists above it on the same
-    samples.
+    samples. Where f vanishes somewhere in the windows, gamma* is the
+    midpoint of the two bisection endpoints.
     """
     s_max = DEFAULT_S_MAX
     _require_audit(f, s_max)
@@ -416,25 +417,6 @@ def critical_exponent_report(f: NonlinearityExpr,
         return CriticalExponentReport(gamma_star=0.0, q_star=-d / 2.0,
                                       bracket=(0.0, 0.0), d=d)
 
-    log10s = np.log10(grid)
-    log10f = log_f / math.log(10)
-
-    def window_slope(hi):
-        sel = (grid >= hi / 100.0) & (grid <= hi)
-        return float(np.polyfit(log10s[sel], log10f[sel], 1)[0])
-
-    # Richardson extrapolation in 1/log s over two consecutive windows
-    s1 = window_slope(s_max)
-    s0 = window_slope(s_max / 100.0)
-    m1 = np.log(math.sqrt(s_max / 10.0))
-    m0 = np.log(math.sqrt(s_max / 1000.0))
-    if abs(1.0 / m0 - 1.0 / m1) > 0:
-        b = (s1 - s0) / (1.0 / m0 - 1.0 / m1)
-        gamma_star = s1 + b / m1
-    else:
-        gamma_star = s1
-    gamma_star = max(gamma_star, 0.0)
-
     def stats(gamma):
         return _tail_statistics(grid, log_f - gamma * np.log(grid), s_max)
 
@@ -448,6 +430,29 @@ def critical_exponent_report(f: NonlinearityExpr,
 
     lo_end = _bisect_boundary(is_nle, 0.0, GAMMA_HI, want_low=True)
     hi_end = _bisect_boundary(is_exists, 0.0, GAMMA_HI, want_low=False)
+    if np.isneginf(log_f[grid >= s_max / 1e4]).any():
+        # f vanishes somewhere in the two fit windows, where a slope of
+        # log f is undefined: gamma* is the middle of the decided bracket
+        gamma_star = 0.5 * (lo_end + hi_end)
+    else:
+        # Richardson extrapolation in 1/log s over the two windows
+        log10s = np.log10(grid)
+        log10f = log_f / math.log(10)
+
+        def window_slope(hi):
+            sel = (grid >= hi / 100.0) & (grid <= hi)
+            return float(np.polyfit(log10s[sel], log10f[sel], 1)[0])
+
+        s1 = window_slope(s_max)
+        s0 = window_slope(s_max / 100.0)
+        m1 = np.log(math.sqrt(s_max / 10.0))
+        m0 = np.log(math.sqrt(s_max / 1000.0))
+        if abs(1.0 / m0 - 1.0 / m1) > 0:
+            b = (s1 - s0) / (1.0 / m0 - 1.0 / m1)
+            gamma_star = s1 + b / m1
+        else:
+            gamma_star = s1
+        gamma_star = max(gamma_star, 0.0)
     bracket = (min(lo_end, gamma_star - SLOPE_DEAD_BAND),
                max(hi_end, gamma_star + SLOPE_DEAD_BAND))
     q_star = d * (gamma_star - 1.0) / 2.0

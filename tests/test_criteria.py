@@ -7,6 +7,7 @@ internal consistency (monotonicity in q, scale invariance, dead-band honesty).
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,19 @@ def test_critical_exponent_of_zero_nonlinearity():
     rep = critical_exponent_report(parse_nonlinearity("0*s"), d=2)
     assert rep.gamma_star == 0.0 and rep.q_star == -1.0  # d(0 - 1)/2
     assert rep.bracket == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("text", ["max(s-1e5,0)", "max(s-1e7,0)"])
+def test_critical_exponent_where_f_vanishes_in_the_fit_windows(text):
+    # f = 0 on part of the decade windows leaves their slope fits undefined:
+    # gamma* is the middle of the bisection bracket, not NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = critical_exponent_report(parse_nonlinearity(text), d=2)
+    assert math.isfinite(rep.gamma_star) and math.isfinite(rep.q_star)
+    lo, hi = rep.bracket
+    assert lo < rep.gamma_star < hi
+    assert rep.q_star == 2 * (rep.gamma_star - 1.0) / 2
 
 
 # --- whole space -------------------------------------------------------------

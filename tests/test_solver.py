@@ -316,6 +316,27 @@ def test_heat_series_matches_semigroup_apply(prop_d1):
         assert np.max(np.abs(row - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [513, 1025])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_heat_series_flush_keeps_the_unflushed_product(d, n):
+    # heat_series zeroes the decay-table entries below the smallest normal
+    # double before its modal product; every case here holds such entries,
+    # and the result is the same double as the product without the flush
+    P = build_propagator(RadialGrid.uniform(d, 1.0, n))
+    for T in (1e-3, 1e-2, 0.1):
+        for amplitude in (0.03, 1.0):
+            u0 = indicator(P.grid, BallIndicator(0.4, amplitude=amplitude))
+            times = np.linspace(0.0, T, 256)
+            coeffs = np.exp(-np.outer(times, P.eigenvalues)) \
+                * P.to_modal(u0.values[:-1])
+            assert np.any((coeffs != 0.0)
+                          & (np.abs(coeffs) < np.finfo(float).tiny)), \
+                (T, amplitude)
+            ref = (coeffs @ P.modes.T) / P.sqrt_w
+            assert np.array_equal(heat_series(P, u0, times), ref), \
+                (T, amplitude)
+
+
 @pytest.mark.parametrize("n_time", [0, 1])
 def test_duhamel_needs_two_time_slices(prop_d1, n_time):
     P = prop_d1
@@ -429,12 +450,16 @@ def _reference_iterate(P, u0, f, v_init, T, n_time, n_iter, duhamel):
     return out
 
 
-@pytest.mark.parametrize("n_time", [64, 65])
-@pytest.mark.parametrize("graded", [False, True])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_duhamel_iterate_matches_reference_iteration(d, graded, n_time):
+@pytest.mark.parametrize("d, graded, n_time, from_below", [
+    pytest.param(d, graded, n_time, False, id=f"{d}-{graded}-{n_time}")
+    for d in (1, 2, 3) for graded in (False, True) for n_time in (64, 65)
+] + [pytest.param(2, False, 64, True, id="2-False-64-from_below")])
+def test_duhamel_iterate_matches_reference_iteration(d, graded, n_time,
+                                                     from_below):
     # bit for bit: against the loop over the public duhamel_map, and against
-    # the same loop over the slice-by-slice recurrence
+    # the same loop over the slice-by-slice recurrence. From the
+    # supersolution A S(t)u0 + chi the iterates fall; from S(t)u0 itself
+    # they rise, so sup|v_new - v| is then max(v_new - v)
     grid = (RadialGrid.graded(d, 1.0, 129, 1e-3) if graded
             else RadialGrid.uniform(d, 1.0, 129))
     P = build_propagator(grid)
@@ -442,11 +467,13 @@ def test_duhamel_iterate_matches_reference_iteration(d, graded, n_time):
     f = parse_nonlinearity("s + s^1.5")
     u0 = indicator(grid, BallIndicator(0.4, amplitude=0.3))
     T = find_existence_horizon(lq_norm(u0, 1.0), f, d, A=2.0).T
+    base = heat_series(P, u0, np.linspace(0.0, T, n_time))
     chi = indicator(grid, BallIndicator(grid.R * (1 - 1e-12)))
-    v_init = 2.0 * heat_series(P, u0, np.linspace(0.0, T, n_time)) \
-        + chi.values[None, :m]
+    v_init = base if from_below else 2.0 * base + chi.values[None, :m]
     tr = duhamel_iterate(P, u0, f, v_init, T, n_time=n_time, n_iter=50)
     assert tr.n_iter > 2
+    if from_below:  # every sup change is an increase
+        assert tr.max_increase == max(tr.sup_deltas) > 0.0
     for duhamel in (duhamel_map, _loop_duhamel_map):
         ref = _reference_iterate(P, u0, f, v_init, T, n_time, 50, duhamel)
         assert np.array_equal(tr.v, ref.pop("v"))
