@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .nonlinearity import (
+    ENVELOPE_S_MAX,
     DomainError,
     NonlinearityExpr,
     RatioEnvelope,
@@ -27,7 +28,6 @@ INCONCLUSIVE = "Inconclusive"
 
 SLOPE_DEAD_BAND = 0.05
 DEFAULT_S_MAX = 1e8
-ENVELOPE_S_MAX = float(2 ** 48)
 WITNESS_RATIO = 2.0     # theta: consecutive witness candidates theta^j
 WITNESS_TERMS = 64      # K: windows searched for the series witness
 GAMMA_HI = 12.0         # upper end of the critical-exponent bisections
@@ -123,7 +123,11 @@ def _require_audit(f: NonlinearityExpr, s_max: float) -> None:
 
 
 def _log_f_samples(f: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
-    vals = f.eval_raw(grid)
+    return _log_values(f, f.eval_raw(grid))
+
+
+def _log_values(f: NonlinearityExpr, vals: np.ndarray) -> np.ndarray:
+    """log f from the samples vals of f; log 0 = -inf, NaN is an AuditError."""
     if np.isnan(vals).any():
         raise AuditError(f"f undefined on the sampling grid: {f.source_text!r}")
     with np.errstate(divide="ignore"):
@@ -219,26 +223,12 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int,
 
 # --- integral (q = 1) route --------------------------------------------------
 
-def dyadic_block_integrals(envelope: RatioEnvelope, d: int,
-                           s_max: float) -> np.ndarray:
-    """I_j = integral over [2^j, 2^(j+1)] of s^-(1+2/d) F(s) ds, trapezoid on
-    the envelope grid."""
-    n_blocks = int(math.floor(math.log2(s_max)))
-    if n_blocks < 8:
-        raise ValueError("envelope too short: fewer than 8 dyadic blocks")
-    grid = envelope.grid
-    vals = envelope.values
+def dyadic_block_integrals(envelope: RatioEnvelope, d: int) -> np.ndarray:
+    """I_j = integral over [2^j, 2^(j+1)] of s^-(1+2/d) F(s) ds for every
+    block up to ENVELOPE_S_MAX, trapezoid on the envelope grid."""
     p = 1.0 + 2.0 / d
-    out = np.empty(n_blocks)
-    for j in range(n_blocks):
-        a, b = 2.0 ** j, 2.0 ** (j + 1)
-        inside = (grid > a) & (grid < b)
-        xs = np.concatenate([[a], grid[inside], [b]])
-        fs = np.concatenate([[envelope.at(a)], vals[inside], [envelope.at(b)]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            integrand = xs ** (-p) * fs
-        out[j] = np.trapezoid(integrand, xs)
-    return out
+    return np.array([envelope.weighted_integral(p, 2.0 ** j, 2.0 ** (j + 1))
+                     for j in range(int(math.log2(ENVELOPE_S_MAX)))])
 
 
 SIGMA_DEAD_BAND = 0.04  # per-block geometric rate, in log2
@@ -296,10 +286,7 @@ def decide_blocks(sigma: float, tau: float, overflow: bool = False) -> str:
 def integral_tail_test(envelope: RatioEnvelope, d: int) -> Verdict:
     """Convergence of the weighted envelope integral over [1, infinity),
     from its dyadic blocks up to ENVELOPE_S_MAX."""
-    s_max = min(ENVELOPE_S_MAX, float(envelope.grid[-1]))
-    if s_max < 1e8:
-        raise ValueError("envelope must reach at least 1e8")
-    blocks = dyadic_block_integrals(envelope, d, s_max)
+    blocks = dyadic_block_integrals(envelope, d)
     overflow = bool(np.isinf(blocks).any())
     sigma, tau = block_trend_fit(blocks)
     outcome = decide_blocks(sigma, tau, overflow)
@@ -316,11 +303,11 @@ def integral_tail_test(envelope: RatioEnvelope, d: int) -> Verdict:
                    dead_band=dict(BLOCK_DEAD_BANDS), evidence=evidence)
 
 
-def classify_l1(f: NonlinearityExpr, d: int, origin: str = "1") -> Verdict:
-    """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds."""
+def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
+    """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
+    F(s) = sup over 1 <= t <= s of f(t)/t."""
     _require_audit(f, ENVELOPE_S_MAX)
-    envelope = sup_ratio_envelope(f, ENVELOPE_S_MAX, origin=origin)
-    return integral_tail_test(envelope, d)
+    return integral_tail_test(sup_ratio_envelope(f), d)
 
 
 # --- series (q = 1) route ----------------------------------------------------
@@ -336,25 +323,21 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     _require_audit(f, DEFAULT_S_MAX)
     theta = WITNESS_RATIO
     p = 1.0 + 2.0 / d
-    seq, terms = [], []
-    overflow = False
-    for k in range(WITNESS_TERMS):
-        cands = np.array([theta ** (2 * k), theta ** (2 * k + 1)])
-        if cands[0] > 1e300:
-            break
-        log_f = _log_f_samples(f, cands)
-        if np.isposinf(log_f).any():
-            overflow = True
-            break
-        log_t = log_f - p * np.log(cands)
-        i = int(np.argmax(log_t))
-        seq.append(float(cands[i]))
-        with np.errstate(over="ignore"):
-            terms.append(float(np.exp(log_t[i])))
-    seq = np.array(seq)
-    terms = np.array(terms)
-    return SeriesWitness(theta=theta, p=p, sequence=seq, terms=terms,
-                         partial_sums=np.cumsum(terms), overflow=overflow)
+    cands = np.array([theta ** j for j in range(2 * WITNESS_TERMS)]).reshape(
+        WITNESS_TERMS, 2)
+    vals = f.eval_raw(cands)
+    # the witness ends at the first window holding NaN or +inf: a NaN there
+    # is an AuditError, +inf alone is overflow; later windows are ignored
+    stop = (np.isnan(vals) | np.isposinf(vals)).any(axis=1)
+    n = int(np.argmax(stop)) if stop.any() else WITNESS_TERMS
+    log_f = _log_values(f, vals[:n + 1])[:n]
+    log_t = log_f - p * np.log(cands[:n])
+    rows, best = np.arange(n), np.argmax(log_t, axis=1)
+    with np.errstate(over="ignore"):
+        terms = np.exp(log_t[rows, best])
+    return SeriesWitness(theta=theta, p=p, sequence=cands[rows, best],
+                         terms=terms, partial_sums=np.cumsum(terms),
+                         overflow=n < WITNESS_TERMS)
 
 
 def series_verdict(witness: SeriesWitness) -> Verdict:
@@ -520,8 +503,8 @@ def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
 
 def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     """Existence on the whole space: the near-zero ratio condition combined
-    with the bounded-domain criterion at infinity (q > 1 limsup; q = 1
-    integral with the 0+ envelope origin)."""
+    with the bounded-domain verdict (q > 1 limsup; q = 1 the integral of the
+    same F as classify_l1)."""
     if q < 1:
         raise ValueError("q must be at least 1")
     _require_audit(f, DEFAULT_S_MAX)
@@ -536,7 +519,7 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     if q > 1:
         inner = classify_lq(f, q, d)
     else:
-        inner = classify_l1(f, d, origin="0+")
+        inner = classify_l1(f, d)
     if zero["bounded"] is None and inner.outcome == EXISTS:
         outcome = INCONCLUSIVE  # zero end undecided, cannot certify existence
     else:

@@ -123,6 +123,8 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
         raise ValueError("N must be at least 1")
     if q < 1:
         raise ValueError("q must be at least 1")
+    if not (0 < epsilon < math.inf and 0 < R < math.inf):
+        raise ValueError("epsilon and R must be finite and positive")
     p = 1.0 + 2.0 * q / d
     consts = kernel_constants(d)
 
@@ -176,6 +178,8 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     The window schedule k_n is a free parameter of the construction (default
     k_n = n); the sum starts at the first n0 with 1/alpha_(n0) < R/2.
     """
+    if not 0 < R < math.inf:
+        raise ValueError("R must be finite and positive")
     if k_schedule is None:
         k_schedule = lambda n: n  # noqa: E731
     consts = kernel_constants(d)

@@ -47,10 +47,10 @@ class BallIndicator:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and positive")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,8 @@ def verify_lower_bounds(d: int, r_grid, t_grid, n_points: int = 17,
     t_grid = tuple(float(t) for t in t_grid)
     if not (r_grid and t_grid):
         raise ValueError("grids must be non-empty")
-    if any(r <= 0 for r in r_grid) or any(t <= 0 for t in t_grid):
-        raise ValueError("grids must be positive")
+    if not all(0 < v < math.inf for v in r_grid + t_grid):
+        raise ValueError("grids must be finite and positive")
     if n_points < 2:
         raise ValueError("n-points must be at least 2, so that the samples "
                          "reach the edge rho = r + sqrt(t)")

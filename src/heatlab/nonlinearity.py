@@ -255,30 +255,47 @@ class MonotonicityAudit:
 
 @dataclass(frozen=True)
 class RatioEnvelope:
-    """Running supremum F(s) of f(t)/t from the origin up to s."""
+    """The paper's F(s) = sup over 1 <= t <= s of f(t)/t, a running maximum
+    sampled on [1, ENVELOPE_S_MAX]."""
 
     grid: np.ndarray
     values: np.ndarray
-    origin: str  # "1" or "0+"
-    limit_at_zero: float
     expr: NonlinearityExpr = field(repr=False)
 
     def at(self, s: float) -> float:
         """F(s): the stored running max up to the nearest grid point below s,
         folded with the exact ratio f(s)/s."""
-        idx = int(np.searchsorted(self.grid, s, side="right")) - 1
+        return self._at(int(self.grid.searchsorted(s, side="right")) - 1, s)
+
+    def _at(self, idx: int, s: float) -> float:
+        """F(s) given idx, the index of the last grid point <= s. The value
+        stored at a grid point already holds that point's ratio."""
         idx = max(idx, 0)
         val = float(self.values[idx])
-        if s > 0:
+        if s > 0 and s != self.grid[idx]:
             fs = float(self.expr.eval_raw(s))
             if math.isfinite(fs):
                 val = max(val, fs / s)
         return val
 
+    def weighted_integral(self, p: float, a: float, b: float) -> float:
+        """Trapezoid of s^-p F(s) over [a, b], 1 <= a < b <= ENVELOPE_S_MAX:
+        the grid points strictly inside, plus F at both ends.
+
+        s^-p is positive and at most 1 on the envelope's range, so the
+        integrand neither overflows nor turns an infinite F into NaN."""
+        lo, hi = self.grid.searchsorted((a, b), side="right")
+        end = hi - 1 if self.grid[hi - 1] == b else hi
+        xs = np.concatenate([[a], self.grid[lo:end], [b]])
+        fs = np.concatenate([[self._at(lo - 1, a)], self.values[lo:end],
+                             [self._at(hi - 1, b)]])
+        return float(np.trapezoid(xs ** (-p) * fs, xs))
+
 
 AUDIT_TOL = 1e-10
 AUDIT_SAMPLES = 400
 ENVELOPE_GRID_RATIO = 1.05
+ENVELOPE_S_MAX = float(2 ** 48)
 ZERO_ORIGIN_EPS = 1e-8
 
 
@@ -373,21 +390,11 @@ def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
     return 0.5 * (a + b)
 
 
-def sup_ratio_envelope(expr: NonlinearityExpr, s_max: float,
-                       origin: str = "1") -> RatioEnvelope:
-    """Running supremum F(s) of f(t)/t on a geometric grid up to s_max.
-
-    origin "1" starts the supremum at t = 1; origin "0+" starts it at an
-    epsilon above zero and folds in a limit estimate of f(t)/t as t -> 0
-    extrapolated from the three smallest samples.
-    """
-    if origin not in ("1", "0+"):
-        raise ValueError("origin must be '1' or '0+'")
-    if s_max <= 1:
-        raise ValueError("s_max must exceed 1")
-    start = 1.0 if origin == "1" else ZERO_ORIGIN_EPS
-    n = int(math.ceil(math.log(s_max / start) / math.log(ENVELOPE_GRID_RATIO)))
-    grid = np.geomspace(start, s_max, n + 1)
+def sup_ratio_envelope(expr: NonlinearityExpr) -> RatioEnvelope:
+    """Running supremum F(s) of f(t)/t over 1 <= t <= s, on a geometric grid
+    of ratio ENVELOPE_GRID_RATIO up to ENVELOPE_S_MAX."""
+    n = int(math.ceil(math.log(ENVELOPE_S_MAX) / math.log(ENVELOPE_GRID_RATIO)))
+    grid = np.geomspace(1.0, ENVELOPE_S_MAX, n + 1)
     fvals = _raw_samples(expr, grid)
     with np.errstate(all="ignore"):
         ratios = fvals / grid
@@ -415,27 +422,8 @@ def sup_ratio_envelope(expr: NonlinearityExpr, s_max: float,
         order = np.argsort(grid)
         grid, ratios = grid[order], ratios[order]
 
-    limit0 = math.nan
-    values = ratios.copy()
-    if origin == "0+":
-        limit0 = _zero_limit_estimate(grid, ratios)
-        values[0] = max(values[0], limit0)
-    values = np.maximum.accumulate(values)
-
-    return RatioEnvelope(grid=grid, values=values, origin=origin,
-                         limit_at_zero=limit0, expr=expr)
-
-
-def _zero_limit_estimate(grid: np.ndarray, ratios: np.ndarray) -> float:
-    """Estimate lim_{t->0} f(t)/t from the three smallest samples."""
-    r = ratios[:3]
-    t = grid[:3]
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        return float(np.max(np.where(np.isfinite(r), r, np.inf)))
-    slope = np.polyfit(np.log(t), np.log(r), 1)[0]
-    if slope < -1e-3:
-        return math.inf  # ratio diverges as t -> 0
-    return float(r[0])
+    return RatioEnvelope(grid=grid, values=np.maximum.accumulate(ratios),
+                         expr=expr)
 
 
 # --- built-in families -----------------------------------------------------

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
-from .nonlinearity import NonlinearityExpr, sup_ratio_envelope
+from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr,
+                           sup_ratio_envelope)
 
 CLAMP_TOL = 1e-9
 OVERFLOW_GUARD = 1e12
@@ -33,6 +34,11 @@ class SolverError(Exception):
 
 # --- grids and fields --------------------------------------------------------
 
+def _require_radius(R: float) -> None:
+    if not 0 < R < math.inf:
+        raise ValueError("R must be finite and positive")
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Radial mesh on [0, R]: nodes[0] = 0, nodes[-1] = R (Dirichlet).
@@ -49,6 +55,7 @@ class RadialGrid:
     quad_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _require_radius(self.R)
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes[0] != 0.0 or not math.isclose(nodes[-1], self.R):
             raise ValueError("nodes must start at 0 and end at R")
@@ -72,6 +79,7 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, d: int, R: float, n: int) -> "RadialGrid":
+        _require_radius(R)
         return cls(d=d, R=R, nodes=np.linspace(0.0, R, n))
 
     @classmethod
@@ -81,6 +89,7 @@ class RadialGrid:
         Resolves fields whose features live on radii spanning many decades
         (the truncated blow-up data have ball radii down to ~1e-6 R).
         """
+        _require_radius(R)
         if not 0.0 < r_inner < R:
             raise ValueError("need 0 < r_inner < R")
         nodes = np.concatenate([[0.0], np.geomspace(r_inner, R, n - 1)])
@@ -391,15 +400,10 @@ def _tilde_tail_integral(envelope, d: int, s0: float) -> float:
     over (0, s0^(-2/d)]. The part beyond the envelope grid is estimated with
     F frozen at its last value.
     """
-    grid, vals = envelope.grid, envelope.values
-    s_end, f_end = float(grid[-1]), float(vals[-1])
+    s_end, f_end = ENVELOPE_S_MAX, float(envelope.values[-1])
     if s0 >= s_end:
         return f_end * s0 ** (-2.0 / d)
-    p = 1.0 + 2.0 / d
-    sel = grid > s0
-    xs = np.concatenate([[s0], grid[sel]])
-    fs = np.concatenate([[envelope.at(s0)], vals[sel]])
-    body = (2.0 / d) * np.trapezoid(xs ** (-p) * fs, xs)
+    body = (2.0 / d) * envelope.weighted_integral(1.0 + 2.0 / d, s0, s_end)
     # the tail is F/s^(2/d); (2/d)(d/2) is 1 only in exact arithmetic, and
     # dropping it moves integral_value by an ulp in d = 3, 5, 6, ...
     tail = f_end * s_end ** (-2.0 / d) * (2.0 / d) * (d / 2.0)
@@ -437,7 +441,7 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                              A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
                              smoothing_capped=False)
 
-    env = sup_ratio_envelope(f, float(2 ** 48))
+    env = sup_ratio_envelope(f)
     try:
         scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
         cap = (A * csm * u0_l1_norm) ** (2.0 / d)
@@ -492,8 +496,8 @@ def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
     """Certified pointwise lower bound on any local integral solution with
     u0 >= chi, via u(t) >= S(t)chi + int_0^t S(t-s) f(S(s)chi) ds and the
     ball bounds S(s)chi_r >= c_d (r/(r+sqrt s))^d chi_(r+sqrt s)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
     consts = kernel_constants(d)
     r, amp = chi.radius, chi.amplitude
     if radii is None:

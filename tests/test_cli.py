@@ -332,6 +332,23 @@ def test_blowup_trend_schedule_error(capsys):
      "--q", "1e300", "--amplitude", "0.1"],
     ["classify", "--f=" + "(" * 200 + "s" + ")" * 200, "--d", "1", "--q", "2"],
     ["classify", "--f=s^2" + "+0" * 989, "--d", "1", "--q", "2"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3..8", "--epsilon", "nan"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3..8", "--epsilon", "-1"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3..8", "--R", "nan"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3..8", "--R", "inf"],
+    ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
+     "--t", "inf"],
+    ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "nan",
+     "--t", "0.01"],
+    ["verify-kernel", "--d", "2", "--r-grid", "1", "--t-grid", "inf"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--R", "inf"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--amplitude", "inf"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR

@@ -25,7 +25,6 @@ from heatlab.criteria import (
     decide_blocks,
     decide_tail,
     equivalence_check,
-    integral_tail_test,
     jsonable,
     limsup_estimate,
     near_zero_ratio_check,
@@ -185,9 +184,9 @@ def test_integral_blocks_against_quadrature():
     from scipy.integrate import quad
     d = 2
     f = builtin_family("log_family", {"d": d, "beta": 2.0})
-    env = sup_ratio_envelope(f, float(2 ** 34))
+    env = sup_ratio_envelope(f)
     from heatlab.criteria import dyadic_block_integrals
-    blocks = dyadic_block_integrals(env, d, float(2 ** 32))
+    blocks = dyadic_block_integrals(env, d)
     p = 1.0 + 2.0 / d
     for j in (0, 5, 12, 20):
         a, b = 2.0 ** j, 2.0 ** (j + 1)
@@ -198,10 +197,23 @@ def test_integral_blocks_against_quadrature():
         assert blocks[j] == pytest.approx(ref, rel=1e-3)
 
 
-def test_integral_requires_long_envelope():
-    env = sup_ratio_envelope(power(2.0), 1e4)
-    with pytest.raises(ValueError):
-        integral_tail_test(env, 2)
+@pytest.mark.parametrize("text", ["s^2", "s^2/log(e+s)^8",
+                                  "max(s^1.2, s^3)"])
+def test_dyadic_blocks_are_the_per_block_trapezoid(text):
+    # each block is the trapezoid on [a] + grid inside + [b] with F(a) and
+    # F(b) from the envelope's own at()
+    from heatlab.criteria import dyadic_block_integrals
+    d, p = 2, 2.0
+    env = sup_ratio_envelope(parse_nonlinearity(text))
+    grid, vals = env.grid, env.values
+    ref = []
+    for j in range(48):
+        a, b = 2.0 ** j, 2.0 ** (j + 1)
+        inside = (grid > a) & (grid < b)
+        xs = np.concatenate([[a], grid[inside], [b]])
+        fs = np.concatenate([[env.at(a)], vals[inside], [env.at(b)]])
+        ref.append(np.trapezoid(xs ** (-p) * fs, xs))
+    assert dyadic_block_integrals(env, d).tolist() == ref
 
 
 # --- series / q = 1 ----------------------------------------------------------
@@ -212,6 +224,54 @@ def test_series_witness_spacing_and_terms():
     assert np.all(w.sequence[1:] / w.sequence[:-1] >= w.theta - 1e-12)
     expected = f.eval_raw(w.sequence) * w.sequence ** (-w.p)
     assert np.allclose(w.terms, expected, rtol=1e-12)
+
+
+def _series_search_loop(f, d):
+    """Reference: the witness search window by window, each window's
+    candidates evaluated on their own."""
+    theta, p = 2.0, 1.0 + 2.0 / d
+    seq, terms, overflow = [], [], False
+    for k in range(64):
+        cands = np.array([theta ** (2 * k), theta ** (2 * k + 1)])
+        vals = f.eval_raw(cands)
+        if np.isnan(vals).any():
+            raise AuditError("f undefined on the sampling grid")
+        if np.isposinf(vals).any():
+            overflow = True
+            break
+        with np.errstate(divide="ignore"):
+            log_f = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)),
+                             -np.inf)
+        log_t = log_f - p * np.log(cands)
+        i = int(np.argmax(log_t))
+        seq.append(float(cands[i]))
+        with np.errstate(over="ignore"):
+            terms.append(float(np.exp(log_t[i])))
+    return np.array(seq), np.array(terms), overflow
+
+
+@pytest.mark.parametrize("text", [
+    "s^2", "s^1.5/log(e+s)^2", "s + s^3.5", "0*s", "max(s-1,0)^2",
+    "exp(s)", "s^200", "exp(s/100) + (exp(s/1e7) - exp(s/1e7))",
+    "s^2 + (exp(s/1e7) - exp(s/1e7))",
+    "exp(s/5e6) + (exp(s/1e7) - exp(s/1e7))"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_series_search_matches_the_window_loop(text, d):
+    # one evaluation on all 128 candidates gives the loop's witness; the
+    # first window holding NaN (alone or beside +inf) is an AuditError, +inf
+    # alone ends the witness as overflow, and later windows are never read
+    f = parse_nonlinearity(text)
+    try:
+        seq, terms, overflow = _series_search_loop(f, d)
+    except AuditError:
+        with pytest.raises(AuditError):
+            series_search(f, d)
+        return
+    w = series_search(f, d)
+    assert w.sequence.tobytes() == seq.tobytes()
+    assert w.terms.tobytes() == terms.tobytes()
+    assert w.partial_sums.tobytes() == np.cumsum(terms).tobytes()
+    assert w.overflow == overflow
 
 
 def test_series_critical_power_partial_sums():
@@ -323,7 +383,7 @@ def test_whole_space_defers_to_infinity_behaviour():
         == EXISTS
     assert classify_whole_space(parse_nonlinearity("s^4"), 2.0, 2).outcome \
         == NO_LOCAL_EXISTENCE
-    # q = 1 route uses the 0+ envelope
+    # the q = 1 route integrates the same F as classify_l1
     assert classify_whole_space(parse_nonlinearity("s^1.5"), 1.0, 2).outcome \
         == EXISTS
 
@@ -354,6 +414,37 @@ def test_near_zero_ratio_growing_toward_zero_is_undecided(text):
     f = parse_nonlinearity(text)
     assert near_zero_ratio_check(f)["bounded"] is None
     assert classify_whole_space(f, 2.0, 2).outcome == INCONCLUSIVE
+
+
+def test_whole_space_l1_ratio_bounded_at_zero_is_not_nonexistence():
+    # f(s)/s -> 2 as s -> 0+ and the bounded-domain verdict is Exists, so
+    # the truth is Exists; a ratio falling slowly in s must not read as a
+    # divergence at the origin
+    f = parse_nonlinearity("s + s/(1+s^0.01)")
+    assert classify_l1(f, 2).outcome == EXISTS
+    assert classify_whole_space(f, 1.0, 2).outcome != NO_LOCAL_EXISTENCE
+
+
+@pytest.mark.parametrize("f", [
+    parse_nonlinearity("s"), parse_nonlinearity("2*s"),
+    parse_nonlinearity("s^1.5"), parse_nonlinearity("s^2"),
+    parse_nonlinearity("s+s^2"),
+    builtin_family("log_family", {"d": 2, "beta": 2.0})],
+    ids=["s", "2s", "s^1.5", "s^2", "s+s^2", "log_family-2"])
+def test_whole_space_l1_is_the_bounded_domain_characterisation(f):
+    # with f(s)/s bounded near 0, the whole-space q = 1 verdict is the
+    # bounded-domain L^1 verdict on the same F(s) = sup_{1<=t<=s} f(t)/t
+    whole, bounded = classify_whole_space(f, 1.0, 2), classify_l1(f, 2)
+    assert whole.evidence["near_zero"]["bounded"] is True
+    assert (whole.outcome, whole.criterion, whole.dead_band) == \
+        (bounded.outcome, bounded.criterion, bounded.dead_band)
+    evidence = {k: v for k, v in whole.evidence.items() if k != "near_zero"}
+    assert evidence.keys() == bounded.evidence.keys()
+    for key, value in evidence.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, bounded.evidence[key]), key
+        else:
+            assert value == bounded.evidence[key], key
 
 
 # --- serialization -----------------------------------------------------------

@@ -586,7 +586,7 @@ def _quad_horizon(u0_l1_norm, f, d, A=2.0, T_max=100.0):
         return HorizonReport(T=T, integral_value=0.0, condition_bound=bound,
                              A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
                              smoothing_capped=False)
-    env = sup_ratio_envelope(f, float(2 ** 48))
+    env = sup_ratio_envelope(f)
     scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
 
     def tail(s0):
