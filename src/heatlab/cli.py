@@ -1,9 +1,10 @@
 """Command-line interface: classify nonlinearities, certify kernel bounds,
 and run reproducible solver experiments with machine-readable reports.
 
-Exit codes: 0 = decided / certified, 2 = Inconclusive, 1 = error or failed
-certification. Reports are deterministic for a fixed config and seed; wall
-clock and invocation details go to a separate .meta.json file.
+Exit codes: 0 = decided / certified, 2 = Inconclusive, 1 = error (usage
+errors included) or failed certification. Reports are deterministic for a
+fixed config and seed; wall clock and invocation details go to a separate
+.meta.json file.
 """
 
 from __future__ import annotations
@@ -197,17 +198,11 @@ def cmd_classify(args, argv) -> int:
     d, q = _d_and_q(args)
     f = resolve_f(args)
     domain = args.domain or "bounded"
-    if args.s_max is not None and (domain == "whole_space" or q == 1):
-        raise CliError("s-max applies only to the bounded-domain limsup "
-                       "test (q > 1)")
-    s_max = float(args.s_max or 1e8)
-    if not math.isfinite(s_max):
-        raise CliError("s-max must be finite")
     try:
         if domain == "whole_space":
             verdict = classify_whole_space(f, q, d)
         elif q > 1:
-            verdict = classify_lq(f, q, d, s_max=s_max)
+            verdict = classify_lq(f, q, d)
         else:
             verdict = classify_l1(f, d)
     except AuditError as exc:
@@ -366,6 +361,9 @@ def experiment_blowup_trend(args, argv) -> int:
     if lo >= hi:
         raise CliError("N-range LO..HI needs LO < HI: a trend takes at "
                        "least two N")
+    n_steps = int(args.n_time or 20)
+    if n_steps < 1:
+        raise CliError("n-time must be at least 1")
     epsilon = float(args.epsilon or 0.5)
     R = float(args.R or 1.0)
     # one grid and one fixed step size for every N, so trajectories for
@@ -374,7 +372,6 @@ def experiment_blowup_trend(args, argv) -> int:
     spec_hi, u0_hi = build_t1_data(f, d=d, q=q, N=hi, epsilon=epsilon, R=R)
     grid = u0_hi.grid
     P = build_propagator(grid)
-    n_steps = int(args.n_time or 20)
     # simulate a tenth of the reaction timescale sup/f(sup) of the largest
     # data set, so every run stays resolved on the common step size
     sup_max = lq_norm(u0_hi, math.inf)
@@ -451,8 +448,17 @@ EXPERIMENTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are CliErrors: exit 1 with one line, not
+    argparse's usage block and exit 2, which means Inconclusive here.
+    Subparsers are made from the same class."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heatlab",
         description="Numerical laboratory for local existence of "
                     "u_t - Lap(u) = f(u) with Lebesgue-space data.")
@@ -477,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc)
     nonlinearity(pc)
     pc.add_argument("--domain", choices=["bounded", "whole_space"])
-    pc.add_argument("--s-max", dest="s_max")
 
     pv = sub.add_parser("verify-kernel", help="certify the kernel bounds")
     common(pv)

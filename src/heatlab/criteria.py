@@ -15,6 +15,8 @@ import numpy as np
 
 from .nonlinearity import (
     ENVELOPE_S_MAX,
+    TAIL_S_MAX,
+    ZERO_ORIGIN_EPS,
     DomainError,
     NonlinearityExpr,
     RatioEnvelope,
@@ -27,7 +29,6 @@ NO_LOCAL_EXISTENCE = "NoLocalExistence"
 INCONCLUSIVE = "Inconclusive"
 
 SLOPE_DEAD_BAND = 0.05
-DEFAULT_S_MAX = 1e8
 WITNESS_RATIO = 2.0     # theta: consecutive witness candidates theta^j
 WITNESS_TERMS = 64      # K: windows searched for the series witness
 GAMMA_HI = 12.0         # upper end of the critical-exponent bisections
@@ -80,16 +81,6 @@ def jsonable(obj):
 
 
 @dataclass(frozen=True)
-class LimsupEstimate:
-    gamma: float
-    samples_s: np.ndarray
-    samples_log_g: np.ndarray  # natural log of s^-gamma f(s); +inf = overflow
-    trend: float  # log-log slope of the tail
-    tail_growth: float  # log10(max over last decade / max over previous)
-    overflow: bool
-
-
-@dataclass(frozen=True)
 class SeriesWitness:
     theta: float
     p: float
@@ -122,8 +113,11 @@ def _require_audit(f: NonlinearityExpr, s_max: float) -> None:
             f"(nonneg={audit.nonneg}, violation={audit.first_violation})")
 
 
-def _log_f_samples(f: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
-    return _log_values(f, f.eval_raw(grid))
+def _tail_sample(f: NonlinearityExpr) -> tuple:
+    """(grid, log f) on 320 geometric points (40 a decade) of [1, TAIL_S_MAX],
+    the one tail sample of the q > 1 route and the critical exponent."""
+    grid = np.geomspace(1.0, TAIL_S_MAX, 320)
+    return grid, _log_values(f, f.eval_raw(grid))
 
 
 def _log_values(f: NonlinearityExpr, vals: np.ndarray) -> np.ndarray:
@@ -134,45 +128,20 @@ def _log_values(f: NonlinearityExpr, vals: np.ndarray) -> np.ndarray:
         return np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -np.inf)
 
 
-def limsup_estimate(f: NonlinearityExpr, gamma: float,
-                    s_max: float = DEFAULT_S_MAX) -> LimsupEstimate:
-    """Sample g(s) = s^-gamma f(s) on a geometric grid and summarise its tail.
-
-    The trend is the fitted log-log slope of g over the last two decades;
-    overflow of f is recorded and treated by callers as divergence evidence.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if s_max < 1e6:
-        raise ValueError("s_max must be at least 1e6")
-    decades = math.log10(s_max)
-    grid = np.geomspace(1.0, s_max, max(200, int(40 * decades)))
-    log_f = _log_f_samples(f, grid)
-    # a huge gamma makes gamma log s overflow: log g = -inf, g below every
-    # double (and inf - inf = nan where f overflows too, which `overflow`
-    # decides)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_g = log_f - gamma * np.log(grid)
-
-    overflow = bool(np.isposinf(log_f).any())
-    trend, growth = _tail_statistics(grid, log_g, s_max)
-    return LimsupEstimate(gamma=gamma, samples_s=grid, samples_log_g=log_g,
-                          trend=trend, tail_growth=growth, overflow=overflow)
-
-
-def _tail_statistics(grid, log_g, s_max):
+def _tail_statistics(grid, log_g):
     """(log-log slope over the last two decades, per-decade max growth).
 
     log g = -inf is g = 0: where the last sample is -inf, g vanishes at the
     end of the tail, which is bounded evidence (-inf), not overflow (inf)."""
     vanishes = bool(np.isneginf(log_g[-1]))
-    tail = (grid >= s_max / 100.0) & np.isfinite(log_g)
+    tail = (grid >= TAIL_S_MAX / 100.0) & np.isfinite(log_g)
     if tail.sum() < 4:
         return (-math.inf, -math.inf) if vanishes else (math.inf, math.inf)
     slope = float(np.polyfit(np.log10(grid[tail]),
                              log_g[tail] / math.log(10), 1)[0])
-    last = (grid >= s_max / 10.0) & np.isfinite(log_g)
-    prev = (grid >= s_max / 100.0) & (grid < s_max / 10.0) & np.isfinite(log_g)
+    last = (grid >= TAIL_S_MAX / 10.0) & np.isfinite(log_g)
+    prev = ((grid >= TAIL_S_MAX / 100.0) & (grid < TAIL_S_MAX / 10.0)
+            & np.isfinite(log_g))
     if not last.any() or not prev.any():
         return slope, -math.inf if vanishes else math.inf
     growth = float((np.max(log_g[last]) - np.max(log_g[prev])) / math.log(10))
@@ -198,27 +167,37 @@ def decide_tail(slope: float, growth: float, overflow: bool = False) -> str:
     return INCONCLUSIVE
 
 
-def classify_lq(f: NonlinearityExpr, q: float, d: int,
-                s_max: float = DEFAULT_S_MAX) -> Verdict:
+def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     """Local existence in L^q(Omega), q > 1: the limsup criterion with
-    exponent 1 + 2q/d."""
+    exponent 1 + 2q/d, from the trend of g(s) = s^-gamma f(s) over the last
+    two decades of the tail sample; overflow of f is divergence evidence."""
     if q <= 1:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
-    _require_audit(f, s_max)
+    if d < 1:
+        raise ValueError("d must be a positive dimension")
+    _require_audit(f, TAIL_S_MAX)
     gamma = 1.0 + 2.0 * q / d
-    est = limsup_estimate(f, gamma, s_max)
-    outcome = decide_tail(est.trend, est.tail_growth, est.overflow)
+    grid, log_f = _tail_sample(f)
+    # a huge gamma makes gamma log s overflow: log g = -inf, g below every
+    # double (and inf - inf = nan where f overflows too, which `overflow`
+    # decides)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_g = log_f - gamma * np.log(grid)
+    overflow = bool(np.isposinf(log_f).any())
+    slope, growth = _tail_statistics(grid, log_g)
+    step = len(grid) // 64
     evidence = {
         "gamma": gamma,
-        "slope": est.trend,
-        "tail_growth": est.tail_growth,
-        "overflow": est.overflow,
-        "s_max": s_max,
-        "grid": est.samples_s[:: max(1, len(est.samples_s) // 64)],
-        "grid_values": est.samples_log_g[:: max(1, len(est.samples_s) // 64)],
+        "slope": slope,
+        "tail_growth": growth,
+        "overflow": overflow,
+        "s_max": TAIL_S_MAX,
+        "grid": grid[::step],
+        "grid_values": log_g[::step],
     }
-    return Verdict(outcome=outcome, criterion="LqLimsup",
-                   dead_band=SLOPE_DEAD_BAND, evidence=evidence)
+    return Verdict(outcome=decide_tail(slope, growth, overflow),
+                   criterion="LqLimsup", dead_band=SLOPE_DEAD_BAND,
+                   evidence=evidence)
 
 
 # --- integral (q = 1) route --------------------------------------------------
@@ -320,7 +299,7 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     candidate maximising s^-p f(s). Any two choices from consecutive
     windows are a factor of at least theta apart.
     """
-    _require_audit(f, DEFAULT_S_MAX)
+    _require_audit(f, TAIL_S_MAX)
     theta = WITNESS_RATIO
     p = 1.0 + 2.0 / d
     cands = np.array([theta ** j for j in range(2 * WITNESS_TERMS)]).reshape(
@@ -386,11 +365,8 @@ def critical_exponent_report(f: NonlinearityExpr,
     samples. Where f vanishes somewhere in the windows, gamma* is the
     midpoint of the two bisection endpoints.
     """
-    s_max = DEFAULT_S_MAX
-    _require_audit(f, s_max)
-    decades = math.log10(s_max)
-    grid = np.geomspace(1.0, s_max, max(200, int(40 * decades)))
-    log_f = _log_f_samples(f, grid)
+    _require_audit(f, TAIL_S_MAX)
+    grid, log_f = _tail_sample(f)
     overflow = bool(np.isposinf(log_f).any())
     if overflow:
         return CriticalExponentReport(gamma_star=math.inf, q_star=math.inf,
@@ -401,7 +377,7 @@ def critical_exponent_report(f: NonlinearityExpr,
                                       bracket=(0.0, 0.0), d=d)
 
     def stats(gamma):
-        return _tail_statistics(grid, log_f - gamma * np.log(grid), s_max)
+        return _tail_statistics(grid, log_f - gamma * np.log(grid))
 
     def is_nle(gamma):
         slope, growth = stats(gamma)
@@ -413,7 +389,7 @@ def critical_exponent_report(f: NonlinearityExpr,
 
     lo_end = _bisect_boundary(is_nle, 0.0, GAMMA_HI, want_low=True)
     hi_end = _bisect_boundary(is_exists, 0.0, GAMMA_HI, want_low=False)
-    if np.isneginf(log_f[grid >= s_max / 1e4]).any():
+    if np.isneginf(log_f[grid >= TAIL_S_MAX / 1e4]).any():
         # f vanishes somewhere in the two fit windows, where a slope of
         # log f is undefined: gamma* is the middle of the decided bracket
         gamma_star = 0.5 * (lo_end + hi_end)
@@ -426,10 +402,10 @@ def critical_exponent_report(f: NonlinearityExpr,
             sel = (grid >= hi / 100.0) & (grid <= hi)
             return float(np.polyfit(log10s[sel], log10f[sel], 1)[0])
 
-        s1 = window_slope(s_max)
-        s0 = window_slope(s_max / 100.0)
-        m1 = np.log(math.sqrt(s_max / 10.0))
-        m0 = np.log(math.sqrt(s_max / 1000.0))
+        s1 = window_slope(TAIL_S_MAX)
+        s0 = window_slope(TAIL_S_MAX / 100.0)
+        m1 = np.log(math.sqrt(TAIL_S_MAX / 10.0))
+        m0 = np.log(math.sqrt(TAIL_S_MAX / 1000.0))
         if abs(1.0 / m0 - 1.0 / m1) > 0:
             b = (s1 - s0) / (1.0 / m0 - 1.0 / m1)
             gamma_star = s1 + b / m1
@@ -471,7 +447,8 @@ def _bisect_boundary(pred, lo, hi, want_low, tol=0.005):
 # --- whole space -------------------------------------------------------------
 
 def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
-    """Sample f(s)/s on [1e-8, 1e-2] and classify limsup_{s->0} f(s)/s.
+    """Sample f(s)/s on [ZERO_ORIGIN_EPS, 1e-2] and classify
+    limsup_{s->0} f(s)/s.
 
     Returns {"bounded": True/False/None, ...diagnostics}.
     """
@@ -479,9 +456,8 @@ def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
         f0 = f(0.0)
     except DomainError:
         f0 = math.nan
-    grid = np.geomspace(1e-8, 1e-2, 60)
-    log_f = _log_f_samples(f, grid)
-    log_r = log_f - np.log(grid)
+    grid = np.geomspace(ZERO_ORIGIN_EPS, 1e-2, 60)
+    log_r = _log_values(f, f.eval_raw(grid)) - np.log(grid)
     finite = np.isfinite(log_r)
     if finite.sum() < 4:
         slope = 0.0 if not np.isposinf(log_r).any() else -math.inf
@@ -507,7 +483,7 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     same F as classify_l1)."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    _require_audit(f, DEFAULT_S_MAX)
+    _require_audit(f, TAIL_S_MAX)
     zero = near_zero_ratio_check(f)
     if zero["bounded"] is False:
         return Verdict(outcome=NO_LOCAL_EXISTENCE, criterion="WholeSpaceZero",

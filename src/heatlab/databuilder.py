@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -169,19 +169,16 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
 
 
 def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
-                    k_schedule: Callable[[int], int] = None,
                     grid: Optional[RadialGrid] = None):
     """Truncated sum u0 = sum_n n^(-2) alpha_n^d chi_(1/alpha_n) built from a
     divergent-series witness: phi_k = c_d^(-1) s_k, zeta_n the smallest index
     with phi_(k_n + 1) <= phi_(zeta_n) / 2, alpha_n = (n^2 phi_(zeta_n))^(1/d).
 
-    The window schedule k_n is a free parameter of the construction (default
-    k_n = n); the sum starts at the first n0 with 1/alpha_(n0) < R/2.
+    The window schedule is k_n = n; the sum starts at the first n0 with
+    1/alpha_(n0) < R/2.
     """
     if not 0 < R < math.inf:
         raise ValueError("R must be finite and positive")
-    if k_schedule is None:
-        k_schedule = lambda n: n  # noqa: E731
     consts = kernel_constants(d)
     witness = series_search(f, d)
     if series_verdict(witness).outcome != NO_LOCAL_EXISTENCE:
@@ -191,10 +188,9 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
 
     zeta, alpha = [], []
     for n in range(1, N + 1):
-        k_n = int(k_schedule(n))
-        if k_n + 1 >= len(phi_all):
-            raise ScheduleError(f"witness too short for k_{n} = {k_n}")
-        target = 2.0 * phi_all[k_n + 1]
+        if n + 1 >= len(phi_all):
+            raise ScheduleError(f"witness too short for k_{n} = {n}")
+        target = 2.0 * phi_all[n + 1]
         idx = int(np.searchsorted(phi_all, target))
         if idx >= len(phi_all):
             raise ScheduleError(f"witness too short to satisfy the half-phi "
@@ -221,7 +217,7 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     # term-by-term re-verification of the schedule identities
     for n, z, a in zip(range(n0, N + 1), zeta[sel], alpha[sel]):
         assert math.isclose(a, (n * n * phi_all[z]) ** (1.0 / d))
-        if not phi_all[int(k_schedule(n)) + 1] <= 0.5 * phi_all[z] + 1e-12:
+        if not phi_all[n + 1] <= 0.5 * phi_all[z] + 1e-12:
             raise ScheduleError(f"half-phi constraint fails at n = {n}")
 
     omega = unit_ball_volume(d)
@@ -235,8 +231,7 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
                           amplitudes=amplitudes, radii=radii,
                           phi=phi_all[zeta[sel]], constants=consts,
                           n0=n0, zeta=zeta[sel],
-                          k_n=np.array([int(k_schedule(n))
-                                        for n in range(n0, N + 1)]),
+                          k_n=np.arange(n0, N + 1),
                           witness=witness,
                           norm_bound=norm_bound,
                           sampled_norm=lq_norm(u0, 1.0),
@@ -248,7 +243,6 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
 class TermPrediction:
     k: int
     t: float
-    window: tuple
     pointwise: float           # lower bound on u(t_k) over the k-th ball
     lq_q: float                # lower bound on ||u(t_k)||_q^q
     normalized: float          # lq_q with the polynomial k-factor removed
@@ -279,7 +273,7 @@ def predicted_bounds(spec: BlowupDataSpec):
             pw = consts.beta_d * t_k * float(f_phi[i])
             lqq = pw ** q * omega * float(spec.radii[i] ** d)
             out.append(TermPrediction(
-                k=k, t=t_k, window=(0.5 * t_k, t_k), pointwise=pw,
+                k=k, t=t_k, pointwise=pw,
                 lq_q=lqq, normalized=lqq * k ** kpow))
         return out
 
@@ -294,7 +288,7 @@ def predicted_bounds(spec: BlowupDataSpec):
         k_n = int(spec.k_n[n - spec.n0])
         value = c3 * n ** (-2.0 * p) * float(partial[min(k_n,
                                                          len(partial) - 1)])
-        out.append(TermPrediction(k=n, t=math.nan, window=(math.nan, math.nan),
-                                  pointwise=math.nan, lq_q=value,
+        out.append(TermPrediction(k=n, t=math.nan, pointwise=math.nan,
+                                  lq_q=value,
                                   normalized=value * n ** (2.0 * p)))
     return out

@@ -40,10 +40,9 @@ class QuadratureError(Exception):
 
 @dataclass(frozen=True)
 class BallIndicator:
-    """amplitude * (characteristic function of the ball B_radius(center))."""
+    """amplitude * (characteristic function of the ball B_radius(0))."""
 
     radius: float
-    center: tuple = ()
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -91,16 +90,6 @@ def gaussian_kernel(x, y, t: float, d: int) -> float:
     return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-r2 / (4.0 * t))
 
 
-def _distance_to_center(x, center) -> float:
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if center:
-        cv = np.asarray(center, dtype=float)
-        if cv.shape != xv.shape:
-            raise ValueError("x and center dimensions differ")
-        xv = xv - cv
-    return float(np.sqrt(np.dot(xv, xv)))
-
-
 def _ball_profile(r: float, t: float, rho, d: int):
     """[S(t) chi_r] at distance rho from the centre, for an array of rho:
     P(|rho e_1 + sqrt(2t) Z| <= r) = chndtr(r^2/2t, d, rho^2/2t).
@@ -130,8 +119,9 @@ def _ball_profile(r: float, t: float, rho, d: int):
 
 def heat_on_ball(chi: BallIndicator, x, t: float, d: int) -> float:
     """[S(t) chi](x) on R^d: the amplitude times the ball profile at
-    rho = |x - c|."""
-    rho = _distance_to_center(x, chi.center)
+    rho = |x|."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    rho = float(np.sqrt(np.dot(xv, xv)))
     return chi.amplitude * float(_ball_profile(chi.radius, t, rho, d))
 
 

@@ -296,6 +296,7 @@ AUDIT_TOL = 1e-10
 AUDIT_SAMPLES = 400
 ENVELOPE_GRID_RATIO = 1.05
 ENVELOPE_S_MAX = float(2 ** 48)
+TAIL_S_MAX = 1e8      # range of the q > 1 tail sample and default audit range
 ZERO_ORIGIN_EPS = 1e-8
 
 
@@ -325,7 +326,7 @@ def _raw_samples(expr: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
 
 
 def monotonicity_audit(expr: NonlinearityExpr,
-                       s_max: float = 1e8) -> MonotonicityAudit:
+                       s_max: float = TAIL_S_MAX) -> MonotonicityAudit:
     """Sample f at 0 and on a geometric grid up to s_max (AUDIT_SAMPLES
     points in all) and check the standing hypotheses: non-negative and
     non-decreasing.

@@ -57,6 +57,9 @@ class RadialGrid:
     def __post_init__(self):
         _require_radius(self.R)
         nodes = np.asarray(self.nodes, dtype=float)
+        if nodes.ndim != 1 or len(nodes) < 2:
+            raise ValueError("a radial grid needs a 1-D array of at least "
+                             "two nodes")
         if nodes[0] != 0.0 or not math.isclose(nodes[-1], self.R):
             raise ValueError("nodes must start at 0 and end at R")
         if np.any(np.diff(nodes) <= 0):
@@ -116,8 +119,6 @@ class RadialField:
 def indicator(grid: RadialGrid, chi: BallIndicator) -> RadialField:
     """Sample a ball indicator by exact cell-volume averaging, so discrete
     volume integrals of the field reproduce amplitude * omega_d r^d exactly."""
-    if chi.center and any(c != 0.0 for c in chi.center):
-        raise ValueError("radial sampling requires a ball centred at 0")
     a, b = grid.faces[:-1], grid.faces[1:]
     covered = np.clip(np.minimum(b, chi.radius), 0.0, None) ** grid.d \
         - np.minimum(a, chi.radius) ** grid.d
@@ -491,20 +492,17 @@ class LowerBoundResult:
 
 
 def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
-                        d: int, q: float = 1.0, n_time: int = 513,
-                        radii: Optional[np.ndarray] = None) -> LowerBoundResult:
+                        d: int, q: float = 1.0) -> LowerBoundResult:
     """Certified pointwise lower bound on any local integral solution with
     u0 >= chi, via u(t) >= S(t)chi + int_0^t S(t-s) f(S(s)chi) ds and the
-    ball bounds S(s)chi_r >= c_d (r/(r+sqrt s))^d chi_(r+sqrt s)."""
+    ball bounds S(s)chi_r >= c_d (r/(r+sqrt s))^d chi_(r+sqrt s), on 129
+    radii of [0, r + sqrt t] and a 513-point time trapezoid."""
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     consts = kernel_constants(d)
     r, amp = chi.radius, chi.amplitude
-    if radii is None:
-        radii = np.linspace(0.0, r + math.sqrt(t), 129)
-    radii = np.asarray(radii, dtype=float)
-
-    s_grid = np.linspace(0.0, t, n_time)
+    radii = np.linspace(0.0, r + math.sqrt(t), 129)
+    s_grid = np.linspace(0.0, t, 513)
     inner_amp = amp * consts.c_d * (r / (r + np.sqrt(s_grid))) ** d
     f_inner = f.eval_raw(inner_amp)
     if not np.all(np.isfinite(f_inner)):
@@ -546,16 +544,17 @@ class WarmupReport:
     asymptotic_constant: float
 
 
-def warmup_shell_sums(f: NonlinearityExpr, d: int, n_shells: int = 12,
-                      theta: float = 2.0) -> WarmupReport:
+def warmup_shell_sums(f: NonlinearityExpr, d: int,
+                      n_shells: int = 12) -> WarmupReport:
     """Dyadic-shell increments of int_(R^d) int_0^t S(t-s) f(S(s)delta_0) ds.
 
-    With phi_k = theta^k and t_k = c phi_k^(-2/d), c = e^(-1/2d)/(4 pi),
-    the Gaussian core satisfies S(s)delta_0 >= phi_k on a ball for
-    s in [t_(k+1), t_k], giving the increment
+    With phi_k = theta^k, theta = 2, and t_k = c phi_k^(-2/d),
+    c = e^(-1/2d)/(4 pi), the Gaussian core satisfies S(s)delta_0 >= phi_k
+    on a ball for s in [t_(k+1), t_k], giving the increment
     omega_d f(phi_k) int_(t_(k+1))^(t_k) s^(d/2) ds per shell. For the
     critical power f = s^(1+2/d) every increment equals the asymptotic
     constant exactly, so the partial sums grow linearly (divergence)."""
+    theta = 2.0
     c = math.exp(-1.0 / (2.0 * d)) / (4.0 * math.pi)
     omega = unit_ball_volume(d)
     p = 1.0 + 2.0 / d

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ from heatlab.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    build_parser,
     load_config,
     main,
 )
@@ -117,8 +120,8 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_config_parser_accepts_dashes(tmp_path):
     cfg = tmp_path / "d.cfg"
-    cfg.write_text("s-max = 1e6\n")
-    assert load_config(str(cfg)) == {"s_max": "1e6"}
+    cfg.write_text("n-points = 5\n")
+    assert load_config(str(cfg)) == {"n_points": "5"}
 
 
 def test_csv_evidence_export(tmp_path):
@@ -146,11 +149,12 @@ def test_verify_kernel_passes(capsys):
 
 def test_verify_kernel_has_no_dirichlet_variant(capsys):
     # only the whole-space kernel is evaluated, so there is nothing to
-    # certify for the Dirichlet constants
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-kernel", "--d", "1", "--variant", "dirichlet"])
-    assert exc.value.code == 2
-    assert "--variant" in capsys.readouterr().err
+    # certify for the Dirichlet constants; an unknown flag is a usage error
+    assert main(["verify-kernel", "--d", "1", "--variant",
+                 "dirichlet"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--variant" in err
 
 
 def test_verify_kernel_inflated_constant_fails(capsys):
@@ -349,6 +353,17 @@ def test_blowup_trend_schedule_error(capsys):
      "--R", "inf"],
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
      "--amplitude", "inf"],
+    ["classify", "--f", "s^2", "--d", "2", "--q", "2", "--bogus"],
+    ["classify", "--builtin", "nope", "--d", "2", "--q", "2"],
+    ["classify", "--f", "s^2", "--d", "2", "--q"],
+    [],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3..5", "--n-time", "0"],
+    ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+     "--N-range", "3..5", "--n-time", "-2"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--nodes", "0"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--nodes", "0"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
@@ -386,6 +401,30 @@ def test_blowup_trend_names_the_range_form(capsys, N_range):
     assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
                  "--q", "1", "--N-range", N_range]) == EXIT_ERROR
     assert "LO..HI" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_time", ["0", "-2"])
+def test_blowup_trend_names_the_step_count(capsys, n_time):
+    assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
+                 "--q", "1", "--N-range", "3..5",
+                 "--n-time", n_time]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: n-time must be at least 1\n"
+
+
+def test_readme_commands_parse():
+    # every `heatlab ...` line of the README's shell blocks, continuation
+    # lines joined and comments dropped, is accepted by the parser
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("heatlab ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 # --- cold start ---------------------------------------------------------------

@@ -26,7 +26,6 @@ from heatlab.criteria import (
     decide_tail,
     equivalence_check,
     jsonable,
-    limsup_estimate,
     near_zero_ratio_check,
     series_search,
     series_verdict,
@@ -41,10 +40,11 @@ def power(p):
 
 def test_limsup_slope_matches_exponent_gap():
     # g(s) = s^(p - gamma): the fitted log-log tail slope is exact
-    est = limsup_estimate(power(3.0), gamma=2.5)
-    assert est.trend == pytest.approx(0.5, abs=1e-9)
-    est = limsup_estimate(power(2.0), gamma=2.5)
-    assert est.trend == pytest.approx(-0.5, abs=1e-9)
+    # (q = 1.5, d = 2: gamma = 1 + 2q/d = 2.5)
+    slope = classify_lq(power(3.0), 1.5, 2).evidence["slope"]
+    assert slope == pytest.approx(0.5, abs=1e-9)
+    slope = classify_lq(power(2.0), 1.5, 2).evidence["slope"]
+    assert slope == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_classify_lq_power_table():
@@ -106,6 +106,9 @@ def test_classify_lq_monotone_in_q():
 def test_classify_lq_rejects_bad_input():
     with pytest.raises(ValueError):
         classify_lq(power(2.0), q=1.0, d=2)
+    for d in (0, -2):  # outside the theorem: no verdict
+        with pytest.raises(ValueError, match="positive dimension"):
+            classify_lq(power(2.0), q=2.0, d=d)
     with pytest.raises(AuditError):
         classify_lq(parse_nonlinearity("1/(1+s)"), 2.0, 2)
 

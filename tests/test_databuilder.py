@@ -136,7 +136,7 @@ def test_todd_requires_divergent_witness():
 def test_todd_witness_too_short():
     f = parse_nonlinearity("s^3")
     with pytest.raises(ScheduleError):
-        build_todd_data(f, d=1, N=5, R=1.0, k_schedule=lambda n: 40 * n)
+        build_todd_data(f, d=1, N=70, R=1.0)
 
 
 def test_todd_predictions_use_window_schedule():

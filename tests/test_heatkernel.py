@@ -85,10 +85,13 @@ def test_heat_on_ball_erf_oracle():
 
 
 def test_heat_on_ball_amplitude_and_center():
-    chi = BallIndicator(radius=1.0, center=(3.0,), amplitude=2.5)
+    chi = BallIndicator(radius=1.0, amplitude=2.5)
     ref = BallIndicator(radius=1.0)
-    assert heat_on_ball(chi, [5.0], 1.0, 1) == pytest.approx(
+    assert heat_on_ball(chi, [2.0], 1.0, 1) == pytest.approx(
         2.5 * heat_on_ball(ref, [2.0], 1.0, 1), rel=1e-14)
+    # the ball is centred at the origin: the profile depends on |x| alone
+    assert heat_on_ball(ref, [3.0, 4.0], 1.0, 2) == \
+        heat_on_ball(ref, [0.0, 5.0], 1.0, 2)
 
 
 def test_heat_on_ball_d2_monte_carlo():
