@@ -152,9 +152,7 @@ def test_verify_kernel_has_no_dirichlet_variant(capsys):
     # certify for the Dirichlet constants; an unknown flag is a usage error
     assert main(["verify-kernel", "--d", "1", "--variant",
                  "dirichlet"]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "--variant" in err
+    assert "--variant" in _assert_one_line_error(capsys)
 
 
 def test_verify_kernel_inflated_constant_fails(capsys):
@@ -268,6 +266,7 @@ def _assert_one_line_error(capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 def test_blowup_trend_schedule_error(capsys):
