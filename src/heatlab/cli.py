@@ -14,52 +14,24 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 import time
 
 import numpy as np
 
-from . import criteria
-from .criteria import (
-    EXISTS,
-    INCONCLUSIVE,
-    NO_LOCAL_EXISTENCE,
-    AuditError,
-    SLOPE_DEAD_BAND,
-    SIGMA_DEAD_BAND,
-    TAU_DEAD_BAND,
-    classify_l1,
-    classify_lq,
-    classify_whole_space,
-    equivalence_check,
-    jsonable,
-)
+from .criteria import (AuditError, SIGMA_DEAD_BAND, SLOPE_DEAD_BAND,
+                       TAU_DEAD_BAND, classify_l1, classify_lq,
+                       classify_whole_space, equivalence_check, jsonable)
 from .databuilder import ScheduleError, build_t1_data
-from .heatkernel import (
-    BallIndicator,
-    KERNEL_REL_TOL,
-    QuadratureError,
-    kernel_constants,
-    verify_lower_bounds,
-)
+from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
+                         kernel_constants, verify_lower_bounds)
 from .nonlinearity import (DomainError, ParseError, builtin_family, eval_f,
                            parse_nonlinearity)
-from .solver import (
-    RadialGrid,
-    SimulationControls,
-    SolverError,
-    build_propagator,
-    duhamel_iterate,
-    duhamel_lower_bound,
-    find_existence_horizon,
-    heat_series,
-    indicator,
-    lq_norm,
-    simulate_forward,
-    supersolution_check,
-)
+from .solver import (RadialGrid, SimulationControls, SolverError,
+                     build_propagator, duhamel_iterate, duhamel_lower_bound,
+                     find_existence_horizon, heat_series, indicator, lq_norm,
+                     simulate_forward, supersolution_check)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,6 +40,93 @@ EXIT_INCONCLUSIVE = 2
 
 class CliError(Exception):
     pass
+
+
+# --- option tables -----------------------------------------------------------
+
+def _checked(accept, expected: str, convert=float):
+    """An argparse type: convert the text, then keep the value if accept
+    holds, else reject it with a message that says what was expected."""
+    def parse(text):
+        try:
+            value = convert(text)
+            ok = accept(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+def _integer(minimum: int):
+    return _checked(lambda v: v >= minimum, f"an integer >= {minimum}", int)
+
+
+NUMBER = _checked(math.isfinite, "a finite number")
+POSITIVE = _checked(lambda v: 0 < v < math.inf, "a finite positive number")
+NON_NEGATIVE = _checked(lambda v: 0 <= v < math.inf,
+                        "a finite non-negative number")
+POSITIVE_LIST = _checked(
+    lambda v: bool(v) and all(0 < x < math.inf for x in v),
+    "a comma-separated list of finite positive numbers",
+    lambda text: [float(x) for x in text.split(",") if x.strip()])
+
+# what each --builtin family reads besides --d (read by log_family)
+BUILTIN_PARAMS = {"power": ("p",), "log_family": ("beta",),
+                  "piecewise_power": ("p_low", "p_high")}
+
+# Every option once: its argparse type (a list: its choices) and its help.
+# Each command's table names the options it reads, with default or REQUIRED.
+OPTIONS = {
+    "config": (str, "'key = value' lines, read as flags before the others"),
+    "out": (str, "JSON report path (default: stdout)"),
+    "csv": (str, "CSV path for the evidence, trace or profile table"),
+    "f": (str, "nonlinearity expression in s"),
+    "builtin": (list(BUILTIN_PARAMS), "builtin family instead of --f"),
+    "p": (NUMBER, "exponent of --builtin power"),
+    "beta": (NON_NEGATIVE, "log power of --builtin log_family"),
+    "p_low": (NUMBER, "low exponent of --builtin piecewise_power"),
+    "p_high": (NUMBER, "high exponent of --builtin piecewise_power"),
+    "d": (_integer(1), "space dimension"),
+    "q": (_checked(lambda v: 1 <= v < math.inf, "a finite exponent >= 1"),
+          "Lebesgue exponent of the data"),
+    "domain": (["bounded", "whole_space"], "domain of the problem"),
+    "r_grid": (POSITIVE_LIST, "ball radii to certify"),
+    "t_grid": (POSITIVE_LIST, "times to certify"),
+    "n_points": (_integer(2), "radial samples per (r, t)"),
+    "inflate_cd": (NUMBER, "test-only: multiply c_d to falsify the check"),
+    "u0_l1": (NON_NEGATIVE, "L1 norm of the data"),
+    "A": (_checked(lambda v: 1 < v < math.inf, "a finite number > 1"),
+          "supersolution factor"),
+    "R": (POSITIVE, "radius of the domain"),
+    "nodes": (_integer(2), "radial grid nodes"),
+    "r": (POSITIVE, "radius of the ball the data fill"),
+    "amplitude": (NON_NEGATIVE, "height of the data"),
+    "t": (POSITIVE, "time of the lower bound"),
+    "T": (POSITIVE, "final time"),
+    "dt": (POSITIVE, "time step"),
+    "n_time": (_integer(1), "time slices or steps"),
+    "n_iter": (_integer(1), "iteration budget"),
+    "N_range": (_checked(lambda v: len(v) == 2 and v[0] < v[1],
+                         "LO..HI with integers LO < HI",
+                         lambda text: tuple(map(int, text.split("..")))),
+                "T1 truncation depths N"),
+    "epsilon": (POSITIVE, "scale of the T1 data"),
+    "seed": (_integer(0), "random seed"),
+    "count": (_integer(1), "number of random cases"),
+}
+REQUIRED = object()
+
+
+class Derived(str):
+    """A default computed from other options; --help shows the text."""
+
+
+NONLINEARITY = {"f": None, "builtin": None, "p": None, "beta": None,
+                "p_low": None, "p_high": None, "d": REQUIRED}
+BALL_DATA = {"R": 1.0, "nodes": 257, "r": Derived("R/2"), "amplitude": 1.0}
 
 
 # --- config / io helpers -----------------------------------------------------
@@ -88,54 +147,46 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _merge(args: argparse.Namespace, config: dict) -> None:
-    """Fill argparse values left at None from the config file."""
-    for key, val in config.items():
-        if not hasattr(args, key):
-            raise CliError(f"unknown config key: {key}")
-        if getattr(args, key) is None:
-            setattr(args, key, val)
+def _with_config(argv: list) -> list:
+    """argv without --config FILE, and with the file's lines as --key=value
+    tokens right after the command (and kind), so that the command's parser
+    checks them like flags and the flags, parsed later, win."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return argv
+    config = load_config(known.config)
+    if "config" in config:
+        raise CliError(f"{known.config}: a config file cannot name another")
+    head = 2 if rest[:1] == ["experiment"] else 1
+    tokens = [f"--{key.replace('_', '-')}={val}"
+              for key, val in config.items()]
+    return rest[:head] + tokens + rest[head:]
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise CliError(f"missing required parameter: {name.replace('_', '-')}")
-
-
-def _d_and_q(args, d=None, q=None):
-    """--d as an integer >= 1 and --q (if given or defaulted) as a finite
-    exponent >= 1 whose critical power 1 + 2q/d is finite; d and q give the
-    defaults."""
-    d = int(args.d if args.d is not None else d)
-    if d < 1:
-        raise CliError("d must be a positive integer")
-    q = getattr(args, "q", None) or q
-    if q is not None:
-        q = float(q)
-        if not (math.isfinite(q) and q >= 1.0):
-            raise CliError("q must be a finite exponent >= 1")
-        if not math.isfinite(1.0 + 2.0 * q / d):
-            raise CliError(f"q = {q:g} is too large: the critical power "
-                           "1 + 2q/d overflows")
-    return d, q
-
-
-def _floats(text) -> list:
-    return [float(x) for x in str(text).split(",") if x.strip()]
+def _d_and_q(args) -> tuple:
+    """--d and --q, whose critical power 1 + 2q/d must also be finite."""
+    if not math.isfinite(1.0 + 2.0 * args.q / args.d):
+        raise CliError(f"q = {args.q:g} is too large: the critical power "
+                       "1 + 2q/d overflows")
+    return args.d, args.q
 
 
 def atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write through a temp file and a rename; a failure names path."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def emit_report(report: dict, out_path, argv) -> None:
@@ -167,39 +218,34 @@ def constants_block(d: int) -> dict:
 
 
 def resolve_f(args):
-    if getattr(args, "builtin", None):
-        name = args.builtin
-        params = {}
-        if name == "power":
-            _require(args, "p")
-            params["p"] = float(args.p)
-        elif name == "log_family":
-            _require(args, "d", "beta")
-            params = {"d": int(args.d), "beta": float(args.beta)}
-        elif name == "piecewise_power":
-            _require(args, "p_low", "p_high")
-            params = {"p_low": float(args.p_low),
-                      "p_high": float(args.p_high)}
-        else:
-            raise CliError(f"unknown builtin family: {name}")
-        return builtin_family(name, params)
-    if getattr(args, "f", None):
-        try:
-            return parse_nonlinearity(args.f)
-        except ParseError as exc:
-            raise CliError(f"cannot parse f: {exc}")
-    raise CliError("provide --f EXPR or --builtin NAME")
+    """f from --f, or from --builtin and exactly that family's parameters."""
+    if (args.f is None) == (args.builtin is None):
+        raise CliError("provide either --f EXPR or --builtin NAME")
+    for family, names in BUILTIN_PARAMS.items():
+        for name in names:
+            given = getattr(args, name) is not None
+            if given != (family == args.builtin):
+                flag = "--" + name.replace("_", "-")
+                raise CliError(f"{flag} is read only by --builtin {family}"
+                               if given else
+                               f"--builtin {family} needs {flag}")
+    if args.builtin:
+        return builtin_family(args.builtin, {
+            name: getattr(args, name)
+            for name in ("d", *BUILTIN_PARAMS[args.builtin])})
+    try:
+        return parse_nonlinearity(args.f)
+    except ParseError as exc:
+        raise CliError(f"cannot parse f: {exc}")
 
 
 # --- commands ----------------------------------------------------------------
 
 def cmd_classify(args, argv) -> int:
-    _require(args, "d", "q")
     d, q = _d_and_q(args)
     f = resolve_f(args)
-    domain = args.domain or "bounded"
     try:
-        if domain == "whole_space":
+        if args.domain == "whole_space":
             verdict = classify_whole_space(f, q, d)
         elif q > 1:
             verdict = classify_lq(f, q, d)
@@ -207,165 +253,123 @@ def cmd_classify(args, argv) -> int:
             verdict = classify_l1(f, d)
     except AuditError as exc:
         raise CliError(f"audit failed: {exc}")
-    report = {
-        "command": "classify",
-        "f": f.source_text, "d": d, "q": q, "domain": domain,
-        "verdict": verdict.to_dict(),
-        "constants": constants_block(d),
-    }
-    emit_report(report, args.out, argv)
+    report = {"command": "classify", "f": f.source_text, "d": d, "q": q,
+              "domain": args.domain, "verdict": verdict.to_dict(),
+              "constants": constants_block(d)}
     if args.csv:
         write_csv(args.csv, ["s", "statistic"], verdict.evidence_rows())
+    emit_report(report, args.out, argv)
     return EXIT_OK if verdict.decided else EXIT_INCONCLUSIVE
 
 
 def cmd_verify_kernel(args, argv) -> int:
-    d, _ = _d_and_q(args, d=1)
-    r_grid = _floats(args.r_grid or "0.25,1,4")
-    t_grid = _floats(args.t_grid or "0.01,0.25,1,4")
+    d, inflate = args.d, args.inflate_cd
     consts = kernel_constants(d)
     c_max = consts.c_d
-    inflate = float(args.inflate_cd or 1.0)
     if inflate != 1.0:  # falsification hook for testing the certifier
         c_d = consts.c_d * inflate
         consts = dataclasses.replace(consts, c_d=c_d,
                                      alpha_d=c_d * consts.omega_d,
                                      beta_d=c_d * 2.0 ** (-d))
-    rep = verify_lower_bounds(d, r_grid, t_grid,
-                              n_points=int(args.n_points or 17),
-                              constants=consts)
+    rep = verify_lower_bounds(d, args.r_grid, args.t_grid,
+                              n_points=args.n_points, constants=consts)
     # consistency of the supplied constant with its defining identity;
     # the sampled bounds alone have slack, this check has none
-    definition = {
-        "bound": "definition",
-        "min_margin": c_max - consts.c_d,
-        "witness": {"c_d": consts.c_d, "defining_value": c_max},
-    }
+    definition = {"bound": "definition", "min_margin": c_max - consts.c_d,
+                  "witness": {"c_d": consts.c_d, "defining_value": c_max}}
     passed = rep.passed and definition["min_margin"] >= 0.0
     report = {"command": "verify-kernel", "report": rep.to_dict(),
               "definition_check": definition, "passed": passed,
-              "inflate_cd": inflate,
-              "constants": constants_block(d)}
+              "inflate_cd": inflate, "constants": constants_block(d)}
     emit_report(report, args.out, argv)
     return EXIT_OK if passed else EXIT_ERROR
 
 
-def _setup_problem(args, d):
-    R = float(args.R or 1.0)
-    n_nodes = int(args.nodes or 257)
-    grid = RadialGrid.uniform(d, R, n_nodes)
+def _setup_problem(args):
+    grid = RadialGrid.uniform(args.d, args.R, args.nodes)
     P = build_propagator(grid)
-    u0 = indicator(grid, BallIndicator(radius=float(args.r or R / 2),
-                                       amplitude=float(args.amplitude or 1.0)))
-    return P, u0
+    radius = args.R / 2 if args.r is None else args.r
+    return P, indicator(grid, BallIndicator(radius, args.amplitude))
 
 
 def experiment_horizon(args, argv) -> int:
-    _require(args, "d", "u0_l1")
-    d, _ = _d_and_q(args)
     f = resolve_f(args)
-    rep = find_existence_horizon(float(args.u0_l1), f, d,
-                                 A=float(args.A or 2.0))
+    rep = find_existence_horizon(args.u0_l1, f, args.d, A=args.A)
     report = {"command": "experiment", "kind": "horizon",
               "f": f.source_text, "result": vars(rep).copy(),
-              "constants": constants_block(d)}
+              "constants": constants_block(args.d)}
     emit_report(report, args.out, argv)
     return EXIT_OK
 
 
 def experiment_iterate(args, argv) -> int:
-    _require(args, "d")
-    d, _ = _d_and_q(args)
     f = resolve_f(args)
-    P, u0 = _setup_problem(args, d)
-    A = float(args.A or 2.0)
-    hor = find_existence_horizon(lq_norm(u0, 1.0), f, d, A=A)
-    n_time = int(args.n_time or 64)
+    P, u0 = _setup_problem(args)
+    A, n_time = args.A, args.n_time
+    hor = find_existence_horizon(lq_norm(u0, 1.0), f, args.d, A=A)
     base = heat_series(P, u0, np.linspace(0.0, hor.T, n_time))
     chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v_init = A * base + chi.values[None, :P.grid.n_interior]
     margin = supersolution_check(P, u0, f, v_init, hor.T, n_time=n_time)
     trace = duhamel_iterate(P, u0, f, v_init, hor.T, n_time=n_time,
-                            n_iter=int(args.n_iter or 50))
-    report = {
-        "command": "experiment", "kind": "iterate", "f": f.source_text,
-        "horizon": vars(hor).copy(),
-        "supersolution_margin": margin.margin,
-        "converged": trace.converged, "iterations": trace.n_iter,
-        "residual": trace.residual, "max_increase": trace.max_increase,
-        "min_above_baseline": trace.min_above_baseline,
-        "constants": constants_block(P.grid.d),
-    }
-    emit_report(report, args.out, argv)
+                            n_iter=args.n_iter)
+    report = {"command": "experiment", "kind": "iterate", "f": f.source_text,
+              "horizon": vars(hor).copy(),
+              "supersolution_margin": margin.margin,
+              "converged": trace.converged, "iterations": trace.n_iter,
+              "residual": trace.residual, "max_increase": trace.max_increase,
+              "min_above_baseline": trace.min_above_baseline,
+              "constants": constants_block(P.grid.d)}
     if args.csv:
         write_csv(args.csv, ["iteration", "sup_delta"],
                   list(enumerate(trace.sup_deltas, start=1)))
+    emit_report(report, args.out, argv)
     return EXIT_OK if margin.certified and trace.converged else EXIT_ERROR
 
 
 def experiment_simulate(args, argv) -> int:
-    _require(args, "d", "T")
-    d, q = _d_and_q(args, q=2.0)
+    d, q = _d_and_q(args)
     f = resolve_f(args)
-    P, u0 = _setup_problem(args, d)
-    controls = SimulationControls(q=q, dt_init=float(args.dt or 1e-3))
-    traj = simulate_forward(P, u0, f, float(args.T), controls)
-    report = {
-        "command": "experiment", "kind": "simulate", "f": f.source_text,
-        "T": float(args.T), "steps": len(traj.times) - 1,
-        "rejected_steps": traj.rejected_steps,
-        "blowup": traj.blowup, "blowup_time": traj.blowup_time,
-        "peak_l1": traj.peak_l1, "final_l1": traj.l1[-1],
-        "final_linf": traj.linf[-1],
-        "constants": constants_block(P.grid.d),
-    }
-    emit_report(report, args.out, argv)
+    P, u0 = _setup_problem(args)
+    controls = SimulationControls(q=q, dt_init=args.dt)
+    traj = simulate_forward(P, u0, f, args.T, controls)
+    report = {"command": "experiment", "kind": "simulate", "f": f.source_text,
+              "T": args.T, "steps": len(traj.times) - 1,
+              "rejected_steps": traj.rejected_steps, "blowup": traj.blowup,
+              "blowup_time": traj.blowup_time, "peak_l1": traj.peak_l1,
+              "final_l1": traj.l1[-1], "final_linf": traj.linf[-1],
+              "constants": constants_block(P.grid.d)}
     if args.csv:
         write_csv(args.csv,
                   ["t", "l1", f"l{controls.q:g}", "linf", "dt", "clamps"],
                   list(zip(traj.times, traj.l1, traj.lq, traj.linf,
                            traj.dts, traj.clamp_counts)))
+    emit_report(report, args.out, argv)
     return EXIT_OK
 
 
 def experiment_lower_bound(args, argv) -> int:
-    _require(args, "d", "r", "t")
-    d, q = _d_and_q(args, q=1.0)
+    d, q = _d_and_q(args)
     f = resolve_f(args)
     lb = duhamel_lower_bound(
-        BallIndicator(radius=float(args.r),
-                      amplitude=float(args.amplitude or 1.0)),
-        f, float(args.t), d, q=q)
-    report = {
-        "command": "experiment", "kind": "lower_bound", "f": f.source_text,
-        "t": float(args.t), "lq": lb.lq, "q": lb.q,
-        "min_on_ball": lb.min_on_ball(float(args.r)),
-        "constants": constants_block(d),
-    }
-    emit_report(report, args.out, argv)
+        BallIndicator(radius=args.r, amplitude=args.amplitude),
+        f, args.t, d, q=q)
+    report = {"command": "experiment", "kind": "lower_bound",
+              "f": f.source_text, "t": args.t, "lq": lb.lq, "q": lb.q,
+              "min_on_ball": lb.min_on_ball(args.r),
+              "constants": constants_block(d)}
     if args.csv:
         write_csv(args.csv, ["rho", "lower_bound"],
                   list(zip(lb.radii, lb.values)))
+    emit_report(report, args.out, argv)
     return EXIT_OK
 
 
 def experiment_blowup_trend(args, argv) -> int:
-    _require(args, "d", "q", "N_range")
     d, q = _d_and_q(args)
     f = resolve_f(args)
-    bounds = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", str(args.N_range))
-    if bounds is None:
-        raise CliError("N-range must have the form LO..HI with integers "
-                       f"LO < HI, got {args.N_range!r}")
-    lo, hi = int(bounds[1]), int(bounds[2])
-    if lo >= hi:
-        raise CliError("N-range LO..HI needs LO < HI: a trend takes at "
-                       "least two N")
-    n_steps = int(args.n_time or 20)
-    if n_steps < 1:
-        raise CliError("n-time must be at least 1")
-    epsilon = float(args.epsilon or 0.5)
-    R = float(args.R or 1.0)
+    lo, hi = args.N_range
+    epsilon, R = args.epsilon, args.R
     # one grid and one fixed step size for every N, so trajectories for
     # nested data stay pointwise ordered (discrete comparison principle);
     # per-run adaptive stepping would break the ordering near blow-up
@@ -375,9 +379,9 @@ def experiment_blowup_trend(args, argv) -> int:
     # simulate a tenth of the reaction timescale sup/f(sup) of the largest
     # data set, so every run stays resolved on the common step size
     sup_max = lq_norm(u0_hi, math.inf)
-    T = (float(args.T) if args.T is not None
-         else 0.1 * sup_max / float(eval_f(f, sup_max)))
-    dt = float(args.dt) if args.dt is not None else T / n_steps
+    T = (0.1 * sup_max / float(eval_f(f, sup_max)) if args.T is None
+         else args.T)
+    dt = T / args.n_time if args.dt is None else args.dt
     controls = SimulationControls(dt_init=dt, adaptive=False, q=q)
     rows = []
     for N in range(lo, hi + 1):
@@ -394,10 +398,10 @@ def experiment_blowup_trend(args, argv) -> int:
               "peak_l1_strictly_increasing": monotone,
               "note": "numeric blow-up trend; not a proof of non-existence",
               "constants": constants_block(d)}
-    emit_report(report, args.out, argv)
     if args.csv:
         write_csv(args.csv, ["N", "peak_l1", "blowup"],
                   [(r["N"], r["peak_l1"], r["blowup"]) for r in rows])
+    emit_report(report, args.out, argv)
     return EXIT_OK if monotone else EXIT_ERROR
 
 
@@ -412,11 +416,7 @@ def _suite_case(case):
 
 
 def experiment_equivalence_suite(args, argv) -> int:
-    seed = int(args.seed or 7)
-    count = int(args.count or 20)
-    if count < 1:
-        raise CliError("count must be a positive integer")
-    d, _ = _d_and_q(args, d=2)
+    seed, count, d = args.seed, args.count, args.d
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
@@ -438,23 +438,64 @@ def experiment_equivalence_suite(args, argv) -> int:
     return EXIT_OK if len(decided) == count else EXIT_INCONCLUSIVE
 
 
+# command (or experiment kind) -> (runner, help, {option: default or
+# REQUIRED}); every command also takes --config and --out
+COMMANDS = {
+    "classify": (cmd_classify, "existence classification", {
+        **NONLINEARITY, "q": REQUIRED, "domain": "bounded", "csv": None}),
+    "verify-kernel": (cmd_verify_kernel, "certify the kernel bounds", {
+        "d": 1, "r_grid": "0.25,1,4", "t_grid": "0.01,0.25,1,4",
+        "n_points": 17, "inflate_cd": 1.0}),
+}
 EXPERIMENTS = {
-    "horizon": experiment_horizon,
-    "iterate": experiment_iterate,
-    "simulate": experiment_simulate,
-    "lower_bound": experiment_lower_bound,
-    "blowup_trend": experiment_blowup_trend,
-    "equivalence_suite": experiment_equivalence_suite,
+    "horizon": (experiment_horizon, "existence horizon of L1 data", {
+        **NONLINEARITY, "u0_l1": REQUIRED, "A": 2.0}),
+    "iterate": (experiment_iterate, "certified monotone iteration", {
+        **NONLINEARITY, **BALL_DATA, "A": 2.0, "n_time": 64, "n_iter": 50,
+        "csv": None}),
+    "simulate": (experiment_simulate, "adaptive forward simulation", {
+        **NONLINEARITY, "q": 2.0, **BALL_DATA, "T": REQUIRED, "dt": 1e-3,
+        "csv": None}),
+    "lower_bound": (experiment_lower_bound, "Duhamel lower bound", {
+        **NONLINEARITY, "q": 1.0, "r": REQUIRED, "t": REQUIRED,
+        "amplitude": 1.0, "csv": None}),
+    "blowup_trend": (experiment_blowup_trend, "blow-up trend in N", {
+        **NONLINEARITY, "q": REQUIRED, "N_range": REQUIRED, "n_time": 20,
+        "epsilon": 0.5, "R": 1.0,
+        "T": Derived("a tenth of sup u0 / f(sup u0) at N = HI"),
+        "dt": Derived("T / n-time"), "csv": None}),
+    "equivalence_suite": (experiment_equivalence_suite, "series and "
+                          "integral criteria on random f",
+                          {"seed": 7, "count": 20, "d": 2}),
 }
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors are CliErrors: exit 1 with one line, not
     argparse's usage block and exit 2, which means Inconclusive here.
-    Subparsers are made from the same class."""
+    Subparsers are made from the same class. Options are never abbreviated:
+    a prefix of a flag is an unknown flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError(message)
+
+
+def _add_options(parser, table: dict) -> None:
+    for name, default in {"config": None, "out": None, **table}.items():
+        kind, text = OPTIONS[name]
+        kwargs = {"choices" if isinstance(kind, list) else "type": kind}
+        if default is REQUIRED:
+            kwargs["required"] = True
+        elif isinstance(default, Derived):
+            text += f" (default: {default})"
+        elif default is not None:
+            kwargs["default"] = default
+            text += " (default: %(default)s)"
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            help=text, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,67 +504,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for local existence of "
                     "u_t - Lap(u) = f(u) with Lebesgue-space data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key = value config file; "
-                                        "flags override file values")
-        p.add_argument("--out", help="JSON report path (default stdout)")
-        p.add_argument("--csv", help="CSV evidence/trajectory path")
-
-    def nonlinearity(p):
-        p.add_argument("--f", help="nonlinearity expression in s")
-        p.add_argument("--builtin",
-                       choices=["power", "log_family", "piecewise_power"])
-        p.add_argument("--p"), p.add_argument("--beta")
-        p.add_argument("--p-low", dest="p_low")
-        p.add_argument("--p-high", dest="p_high")
-        p.add_argument("--d"), p.add_argument("--q")
-
-    pc = sub.add_parser("classify", help="existence classification")
-    common(pc)
-    nonlinearity(pc)
-    pc.add_argument("--domain", choices=["bounded", "whole_space"])
-
-    pv = sub.add_parser("verify-kernel", help="certify the kernel bounds")
-    common(pv)
-    pv.add_argument("--d")
-    pv.add_argument("--r-grid", dest="r_grid")
-    pv.add_argument("--t-grid", dest="t_grid")
-    pv.add_argument("--n-points", dest="n_points")
-    pv.add_argument("--inflate-cd", dest="inflate_cd",
-                    help="test-only: multiply c_d to falsify certification")
-
-    pe = sub.add_parser("experiment", help="solver / databuilder experiments")
-    common(pe)
-    pe.add_argument("kind", choices=sorted(EXPERIMENTS))
-    nonlinearity(pe)
-    pe.add_argument("--u0-l1", dest="u0_l1")
-    pe.add_argument("--A"), pe.add_argument("--T"), pe.add_argument("--t")
-    pe.add_argument("--r"), pe.add_argument("--amplitude")
-    pe.add_argument("--R"), pe.add_argument("--nodes")
-    pe.add_argument("--n-time", dest="n_time")
-    pe.add_argument("--n-iter", dest="n_iter")
-    pe.add_argument("--dt")
-    pe.add_argument("--N-range", dest="N_range")
-    pe.add_argument("--epsilon")
-    pe.add_argument("--seed"), pe.add_argument("--count")
+    for name, (_, text, table) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), table)
+    kinds = sub.add_parser("experiment", help="solver and data experiments"
+                           ).add_subparsers(dest="kind", required=True)
+    for kind, (_, text, table) in EXPERIMENTS.items():
+        _add_options(kinds.add_parser(kind, help=text), table)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            _merge(args, load_config(args.config))
-        if args.command == "classify":
-            return cmd_classify(args, argv)
-        if args.command == "verify-kernel":
-            return cmd_verify_kernel(args, argv)
-        return EXPERIMENTS[args.kind](args, argv)
+        args = build_parser().parse_args(_with_config(argv))
+        run = (EXPERIMENTS[args.kind] if args.command == "experiment"
+               else COMMANDS[args.command])[0]
+        return run(args, argv)
     except (CliError, AuditError, SolverError, ParseError, DomainError,
-            QuadratureError, ScheduleError, ValueError, OSError) as exc:
+            QuadratureError, ScheduleError, ValueError, OverflowError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -144,8 +144,12 @@ def _c_prime(d: int) -> float:
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         gamma = D(_SQRT_PI) if d % 2 else D(1)  # Gamma(1/2) or Gamma(1)
-        for k in range(2 - d % 2, d + 1, 2):    # up to Gamma(d/2 + 1)
-            gamma *= D(k) / 2
+        try:
+            for k in range(2 - d % 2, d + 1, 2):    # up to Gamma(d/2 + 1)
+                gamma *= D(k) / 2
+        except decimal.Overflow:
+            raise ValueError(f"d = {d} is too large: Gamma(d/2 + 1) "
+                             "overflows the decimal range") from None
         half_d = D(d) / 2
         weight = 1 / gamma          # 4^-m / Gamma(d/2 + m + 1)
         inv_fact, e_partial, total, m = D(1), D(0), D(0), 0

@@ -1,19 +1,30 @@
 """End-to-end CLI tests: exit codes, determinism, config handling, artifacts."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatlab
 from heatlab.cli import (
+    COMMANDS,
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    EXPERIMENTS,
+    OPTIONS,
+    REQUIRED,
+    _with_config,
     build_parser,
     load_config,
     main,
@@ -363,6 +374,9 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
      "--nodes", "0"],
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--nodes", "0"],
+    ["classify", "--f", "s^2", "--d", "1000000", "--q", "2"],
+    ["verify-kernel", "--d", "1000000"],
+    ["classify", "--f", "s^2", "--d", "1" + "0" * 400, "--q", "2"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
@@ -407,23 +421,29 @@ def test_blowup_trend_names_the_step_count(capsys, n_time):
     assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
                  "--q", "1", "--N-range", "3..5",
                  "--n-time", n_time]) == EXIT_ERROR
-    assert capsys.readouterr().err == "error: n-time must be at least 1\n"
+    assert capsys.readouterr().err == ("error: argument --n-time: expected "
+                                       f"an integer >= 1, got '{n_time}'\n")
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path, monkeypatch):
     # every `heatlab ...` line of the README's shell blocks, continuation
-    # lines joined and comments dropped, is accepted by the parser
+    # lines joined and comments dropped, is accepted by the parser, with the
+    # README's run.cfg spliced in as main does
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+        text = fh.read()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
     commands = [shlex.split(line, comments=True)[1:]
                 for block in blocks
                 for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("heatlab ")]
     assert len(commands) >= 10
+    run_cfg = re.search(r"```\n(# run.cfg\n.*?)```", text, re.S)[1]
+    (tmp_path / "run.cfg").write_text(run_cfg)
+    monkeypatch.chdir(tmp_path)
     parser = build_parser()
     for argv in commands:
-        parser.parse_args(argv)
+        parser.parse_args(_with_config(argv))
 
 
 # --- cold start ---------------------------------------------------------------
@@ -456,3 +476,172 @@ def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
                          capture_output=True, text=True, cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.splitlines()[-1] in ("0 []", "2 []")
+
+
+# --- one option table per command ---------------------------------------------
+
+# the option table of every command line head, and one valid invocation
+TABLES = {("classify",): COMMANDS["classify"][2],
+          ("verify-kernel",): COMMANDS["verify-kernel"][2],
+          **{("experiment", kind): table
+             for kind, (_, _, table) in EXPERIMENTS.items()}}
+VALID = {
+    ("classify",): ["--f", "s^2", "--d", "1", "--q", "2"],
+    ("verify-kernel",): ["--d", "1"],
+    ("experiment", "horizon"): ["--f", "s^2", "--d", "1", "--u0-l1", "0.5"],
+    ("experiment", "iterate"): ["--f", "s^2", "--d", "1"],
+    ("experiment", "simulate"): ["--f", "s^2", "--d", "1", "--T", "0.01"],
+    ("experiment", "lower_bound"): ["--f", "s^2", "--d", "1", "--r", "0.5",
+                                    "--t", "0.01"],
+    ("experiment", "blowup_trend"): ["--f", "s^4", "--d", "1", "--q", "1",
+                                     "--N-range", "3..5"],
+    ("experiment", "equivalence_suite"): [],
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _taken(head):
+    return {"config", "out", *TABLES[head]}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--f", "s^2", "--d", "1.5", "--q", "2"], "--d"),
+    (["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+      "--N-range", "3..5", "--n-time", "1e3"], "--n-time"),
+    (["experiment", "equivalence_suite", "--seed", "1e3"], "--seed"),
+])
+def test_non_integer_value_names_its_option(tmp_path, capsys, argv, flag):
+    assert main(argv) == EXIT_ERROR
+    assert _assert_one_line_error(capsys).startswith(f"error: argument {flag}:")
+    # the same value from a config file is typed and rejected the same way
+    i = argv.index(flag)
+    (tmp_path / "bad.cfg").write_text(f"{flag[2:]} = {argv[i + 1]}\n")
+    assert main(argv[:i] + argv[i + 2:] +
+                ["--config", str(tmp_path / "bad.cfg")]) == EXIT_ERROR
+    assert _assert_one_line_error(capsys).startswith(f"error: argument {flag}:")
+
+
+@pytest.mark.parametrize("option", ["--csv", "--out"])
+def test_failed_write_leaves_no_report(tmp_path, capsys, option):
+    path = str(tmp_path / "no-such-dir" / "x")
+    assert main(["classify", "--f", "s^2", "--d", "1", "--q", "2",
+                 option, path]) == EXIT_ERROR
+    err = _assert_one_line_error(capsys)   # nothing on stdout
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("head, name", [
+    (head, name) for head in TABLES for name in sorted(OPTIONS)
+    if name not in _taken(head)])
+def test_an_option_the_command_never_reads_is_an_error(tmp_path, capsys,
+                                                       head, name):
+    argv = [*head, *VALID[head]]
+    assert main(argv + [_flag(name), "1"]) == EXIT_ERROR
+    assert _flag(name) in _assert_one_line_error(capsys)
+    (tmp_path / "run.cfg").write_text(f"{name} = 1\n")
+    assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == EXIT_ERROR
+    assert _flag(name) in _assert_one_line_error(capsys)
+
+
+def test_unread_options_named_in_the_tables_are_gone():
+    assert "q" not in _taken(("experiment", "horizon"))
+    assert "q" not in _taken(("experiment", "iterate"))
+    assert "q" not in _taken(("experiment", "equivalence_suite"))
+    for head in [("verify-kernel",), ("experiment", "horizon"),
+                 ("experiment", "equivalence_suite")]:
+        assert "csv" not in _taken(head)
+    assert "f" not in _taken(("experiment", "equivalence_suite"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--f", "s^2", "--builtin", "power", "--p", "2"],
+     "provide either --f EXPR or --builtin NAME"),
+    (["--f", "s^2", "--p", "2"], "--p is read only by --builtin power"),
+    (["--builtin", "power", "--beta", "1", "--p", "2"],
+     "--beta is read only by --builtin log_family"),
+    (["--builtin", "piecewise_power", "--p-low", "2"],
+     "--builtin piecewise_power needs --p-high"),
+])
+def test_builtin_parameters_match_the_family(capsys, argv, message):
+    assert main(["classify", "--d", "1", "--q", "2", *argv]) == EXIT_ERROR
+    assert _assert_one_line_error(capsys) == f"error: {message}\n"
+
+
+def test_config_file_cannot_name_another(tmp_path, capsys):
+    (tmp_path / "a.cfg").write_text("config = b.cfg\n")
+    assert main(["classify", "--f", "s^2", "--d", "1", "--q", "2",
+                 "--config", str(tmp_path / "a.cfg")]) == EXIT_ERROR
+    assert "cannot name another" in _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("head", sorted(TABLES))
+def test_help_lists_each_option_and_default(capsys, head):
+    with pytest.raises(SystemExit) as exc:
+        main([*head, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, default in TABLES[head].items():
+        assert _flag(name) in text
+        if default is not None and default is not REQUIRED:
+            assert f"(default: {default})" in text
+
+
+# fuzzing: every draw holds one poison, an invalid value or an option of
+# another command, so main must stop at parsing with a one-line error
+CANDIDATES = ["1", "2", "3", "0", "-1", "0.5", "1.5", "1e3", "nan", "inf",
+              "", "abc", "3..5", "5..3", "0.5,1", ",", "s^2", "bounded",
+              "power", "no-such-dir/x"]
+
+
+def _rejects(kind, text):
+    if isinstance(kind, list):
+        return text not in kind
+    try:
+        kind(text)
+    except argparse.ArgumentTypeError:
+        return True
+    return False
+
+
+@st.composite
+def _poisoned_argv(draw):
+    head = draw(st.sampled_from(sorted(TABLES)))
+    names = sorted(_taken(head) - {"config"})
+    pairs = []
+    for name in draw(st.lists(st.sampled_from(names), unique=True,
+                              max_size=6)):
+        kind = OPTIONS[name][0]
+        pairs.append([_flag(name), draw(st.sampled_from(
+            [v for v in CANDIDATES if not _rejects(kind, v)]))])
+    poisons = [[_flag(name), v] for name in names for v in CANDIDATES
+               if _rejects(OPTIONS[name][0], v)]
+    poisons += [[_flag(name), "1"] for name in sorted(OPTIONS)
+                if name not in _taken(head)]
+    pairs.insert(draw(st.integers(0, len(pairs))),
+                 draw(st.sampled_from(poisons)))
+    return [*head, *(token for pair in pairs for token in pair)]
+
+
+def _never_run(args, argv):
+    raise AssertionError(f"ran {argv}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poisoned_argv())
+def test_fuzzed_argv_is_one_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    stub = {k: (_never_run, *v[1:]) for k, v in COMMANDS.items()}
+    stub_kinds = {k: (_never_run, *v[1:]) for k, v in EXPERIMENTS.items()}
+    with mock.patch.dict(COMMANDS, stub), \
+            mock.patch.dict(EXPERIMENTS, stub_kinds), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_ERROR, argv
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and \
+        err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
