@@ -73,10 +73,14 @@ class KernelConstants:
 
 def unit_ball_volume(d: int) -> float:
     """omega_d = pi^(d/2) / Gamma(d/2 + 1), by the recurrence
-    omega_d = (2 pi / d) omega_(d-2) from omega_0 = 1, omega_1 = 2."""
+    omega_d = (2 pi / d) omega_(d-2) from omega_0 = 1, omega_1 = 2. Once
+    omega underflows to 0 it stays 0, so the recurrence stops there (from
+    d = 453 on) and a huge d costs no more than that."""
     omega = 2.0 if d % 2 else 1.0
     for k in range(2 + d % 2, d + 1, 2):
         omega *= 2.0 * math.pi / k
+        if omega == 0.0:
+            break
     return omega
 
 

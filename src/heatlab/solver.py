@@ -19,6 +19,7 @@ from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr,
                            sup_ratio_envelope)
 
 CLAMP_TOL = 1e-9
+ROUND_TRIP_TOL = 1e-8      # modal round trip of the constant field
 OVERFLOW_GUARD = 1e12
 ITERATION_TOL = 1e-8       # sup change that ends duhamel_iterate
 # step control of simulate_forward
@@ -68,6 +69,9 @@ class RadialGrid:
                                 [self.R]])
         omega = unit_ball_volume(self.d)
         vols = omega * (faces[1:] ** self.d - faces[:-1] ** self.d)
+        if not np.all((vols > 0.0) & (vols < math.inf)):
+            raise ValueError(f"the cell volumes of this grid under- or "
+                             f"overflow a double in dimension d = {self.d}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "quad_weights", vols)
@@ -112,9 +116,6 @@ class RadialField:
         if not np.isfinite(self.values).all():
             raise ValueError("field values must be finite")
 
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy(), self.clamp_count)
-
 
 def indicator(grid: RadialGrid, chi: BallIndicator) -> RadialField:
     """Sample a ball indicator by exact cell-volume averaging, so discrete
@@ -141,6 +142,11 @@ def _lq(w: np.ndarray, a: np.ndarray, q: float) -> float:
     is not finite, or underflows to 0 for a non-zero field."""
     with np.errstate(over="ignore"):
         total = (w * a ** q).sum()
+    return _lq_root(total, a, q)
+
+
+def _lq_root(total, a: np.ndarray, q: float) -> float:
+    """total^(1/q) for total = sum w a^q, refused as in _lq."""
     if not (math.isfinite(total) and (total > 0.0 or not a.any())):
         raise SolverError(f"the l^{q:g} norm does not fit in a double: "
                           f"sum of w |u|^q is {float(total):g}")
@@ -190,7 +196,47 @@ def build_propagator(grid: RadialGrid) -> HeatPropagator:
     if lam[0] <= 0:
         raise SolverError(f"non-positive eigenvalue {lam[0]:.3e}: "
                           "bad discretization")
+    # the constant field through the modal round trip W^-1/2 Q Q^T W^1/2:
+    # 1/sqrt(V) amplifies the round-off of Q at small cells, and an error
+    # above the kernel's relative budget makes S(t) wrong even at t = 0
+    err = float(np.abs((Q @ (sqrt_w @ Q)) / sqrt_w - 1.0).max())
+    if not err <= ROUND_TRIP_TOL:
+        raise SolverError(f"the modal basis of the d = {grid.d} grid with "
+                          f"{grid.n} nodes is inaccurate: the round trip of "
+                          f"the constant field errs by {err:.1e} (above "
+                          f"{ROUND_TRIP_TOL:g})")
     return HeatPropagator(grid=grid, eigenvalues=lam, modes=Q, sqrt_w=sqrt_w)
+
+
+def _heat_step(P: HeatPropagator, decay: np.ndarray,
+               values: np.ndarray) -> tuple:
+    """(e^(-tA) values, clamp count) for decay = e^(-lam t), on all nodes.
+
+    The two modal products of the semigroup; the boundary node is set to 0.
+    Image values below -CLAMP_TOL max(1, max|values|) count as clamp
+    violations, and for non-negative values the negative round-off of the
+    image is clamped to zero. Values that are not finite are refused."""
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("field values must be finite")
+    m = P.grid.n_interior
+    coeffs = decay * P.to_modal(values[:m])
+    vals = np.empty(m + 1)
+    vals[m] = 0.0  # Dirichlet boundary node
+    out = vals[:m]
+    np.divide(P.modes @ coeffs, P.sqrt_w, out=out)  # P.from_modal, in place
+    tol = CLAMP_TOL * max(1.0, hi, -lo)  # max|values|, exactly
+    n_clamped = int(np.count_nonzero(out < -tol))
+    if lo >= 0.0:
+        np.maximum(out, 0.0, out=out)
+    return vals, n_clamped
+
+
+def _check_grid(P: HeatPropagator, grid: RadialGrid) -> None:
+    """Same nodes and dimension (the cell volumes depend on both)."""
+    if grid is not P.grid and (grid.d != P.grid.d or
+                               not np.array_equal(grid.nodes, P.grid.nodes)):
+        raise ValueError("field grid does not match the propagator grid")
 
 
 def semigroup_apply(P: HeatPropagator, t: float, u: RadialField) -> RadialField:
@@ -198,18 +244,8 @@ def semigroup_apply(P: HeatPropagator, t: float, u: RadialField) -> RadialField:
     below the relative tolerance floor count as clamp violations."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    if u.grid is not P.grid and not np.array_equal(u.grid.nodes, P.grid.nodes):
-        raise ValueError("field grid does not match the propagator grid")
-    m = P.grid.n_interior
-    coeffs = np.exp(-P.eigenvalues * t) * P.to_modal(u.values[:m])
-    vals = np.empty(m + 1)
-    vals[m] = 0.0  # Dirichlet boundary node
-    out = vals[:m]
-    np.divide(P.modes @ coeffs, P.sqrt_w, out=out)  # P.from_modal, in place
-    tol = CLAMP_TOL * max(1.0, float(np.abs(u.values).max()))
-    n_clamped = int(np.count_nonzero(out < -tol))
-    if u.values.min() >= 0.0:
-        np.maximum(out, 0.0, out=out)
+    _check_grid(P, u.grid)
+    vals, n_clamped = _heat_step(P, np.exp(-P.eigenvalues * t), u.values)
     return RadialField(P.grid, vals, clamp_count=n_clamped)
 
 
@@ -609,61 +645,79 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     T per summed step is the rounding of that sum, so the run has reached
     T: a fixed step T/n takes exactly n steps.
 
-    Each attempt costs one semigroup_apply (two modal products) and one
-    abs pass, from which an accepted step takes its l1, l^q and sup norms
-    with lq_norm's operations; the sup is the next attempt's base. An l^q
-    norm that does not fit in a double is a SolverError, as in lq_norm."""
+    The state is a plain array of nodal values, with no field objects: the
+    grid is checked once, and the final field is wrapped once, at the end.
+    Each attempt costs one f evaluation, the two modal products of
+    semigroup_apply's kernel and one abs pass, from which an accepted step
+    takes its l1, l^q and sup norms with lq_norm's operations (at q = 1 the
+    l^q sum is the l1 sum); the sup is the next attempt's base, and only an
+    adaptive attempt takes its relative change. The decay vector
+    e^(-lam dt) is computed once per distinct dt: once for a fixed step,
+    once more for a shorter last step. A candidate or stepped field that is
+    not finite is a ValueError, and an l^q norm that does not fit in a
+    double a SolverError, as for field objects and lq_norm."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and positive")
     ct = controls or SimulationControls()
     if not (math.isfinite(ct.dt_init) and ct.dt_init > 0):
         raise ValueError("dt must be finite and positive")
+    _check_grid(P, u0.grid)
     q, w = ct.q, P.grid.quad_weights
-    u = u0.copy()
+    u, clamps = u0.values.copy(), u0.clamp_count
     t, dt = 0.0, min(ct.dt_init, T)
-    sup = lq_norm(u, math.inf)
-    traj = Trajectory(times=[0.0], l1=[lq_norm(u, 1.0)], lq=[lq_norm(u, q)],
-                      linf=[sup], dts=[dt], clamp_counts=[0],
-                      rejected_steps=0, q=q, blowup=False, blowup_time=None,
-                      final=u)
+    sup = lq_norm(u0, math.inf)
+    times, l1, lq, linf = [0.0], [lq_norm(u0, 1.0)], [lq_norm(u0, q)], [sup]
+    dts, clamp_counts = [dt], [0]
+    rejected, blowup_time = 0, None
+    decay_dt, decay = None, None
     steps = 0
-    while T - t > len(traj.times) * math.ulp(T):
+    while T - t > len(times) * math.ulp(T):
         if steps == MAX_STEPS:
             raise SolverError(f"step budget of {MAX_STEPS} steps ran out at "
                               f"t = {t:.6g} before T = {T:.6g}")
         steps += 1
         dt = min(dt, T - t)
         try:
-            fu = _eval_f(f, u.values)
+            fu = _eval_f(f, u)
         except SolverError:
-            traj.blowup, traj.blowup_time = True, t
+            blowup_time = t
             break
-        cand = u.values + dt * fu
+        cand = u + dt * fu
         cand[-1] = 0.0  # Dirichlet boundary node
-        u_new = semigroup_apply(P, dt, RadialField(u.grid, cand))
-        base = max(sup, 1e-300)
-        a = np.abs(u_new.values)
+        if dt != decay_dt:
+            decay_dt, decay = dt, np.exp(-P.eigenvalues * dt)
+        u_new, n_clamped = _heat_step(P, decay, cand)
+        a = np.abs(u_new)
         new_sup = float(a.max())
-        rel = float(np.abs(u_new.values - u.values).max()) / base
-        if ct.adaptive and rel > REL_CHANGE_TARGET and dt > DT_MIN:
-            traj.rejected_steps += 1
-            dt *= 0.5
-            if dt < DT_MIN:
-                traj.blowup, traj.blowup_time = True, t
-                break
-            continue
+        if not math.isfinite(new_sup):
+            raise ValueError("field values must be finite")
+        grow = False
+        if ct.adaptive:
+            diff = u_new - u
+            rel = float(np.abs(diff, out=diff).max()) / max(sup, 1e-300)
+            if rel > REL_CHANGE_TARGET and dt > DT_MIN:
+                rejected += 1
+                dt *= 0.5
+                if dt < DT_MIN:
+                    blowup_time = t
+                    break
+                continue
+            grow = rel < 0.5 * REL_CHANGE_TARGET
         t += dt
-        u, sup = u_new, new_sup
-        traj.times.append(t)
-        traj.l1.append(float((w * a).sum()))
-        traj.lq.append(sup if q == math.inf else _lq(w, a, q))
-        traj.linf.append(sup)
-        traj.dts.append(dt)
-        traj.clamp_counts.append(u.clamp_count)
+        u, sup, clamps = u_new, new_sup, n_clamped
+        times.append(t)
+        l1.append(float((w * a).sum()))
+        lq.append(sup if q == math.inf else
+                  _lq_root(l1[-1], a, q) if q == 1.0 else _lq(w, a, q))
+        linf.append(sup)
+        dts.append(dt)
+        clamp_counts.append(clamps)
         if sup > OVERFLOW_GUARD:
-            traj.blowup, traj.blowup_time = True, t
+            blowup_time = t
             break
-        if ct.adaptive and rel < 0.5 * REL_CHANGE_TARGET:
+        if grow:
             dt *= DT_GROWTH
-    traj.final = u
-    return traj
+    return Trajectory(times=times, l1=l1, lq=lq, linf=linf, dts=dts,
+                      clamp_counts=clamp_counts, rejected_steps=rejected, q=q,
+                      blowup=blowup_time is not None, blowup_time=blowup_time,
+                      final=RadialField(P.grid, u, clamp_count=clamps))

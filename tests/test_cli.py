@@ -377,6 +377,11 @@ def test_blowup_trend_schedule_error(capsys):
     ["classify", "--f", "s^2", "--d", "1000000", "--q", "2"],
     ["verify-kernel", "--d", "1000000"],
     ["classify", "--f", "s^2", "--d", "1" + "0" * 400, "--q", "2"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1" + "0" * 30],
+    ["experiment", "simulate", "--f", "s^2", "--T", "0.01", "--d",
+     "1" + "0" * 30],
+    ["experiment", "simulate", "--f", "s^2", "--T", "0.01", "--d", "150"],
+    ["experiment", "simulate", "--f", "s^2", "--T", "0.01", "--d", "20"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
@@ -392,6 +397,8 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
      {EXIT_OK, EXIT_INCONCLUSIVE}),
     (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
       "--q", "1e300"], {EXIT_ERROR}),
+    (["experiment", "simulate", "--f", "s^2", "--T", "0.01", "--d", "150"],
+     {EXIT_ERROR}),
 ])
 def test_vanishing_or_overflowing_powers_run_clean(tmp_path, argv, codes):
     # in a fresh process, so that numpy's RuntimeWarnings reach stderr

@@ -38,6 +38,15 @@ def test_unit_ball_volumes():
                                                 rel=1e-14)
 
 
+def test_unit_ball_volume_stops_once_it_underflows():
+    # omega_452 is the last non-zero double; a d of 31 digits returns at once
+    # instead of running the recurrence for 5e29 steps
+    assert unit_ball_volume(452) > 0.0
+    assert unit_ball_volume(453) == unit_ball_volume(10 ** 30) == 0.0
+    assert unit_ball_volume(301) == pytest.approx(
+        math.exp(150.5 * math.log(math.pi) - math.lgamma(151.5)), rel=1e-12)
+
+
 # --- gaussian kernel ---------------------------------------------------------
 
 def test_kernel_normalization_point():

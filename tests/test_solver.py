@@ -2,11 +2,11 @@
 
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
 via heat_on_ball, the linear-nonlinearity closed form of the existence
-horizon, grid/time refinement self-consistency, and four slow references
+horizon, grid/time refinement self-consistency, and five slow references
 kept here: the face-by-face propagator assembly diagonalised by dense
-eigh, the re-summed Duhamel
-history, the quad-based horizon search and the forward stepper with one
-lq_norm call per norm.
+eigh, the re-summed Duhamel history, the quad-based horizon search, the
+semigroup step with its own abs pass and the forward stepper on field
+objects with one lq_norm call per norm.
 """
 
 import math
@@ -70,6 +70,13 @@ def test_grid_rejects_bad_nodes():
         RadialGrid(d=1, R=1.0, nodes=np.array([0.1, 0.5, 1.0]))
     with pytest.raises(ValueError):
         RadialGrid(d=1, R=1.0, nodes=np.array([0.0, 0.5, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("d", [150, 453, 10 ** 30])
+def test_grid_refuses_volumes_out_of_range(d):
+    # r^150 underflows at the inner faces; omega_d itself is 0 from d = 453
+    with pytest.raises(ValueError, match=rf"dimension d = {d}$"):
+        RadialGrid.uniform(d, 1.0, 257)
 
 
 def test_indicator_exact_l1():
@@ -138,6 +145,22 @@ def test_eigenvalues_increasing(prop_d1):
 def test_propagator_requires_resolution():
     with pytest.raises(ValueError):
         build_propagator(RadialGrid.uniform(1, 1.0, 16))
+
+
+@pytest.mark.parametrize("d, n, refused", [
+    (3, 257, False), (7, 257, False), (8, 257, True), (20, 257, True),
+    (5, 1025, False), (6, 1025, True)])
+def test_propagator_refuses_an_inaccurate_modal_basis(d, n, refused):
+    # round trips of the constant field measured: d = 8 and 257 nodes 4e-8,
+    # d = 20 2e5, d = 6 and 1025 nodes 4e-8; 1/sqrt(V) amplifies round-off
+    # at the inner nodes, and d = 20 stepped a false blow-up at t = 0
+    grid = RadialGrid.uniform(d, 1.0, n)
+    if not refused:
+        build_propagator(grid)
+        return
+    with pytest.raises(SolverError, match=rf"d = {d} grid with {n} nodes .*"
+                                          r"errs by \S+ \(above 1e-08\)"):
+        build_propagator(grid)
 
 
 def _face_by_face_eigh(grid):
@@ -256,6 +279,16 @@ def test_grid_mismatch_rejected(prop_d1):
     u = indicator(other, BallIndicator(1.0))
     with pytest.raises(ValueError):
         semigroup_apply(prop_d1, 0.1, u)
+
+
+def test_grid_of_another_dimension_rejected(prop_d1):
+    # same nodes, other cell volumes: a d = 3 field stepped by the d = 1
+    # propagator had its l1 norm jump from 4 pi / 3 to 2 at f = 0
+    u = indicator(RadialGrid.uniform(3, math.pi, 257), BallIndicator(1.0))
+    with pytest.raises(ValueError, match="does not match"):
+        semigroup_apply(prop_d1, 0.1, u)
+    with pytest.raises(ValueError, match="does not match"):
+        simulate_forward(prop_d1, u, ZERO, 0.1)
 
 
 # --- Duhamel iteration -------------------------------------------------------
@@ -798,14 +831,52 @@ def test_simulate_grid_refinement_under_one_percent():
         assert abs(a - b) / b < 0.01
 
 
+def _reference_semigroup_apply(P, t, u):
+    """semigroup_apply as first written: the decay vector for t, the two
+    modal products, the clamp count against CLAMP_TOL max(1, max|u|) from an
+    abs pass, and the clamp to 0 for non-negative u; (values, clamp count)."""
+    m = P.grid.n_interior
+    coeffs = np.exp(-P.eigenvalues * t) * P.to_modal(u.values[:m])
+    vals = np.concatenate([P.from_modal(coeffs), [0.0]])
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(u.values))))
+    n_clamped = int(np.sum(vals[:m] < -tol))
+    if np.min(u.values) >= 0.0:
+        vals[:m] = np.maximum(vals[:m], 0.0)
+    return vals, n_clamped
+
+
+def test_semigroup_apply_matches_reference_bytes(prop_d1):
+    # the indicator's image has 82 negative round-off entries (clamped to
+    # 0, none below the tolerance); the mixed-sign mode keeps its negative
+    # values, 110 of them below it; for the negated indicator of amplitude
+    # 1e6 the tolerance is 1e-9 |min|, under which 106 of its values lie
+    # (178 under 1e-9 max(1, max))
+    P = prop_d1
+    m = P.grid.n_interior
+    u = indicator(P.grid, BallIndicator(1.0))
+    raw = P.from_modal(np.exp(-P.eigenvalues * 1e-4) * P.to_modal(u.values[:m]))
+    assert np.count_nonzero(raw < 0.0) == 82
+    mode = RadialField(P.grid, np.concatenate(
+        [P.from_modal(np.eye(m)[:, 3]), [0.0]]))
+    sink = RadialField(P.grid, -indicator(
+        P.grid, BallIndicator(1.0, amplitude=1e6)).values)
+    for field, t, clamps in ((u, 1e-4, 0), (mode, 0.5, 110),
+                             (sink, 1e-3, 106)):
+        out = semigroup_apply(P, t, field)
+        ref_vals, ref_clamps = _reference_semigroup_apply(P, t, field)
+        assert out.values.tobytes() == ref_vals.tobytes()
+        assert out.clamp_count == ref_clamps == clamps
+
+
 def _reference_simulate(P, u0, f, T, ct):
-    """The stepper as first written: three lq_norm passes per accepted step,
-    the previous step's sup recomputed as the base, the candidate assembled
-    by concatenation; it stops once T - t is within one ulp of T per summed
+    """The stepper as first written: field objects, three lq_norm passes per
+    accepted step, the previous step's sup recomputed as the base, the
+    candidate assembled by concatenation, the decay vector recomputed on
+    every attempt; it stops once T - t is within one ulp of T per summed
     step. Also counts the attempts whose unclamped S(dt) image has a
     negative entry, so a case can show that it exercises the clamp."""
     m = P.grid.n_interior
-    u = u0.copy()
+    u = RadialField(u0.grid, u0.values.copy(), u0.clamp_count)
     t, dt = 0.0, min(ct.dt_init, T)
     out = {"times": [0.0], "l1": [lq_norm(u, 1.0)], "lq": [lq_norm(u, ct.q)],
            "linf": [lq_norm(u, math.inf)], "dts": [dt], "clamp_counts": [0],
@@ -825,7 +896,8 @@ def _reference_simulate(P, u0, f, T, ct):
         raw = P.from_modal(np.exp(-P.eigenvalues * dt)
                            * P.to_modal(cand.values[:m]))
         negative_images += bool(np.any(raw < 0.0))
-        u_new = semigroup_apply(P, dt, cand)
+        u_new = RadialField(P.grid,
+                            *_reference_semigroup_apply(P, dt, cand))
         sup = lq_norm(u_new, math.inf)
         base = max(lq_norm(u, math.inf), 1e-300)
         rel = float(np.max(np.abs(u_new.values - u.values))) / base
@@ -857,32 +929,91 @@ def _assert_same_trajectory(P, u0, f, T, ct):
     traj = simulate_forward(P, u0, f, T, ct)
     for key, expected in ref.items():
         assert getattr(traj, key) == expected, key
-    assert np.array_equal(traj.final.values, ref_final.values)
+    assert traj.final.values.tobytes() == ref_final.values.tobytes()
     assert traj.final.clamp_count == ref_final.clamp_count
     return traj, negative_images
 
 
-def test_simulate_matches_reference_fixed_step_graded_grid():
+def _assert_same_t1_run(d, q):
+    """A 200-step fixed-step run from T1 data on their graded grid."""
     f = parse_nonlinearity("s^4")
-    _, u0 = build_t1_data(f, d=1, q=1.0, N=3, epsilon=0.5, R=1.0)
+    _, u0 = build_t1_data(f, d=d, q=1.0, N=3, epsilon=0.5, R=1.0)
     P = build_propagator(u0.grid)
     sup = lq_norm(u0, math.inf)
     T = 0.1 * sup / sup ** 4
-    ct = SimulationControls(dt_init=T / 200, adaptive=False, q=1.5)
+    ct = SimulationControls(dt_init=T / 200, adaptive=False, q=q)
     traj, _ = _assert_same_trajectory(P, u0, f, T, ct)
     assert len(traj.times) == 201 and T - traj.times[-1] <= 200 * math.ulp(T)
     assert traj.rejected_steps == 0 and not traj.blowup
 
 
-def test_simulate_matches_reference_adaptive_blowup():
+def test_simulate_matches_reference_fixed_step_graded_grid():
+    _assert_same_t1_run(1, 1.5)
+
+
+@pytest.mark.parametrize("d, q", [(1, 1.0), (1, 2.0), (1, math.inf),
+                                  (2, 1.0), (2, 2.0), (3, 1.5),
+                                  (3, math.inf)])
+def test_simulate_matches_reference_graded_grid_in_d_and_q(d, q):
+    _assert_same_t1_run(d, q)
+
+
+def _assert_same_adaptive_blowup(q):
     g = RadialGrid.uniform(1, 1.0, 65)
     P = build_propagator(g)
     u0 = indicator(g, BallIndicator(0.5, amplitude=30.0))
-    ct = SimulationControls(dt_init=1e-2, q=2.0)
+    ct = SimulationControls(dt_init=1e-2, q=q)
     traj, negative_images = _assert_same_trajectory(
         P, u0, parse_nonlinearity("s^4"), 1.0, ct)
     assert traj.blowup and traj.rejected_steps > 0
     assert negative_images > 0  # the clamp to zero changed some values
+
+
+def test_simulate_matches_reference_adaptive_blowup():
+    _assert_same_adaptive_blowup(2.0)
+
+
+@pytest.mark.parametrize("q", [1.0, math.inf])
+def test_simulate_matches_reference_adaptive_blowup_in_q(q):
+    _assert_same_adaptive_blowup(q)
+
+
+def test_simulate_matches_reference_blowup_by_f_overflow():
+    # exp(20) dt = 4.9e3 after the first step, where exp overflows while the
+    # sup is still far below OVERFLOW_GUARD
+    g = RadialGrid.uniform(1, 1.0, 65)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=20.0))
+    ct = SimulationControls(dt_init=1e-5, adaptive=False, q=2.0)
+    traj, _ = _assert_same_trajectory(P, u0, parse_nonlinearity("exp(s)"),
+                                      1e-3, ct)
+    assert traj.blowup and traj.blowup_time == 1e-5
+    assert len(traj.times) == 2 and 710.0 < traj.linf[-1] < 1e12
+
+
+def test_simulate_matches_reference_blowup_by_step_underflow():
+    # f(u)/u = 1e15 at the data's sup: every halving of dt from 1e-3 changes
+    # u by more than 5 %, until 1e-3 / 2^37 falls below DT_MIN
+    g = RadialGrid.uniform(1, 1.0, 65)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=1e5))
+    ct = SimulationControls(dt_init=1e-3, q=1.0)
+    traj, _ = _assert_same_trajectory(P, u0, parse_nonlinearity("s^4"),
+                                      1.0, ct)
+    assert traj.blowup and traj.blowup_time == 0.0
+    assert traj.rejected_steps == 37 and traj.times == [0.0]
+
+
+def test_simulate_matches_reference_shorter_last_step():
+    # 1 = 3 x 0.3 + 0.1: the last fixed step is the shorter remainder
+    g = RadialGrid.uniform(2, 1.0, 65)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=0.1))
+    ct = SimulationControls(dt_init=0.3, adaptive=False, q=2.0)
+    traj, _ = _assert_same_trajectory(P, u0, parse_nonlinearity("s^2"),
+                                      1.0, ct)
+    assert traj.dts[1:4] == [0.3] * 3
+    assert traj.dts[4] == pytest.approx(0.1) and len(traj.times) == 5
 
 
 @pytest.mark.parametrize("T", [0.01, 0.7])
