@@ -1,125 +1,5 @@
-"""heatlab: numerical laboratory for local existence of u_t - Lap(u) = f(u)."""
+"""heatlab: numerical laboratory for local existence of u_t - Lap(u) = f(u).
 
-from .nonlinearity import (
-    NonlinearityExpr,
-    MonotonicityAudit,
-    RatioEnvelope,
-    ParseError,
-    DomainError,
-    parse_nonlinearity,
-    eval_f,
-    monotonicity_audit,
-    sup_ratio_envelope,
-    builtin_family,
-    log_family_lambda,
-    log_family_beta_max,
-)
-
-from .criteria import (
-    Verdict,
-    AuditError,
-    classify_lq,
-    classify_l1,
-    classify_whole_space,
-    critical_exponent_report,
-    equivalence_check,
-    series_search,
-    series_verdict,
-)
-
-from .heatkernel import (
-    BallIndicator,
-    CertificationReport,
-    KernelConstants,
-    QuadratureError,
-    gaussian_kernel,
-    heat_on_ball,
-    kernel_constants,
-    unit_ball_volume,
-    verify_lower_bounds,
-)
-
-from .solver import (
-    HeatPropagator,
-    RadialField,
-    RadialGrid,
-    SimulationControls,
-    SolverError,
-    Trajectory,
-    build_propagator,
-    duhamel_iterate,
-    duhamel_lower_bound,
-    duhamel_map,
-    find_existence_horizon,
-    heat_series,
-    indicator,
-    lq_norm,
-    semigroup_apply,
-    simulate_forward,
-    supersolution_check,
-    warmup_shell_sums,
-)
-
-from .databuilder import (
-    BlowupDataSpec,
-    ScheduleError,
-    build_t1_data,
-    build_todd_data,
-    predicted_bounds,
-)
-
-__all__ = [
-    "BallIndicator",
-    "CertificationReport",
-    "KernelConstants",
-    "QuadratureError",
-    "gaussian_kernel",
-    "heat_on_ball",
-    "kernel_constants",
-    "unit_ball_volume",
-    "verify_lower_bounds",
-    "HeatPropagator",
-    "RadialField",
-    "RadialGrid",
-    "SimulationControls",
-    "SolverError",
-    "Trajectory",
-    "build_propagator",
-    "duhamel_iterate",
-    "duhamel_lower_bound",
-    "duhamel_map",
-    "find_existence_horizon",
-    "heat_series",
-    "indicator",
-    "lq_norm",
-    "semigroup_apply",
-    "simulate_forward",
-    "supersolution_check",
-    "warmup_shell_sums",
-    "BlowupDataSpec",
-    "ScheduleError",
-    "build_t1_data",
-    "build_todd_data",
-    "predicted_bounds",
-    "Verdict",
-    "AuditError",
-    "classify_lq",
-    "classify_l1",
-    "classify_whole_space",
-    "critical_exponent_report",
-    "equivalence_check",
-    "series_search",
-    "series_verdict",
-    "NonlinearityExpr",
-    "MonotonicityAudit",
-    "RatioEnvelope",
-    "ParseError",
-    "DomainError",
-    "parse_nonlinearity",
-    "eval_f",
-    "monotonicity_audit",
-    "sup_ratio_envelope",
-    "builtin_family",
-    "log_family_lambda",
-    "log_family_beta_max",
-]
+The package root exports nothing: every name is imported from its module,
+e.g. ``from heatlab.solver import simulate_forward``.
+"""

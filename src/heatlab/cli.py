@@ -22,12 +22,13 @@ import numpy as np
 
 from .criteria import (AuditError, SIGMA_DEAD_BAND, SLOPE_DEAD_BAND,
                        TAU_DEAD_BAND, classify_l1, classify_lq,
-                       classify_whole_space, equivalence_check, jsonable)
+                       classify_whole_space, equivalence_check, jsonable,
+                       require_audit)
 from .databuilder import ScheduleError, build_t1_data
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
                          kernel_constants, verify_lower_bounds)
-from .nonlinearity import (DomainError, ParseError, builtin_family, eval_f,
-                           parse_nonlinearity)
+from .nonlinearity import (TAIL_S_MAX, DomainError, ParseError,
+                           builtin_family, eval_f, parse_nonlinearity)
 from .solver import (RadialGrid, SimulationControls, SolverError,
                      build_propagator, duhamel_iterate, duhamel_lower_bound,
                      find_existence_horizon, heat_series, indicator, lq_norm,
@@ -101,7 +102,7 @@ OPTIONS = {
     "A": (_checked(lambda v: 1 < v < math.inf, "a finite number > 1"),
           "supersolution factor"),
     "R": (POSITIVE, "radius of the domain"),
-    "nodes": (_integer(2), "radial grid nodes"),
+    "nodes": (_integer(33), "radial grid nodes"),  # 32 interior ones
     "r": (POSITIVE, "radius of the ball the data fill"),
     "amplitude": (NON_NEGATIVE, "height of the data"),
     "t": (POSITIVE, "time of the lower bound"),
@@ -239,20 +240,26 @@ def resolve_f(args):
         raise CliError(f"cannot parse f: {exc}")
 
 
+def audited_f(args):
+    """resolve_f's f once it passes the classifiers' audit on [0, TAIL_S_MAX]
+    (non-negative, non-decreasing): no experiment runs an f outside the
+    theorem's scope."""
+    f = resolve_f(args)
+    require_audit(f, TAIL_S_MAX)
+    return f
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_classify(args, argv) -> int:
     d, q = _d_and_q(args)
     f = resolve_f(args)
-    try:
-        if args.domain == "whole_space":
-            verdict = classify_whole_space(f, q, d)
-        elif q > 1:
-            verdict = classify_lq(f, q, d)
-        else:
-            verdict = classify_l1(f, d)
-    except AuditError as exc:
-        raise CliError(f"audit failed: {exc}")
+    if args.domain == "whole_space":
+        verdict = classify_whole_space(f, q, d)
+    elif q > 1:
+        verdict = classify_lq(f, q, d)
+    else:
+        verdict = classify_l1(f, d)
     report = {"command": "classify", "f": f.source_text, "d": d, "q": q,
               "domain": args.domain, "verdict": verdict.to_dict(),
               "constants": constants_block(d)}
@@ -293,7 +300,7 @@ def _setup_problem(args):
 
 
 def experiment_horizon(args, argv) -> int:
-    f = resolve_f(args)
+    f = audited_f(args)
     rep = find_existence_horizon(args.u0_l1, f, args.d, A=args.A)
     report = {"command": "experiment", "kind": "horizon",
               "f": f.source_text, "result": vars(rep).copy(),
@@ -303,7 +310,7 @@ def experiment_horizon(args, argv) -> int:
 
 
 def experiment_iterate(args, argv) -> int:
-    f = resolve_f(args)
+    f = audited_f(args)
     P, u0 = _setup_problem(args)
     A, n_time = args.A, args.n_time
     hor = find_existence_horizon(lq_norm(u0, 1.0), f, args.d, A=A)
@@ -329,7 +336,7 @@ def experiment_iterate(args, argv) -> int:
 
 def experiment_simulate(args, argv) -> int:
     d, q = _d_and_q(args)
-    f = resolve_f(args)
+    f = audited_f(args)
     P, u0 = _setup_problem(args)
     controls = SimulationControls(q=q, dt_init=args.dt)
     traj = simulate_forward(P, u0, f, args.T, controls)
@@ -350,7 +357,7 @@ def experiment_simulate(args, argv) -> int:
 
 def experiment_lower_bound(args, argv) -> int:
     d, q = _d_and_q(args)
-    f = resolve_f(args)
+    f = audited_f(args)
     lb = duhamel_lower_bound(
         BallIndicator(radius=args.r, amplitude=args.amplitude),
         f, args.t, d, q=q)
@@ -367,7 +374,7 @@ def experiment_lower_bound(args, argv) -> int:
 
 def experiment_blowup_trend(args, argv) -> int:
     d, q = _d_and_q(args)
-    f = resolve_f(args)
+    f = audited_f(args)
     lo, hi = args.N_range
     epsilon, R = args.epsilon, args.R
     # one grid and one fixed step size for every N, so trajectories for
@@ -523,7 +530,8 @@ def main(argv=None) -> int:
     except (CliError, AuditError, SolverError, ParseError, DomainError,
             QuadratureError, ScheduleError, ValueError, OverflowError,
             OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        audit = "audit failed: " if isinstance(exc, AuditError) else ""
+        print(f"error: {audit}{exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -20,6 +20,7 @@ from .nonlinearity import (
     DomainError,
     NonlinearityExpr,
     RatioEnvelope,
+    eval_f,
     monotonicity_audit,
     sup_ratio_envelope,
 )
@@ -105,7 +106,9 @@ class EquivalenceReport:
     integral_verdict: Verdict
 
 
-def _require_audit(f: NonlinearityExpr, s_max: float) -> None:
+def require_audit(f: NonlinearityExpr, s_max: float) -> None:
+    """AuditError unless f is non-negative and non-decreasing on the
+    audit's sample of [0, s_max]."""
     audit = monotonicity_audit(f, s_max=s_max)
     if not audit.passed:
         raise AuditError(
@@ -175,7 +178,7 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
     if d < 1:
         raise ValueError("d must be a positive dimension")
-    _require_audit(f, TAIL_S_MAX)
+    require_audit(f, TAIL_S_MAX)
     gamma = 1.0 + 2.0 * q / d
     grid, log_f = _tail_sample(f)
     # a huge gamma makes gamma log s overflow: log g = -inf, g below every
@@ -262,10 +265,12 @@ def decide_blocks(sigma: float, tau: float, overflow: bool = False) -> str:
     return INCONCLUSIVE
 
 
-def integral_tail_test(envelope: RatioEnvelope, d: int) -> Verdict:
-    """Convergence of the weighted envelope integral over [1, infinity),
-    from its dyadic blocks up to ENVELOPE_S_MAX."""
-    blocks = dyadic_block_integrals(envelope, d)
+def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
+    """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
+    F(s) = sup over 1 <= t <= s of f(t)/t, from its dyadic blocks up to
+    ENVELOPE_S_MAX."""
+    require_audit(f, ENVELOPE_S_MAX)
+    blocks = dyadic_block_integrals(sup_ratio_envelope(f), d)
     overflow = bool(np.isinf(blocks).any())
     sigma, tau = block_trend_fit(blocks)
     outcome = decide_blocks(sigma, tau, overflow)
@@ -282,13 +287,6 @@ def integral_tail_test(envelope: RatioEnvelope, d: int) -> Verdict:
                    dead_band=dict(BLOCK_DEAD_BANDS), evidence=evidence)
 
 
-def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
-    """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
-    F(s) = sup over 1 <= t <= s of f(t)/t."""
-    _require_audit(f, ENVELOPE_S_MAX)
-    return integral_tail_test(sup_ratio_envelope(f), d)
-
-
 # --- series (q = 1) route ----------------------------------------------------
 
 def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
@@ -299,7 +297,7 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     candidate maximising s^-p f(s). Any two choices from consecutive
     windows are a factor of at least theta apart.
     """
-    _require_audit(f, TAIL_S_MAX)
+    require_audit(f, TAIL_S_MAX)
     theta = WITNESS_RATIO
     p = 1.0 + 2.0 / d
     cands = np.array([theta ** j for j in range(2 * WITNESS_TERMS)]).reshape(
@@ -365,7 +363,7 @@ def critical_exponent_report(f: NonlinearityExpr,
     samples. Where f vanishes somewhere in the windows, gamma* is the
     midpoint of the two bisection endpoints.
     """
-    _require_audit(f, TAIL_S_MAX)
+    require_audit(f, TAIL_S_MAX)
     grid, log_f = _tail_sample(f)
     overflow = bool(np.isposinf(log_f).any())
     if overflow:
@@ -406,12 +404,8 @@ def critical_exponent_report(f: NonlinearityExpr,
         s0 = window_slope(TAIL_S_MAX / 100.0)
         m1 = np.log(math.sqrt(TAIL_S_MAX / 10.0))
         m0 = np.log(math.sqrt(TAIL_S_MAX / 1000.0))
-        if abs(1.0 / m0 - 1.0 / m1) > 0:
-            b = (s1 - s0) / (1.0 / m0 - 1.0 / m1)
-            gamma_star = s1 + b / m1
-        else:
-            gamma_star = s1
-        gamma_star = max(gamma_star, 0.0)
+        b = (s1 - s0) / (1.0 / m0 - 1.0 / m1)
+        gamma_star = max(s1 + b / m1, 0.0)
     bracket = (min(lo_end, gamma_star - SLOPE_DEAD_BAND),
                max(hi_end, gamma_star + SLOPE_DEAD_BAND))
     q_star = d * (gamma_star - 1.0) / 2.0
@@ -453,7 +447,7 @@ def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
     Returns {"bounded": True/False/None, ...diagnostics}.
     """
     try:
-        f0 = f(0.0)
+        f0 = eval_f(f, 0.0)
     except DomainError:
         f0 = math.nan
     grid = np.geomspace(ZERO_ORIGIN_EPS, 1e-2, 60)
@@ -483,7 +477,7 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     same F as classify_l1)."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    _require_audit(f, TAIL_S_MAX)
+    require_audit(f, TAIL_S_MAX)
     zero = near_zero_ratio_check(f)
     if zero["bounded"] is False:
         return Verdict(outcome=NO_LOCAL_EXISTENCE, criterion="WholeSpaceZero",

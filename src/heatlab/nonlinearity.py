@@ -238,9 +238,6 @@ class NonlinearityExpr:
         with np.errstate(all="ignore"):
             return _eval(self.root, s.reshape(-1)).reshape(s.shape)
 
-    def __call__(self, s):
-        return eval_f(self, s)
-
 
 @dataclass(frozen=True)
 class MonotonicityAudit:

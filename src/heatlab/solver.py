@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
-from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr,
+from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr, eval_f,
                            sup_ratio_envelope)
 
 CLAMP_TOL = 1e-9
@@ -472,7 +472,7 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
 
     if u0_l1_norm == 0.0:
         # v = chi_Omega is a supersolution while t f(1) <= 1
-        f1 = float(f.eval_raw(1.0))
+        f1 = eval_f(f, 1.0)
         T = T_max if f1 == 0.0 else min(T_max, 1.0 / f1)
         return HorizonReport(T=T, integral_value=0.0, condition_bound=bound,
                              A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
@@ -566,45 +566,6 @@ def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
                                 radii) ** (1.0 / q))
     return LowerBoundResult(radii=radii, values=values, lq=lq, q=q, t=t,
                             constants=consts)
-
-
-# --- point-mass warm-up shells -----------------------------------------------
-
-@dataclass(frozen=True)
-class WarmupReport:
-    theta: float
-    amplitudes: np.ndarray
-    times: np.ndarray
-    increments: np.ndarray
-    partial_sums: np.ndarray
-    asymptotic_constant: float
-
-
-def warmup_shell_sums(f: NonlinearityExpr, d: int,
-                      n_shells: int = 12) -> WarmupReport:
-    """Dyadic-shell increments of int_(R^d) int_0^t S(t-s) f(S(s)delta_0) ds.
-
-    With phi_k = theta^k, theta = 2, and t_k = c phi_k^(-2/d),
-    c = e^(-1/2d)/(4 pi), the Gaussian core satisfies S(s)delta_0 >= phi_k
-    on a ball for s in [t_(k+1), t_k], giving the increment
-    omega_d f(phi_k) int_(t_(k+1))^(t_k) s^(d/2) ds per shell. For the
-    critical power f = s^(1+2/d) every increment equals the asymptotic
-    constant exactly, so the partial sums grow linearly (divergence)."""
-    theta = 2.0
-    c = math.exp(-1.0 / (2.0 * d)) / (4.0 * math.pi)
-    omega = unit_ball_volume(d)
-    p = 1.0 + 2.0 / d
-    ks = np.arange(1, n_shells + 2)
-    phi = theta ** ks
-    t_k = c * phi ** (-2.0 / d)
-    f_phi = f.eval_raw(phi[:-1])
-    expo = (2.0 + d) / 2.0
-    increments = omega * f_phi * (t_k[:-1] ** expo - t_k[1:] ** expo) / expo
-    const = omega * (2.0 / (2.0 + d)) * c ** expo * (1.0 - theta ** (-p))
-    return WarmupReport(theta=theta, amplitudes=phi[:-1], times=t_k[:-1],
-                        increments=increments,
-                        partial_sums=np.cumsum(increments),
-                        asymptotic_constant=const)
 
 
 # --- forward simulation ------------------------------------------------------

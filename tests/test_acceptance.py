@@ -2,7 +2,7 @@
 
 Each test covers one headline property of the package and prints a single
 pass/fail line (run with ``pytest -s tests/test_acceptance.py`` to see them
-live). The nine checks together exercise the classifier tables, the kernel
+live). The eight checks together exercise the classifier tables, the kernel
 certification, the monotone iteration scheme, the lower-bound chain for the
 concentrating data families, and the forward-simulation invariants.
 """
@@ -45,7 +45,6 @@ from heatlab.solver import (
     semigroup_apply,
     simulate_forward,
     supersolution_check,
-    warmup_shell_sums,
 )
 
 
@@ -168,19 +167,7 @@ def test_t1_lower_bound_chain():
     assert np.all(ratios > 0.9 * math.e)
 
 
-@acceptance(7, "critical-power warm-up shell sums diverge linearly")
-def test_warmup_divergence():
-    f = parse_nonlinearity("s^2")  # s^(1 + 2/d) for d = 2
-    rep = warmup_shell_sums(f, d=2, n_shells=12)
-    assert len(rep.increments) == 12
-    assert np.all(np.asarray(rep.increments)
-                  >= 0.5 * rep.asymptotic_constant)
-    # no saturation: partial sums keep climbing by a fixed amount
-    sums = np.asarray(rep.partial_sums)
-    assert np.all(np.diff(sums) >= 0.5 * rep.asymptotic_constant)
-
-
-@acceptance(8, "solver invariants: semigroup, positivity, refinement, "
+@acceptance(7, "solver invariants: semigroup, positivity, refinement, "
                "comparison")
 def test_solver_invariants():
     grid = RadialGrid.uniform(1, 1.0, 257)
@@ -218,7 +205,7 @@ def test_solver_invariants():
             (lo, hi)
 
 
-@acceptance(9, "numeric blow-up trend grows with the data truncation depth")
+@acceptance(8, "numeric blow-up trend grows with the data truncation depth")
 def test_blowup_trend_monotone(tmp_path):
     out = tmp_path / "trend.json"
     code = cli_main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",

@@ -382,10 +382,36 @@ def test_blowup_trend_schedule_error(capsys):
      "1" + "0" * 30],
     ["experiment", "simulate", "--f", "s^2", "--T", "0.01", "--d", "150"],
     ["experiment", "simulate", "--f", "s^2", "--T", "0.01", "--d", "20"],
+    ["experiment", "horizon", "--f", "s-2", "--d", "2", "--u0-l1", "0"],
+    ["experiment", "horizon", "--f", "2-s", "--d", "2", "--u0-l1", "0.5"],
+    ["experiment", "lower_bound", "--f", "s-2", "--d", "1", "--r", "0.5",
+     "--t", "0.01"],
+    ["experiment", "simulate", "--f", "1/(1+s)", "--d", "1", "--T", "0.01"],
+    ["experiment", "iterate", "--f", "1/(1+s)", "--d", "1"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--nodes", "10"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "horizon", "--f", "2-s", "--d", "2", "--u0-l1", "0.5"],
+    ["experiment", "iterate", "--f", "1/(1+s)", "--d", "1"],
+    ["experiment", "simulate", "--f", "1/(1+s)", "--d", "1", "--T", "0.01"],
+    ["experiment", "lower_bound", "--f", "s-2", "--d", "1", "--r", "0.5",
+     "--t", "0.01"],
+    ["experiment", "blowup_trend", "--f", "1/(1+s)", "--d", "1", "--q", "1",
+     "--N-range", "3..5"],
+])
+def test_experiments_refuse_an_f_that_classify_refuses(capsys, argv):
+    # the same audit on [0, TAIL_S_MAX] as classify at q > 1, the same line
+    assert main(argv) == EXIT_ERROR
+    err = _assert_one_line_error(capsys)
+    assert main(["classify", "--f", argv[3], "--d", "1", "--q", "2"]) \
+        == EXIT_ERROR
+    assert _assert_one_line_error(capsys) == err
+    assert err.startswith("error: audit failed: ")
 
 
 @pytest.mark.parametrize("argv, codes", [
@@ -519,6 +545,11 @@ def _taken(head):
     (["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
       "--N-range", "3..5", "--n-time", "1e3"], "--n-time"),
     (["experiment", "equivalence_suite", "--seed", "1e3"], "--seed"),
+    # iterate and simulate build a propagator, which needs 32 interior nodes
+    (["experiment", "iterate", "--f", "s^2", "--d", "1", "--nodes", "32"],
+     "--nodes"),
+    (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+      "--nodes", "10"], "--nodes"),
 ])
 def test_non_integer_value_names_its_option(tmp_path, capsys, argv, flag):
     assert main(argv) == EXIT_ERROR
@@ -599,8 +630,8 @@ def test_help_lists_each_option_and_default(capsys, head):
 
 # fuzzing: every draw holds one poison, an invalid value or an option of
 # another command, so main must stop at parsing with a one-line error
-CANDIDATES = ["1", "2", "3", "0", "-1", "0.5", "1.5", "1e3", "nan", "inf",
-              "", "abc", "3..5", "5..3", "0.5,1", ",", "s^2", "bounded",
+CANDIDATES = ["1", "2", "3", "0", "-1", "0.5", "1.5", "33", "1e3", "nan",
+              "inf", "", "abc", "3..5", "5..3", "0.5,1", ",", "s^2", "bounded",
               "power", "no-such-dir/x"]
 
 

@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-from heatlab import builtin_family, parse_nonlinearity, sup_ratio_envelope
 from heatlab.criteria import (
     EXISTS,
     INCONCLUSIVE,
@@ -30,6 +29,8 @@ from heatlab.criteria import (
     series_search,
     series_verdict,
 )
+from heatlab.nonlinearity import (builtin_family, parse_nonlinearity,
+                                  sup_ratio_envelope)
 
 
 def power(p):
@@ -150,7 +151,7 @@ def test_dead_band_honesty_blocks():
 def test_l1_verdicts_report_the_bands_that_decide():
     # decide_blocks decides every L1 verdict, so they carry its sigma and
     # tau bands, not the tail-slope band of the q > 1 verdicts
-    from heatlab import criteria
+    import heatlab.criteria as criteria
     bands = {"sigma": criteria.SIGMA_DEAD_BAND, "tau": criteria.TAU_DEAD_BAND}
     f = power(3.0)
     for v in (classify_l1(f, 1), series_verdict(series_search(f, 1)),

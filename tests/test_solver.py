@@ -23,7 +23,8 @@ import heatlab
 from heatlab.databuilder import build_t1_data
 from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
                                 unit_ball_volume)
-from heatlab.nonlinearity import parse_nonlinearity, sup_ratio_envelope
+from heatlab.nonlinearity import (DomainError, parse_nonlinearity,
+                                  sup_ratio_envelope)
 from heatlab.solver import (
     HorizonReport,
     RadialField,
@@ -41,7 +42,6 @@ from heatlab.solver import (
     semigroup_apply,
     simulate_forward,
     supersolution_check,
-    warmup_shell_sums,
 )
 
 ZERO = parse_nonlinearity("0")
@@ -565,6 +565,12 @@ def test_horizon_zero_data_uses_f_at_one():
     assert rep.T == pytest.approx(0.25, rel=1e-12)
 
 
+def test_horizon_zero_data_refuses_negative_f_at_one():
+    # t f(1) <= 1 holds for every t when f(1) < 0; that is no horizon
+    with pytest.raises(DomainError, match="negative"):
+        find_existence_horizon(0.0, parse_nonlinearity("s-2"), 2)
+
+
 def test_horizon_linear_f_closed_form():
     # f = s: the integrand is identically 1, so the integral condition reads
     # T <= (A-1)/A; the smoothing cap (A c ||u0||)^(2/d) then applies
@@ -753,22 +759,6 @@ def test_lower_bound_lq_norm_positive():
                              0.5, 2, q=2.0)
     assert lb.lq > 0.0
     assert np.all(np.diff(lb.values) <= 1e-12)  # non-increasing in radius
-
-
-# --- warm-up shells ----------------------------------------------------------
-
-def test_warmup_critical_power_exact_increments():
-    for d in (1, 2, 3):
-        p = 1.0 + 2.0 / d
-        f = parse_nonlinearity(f"s^{p}")
-        rep = warmup_shell_sums(f, d, n_shells=12)
-        assert np.allclose(rep.increments, rep.asymptotic_constant, rtol=1e-12)
-        assert np.all(np.diff(rep.partial_sums) > 0)
-
-
-def test_warmup_subcritical_saturates():
-    rep = warmup_shell_sums(parse_nonlinearity("s^1.5"), 2, n_shells=20)
-    assert rep.increments[-1] < 0.1 * rep.asymptotic_constant
 
 
 # --- forward simulation ------------------------------------------------------
