@@ -310,6 +310,8 @@ def experiment_horizon(args, argv) -> int:
 
 
 def experiment_iterate(args, argv) -> int:
+    if args.n_time < 2:  # a trapezoid in time needs two slices
+        raise CliError(f"--n-time must be at least 2, got {args.n_time}")
     f = audited_f(args)
     P, u0 = _setup_problem(args)
     A, n_time = args.A, args.n_time
@@ -529,9 +531,9 @@ def main(argv=None) -> int:
         return run(args, argv)
     except (CliError, AuditError, SolverError, ParseError, DomainError,
             QuadratureError, ScheduleError, ValueError, OverflowError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         audit = "audit failed: " if isinstance(exc, AuditError) else ""
-        print(f"error: {audit}{exc}", file=sys.stderr)
+        print(f"error: {audit}{str(exc) or repr(exc)}", file=sys.stderr)
         return EXIT_ERROR
 
 

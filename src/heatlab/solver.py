@@ -169,30 +169,58 @@ class HeatPropagator:
         return (self.modes @ coeffs) / self.sqrt_w
 
 
-def build_propagator(grid: RadialGrid) -> HeatPropagator:
-    """Eigendecomposition of the finite-volume radial Dirichlet Laplacian,
-    by LAPACK MRRR (stemr) on its symmetric tridiagonal band."""
+def _band(grid: RadialGrid) -> tuple:
+    """(diag, off, sqrt_w): the band sqrt(V) A / sqrt(V), its off-diagonals
+    averaged to symmetrize round-off; refused if a double cannot hold it."""
+    nodes, faces, V = grid.nodes, grid.faces, grid.quad_weights[:-1]
+    sigma, sqrt_w = grid.d * unit_ball_volume(grid.d), np.sqrt(V)
+    with np.errstate(all="ignore"):
+        # k[i - 1] conducts through internal face i = 1..n-1 between nodes
+        # i-1 and i (node n-1 is the Dirichlet boundary, entering only
+        # through the diagonal); float_power rounds like a scalar power,
+        # where ndarray ** 2 squares and can differ from it by one ulp
+        k = sigma * np.float_power(faces[1:-1], grid.d - 1) / np.diff(nodes)
+        diag = k / V
+        diag[1:] += k[:-1] / V[1:]
+        upper = -(k[:-1] / V[:-1]) * (sqrt_w[:-1] / sqrt_w[1:])
+        lower = -(k[:-1] / V[1:]) * (sqrt_w[1:] / sqrt_w[:-1])
+        off = 0.5 * (upper + lower)
+        top = diag.max() + 2.0 * np.abs(off).max()  # Gershgorin bound on lam
+    if not (diag.min() > 0.0 and top < math.inf):
+        raise SolverError(f"the d = {grid.d} Laplacian with R = {grid.R:g} on "
+                          f"{grid.n} nodes does not fit in a double")
+    return diag, off, sqrt_w
+
+
+def _stemr(diag: np.ndarray, off: np.ndarray) -> tuple:
     from scipy.linalg import eigh_tridiagonal  # see heatkernel._ball_profile
-    m = grid.n_interior
-    if m < 32:
+    return eigh_tridiagonal(diag, off, lapack_driver="stemr")
+
+
+def _cosine_spectrum(m: int, R: float) -> tuple:
+    """Eigenpairs of the band of the uniform 1-D grid with h = R/m, which is
+    (-1, 2, -1) / h^2 but for its first off-diagonal entry -sqrt(2) / h^2 (a
+    DCT; Strang, SIAM Review 41, 1999): lam_k = (2/h)^2 sin^2((2k+1) pi/(4m))
+    and Q_ik = sqrt(2/m) c_i cos(i (2k+1) pi/(2m)), c_0 = 1/sqrt(2), else 1;
+    row i gathers a 4m-entry cosine table at the index i (2k+1) mod 4m."""
+    odd = np.arange(1, 2 * m, 2)
+    table = math.sqrt(2.0 / m) * np.cos(np.arange(4 * m) * (math.pi / (2 * m)))
+    Q = np.empty((m, m))
+    for i, row in enumerate(Q):
+        row[:] = table[i * odd % (4 * m)]
+    Q[0] *= math.sqrt(0.5)
+    return (2.0 * m / R * np.sin(odd * (math.pi / (4 * m)))) ** 2, Q
+
+
+def build_propagator(grid: RadialGrid) -> HeatPropagator:
+    """Eigendecomposition of the finite-volume radial Dirichlet Laplacian: in
+    closed form on a uniform 1-D grid, else by LAPACK MRRR on its band."""
+    if grid.n_interior < 32:
         raise ValueError("need at least 32 interior nodes")
-    nodes, faces, vols = grid.nodes, grid.faces, grid.quad_weights
-    sigma = grid.d * unit_ball_volume(grid.d)
-    V = vols[:m]
-    # k[i - 1] conducts through internal face i = 1..n-1 between nodes i-1
-    # and i (node n-1 is the Dirichlet boundary, entering only through the
-    # diagonal); float_power rounds like a scalar power, where ndarray ** 2
-    # squares and can differ from it by one ulp
-    k = sigma * np.float_power(faces[1:-1], grid.d - 1) / np.diff(nodes)
-    diag = k / V
-    diag[1:] += k[:-1] / V[1:]
-    sqrt_w = np.sqrt(V)
-    # similarity transform sqrt(V) A / sqrt(V) of the two off-diagonals,
-    # averaged to symmetrize round-off
-    upper = -(k[:-1] / V[:-1]) * (sqrt_w[:-1] / sqrt_w[1:])
-    lower = -(k[:-1] / V[1:]) * (sqrt_w[1:] / sqrt_w[:-1])
-    off = 0.5 * (upper + lower)
-    lam, Q = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    diag, off, sqrt_w = _band(grid)
+    uniform = np.array_equal(grid.nodes, np.linspace(0.0, grid.R, grid.n))
+    lam, Q = (_cosine_spectrum(len(diag), grid.R) if grid.d == 1 and uniform
+              else _stemr(diag, off))
     if lam[0] <= 0:
         raise SolverError(f"non-positive eigenvalue {lam[0]:.3e}: "
                           "bad discretization")

@@ -389,10 +389,46 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "simulate", "--f", "1/(1+s)", "--d", "1", "--T", "0.01"],
     ["experiment", "iterate", "--f", "1/(1+s)", "--d", "1"],
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--nodes", "10"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--R", "1e-200"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+     "--R", "1e200"],
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv, names", [
+    # the band's diagonal overflows, or underflows to 0
+    (["experiment", "iterate", "--f", "s^2", "--d", "1", "--R", "1e-200"],
+     ("d = 1", "R = 1e-200", "257 nodes")),
+    (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+      "--R", "1e200", "--nodes", "65"], ("d = 1", "R = 1e+200", "65 nodes")),
+    # blowup_trend takes one step; a trapezoid in time needs two slices
+    (["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
+     ("--n-time",)),
+])
+def test_refusal_names_its_input(capsys, argv, names):
+    assert main(argv) == EXIT_ERROR
+    err = _assert_one_line_error(capsys)
+    assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 74.5 GiB for an array with shape (99999, 99999) and "
+    "data type float64", ""])
+def test_basis_too_big_to_allocate_is_a_one_line_error(monkeypatch, capsys,
+                                                       message):
+    # what --nodes 100000 raises; the basis is never allocated here
+    import heatlab.cli as cli_mod
+
+    def build_propagator(grid):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli_mod, "build_propagator", build_propagator)
+    assert main(["experiment", "simulate", "--f", "s^2", "--d", "1",
+                 "--T", "0.01", "--nodes", "100000"]) == EXIT_ERROR
+    assert (message or "MemoryError") in _assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -493,10 +529,16 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
      "--t", "0.01"],
     ["experiment", "equivalence_suite", "--seed", "7", "--count", "3",
      "--d", "2"],
+    # the README iterate and simulate, on the uniform 1-D grid
+    ["experiment", "iterate", "--f", "s^2", "--d", "1", "--r", "0.5",
+     "--amplitude", "0.1", "--out", "iterate.json", "--csv", "trace.csv"],
+    ["experiment", "simulate", "--f", "s^2", "--d", "1", "--r", "0.5",
+     "--amplitude", "0.1", "--T", "0.01", "--csv", "trajectory.csv"],
 ])
 def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
-    # only evaluating a ball profile or diagonalising a band needs scipy;
-    # the constants, the classifiers and the horizon run without it
+    # only evaluating a ball profile or diagonalising a band off the uniform
+    # 1-D grid needs scipy; the constants, the classifiers, the horizon and
+    # the cosine closed form of the 1-D spectrum run without it
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys\n"
               "import heatlab\n"

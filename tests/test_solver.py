@@ -2,7 +2,8 @@
 
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
 via heat_on_ball, the linear-nonlinearity closed form of the existence
-horizon, grid/time refinement self-consistency, and five slow references
+horizon, LAPACK MRRR against the cosine closed form of the uniform 1-D
+spectrum, grid/time refinement self-consistency, and five slow references
 kept here: the face-by-face propagator assembly diagonalised by dense
 eigh, the re-summed Duhamel history, the quad-based horizon search, the
 semigroup step with its own abs pass and the forward stepper on field
@@ -31,6 +32,8 @@ from heatlab.solver import (
     RadialGrid,
     SimulationControls,
     SolverError,
+    _band,
+    _stemr,
     build_propagator,
     duhamel_iterate,
     duhamel_lower_bound,
@@ -163,9 +166,9 @@ def test_propagator_refuses_an_inaccurate_modal_basis(d, n, refused):
         build_propagator(grid)
 
 
-def _face_by_face_eigh(grid):
-    """Reference: assemble the operator one face at a time, symmetrize it
-    under the cell volumes and diagonalise it densely."""
+def _face_by_face_operator(grid):
+    """Reference: assemble the operator one face at a time and symmetrize it
+    under the cell volumes, as a dense matrix."""
     m = grid.n_interior
     nodes, faces, V = grid.nodes, grid.faces, grid.quad_weights[:m]
     sigma = grid.d * unit_ball_volume(grid.d)
@@ -179,7 +182,12 @@ def _face_by_face_eigh(grid):
             A[i, i - 1] -= k / V[i]
     sqrt_w = np.sqrt(V)
     B = A * (sqrt_w[:, None] / sqrt_w[None, :])
-    return eigh(0.5 * (B + B.T))
+    return 0.5 * (B + B.T)
+
+
+def _is_uniform_1d(grid):
+    return grid.d == 1 and np.array_equal(
+        grid.nodes, np.linspace(0.0, grid.R, grid.n))
 
 
 def _t1_grid(d, N):
@@ -208,27 +216,53 @@ def _t1_grid(d, N):
 def test_propagator_matches_face_by_face_assembly(make_grid):
     # dense eigh runs syevr = sytrd + stemr + ormtr; on a tridiagonal input
     # every Householder reflector is the identity, so MRRR on the band must
-    # return its eigenpairs bit for bit
+    # return its eigenpairs bit for bit. The uniform 1-D grid takes the
+    # closed form (tested below), so there the LAPACK helper is pinned.
     grid = make_grid()
+    if _is_uniform_1d(grid):
+        got = _stemr(*_band(grid)[:2])
+    else:
+        P = build_propagator(grid)
+        got = P.eigenvalues, P.modes
+    lam, Q = eigh(_face_by_face_operator(grid))
+    assert np.array_equal(got[0], lam)
+    assert np.array_equal(got[1], Q)
+
+
+@pytest.mark.parametrize("n", [33, 257, 300, 1025])
+@pytest.mark.parametrize("R", [1.0, math.pi])
+def test_uniform_1d_spectrum_is_the_cosine_closed_form(n, R):
+    # lam_k = (2/h)^2 sin^2((2k+1) pi/(4m)), Q_ik = sqrt(2/m) c_i
+    # cos(i (2k+1) pi/(2m)) with c_0 = 1/sqrt(2): an exact eigenbasis of the
+    # face-by-face band, more accurate than MRRR (whose orthogonality is
+    # 4e-13 at n = 1025, and its eigenvalues off by up to 1e-10 relative)
+    grid = RadialGrid.uniform(1, R, n)
     P = build_propagator(grid)
-    lam, Q = _face_by_face_eigh(grid)
-    assert np.array_equal(P.eigenvalues, lam)
-    assert np.array_equal(P.modes, Q)
+    lam, Q, m = P.eigenvalues, P.modes, grid.n_interior
+    A = _face_by_face_operator(grid)
+    assert np.abs(A @ Q - Q * lam).max() <= 1e-14 * lam[-1]
+    assert np.abs(Q.T @ Q - np.eye(m)).max() <= 1e-14
+    lam_lapack, Q_lapack = _stemr(*_band(grid)[:2])
+    assert np.abs(lam_lapack / lam - 1.0).max() <= 1e-9
+    signs = np.sign(np.sum(Q * Q_lapack, axis=0))
+    assert np.abs(Q_lapack * signs - Q).max() <= 1e-11
 
 
 def test_propagator_build_allocates_one_dense_matrix():
     # the modes are the one m x m array; a dense assembly of the band
-    # peaks at about three of them
-    grid = RadialGrid.uniform(2, 1.0, 1025)
-    m = grid.n_interior
-    build_propagator(grid)
-    tracemalloc.start()
-    try:
+    # peaks at about three of them, and so does a whole-matrix index table
+    # of the cosine closed form at d = 1
+    for d in (1, 2):
+        grid = RadialGrid.uniform(d, 1.0, 1025)
+        m = grid.n_interior
         build_propagator(grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * m * m * 8
+        tracemalloc.start()
+        try:
+            build_propagator(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * m * m * 8, d
 
 
 def test_eigenmode_decay(prop_d1):
@@ -836,21 +870,22 @@ def _reference_semigroup_apply(P, t, u):
 
 
 def test_semigroup_apply_matches_reference_bytes(prop_d1):
-    # the indicator's image has 82 negative round-off entries (clamped to
-    # 0, none below the tolerance); the mixed-sign mode keeps its negative
-    # values, 110 of them below it; for the negated indicator of amplitude
-    # 1e6 the tolerance is 1e-9 |min|, under which 106 of its values lie
-    # (178 under 1e-9 max(1, max))
+    # in the closed-form basis of the uniform 1-D grid, the indicator's
+    # image has 106 negative round-off entries (clamped to 0, none below the
+    # tolerance); the mixed-sign mode keeps its negative values, 146 of them
+    # below it; for the negated indicator of amplitude 1e6 the tolerance is
+    # 1e-9 |min|, under which 106 of its values lie (115 under
+    # 1e-9 max(1, max))
     P = prop_d1
     m = P.grid.n_interior
     u = indicator(P.grid, BallIndicator(1.0))
     raw = P.from_modal(np.exp(-P.eigenvalues * 1e-4) * P.to_modal(u.values[:m]))
-    assert np.count_nonzero(raw < 0.0) == 82
+    assert np.count_nonzero(raw < 0.0) == 106
     mode = RadialField(P.grid, np.concatenate(
         [P.from_modal(np.eye(m)[:, 3]), [0.0]]))
     sink = RadialField(P.grid, -indicator(
         P.grid, BallIndicator(1.0, amplitude=1e6)).values)
-    for field, t, clamps in ((u, 1e-4, 0), (mode, 0.5, 110),
+    for field, t, clamps in ((u, 1e-4, 0), (mode, 0.5, 146),
                              (sink, 1e-3, 106)):
         out = semigroup_apply(P, t, field)
         ref_vals, ref_clamps = _reference_semigroup_apply(P, t, field)
