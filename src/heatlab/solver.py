@@ -4,11 +4,19 @@ The domain is the ball B_R with homogeneous Dirichlet data at r = R and the
 symmetry (zero-flux) condition at r = 0. Fields are radial; the discrete
 Laplacian is a finite-volume operator that is self-adjoint under the cell
 volumes, so the semigroup is evaluated exactly in its eigenbasis.
+
+That eigenbasis is a closed-form cosine transform on a uniform 1-D grid, and
+LAPACK dstemr (MRRR) on every other grid, called through ctypes in the
+OpenBLAS that numpy has already loaded: building a propagator imports no
+scipy unless numpy's BLAS lacks the routine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -192,9 +200,64 @@ def _band(grid: RadialGrid) -> tuple:
     return diag, off, sqrt_w
 
 
+@functools.cache
+def _lapacke_dstemr():
+    """LAPACKE_dstemr of the OpenBLAS that numpy has loaded, typed for its
+    ILP64 build; None where numpy's BLAS does not export it (Accelerate,
+    MKL) or the process has no /proc/self/maps to find it in (not Linux).
+    RTLD_NOLOAD opens only a library that is already mapped."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted(set(re.findall(r"/\S*openblas\S*\.so\S*",
+                                         maps.read())))
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            call = getattr(ctypes.CDLL(lib, mode=os.RTLD_NOLOAD),
+                           "scipy_LAPACKE_dstemr64_", None)
+        except OSError:
+            continue
+        if call is not None:
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            call.restype = i64
+            call.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,
+                             ptr, ptr, ctypes.c_double, ctypes.c_double, i64,
+                             i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
+            return call
+    return None
+
+
 def _stemr(diag: np.ndarray, off: np.ndarray) -> tuple:
-    from scipy.linalg import eigh_tridiagonal  # see heatkernel._ball_profile
-    return eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    """(lam, Q, info): the eigenpairs of the symmetric tridiagonal band by
+    LAPACK dstemr (MRRR), lam ascending and Q column-major; a non-zero info
+    is LAPACK's failure code, and lam and Q are then None. The call goes to
+    numpy's OpenBLAS; scipy's eigh_tridiagonal, the same routine, serves a
+    numpy whose BLAS lacks it."""
+    dstemr = _lapacke_dstemr()
+    if dstemr is None:
+        from scipy.linalg import LinAlgError, eigh_tridiagonal
+        try:
+            return (*eigh_tridiagonal(diag, off, lapack_driver="stemr"), 0)
+        except LinAlgError as exc:  # scipy reports "(LAPACK info=22)"
+            found = re.search(r"info=(-?\d+)", str(exc))
+            if found is None:
+                raise
+            return None, None, int(found[1])
+    n = len(diag)
+    d = np.array(diag, dtype=float)  # dstemr overwrites d and e
+    e = np.zeros(n)                  # and reads n entries of e
+    e[:-1] = off
+    lam, Q = np.empty(n), np.empty((n, n), order="F")
+    m = np.zeros(1, np.int64)       # the number of eigenvalues found
+    tryrac = np.ones(1, np.int64)   # aim for high relative accuracy
+    isuppz = np.empty(2 * n, np.int64)
+    # column-major (102), jobz 'V', range 'A': vl, vu, il and iu unread
+    info = dstemr(102, b"V", b"A", n, d.ctypes.data, e.ctypes.data, 0.0, 0.0,
+                  0, 0, m.ctypes.data, lam.ctypes.data, Q.ctypes.data, n, n,
+                  isuppz.ctypes.data, tryrac.ctypes.data)
+    return (lam, Q, 0) if info == 0 else (None, None, int(info))
 
 
 def _cosine_spectrum(m: int, R: float) -> tuple:
@@ -219,8 +282,12 @@ def build_propagator(grid: RadialGrid) -> HeatPropagator:
         raise ValueError("need at least 32 interior nodes")
     diag, off, sqrt_w = _band(grid)
     uniform = np.array_equal(grid.nodes, np.linspace(0.0, grid.R, grid.n))
-    lam, Q = (_cosine_spectrum(len(diag), grid.R) if grid.d == 1 and uniform
-              else _stemr(diag, off))
+    lam, Q, info = ((*_cosine_spectrum(len(diag), grid.R), 0)
+                    if grid.d == 1 and uniform else _stemr(diag, off))
+    if info:
+        raise SolverError(f"LAPACK dstemr failed (info = {info}) on the "
+                          f"d = {grid.d} Laplacian with R = {grid.R:g} on "
+                          f"{grid.n} nodes")
     if lam[0] <= 0:
         raise SolverError(f"non-positive eigenvalue {lam[0]:.3e}: "
                           "bad discretization")

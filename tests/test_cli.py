@@ -29,6 +29,7 @@ from heatlab.cli import (
     load_config,
     main,
 )
+from heatlab.solver import _lapacke_dstemr
 
 
 def run_json(capsys, argv):
@@ -408,6 +409,10 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     # blowup_trend takes one step; a trapezoid in time needs two slices
     (["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
      ("--n-time",)),
+    # the band fits in a double, but LAPACK's MRRR fails on it
+    (["experiment", "simulate", "--f", "s^2", "--d", "2", "--T", "0.01",
+      "--R", "1e-100"],
+     ("LAPACK dstemr failed (info = ", "d = 2", "R = 1e-100", "257 nodes")),
 ])
 def test_refusal_names_its_input(capsys, argv, names):
     assert main(argv) == EXIT_ERROR
@@ -517,6 +522,12 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
 
 # --- cold start ---------------------------------------------------------------
 
+NEEDS_DSTEMR = pytest.mark.skipif(
+    _lapacke_dstemr() is None,
+    reason="numpy's BLAS exports no LAPACKE dstemr, so building a propagator "
+           "off the uniform 1-D grid falls back to scipy")
+
+
 @pytest.mark.parametrize("argv", [
     [],  # import heatlab alone
     ["classify", "--f", "s^3", "--d", "1", "--q", "1"],
@@ -534,11 +545,21 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
      "--amplitude", "0.1", "--out", "iterate.json", "--csv", "trace.csv"],
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--r", "0.5",
      "--amplitude", "0.1", "--T", "0.01", "--csv", "trajectory.csv"],
+    # the README blowup_trend on its graded grids, and iterate and simulate
+    # at d = 2: LAPACK dstemr, called in numpy's own OpenBLAS
+    pytest.param(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
+                  "--q", "1", "--N-range", "3..8"], marks=NEEDS_DSTEMR),
+    pytest.param(["experiment", "iterate", "--f", "s^2", "--d", "2",
+                  "--r", "0.5", "--amplitude", "0.1"], marks=NEEDS_DSTEMR),
+    pytest.param(["experiment", "simulate", "--f", "s^2", "--d", "2",
+                  "--r", "0.5", "--amplitude", "0.1", "--T", "0.01"],
+                 marks=NEEDS_DSTEMR),
 ])
 def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
-    # only evaluating a ball profile or diagonalising a band off the uniform
-    # 1-D grid needs scipy; the constants, the classifiers, the horizon and
-    # the cosine closed form of the 1-D spectrum run without it
+    # only evaluating a ball profile needs scipy; the constants, the
+    # classifiers, the horizon and both spectra (the cosine closed form on
+    # the uniform 1-D grid, dstemr in numpy's BLAS on every other) run
+    # without it
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys\n"
               "import heatlab\n"

@@ -3,9 +3,10 @@
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
 via heat_on_ball, the linear-nonlinearity closed form of the existence
 horizon, LAPACK MRRR against the cosine closed form of the uniform 1-D
-spectrum, grid/time refinement self-consistency, and five slow references
-kept here: the face-by-face propagator assembly diagonalised by dense
-eigh, the re-summed Duhamel history, the quad-based horizon search, the
+spectrum, scipy's eigh_tridiagonal against the direct LAPACKE dstemr call
+(bit for bit), grid/time refinement self-consistency, and five slow
+references kept here: the face-by-face propagator assembly diagonalised by
+dense eigh, the re-summed Duhamel history, the quad-based horizon search, the
 semigroup step with its own abs pass and the forward stepper on field
 objects with one lq_norm call per norm.
 """
@@ -18,9 +19,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 import heatlab
+import heatlab.solver as solver_mod
 from heatlab.databuilder import build_t1_data
 from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
                                 unit_ball_volume)
@@ -220,7 +222,7 @@ def test_propagator_matches_face_by_face_assembly(make_grid):
     # closed form (tested below), so there the LAPACK helper is pinned.
     grid = make_grid()
     if _is_uniform_1d(grid):
-        got = _stemr(*_band(grid)[:2])
+        got = _stemr(*_band(grid)[:2])[:2]
     else:
         P = build_propagator(grid)
         got = P.eigenvalues, P.modes
@@ -242,13 +244,87 @@ def test_uniform_1d_spectrum_is_the_cosine_closed_form(n, R):
     A = _face_by_face_operator(grid)
     assert np.abs(A @ Q - Q * lam).max() <= 1e-14 * lam[-1]
     assert np.abs(Q.T @ Q - np.eye(m)).max() <= 1e-14
-    lam_lapack, Q_lapack = _stemr(*_band(grid)[:2])
+    lam_lapack, Q_lapack = _stemr(*_band(grid)[:2])[:2]
     assert np.abs(lam_lapack / lam - 1.0).max() <= 1e-9
     signs = np.sign(np.sum(Q * Q_lapack, axis=0))
     assert np.abs(Q_lapack * signs - Q).max() <= 1e-11
 
 
-def test_propagator_build_allocates_one_dense_matrix():
+@pytest.fixture(params=["direct", "scipy"])
+def stemr_path(request, monkeypatch):
+    """dstemr called in numpy's OpenBLAS, or through scipy's fallback (the
+    path of a numpy whose BLAS does not export it)."""
+    if request.param == "scipy":
+        monkeypatch.setattr(solver_mod, "_lapacke_dstemr", lambda: None)
+    return request.param
+
+
+def _t1_run_grid(d):
+    """The graded grid of _assert_same_t1_run."""
+    _, u0 = build_t1_data(parse_nonlinearity("s^4"), d=d, q=1.0, N=3,
+                          epsilon=0.5, R=1.0)
+    return u0.grid
+
+
+PARITY_GRIDS = {
+    **{f"uniform-d{d}-{n}": (lambda d=d, n=n: RadialGrid.uniform(d, 1.0, n))
+       for d in (2, 3) for n in (257, 513, 1025)},
+    **{f"t1-d{d}-N3": (lambda d=d: _t1_run_grid(d)) for d in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("make_grid", PARITY_GRIDS.values(),
+                         ids=PARITY_GRIDS.keys())
+def test_stemr_matches_scipy_eigh_tridiagonal_bytes(make_grid):
+    # the direct LAPACKE call runs scipy's routine with scipy's arguments,
+    # so lam and Q agree bit for bit, Q column-major on both sides; the band
+    # itself is copied, not overwritten
+    diag, off, _ = _band(make_grid())
+    band = diag.tobytes(), off.tobytes()
+    lam, Q, info = _stemr(diag, off)
+    lam_ref, Q_ref = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    assert info == 0
+    assert (diag.tobytes(), off.tobytes()) == band
+    assert lam.tobytes() == lam_ref.tobytes()
+    assert Q.flags.f_contiguous and Q_ref.flags.f_contiguous
+    assert Q.tobytes() == Q_ref.tobytes()
+
+
+def test_stemr_asks_for_relative_accuracy_as_scipy_does():
+    # a scaled diagonally dominant band, where tryrac = 1 takes dstemr's
+    # relative-accuracy branch; with tryrac = 0 its smallest eigenvalues
+    # move by up to 12 % (no propagator band above reaches that branch)
+    diag = 0.1 ** np.arange(40.0)
+    off = 0.3 * np.sqrt(diag[:-1] * diag[1:])
+    lam, Q, info = _stemr(diag, off)
+    lam_ref, Q_ref = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    assert info == 0
+    assert lam.tobytes() == lam_ref.tobytes()
+    assert Q.tobytes() == Q_ref.tobytes()
+
+
+@pytest.mark.parametrize("make_grid", PARITY_GRIDS.values(),
+                         ids=PARITY_GRIDS.keys())
+def test_scipy_fallback_builds_the_same_propagator(monkeypatch, make_grid):
+    grid = make_grid()
+    P = build_propagator(grid)
+    monkeypatch.setattr(solver_mod, "_lapacke_dstemr", lambda: None)
+    ref = build_propagator(grid)
+    assert P.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert P.modes.flags.f_contiguous and ref.modes.flags.f_contiguous
+    assert P.modes.tobytes() == ref.modes.tobytes()
+
+
+def test_dstemr_failure_names_the_grid(stemr_path):
+    # R = 1e-100 passes the band check at d = 2, but MRRR fails on its band
+    # (info = 22 with the OpenBLAS of numpy 2.4 and of scipy 1.17)
+    with pytest.raises(SolverError, match=r"LAPACK dstemr failed \(info = "
+                                          r"\d+\) on the d = 2 Laplacian "
+                                          r"with R = 1e-100 on 257 nodes$"):
+        build_propagator(RadialGrid.uniform(2, 1e-100, 257))
+
+
+def test_propagator_build_allocates_one_dense_matrix(stemr_path):
     # the modes are the one m x m array; a dense assembly of the band
     # peaks at about three of them, and so does a whole-matrix index table
     # of the cosine closed form at d = 1
@@ -1072,7 +1148,6 @@ def test_simulate_step_budget_is_an_error(monkeypatch):
     # d = 1, 33 nodes, s^2, T = 1 at a fixed dt of 1e-6 needs a million
     # steps; a run cut at the budget (t = 0.2 at MAX_STEPS) without an
     # error would read as a run that reached T without blow-up
-    import heatlab.solver as solver_mod
     monkeypatch.setattr(solver_mod, "MAX_STEPS", 50)
     g = RadialGrid.uniform(1, 1.0, 33)
     P = build_propagator(g)
