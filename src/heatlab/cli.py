@@ -5,12 +5,17 @@ Exit codes: 0 = decided / certified, 2 = Inconclusive, 1 = error (usage
 errors included) or failed certification. Reports are deterministic for a
 fixed config and seed; wall clock and invocation details go to a separate
 .meta.json file.
+
+Each runner takes the parsed args alone and returns (report, table, code):
+its own report keys, the (header, rows) that --csv writes (None where the
+command takes no --csv) and its exit code. main writes all output: the CSV
+first, then the report, framed by "command", "kind" (experiments only) and
+the "constants" block of --d.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -97,7 +102,6 @@ OPTIONS = {
     "r_grid": (POSITIVE_LIST, "ball radii to certify"),
     "t_grid": (POSITIVE_LIST, "times to certify"),
     "n_points": (_integer(2), "radial samples per (r, t)"),
-    "inflate_cd": (NUMBER, "test-only: multiply c_d to falsify the check"),
     "u0_l1": (NON_NEGATIVE, "L1 norm of the data"),
     "A": (_checked(lambda v: 1 < v < math.inf, "a finite number > 1"),
           "supersolution factor"),
@@ -251,7 +255,7 @@ def audited_f(args):
 
 # --- commands ----------------------------------------------------------------
 
-def cmd_classify(args, argv) -> int:
+def cmd_classify(args) -> tuple:
     d, q = _d_and_q(args)
     f = resolve_f(args)
     if args.domain == "whole_space":
@@ -260,36 +264,17 @@ def cmd_classify(args, argv) -> int:
         verdict = classify_lq(f, q, d)
     else:
         verdict = classify_l1(f, d)
-    report = {"command": "classify", "f": f.source_text, "d": d, "q": q,
-              "domain": args.domain, "verdict": verdict.to_dict(),
-              "constants": constants_block(d)}
-    if args.csv:
-        write_csv(args.csv, ["s", "statistic"], verdict.evidence_rows())
-    emit_report(report, args.out, argv)
-    return EXIT_OK if verdict.decided else EXIT_INCONCLUSIVE
+    report = {"f": f.source_text, "d": d, "q": q, "domain": args.domain,
+              "verdict": verdict.to_dict()}
+    return (report, (["s", "statistic"], verdict.evidence_rows()),
+            EXIT_OK if verdict.decided else EXIT_INCONCLUSIVE)
 
 
-def cmd_verify_kernel(args, argv) -> int:
-    d, inflate = args.d, args.inflate_cd
-    consts = kernel_constants(d)
-    c_max = consts.c_d
-    if inflate != 1.0:  # falsification hook for testing the certifier
-        c_d = consts.c_d * inflate
-        consts = dataclasses.replace(consts, c_d=c_d,
-                                     alpha_d=c_d * consts.omega_d,
-                                     beta_d=c_d * 2.0 ** (-d))
-    rep = verify_lower_bounds(d, args.r_grid, args.t_grid,
-                              n_points=args.n_points, constants=consts)
-    # consistency of the supplied constant with its defining identity;
-    # the sampled bounds alone have slack, this check has none
-    definition = {"bound": "definition", "min_margin": c_max - consts.c_d,
-                  "witness": {"c_d": consts.c_d, "defining_value": c_max}}
-    passed = rep.passed and definition["min_margin"] >= 0.0
-    report = {"command": "verify-kernel", "report": rep.to_dict(),
-              "definition_check": definition, "passed": passed,
-              "inflate_cd": inflate, "constants": constants_block(d)}
-    emit_report(report, args.out, argv)
-    return EXIT_OK if passed else EXIT_ERROR
+def cmd_verify_kernel(args) -> tuple:
+    rep = verify_lower_bounds(args.d, args.r_grid, args.t_grid,
+                              n_points=args.n_points)
+    return ({"report": rep.to_dict(), "passed": rep.passed}, None,
+            EXIT_OK if rep.passed else EXIT_ERROR)
 
 
 def _setup_problem(args):
@@ -299,17 +284,13 @@ def _setup_problem(args):
     return P, indicator(grid, BallIndicator(radius, args.amplitude))
 
 
-def experiment_horizon(args, argv) -> int:
+def experiment_horizon(args) -> tuple:
     f = audited_f(args)
     rep = find_existence_horizon(args.u0_l1, f, args.d, A=args.A)
-    report = {"command": "experiment", "kind": "horizon",
-              "f": f.source_text, "result": vars(rep).copy(),
-              "constants": constants_block(args.d)}
-    emit_report(report, args.out, argv)
-    return EXIT_OK
+    return {"f": f.source_text, "result": vars(rep).copy()}, None, EXIT_OK
 
 
-def experiment_iterate(args, argv) -> int:
+def experiment_iterate(args) -> tuple:
     if args.n_time < 2:  # a trapezoid in time needs two slices
         raise CliError(f"--n-time must be at least 2, got {args.n_time}")
     f = audited_f(args)
@@ -322,59 +303,44 @@ def experiment_iterate(args, argv) -> int:
     margin = supersolution_check(P, u0, f, v_init, hor.T, n_time=n_time)
     trace = duhamel_iterate(P, u0, f, v_init, hor.T, n_time=n_time,
                             n_iter=args.n_iter)
-    report = {"command": "experiment", "kind": "iterate", "f": f.source_text,
-              "horizon": vars(hor).copy(),
+    report = {"f": f.source_text, "horizon": vars(hor).copy(),
               "supersolution_margin": margin.margin,
               "converged": trace.converged, "iterations": trace.n_iter,
               "residual": trace.residual, "max_increase": trace.max_increase,
-              "min_above_baseline": trace.min_above_baseline,
-              "constants": constants_block(P.grid.d)}
-    if args.csv:
-        write_csv(args.csv, ["iteration", "sup_delta"],
-                  list(enumerate(trace.sup_deltas, start=1)))
-    emit_report(report, args.out, argv)
-    return EXIT_OK if margin.certified and trace.converged else EXIT_ERROR
+              "min_above_baseline": trace.min_above_baseline}
+    return (report, (["iteration", "sup_delta"],
+                     list(enumerate(trace.sup_deltas, start=1))),
+            EXIT_OK if margin.certified and trace.converged else EXIT_ERROR)
 
 
-def experiment_simulate(args, argv) -> int:
+def experiment_simulate(args) -> tuple:
     d, q = _d_and_q(args)
     f = audited_f(args)
     P, u0 = _setup_problem(args)
     controls = SimulationControls(q=q, dt_init=args.dt)
     traj = simulate_forward(P, u0, f, args.T, controls)
-    report = {"command": "experiment", "kind": "simulate", "f": f.source_text,
-              "T": args.T, "steps": len(traj.times) - 1,
+    report = {"f": f.source_text, "T": args.T, "steps": len(traj.times) - 1,
               "rejected_steps": traj.rejected_steps, "blowup": traj.blowup,
               "blowup_time": traj.blowup_time, "peak_l1": traj.peak_l1,
-              "final_l1": traj.l1[-1], "final_linf": traj.linf[-1],
-              "constants": constants_block(P.grid.d)}
-    if args.csv:
-        write_csv(args.csv,
-                  ["t", "l1", f"l{controls.q:g}", "linf", "dt", "clamps"],
-                  list(zip(traj.times, traj.l1, traj.lq, traj.linf,
-                           traj.dts, traj.clamp_counts)))
-    emit_report(report, args.out, argv)
-    return EXIT_OK
+              "final_l1": traj.l1[-1], "final_linf": traj.linf[-1]}
+    return (report, (["t", "l1", f"l{controls.q:g}", "linf", "dt", "clamps"],
+                     list(zip(traj.times, traj.l1, traj.lq, traj.linf,
+                              traj.dts, traj.clamp_counts))), EXIT_OK)
 
 
-def experiment_lower_bound(args, argv) -> int:
+def experiment_lower_bound(args) -> tuple:
     d, q = _d_and_q(args)
     f = audited_f(args)
     lb = duhamel_lower_bound(
         BallIndicator(radius=args.r, amplitude=args.amplitude),
         f, args.t, d, q=q)
-    report = {"command": "experiment", "kind": "lower_bound",
-              "f": f.source_text, "t": args.t, "lq": lb.lq, "q": lb.q,
-              "min_on_ball": lb.min_on_ball(args.r),
-              "constants": constants_block(d)}
-    if args.csv:
-        write_csv(args.csv, ["rho", "lower_bound"],
-                  list(zip(lb.radii, lb.values)))
-    emit_report(report, args.out, argv)
-    return EXIT_OK
+    report = {"f": f.source_text, "t": args.t, "lq": lb.lq, "q": lb.q,
+              "min_on_ball": lb.min_on_ball(args.r)}
+    return (report, (["rho", "lower_bound"], list(zip(lb.radii, lb.values))),
+            EXIT_OK)
 
 
-def experiment_blowup_trend(args, argv) -> int:
+def experiment_blowup_trend(args) -> tuple:
     d, q = _d_and_q(args)
     f = audited_f(args)
     lo, hi = args.N_range
@@ -402,16 +368,12 @@ def experiment_blowup_trend(args, argv) -> int:
                      "blowup_time": traj.blowup_time})
     peaks = [r["peak_l1"] for r in rows]
     monotone = all(a < b for a, b in zip(peaks, peaks[1:]))
-    report = {"command": "experiment", "kind": "blowup_trend",
-              "f": f.source_text, "rows": rows,
+    report = {"f": f.source_text, "rows": rows,
               "peak_l1_strictly_increasing": monotone,
-              "note": "numeric blow-up trend; not a proof of non-existence",
-              "constants": constants_block(d)}
-    if args.csv:
-        write_csv(args.csv, ["N", "peak_l1", "blowup"],
-                  [(r["N"], r["peak_l1"], r["blowup"]) for r in rows])
-    emit_report(report, args.out, argv)
-    return EXIT_OK if monotone else EXIT_ERROR
+              "note": "numeric blow-up trend; not a proof of non-existence"}
+    return (report, (["N", "peak_l1", "blowup"],
+                     [(r["N"], r["peak_l1"], r["blowup"]) for r in rows]),
+            EXIT_OK if monotone else EXIT_ERROR)
 
 
 def _suite_case(case):
@@ -424,7 +386,7 @@ def _suite_case(case):
             "agree": rep.agree}
 
 
-def experiment_equivalence_suite(args, argv) -> int:
+def experiment_equivalence_suite(args) -> tuple:
     seed, count, d = args.seed, args.count, args.d
     rng = np.random.default_rng(seed)
     cases = []
@@ -436,15 +398,12 @@ def experiment_equivalence_suite(args, argv) -> int:
     results = [_suite_case(case) for case in cases]
     decided = [r for r in results if r["agree"] is not None]
     disagreements = [r for r in decided if not r["agree"]]
-    report = {"command": "experiment", "kind": "equivalence_suite",
-              "seed": seed, "count": count, "d": d, "cases": results,
+    report = {"seed": seed, "count": count, "d": d, "cases": results,
               "n_decided": len(decided),
-              "n_disagreements": len(disagreements),
-              "constants": constants_block(d)}
-    emit_report(report, args.out, argv)
-    if disagreements:
-        return EXIT_ERROR
-    return EXIT_OK if len(decided) == count else EXIT_INCONCLUSIVE
+              "n_disagreements": len(disagreements)}
+    code = (EXIT_ERROR if disagreements else
+            EXIT_OK if len(decided) == count else EXIT_INCONCLUSIVE)
+    return report, None, code
 
 
 # command (or experiment kind) -> (runner, help, {option: default or
@@ -454,7 +413,7 @@ COMMANDS = {
         **NONLINEARITY, "q": REQUIRED, "domain": "bounded", "csv": None}),
     "verify-kernel": (cmd_verify_kernel, "certify the kernel bounds", {
         "d": 1, "r_grid": "0.25,1,4", "t_grid": "0.01,0.25,1,4",
-        "n_points": 17, "inflate_cd": 1.0}),
+        "n_points": 17}),
 }
 EXPERIMENTS = {
     "horizon": (experiment_horizon, "existence horizon of L1 data", {
@@ -526,9 +485,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(_with_config(argv))
-        run = (EXPERIMENTS[args.kind] if args.command == "experiment"
-               else COMMANDS[args.command])[0]
-        return run(args, argv)
+        if args.command == "experiment":
+            run = EXPERIMENTS[args.kind][0]
+            head = {"command": args.command, "kind": args.kind}
+        else:
+            run, head = COMMANDS[args.command][0], {"command": args.command}
+        report, table, code = run(args)
+        report = {**head, **report, "constants": constants_block(args.d)}
+        if getattr(args, "csv", None):
+            write_csv(args.csv, *table)
+        emit_report(report, args.out, argv)
+        return code
     except (CliError, AuditError, SolverError, ParseError, DomainError,
             QuadratureError, ScheduleError, ValueError, OverflowError,
             OSError, MemoryError) as exc:

@@ -275,7 +275,6 @@ def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
     sigma, tau = block_trend_fit(blocks)
     outcome = decide_blocks(sigma, tau, overflow)
     evidence = {
-        "block_integrals": blocks,
         "sigma": sigma,
         "tau": tau,
         "overflow": overflow,

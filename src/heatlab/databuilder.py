@@ -44,27 +44,6 @@ class BlowupDataSpec:
     witness: Optional[SeriesWitness] = field(default=None, repr=False)
     norm_bound: float = math.nan          # analytic bound on ||u0||
     sampled_norm: float = math.nan
-    tail_bound: float = math.nan          # neglected-tail norm bound
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind, "d": self.d, "q": self.q,
-            "f": self.f.source_text, "N": self.N,
-            "amplitudes": list(map(float, self.amplitudes)),
-            "radii": list(map(float, self.radii)),
-            "phi": list(map(float, self.phi)),
-            "constants": self.constants.to_dict(),
-            "norm_bound": self.norm_bound,
-            "sampled_norm": self.sampled_norm,
-            "tail_bound": self.tail_bound,
-        }
-        if self.kind == "T1":
-            out["epsilon"] = self.epsilon
-        else:
-            out["n0"] = self.n0
-            out["zeta"] = list(map(int, self.zeta))
-            out["k_n"] = list(map(int, self.k_n))
-        return out
 
 
 def _search_phi(f: NonlinearityExpr, p: float, k: int, q: float,
@@ -159,12 +138,11 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     per_term = consts.beta_d ** -1 * unit_ball_volume(d) ** (1.0 / q) * \
         epsilon ** (d / q)
     norm_bound = per_term * float(np.sum(ks ** -2.0))
-    tail = per_term * (math.pi ** 2 / 6.0 - float(np.sum(ks ** -2.0)))
     spec = BlowupDataSpec(kind="T1", d=d, q=q, f=f, N=N,
                           amplitudes=amplitudes, radii=radii, phi=phi,
                           constants=consts, epsilon=epsilon,
                           norm_bound=norm_bound,
-                          sampled_norm=lq_norm(u0, q), tail_bound=tail)
+                          sampled_norm=lq_norm(u0, q))
     return spec, u0
 
 
@@ -234,8 +212,7 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
                           k_n=np.arange(n0, N + 1),
                           witness=witness,
                           norm_bound=norm_bound,
-                          sampled_norm=lq_norm(u0, 1.0),
-                          tail_bound=omega * math.pi ** 2 / 6.0 - norm_bound)
+                          sampled_norm=lq_norm(u0, 1.0))
     return spec, u0
 
 

@@ -233,30 +233,26 @@ def _stemr(diag: np.ndarray, off: np.ndarray) -> tuple:
     """(lam, Q, info): the eigenpairs of the symmetric tridiagonal band by
     LAPACK dstemr (MRRR), lam ascending and Q column-major; a non-zero info
     is LAPACK's failure code, and lam and Q are then None. The call goes to
-    numpy's OpenBLAS; scipy's eigh_tridiagonal, the same routine, serves a
-    numpy whose BLAS lacks it."""
-    dstemr = _lapacke_dstemr()
-    if dstemr is None:
-        from scipy.linalg import LinAlgError, eigh_tridiagonal
-        try:
-            return (*eigh_tridiagonal(diag, off, lapack_driver="stemr"), 0)
-        except LinAlgError as exc:  # scipy reports "(LAPACK info=22)"
-            found = re.search(r"info=(-?\d+)", str(exc))
-            if found is None:
-                raise
-            return None, None, int(found[1])
+    numpy's OpenBLAS; scipy's wrapper of the same routine serves a numpy
+    whose BLAS lacks it."""
     n = len(diag)
-    d = np.array(diag, dtype=float)  # dstemr overwrites d and e
-    e = np.zeros(n)                  # and reads n entries of e
+    e = np.zeros(n)  # dstemr reads n entries of e
     e[:-1] = off
-    lam, Q = np.empty(n), np.empty((n, n), order="F")
-    m = np.zeros(1, np.int64)       # the number of eigenvalues found
-    tryrac = np.ones(1, np.int64)   # aim for high relative accuracy
-    isuppz = np.empty(2 * n, np.int64)
-    # column-major (102), jobz 'V', range 'A': vl, vu, il and iu unread
-    info = dstemr(102, b"V", b"A", n, d.ctypes.data, e.ctypes.data, 0.0, 0.0,
-                  0, 0, m.ctypes.data, lam.ctypes.data, Q.ctypes.data, n, n,
-                  isuppz.ctypes.data, tryrac.ctypes.data)
+    dstemr = _lapacke_dstemr()
+    if dstemr is None:  # range 0 is 'A': vl, vu, il and iu unread
+        from scipy.linalg.lapack import dstemr
+        _, lam, Q, info = dstemr(diag, e, 0, 0.0, 0.0, 0, 0)
+    else:
+        d = np.array(diag, dtype=float)  # dstemr overwrites d and e
+        lam, Q = np.empty(n), np.empty((n, n), order="F")
+        m = np.zeros(1, np.int64)       # the number of eigenvalues found
+        tryrac = np.ones(1, np.int64)   # aim for high relative accuracy
+        isuppz = np.empty(2 * n, np.int64)
+        # column-major (102), jobz 'V', range 'A' as above
+        info = dstemr(102, b"V", b"A", n, d.ctypes.data, e.ctypes.data, 0.0,
+                      0.0, 0, 0, m.ctypes.data, lam.ctypes.data,
+                      Q.ctypes.data, n, n, isuppz.ctypes.data,
+                      tryrac.ctypes.data)
     return (lam, Q, 0) if info == 0 else (None, None, int(info))
 
 
@@ -282,8 +278,16 @@ def build_propagator(grid: RadialGrid) -> HeatPropagator:
         raise ValueError("need at least 32 interior nodes")
     diag, off, sqrt_w = _band(grid)
     uniform = np.array_equal(grid.nodes, np.linspace(0.0, grid.R, grid.n))
-    lam, Q, info = ((*_cosine_spectrum(len(diag), grid.R), 0)
-                    if grid.d == 1 and uniform else _stemr(diag, off))
+    if grid.d == 1 and uniform:
+        lam, Q, info = (*_cosine_spectrum(len(diag), grid.R), 0)
+    else:
+        # the band scales like R^-2, and MRRR fails on it for small balls
+        # (info 22 at d = 2, R <= 1e-4.25 on 257 nodes): it gets the band
+        # times s^2, s = 2^round(log2 R), which is exact and 1 at R = 1
+        s = 2.0 ** round(math.log2(grid.R))
+        lam, Q, info = _stemr(diag * s * s, off * s * s)
+        if not info:
+            lam = lam / s / s
     if info:
         raise SolverError(f"LAPACK dstemr failed (info = {info}) on the "
                           f"d = {grid.d} Laplacian with R = {grid.R:g} on "

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from heatlab.cli import (
     REQUIRED,
     _with_config,
     build_parser,
+    constants_block,
     load_config,
     main,
 )
@@ -154,7 +156,6 @@ def test_verify_kernel_passes(capsys):
                                   "--n-points", "5"])
     assert code == EXIT_OK and rep["passed"]
     assert rep["report"]["passed"]
-    assert rep["definition_check"]["min_margin"] == 0.0
     assert rep["report"]["variant"] == "whole_space"
     assert rep["constants"]["kernel"]["variant"] == "whole_space"
 
@@ -167,15 +168,21 @@ def test_verify_kernel_has_no_dirichlet_variant(capsys):
     assert "--variant" in _assert_one_line_error(capsys)
 
 
-def test_verify_kernel_inflated_constant_fails(capsys):
+def test_verify_kernel_inflated_constant_fails(monkeypatch, capsys):
+    # the certifier reads kernel_constants; c_d = 1 (0.0297 holds at d = 1)
+    # must fail the lemma bound and name the point that fails it
+    import heatlab.heatkernel as heatkernel_mod
+    real = heatkernel_mod.kernel_constants
+    monkeypatch.setattr(
+        heatkernel_mod, "kernel_constants",
+        lambda d: dataclasses.replace(real(d), c_d=1.0))
     code, rep = run_json(capsys, ["verify-kernel", "--d", "1",
                                   "--r-grid", "0.5", "--t-grid", "0.25",
-                                  "--n-points", "5", "--inflate-cd", "3"])
+                                  "--n-points", "5"])
     assert code == EXIT_ERROR and not rep["passed"]
-    check = rep["definition_check"]
-    assert check["min_margin"] < 0.0
-    assert check["witness"]["c_d"] == pytest.approx(
-        3.0 * check["witness"]["defining_value"], rel=1e-12)
+    lemma, = [b for b in rep["report"]["bounds"] if b["bound"] == "lemma"]
+    assert lemma["min_margin"] < 0.0
+    assert lemma["witnesses"] == [[0.5, 0.25, 1.0]]
 
 
 def test_verify_kernel_narrow_peak_passes(capsys):
@@ -409,15 +416,26 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     # blowup_trend takes one step; a trapezoid in time needs two slices
     (["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
      ("--n-time",)),
-    # the band fits in a double, but LAPACK's MRRR fails on it
+    # LAPACK's MRRR fails, here because every call is stubbed to fail
     (["experiment", "simulate", "--f", "s^2", "--d", "2", "--T", "0.01",
       "--R", "1e-100"],
-     ("LAPACK dstemr failed (info = ", "d = 2", "R = 1e-100", "257 nodes")),
+     ("LAPACK dstemr failed (info = 22)", "d = 2", "R = 1e-100",
+      "257 nodes")),
 ])
-def test_refusal_names_its_input(capsys, argv, names):
+def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
+    import heatlab.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "_lapacke_dstemr",
+                        lambda: lambda *args: 22)
     assert main(argv) == EXIT_ERROR
     err = _assert_one_line_error(capsys)
     assert all(name in err for name in names), err
+
+
+def test_small_ball_is_not_refused(capsys):
+    # LAPACK's MRRR failed on the unscaled d = 2 band of this ball (info 22)
+    code, rep = run_json(capsys, ["experiment", "simulate", "--f", "s^2",
+                                  "--d", "2", "--T", "0.01", "--R", "1e-5"])
+    assert code == EXIT_OK and rep["T"] == 0.01
 
 
 @pytest.mark.parametrize("message", [
@@ -625,19 +643,43 @@ def test_non_integer_value_names_its_option(tmp_path, capsys, argv, flag):
     assert _assert_one_line_error(capsys).startswith(f"error: argument {flag}:")
 
 
-@pytest.mark.parametrize("option", ["--csv", "--out"])
-def test_failed_write_leaves_no_report(tmp_path, capsys, option):
+# the command line heads that take --csv; classify keeps its bare ids
+WRITERS = [head for head in TABLES if "csv" in TABLES[head]]
+
+
+@pytest.mark.parametrize("head, option", [
+    pytest.param(head, option, id=option if head == ("classify",)
+                 else f"{head[-1]}{option}")
+    for head in WRITERS for option in ("--csv", "--out")])
+def test_failed_write_leaves_no_report(tmp_path, capsys, head, option):
     path = str(tmp_path / "no-such-dir" / "x")
-    assert main(["classify", "--f", "s^2", "--d", "1", "--q", "2",
-                 option, path]) == EXIT_ERROR
+    assert main([*head, *VALID[head], option, path]) == EXIT_ERROR
     err = _assert_one_line_error(capsys)   # nothing on stdout
     assert err == f"error: cannot write {path}: No such file or directory\n"
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("head", sorted(TABLES), ids="-".join)
+def test_every_report_is_framed_the_same_way(capsys, head):
+    argv = [*head, *VALID[head]]
+    code, rep = run_json(capsys, argv)
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+    assert rep["command"] == head[0]
+    assert rep.get("kind") == (head[1] if head[0] == "experiment" else None)
+    assert rep["constants"] == constants_block(build_parser().parse_args(
+        argv).d)
+
+
+# removed options and the command that read them: every command refuses
+# them now. pytest numbers these cases, so each removed option's own command
+# comes last, where it shifts no other case's id.
+RETIRED = {"inflate_cd": ("verify-kernel",)}
+
+
 @pytest.mark.parametrize("head, name", [
-    (head, name) for head in TABLES for name in sorted(OPTIONS)
-    if name not in _taken(head)])
+    *[(head, name) for head in TABLES for name in sorted([*OPTIONS, *RETIRED])
+      if name not in _taken(head) and head != RETIRED.get(name)],
+    *[(head, name) for name, head in RETIRED.items()]])
 def test_an_option_the_command_never_reads_is_an_error(tmp_path, capsys,
                                                        head, name):
     argv = [*head, *VALID[head]]

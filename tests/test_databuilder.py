@@ -1,12 +1,10 @@
 """Blow-up data builder tests: schedules, sampled norms, predictions."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from heatlab.criteria import jsonable
 from heatlab.databuilder import (
     ScheduleError,
     build_t1_data,
@@ -154,14 +152,3 @@ def test_todd_predictions_use_window_schedule():
     # normalized values n^(2p) * pred grow with n
     norm = [p.normalized for p in preds]
     assert all(a < b for a, b in zip(norm, norm[1:]))
-
-
-def test_spec_json_serializes():
-    spec, _ = build_t1_data(F4, d=1, q=1.0, N=3, epsilon=0.5, R=1.0)
-    data = json.loads(json.dumps(jsonable(spec), allow_nan=False))
-    assert data["kind"] == "T1" and data["N"] == 3
-    assert len(data["phi"]) == 3 and data["epsilon"] == 0.5
-    f = parse_nonlinearity("s^3")
-    spec2, _ = build_todd_data(f, d=1, N=5, R=1.0)
-    data2 = json.loads(json.dumps(jsonable(spec2), allow_nan=False))
-    assert data2["kind"] == "Todd" and "zeta" in data2 and "k_n" in data2

@@ -315,13 +315,34 @@ def test_scipy_fallback_builds_the_same_propagator(monkeypatch, make_grid):
     assert P.modes.tobytes() == ref.modes.tobytes()
 
 
-def test_dstemr_failure_names_the_grid(stemr_path):
-    # R = 1e-100 passes the band check at d = 2, but MRRR fails on its band
-    # (info = 22 with the OpenBLAS of numpy 2.4 and of scipy 1.17)
+def test_dstemr_failure_names_the_grid(monkeypatch, stemr_path):
+    # the LAPACK call of either path, stubbed to fail with info = 22
+    if stemr_path == "direct":
+        monkeypatch.setattr(solver_mod, "_lapacke_dstemr",
+                            lambda: lambda *args: 22)
+    else:
+        import scipy.linalg.lapack
+        monkeypatch.setattr(scipy.linalg.lapack, "dstemr",
+                            lambda *args: (0, None, None, 22))
     with pytest.raises(SolverError, match=r"LAPACK dstemr failed \(info = "
-                                          r"\d+\) on the d = 2 Laplacian "
+                                          r"22\) on the d = 2 Laplacian "
                                           r"with R = 1e-100 on 257 nodes$"):
         build_propagator(RadialGrid.uniform(2, 1e-100, 257))
+
+
+@pytest.mark.parametrize("d, n, R", [
+    *[(d, 257, R) for d in (2, 3) for R in (1e-5, 1e-30, 1e-100)],
+    (2, 257, 1e-140),
+    *[(d, 1025, R) for d in (2, 3) for R in (1e-3, 1e-10, 1e-60, 1e-100)],
+    (2, 1025, 1e-140)])
+def test_small_balls_have_the_unit_ball_spectrum(stemr_path, d, n, R):
+    # the band of B_R is R^-2 times that of B_1, so lam R^2 is the unit
+    # ball's lam; MRRR failed on the unscaled d = 2 bands (info 22)
+    unit = build_propagator(RadialGrid.uniform(d, 1.0, n)).eigenvalues
+    P = build_propagator(RadialGrid.uniform(d, R, n))
+    assert np.abs(P.eigenvalues * R * R / unit - 1.0).max() <= 1e-10
+    constant = np.abs((P.modes @ (P.sqrt_w @ P.modes)) / P.sqrt_w - 1.0)
+    assert constant.max() <= 1e-10
 
 
 def test_propagator_build_allocates_one_dense_matrix(stemr_path):
