@@ -25,15 +25,15 @@ import time
 
 import numpy as np
 
-from .criteria import (AuditError, SIGMA_DEAD_BAND, SLOPE_DEAD_BAND,
-                       TAU_DEAD_BAND, classify_l1, classify_lq,
-                       classify_whole_space, equivalence_check, jsonable,
-                       require_audit)
+from .criteria import (SIGMA_DEAD_BAND, SLOPE_DEAD_BAND, TAU_DEAD_BAND,
+                       classify_l1, classify_lq, classify_whole_space,
+                       equivalence_check, jsonable)
 from .databuilder import ScheduleError, build_t1_data
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
                          kernel_constants, verify_lower_bounds)
-from .nonlinearity import (TAIL_S_MAX, DomainError, ParseError,
-                           builtin_family, eval_f, parse_nonlinearity)
+from .nonlinearity import (AuditError, DomainError, ParseError,
+                           builtin_family, eval_f, monotonicity_audit,
+                           parse_nonlinearity)
 from .solver import (RadialGrid, SimulationControls, SolverError,
                      build_propagator, duhamel_iterate, duhamel_lower_bound,
                      find_existence_horizon, heat_series, indicator, lq_norm,
@@ -245,11 +245,10 @@ def resolve_f(args):
 
 
 def audited_f(args):
-    """resolve_f's f once it passes the classifiers' audit on [0, TAIL_S_MAX]
-    (non-negative, non-decreasing): no experiment runs an f outside the
-    theorem's scope."""
+    """resolve_f's f once it passes the classifiers' audit (non-negative,
+    non-decreasing): no experiment runs an f outside the theorem's scope."""
     f = resolve_f(args)
-    require_audit(f, TAIL_S_MAX)
+    monotonicity_audit(f)
     return f
 
 

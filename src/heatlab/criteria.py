@@ -17,6 +17,7 @@ from .nonlinearity import (
     ENVELOPE_S_MAX,
     TAIL_S_MAX,
     ZERO_ORIGIN_EPS,
+    AuditError,
     DomainError,
     NonlinearityExpr,
     RatioEnvelope,
@@ -33,10 +34,6 @@ SLOPE_DEAD_BAND = 0.05
 WITNESS_RATIO = 2.0     # theta: consecutive witness candidates theta^j
 WITNESS_TERMS = 64      # K: windows searched for the series witness
 GAMMA_HI = 12.0         # upper end of the critical-exponent bisections
-
-
-class AuditError(Exception):
-    """The nonlinearity failed its monotonicity / non-negativity audit."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,8 @@ class Verdict:
 
 
 def jsonable(obj):
-    """obj as plain JSON data: objects with to_dict() expanded, numpy scalars
-    and arrays unwrapped, inf/nan spelled out (JSON has neither)."""
-    if hasattr(obj, "to_dict"):
-        return jsonable(obj.to_dict())
+    """obj as plain JSON data: numpy scalars and arrays unwrapped, inf/nan
+    spelled out (JSON has neither)."""
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -104,16 +99,6 @@ class EquivalenceReport:
     agree: Optional[bool]  # None when either side is Inconclusive
     series_verdict: Verdict
     integral_verdict: Verdict
-
-
-def require_audit(f: NonlinearityExpr, s_max: float) -> None:
-    """AuditError unless f is non-negative and non-decreasing on the
-    audit's sample of [0, s_max]."""
-    audit = monotonicity_audit(f, s_max=s_max)
-    if not audit.passed:
-        raise AuditError(
-            f"f = {f.source_text!r} failed the audit "
-            f"(nonneg={audit.nonneg}, violation={audit.first_violation})")
 
 
 def _tail_sample(f: NonlinearityExpr) -> tuple:
@@ -178,7 +163,7 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
     if d < 1:
         raise ValueError("d must be a positive dimension")
-    require_audit(f, TAIL_S_MAX)
+    monotonicity_audit(f)
     gamma = 1.0 + 2.0 * q / d
     grid, log_f = _tail_sample(f)
     # a huge gamma makes gamma log s overflow: log g = -inf, g below every
@@ -269,7 +254,7 @@ def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
     """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
     F(s) = sup over 1 <= t <= s of f(t)/t, from its dyadic blocks up to
     ENVELOPE_S_MAX."""
-    require_audit(f, ENVELOPE_S_MAX)
+    monotonicity_audit(f)
     blocks = dyadic_block_integrals(sup_ratio_envelope(f), d)
     overflow = bool(np.isinf(blocks).any())
     sigma, tau = block_trend_fit(blocks)
@@ -296,7 +281,7 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     candidate maximising s^-p f(s). Any two choices from consecutive
     windows are a factor of at least theta apart.
     """
-    require_audit(f, TAIL_S_MAX)
+    monotonicity_audit(f)
     theta = WITNESS_RATIO
     p = 1.0 + 2.0 / d
     cands = np.array([theta ** j for j in range(2 * WITNESS_TERMS)]).reshape(
@@ -362,7 +347,7 @@ def critical_exponent_report(f: NonlinearityExpr,
     samples. Where f vanishes somewhere in the windows, gamma* is the
     midpoint of the two bisection endpoints.
     """
-    require_audit(f, TAIL_S_MAX)
+    monotonicity_audit(f)
     grid, log_f = _tail_sample(f)
     overflow = bool(np.isposinf(log_f).any())
     if overflow:
@@ -476,7 +461,7 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     same F as classify_l1)."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    require_audit(f, TAIL_S_MAX)
+    monotonicity_audit(f)
     zero = near_zero_ratio_check(f)
     if zero["bounded"] is False:
         return Verdict(outcome=NO_LOCAL_EXISTENCE, criterion="WholeSpaceZero",

@@ -45,6 +45,16 @@ class DomainError(ExpressionError):
         self.s = s
 
 
+class AuditError(ExpressionError):
+    """f is negative, decreasing or undefined where it is sampled.
+
+    .violation is the pair (s_lo, s_hi) with f(s_lo) > f(s_hi), or None."""
+
+    def __init__(self, message: str, violation: Optional[tuple] = None):
+        super().__init__(message)
+        self.violation = violation
+
+
 # --- expression tree ---------------------------------------------------------
 
 # "max" folds its arguments left to right; "neg", "log" and "exp" are unary
@@ -240,17 +250,6 @@ class NonlinearityExpr:
 
 
 @dataclass(frozen=True)
-class MonotonicityAudit:
-    is_nondecreasing: bool
-    nonneg: bool
-    first_violation: Optional[tuple] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.is_nondecreasing and self.nonneg
-
-
-@dataclass(frozen=True)
 class RatioEnvelope:
     """The paper's F(s) = sup over 1 <= t <= s of f(t)/t, a running maximum
     sampled on [1, ENVELOPE_S_MAX]."""
@@ -290,10 +289,10 @@ class RatioEnvelope:
 
 
 AUDIT_TOL = 1e-10
-AUDIT_SAMPLES = 400
+AUDIT_SAMPLES = 560   # s = 0 and ~25 points a decade of [1e-8, 2^48]
 ENVELOPE_GRID_RATIO = 1.05
 ENVELOPE_S_MAX = float(2 ** 48)
-TAIL_S_MAX = 1e8      # range of the q > 1 tail sample and default audit range
+TAIL_S_MAX = 1e8      # range of the q > 1 tail sample
 ZERO_ORIGIN_EPS = 1e-8
 
 
@@ -314,60 +313,50 @@ def eval_f(expr: NonlinearityExpr, s: float) -> float:
     return v
 
 
-def _raw_samples(expr: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
+def _defined_values(expr: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
+    """f on grid; AuditError at the first s where f is undefined (NaN)."""
     vals = expr.eval_raw(grid)
     if np.isnan(vals).any():
         bad = float(grid[np.flatnonzero(np.isnan(vals))[0]])
-        raise DomainError("evaluation is undefined", bad)
+        raise AuditError(f"f = {expr.source_text!r} is undefined "
+                         f"(at s = {bad!r})")
     return vals
 
 
-def monotonicity_audit(expr: NonlinearityExpr,
-                       s_max: float = TAIL_S_MAX) -> MonotonicityAudit:
-    """Sample f at 0 and on a geometric grid up to s_max (AUDIT_SAMPLES
-    points in all) and check the standing hypotheses: non-negative and
-    non-decreasing.
-
-    A reported violation pair is refined by extra sampling between the
-    offending grid neighbours so that the pair is as tight as the refinement
-    grid allows.
-    """
-    if s_max <= 0:
-        raise ValueError("s_max must be positive")
-    grid = np.concatenate(
-        [[0.0], np.geomspace(min(ZERO_ORIGIN_EPS, s_max / 10), s_max,
-                             AUDIT_SAMPLES - 1)])
-    vals = _raw_samples(expr, grid)
-
-    nonneg = bool(np.all(vals >= -AUDIT_TOL))
-
-    violation = None
-    finite = np.where(np.isfinite(vals), vals, np.inf)  # overflow = very large
+def _first_decrease(grid: np.ndarray, vals: np.ndarray) -> Optional[tuple]:
+    """The first neighbours (s_lo, s_hi) of grid where the values drop by
+    more than AUDIT_TOL (relative), or None; +/-inf counts as very large."""
+    finite = np.where(np.isfinite(vals), vals, np.inf)
     tol = AUDIT_TOL * np.maximum(1.0, np.abs(finite[:-1]))
-    with np.errstate(invalid="ignore"):
-        bad = np.flatnonzero(finite[:-1] > finite[1:] + tol)
-    if bad.size:
-        i = int(bad[0])
-        violation = _refine_violation(expr, grid[i], grid[i + 1])
-
-    return MonotonicityAudit(is_nondecreasing=violation is None,
-                             nonneg=nonneg,
-                             first_violation=violation)
+    bad = np.flatnonzero(finite[:-1] > finite[1:] + tol)
+    return (float(grid[bad[0]]), float(grid[bad[0] + 1])) if bad.size else None
 
 
-def _refine_violation(expr: NonlinearityExpr, s_lo: float, s_hi: float):
-    if s_lo <= 0:
-        sub = np.linspace(s_lo, s_hi, 33)
-    else:
-        sub = np.geomspace(s_lo, s_hi, 33)
-    vals = _raw_samples(expr, sub)
-    tol = AUDIT_TOL * np.maximum(1.0, np.abs(vals[:-1]))
-    bad = np.flatnonzero(vals[:-1] > vals[1:] + tol)
-    if bad.size:
-        i = int(bad[0])
-        return (float(sub[i]), float(sub[i + 1]))
-    # refinement smoothed the dip away; keep the coarse pair
-    return (float(s_lo), float(s_hi))
+def monotonicity_audit(expr: NonlinearityExpr) -> None:
+    """AuditError unless f is non-negative and non-decreasing on s = 0 and a
+    geometric grid of [ZERO_ORIGIN_EPS, ENVELOPE_S_MAX] (AUDIT_SAMPLES
+    points in all): the standing hypotheses, on the widest range that any
+    classifier or the existence horizon reads.
+
+    A decrease is refined by 33 samples between the offending grid
+    neighbours, so that the reported pair is as tight as that grid allows.
+    """
+    grid = np.concatenate(
+        [[0.0], np.geomspace(ZERO_ORIGIN_EPS, ENVELOPE_S_MAX,
+                             AUDIT_SAMPLES - 1)])
+    vals = _defined_values(expr, grid)
+    nonneg = bool(np.all(vals >= -AUDIT_TOL))
+    violation = _first_decrease(grid, vals)
+    if violation:
+        lo, hi = violation
+        sub = np.linspace(lo, hi, 33) if lo <= 0 else np.geomspace(lo, hi, 33)
+        # the refinement may smooth the dip away; then keep the coarse pair
+        violation = (_first_decrease(sub, _defined_values(expr, sub))
+                     or violation)
+    if violation or not nonneg:
+        raise AuditError(f"f = {expr.source_text!r} failed the audit "
+                         f"(nonneg={nonneg}, violation={violation})",
+                         violation)
 
 
 def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
@@ -393,7 +382,7 @@ def sup_ratio_envelope(expr: NonlinearityExpr) -> RatioEnvelope:
     of ratio ENVELOPE_GRID_RATIO up to ENVELOPE_S_MAX."""
     n = int(math.ceil(math.log(ENVELOPE_S_MAX) / math.log(ENVELOPE_GRID_RATIO)))
     grid = np.geomspace(1.0, ENVELOPE_S_MAX, n + 1)
-    fvals = _raw_samples(expr, grid)
+    fvals = _defined_values(expr, grid)
     with np.errstate(all="ignore"):
         ratios = fvals / grid
 

@@ -76,7 +76,8 @@ class RadialGrid:
         faces = np.concatenate([[0.0], 0.5 * (nodes[:-1] + nodes[1:]),
                                 [self.R]])
         omega = unit_ball_volume(self.d)
-        vols = omega * (faces[1:] ** self.d - faces[:-1] ** self.d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vols = omega * (faces[1:] ** self.d - faces[:-1] ** self.d)
         if not np.all((vols > 0.0) & (vols < math.inf)):
             raise ValueError(f"the cell volumes of this grid under- or "
                              f"overflow a double in dimension d = {self.d}")

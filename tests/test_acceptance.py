@@ -20,7 +20,6 @@ from heatlab.criteria import (
     EXISTS,
     INCONCLUSIVE,
     NO_LOCAL_EXISTENCE,
-    AuditError,
     classify_l1,
     classify_lq,
     equivalence_check,
@@ -31,7 +30,8 @@ from heatlab.heatkernel import (
     heat_on_ball,
     verify_lower_bounds,
 )
-from heatlab.nonlinearity import builtin_family, parse_nonlinearity
+from heatlab.nonlinearity import (AuditError, builtin_family,
+                                  parse_nonlinearity)
 from heatlab.solver import (
     RadialGrid,
     SimulationControls,

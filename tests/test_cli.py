@@ -462,9 +462,11 @@ def test_basis_too_big_to_allocate_is_a_one_line_error(monkeypatch, capsys,
      "--t", "0.01"],
     ["experiment", "blowup_trend", "--f", "1/(1+s)", "--d", "1", "--q", "1",
      "--N-range", "3..5"],
+    ["experiment", "horizon", "--f", "max(0, 2e9 - s)*s^2", "--d", "2",
+     "--u0-l1", "0.5"],
 ])
 def test_experiments_refuse_an_f_that_classify_refuses(capsys, argv):
-    # the same audit on [0, TAIL_S_MAX] as classify at q > 1, the same line
+    # classify's one audit, on [0, 2^48], gives the same line
     assert main(argv) == EXIT_ERROR
     err = _assert_one_line_error(capsys)
     assert main(["classify", "--f", argv[3], "--d", "1", "--q", "2"]) \

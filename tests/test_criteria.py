@@ -16,7 +16,6 @@ from heatlab.criteria import (
     EXISTS,
     INCONCLUSIVE,
     NO_LOCAL_EXISTENCE,
-    AuditError,
     classify_l1,
     classify_lq,
     classify_whole_space,
@@ -29,7 +28,8 @@ from heatlab.criteria import (
     series_search,
     series_verdict,
 )
-from heatlab.nonlinearity import (builtin_family, parse_nonlinearity,
+from heatlab.nonlinearity import (AuditError, builtin_family,
+                                  monotonicity_audit, parse_nonlinearity,
                                   sup_ratio_envelope)
 
 
@@ -104,6 +104,21 @@ def test_classify_lq_monotone_in_q():
     assert ranks == sorted(ranks)
 
 
+@pytest.mark.parametrize("text", [
+    "max(0, 2e9 - s)*s^2", "s^2*exp(-s/1e9)", "s^26 + s^25 - s^25"])
+@pytest.mark.parametrize("route", ["lq", "whole_space", "series"])
+def test_every_route_audits_up_to_2_48(text, route):
+    # each f is non-decreasing up to 1e8 and leaves the theorem's scope
+    # below 2^48: it decreases from s = 1.3e9 or 2e9, or is inf - inf = NaN
+    # from 2.3e12; every route refuses it, as classify at q = 1 does
+    f = parse_nonlinearity(text)
+    run = {"lq": lambda: classify_lq(f, 2.0, 1),
+           "whole_space": lambda: classify_whole_space(f, 2.0, 1),
+           "series": lambda: series_search(f, 1)}[route]
+    with pytest.raises(AuditError):
+        run()
+
+
 def test_classify_lq_rejects_bad_input():
     with pytest.raises(ValueError):
         classify_lq(power(2.0), q=1.0, d=2)
@@ -158,7 +173,8 @@ def test_l1_verdicts_report_the_bands_that_decide():
               classify_whole_space(f, 1.0, 1)):
         assert v.criterion in ("L1Integral", "L1Series")
         assert v.dead_band == bands
-        assert json.loads(json.dumps(jsonable(v)))["dead_band"] == bands
+        data = json.loads(json.dumps(jsonable(v.to_dict())))
+        assert data["dead_band"] == bands
     assert classify_lq(f, 2.0, 1).dead_band == criteria.SLOPE_DEAD_BAND
     assert not hasattr(criteria, "BLOCK_RATIO_DEAD_BAND")
 
@@ -258,14 +274,18 @@ def _series_search_loop(f, d):
     "s^2", "s^1.5/log(e+s)^2", "s + s^3.5", "0*s", "max(s-1,0)^2",
     "exp(s)", "s^200", "exp(s/100) + (exp(s/1e7) - exp(s/1e7))",
     "s^2 + (exp(s/1e7) - exp(s/1e7))",
-    "exp(s/5e6) + (exp(s/1e7) - exp(s/1e7))"])
+    "exp(s/5e6) + (exp(s/1e7) - exp(s/1e7))",
+    "exp(s/100) + (exp(s/1e13) - exp(s/1e13))",
+    "s^2 + (exp(s/1e13) - exp(s/1e13))"])
 @pytest.mark.parametrize("d", [1, 3])
 def test_series_search_matches_the_window_loop(text, d):
-    # one evaluation on all 128 candidates gives the loop's witness; the
+    # series_search audits f first (a NaN below 2^48 is an AuditError), then
+    # one evaluation on all 128 candidates gives the loop's witness: the
     # first window holding NaN (alone or beside +inf) is an AuditError, +inf
     # alone ends the witness as overflow, and later windows are never read
     f = parse_nonlinearity(text)
     try:
+        monotonicity_audit(f)
         seq, terms, overflow = _series_search_loop(f, d)
     except AuditError:
         with pytest.raises(AuditError):
@@ -455,7 +475,7 @@ def test_whole_space_l1_is_the_bounded_domain_characterisation(f):
 
 def test_verdict_json_roundtrip():
     v = classify_lq(power(4.0), 2.0, 2)
-    data = json.loads(json.dumps(jsonable(v), allow_nan=False))
+    data = json.loads(json.dumps(jsonable(v.to_dict()), allow_nan=False))
     assert data["outcome"] == NO_LOCAL_EXISTENCE
     assert data["criterion"] == "LqLimsup"
     assert data["dead_band"] == pytest.approx(0.05)

@@ -411,7 +411,7 @@ def test_verify_lower_bounds_fails_with_inflated_constant():
 def test_certification_report_json():
     # the mass witness rho is NaN, which JSON cannot hold as a number
     rep = verify_lower_bounds(1, [0.5, 1.0], [0.25], n_points=5)
-    data = json.loads(json.dumps(jsonable(rep), allow_nan=False))
+    data = json.loads(json.dumps(jsonable(rep.to_dict()), allow_nan=False))
     assert data["d"] == 1 and data["variant"] == "whole_space"
     assert data["passed"] is True
     assert {b["bound"] for b in data["bounds"]} == {"lemma", "mass", "beta"}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from heatlab.nonlinearity import (
     MAX_DEPTH,
+    AuditError,
     DomainError,
     NonlinearityExpr,
     ParseError,
@@ -134,23 +135,36 @@ def test_vector_eval_matches_scalar():
 # --- monotonicity audit ------------------------------------------------------
 
 def test_audit_accepts_monotone_family():
+    # exp(s/100) overflows to +inf, which the audit reads as very large
     for text in ["s^2", "s*log(e+s)", "exp(s/100)-1"]:
-        audit = monotonicity_audit(parse_nonlinearity(text), s_max=1e6)
-        assert audit.passed, text
+        assert monotonicity_audit(parse_nonlinearity(text)) is None, text
 
 
 def test_audit_rejects_decreasing():
-    audit = monotonicity_audit(parse_nonlinearity("1/(1+s)"))
-    assert not audit.is_nondecreasing
-    s_lo, s_hi = audit.first_violation
     f = parse_nonlinearity("1/(1+s)")
+    with pytest.raises(AuditError, match="failed the audit") as exc:
+        monotonicity_audit(f)
+    s_lo, s_hi = exc.value.violation
     assert eval_f(f, s_lo) > eval_f(f, s_hi) and s_lo < s_hi
 
 
 def test_audit_rejects_sign_change():
-    audit = monotonicity_audit(parse_nonlinearity("1 - s"), s_max=1e6)
-    assert not audit.nonneg
-    assert not audit.passed
+    with pytest.raises(AuditError, match="nonneg=False") as exc:
+        monotonicity_audit(parse_nonlinearity("1 - s"))
+    assert exc.value.violation is not None
+    # negative but non-decreasing: no pair to report
+    with pytest.raises(AuditError, match="nonneg=False") as exc:
+        monotonicity_audit(parse_nonlinearity("s - 2"))
+    assert exc.value.violation is None
+
+
+@pytest.mark.parametrize("text", [
+    "(s - 1)^0.5", "s^2 + (exp(s/1e7) - exp(s/1e7))"])
+def test_audit_refuses_an_undefined_value(text):
+    # NaN below 1 and from s = 7.1e9 on, both inside the audit's [0, 2^48]
+    with pytest.raises(AuditError, match="is undefined") as exc:
+        monotonicity_audit(parse_nonlinearity(text))
+    assert exc.value.violation is None
 
 
 def test_log_family_audit_threshold():
@@ -159,10 +173,10 @@ def test_log_family_audit_threshold():
     beta_max = log_family_beta_max(d)
     ok = builtin_family("log_family", {"d": d, "beta": beta_max - 0.05})
     bad = builtin_family("log_family", {"d": d, "beta": 10.0})
-    assert monotonicity_audit(ok).passed
-    audit = monotonicity_audit(bad)
-    assert not audit.is_nondecreasing
-    s_lo, s_hi = audit.first_violation
+    monotonicity_audit(ok)
+    with pytest.raises(AuditError) as exc:
+        monotonicity_audit(bad)
+    s_lo, s_hi = exc.value.violation
     assert eval_f(bad, s_lo) > eval_f(bad, s_hi)
 
 
@@ -241,7 +255,7 @@ def test_piecewise_power_family():
     f = builtin_family("piecewise_power", {"p_low": 1.2, "p_high": 3.0})
     assert eval_f(f, 0.5) == pytest.approx(0.5 ** 1.2)
     assert eval_f(f, 10.0) == pytest.approx(10.0 ** 3.0)
-    assert monotonicity_audit(f, s_max=1e6).passed
+    monotonicity_audit(f)
 
 
 def test_builtin_family_unknown_name():

@@ -84,6 +84,13 @@ def test_grid_refuses_volumes_out_of_range(d):
         RadialGrid.uniform(d, 1.0, 257)
 
 
+def test_grid_refuses_overflowing_volumes_without_a_warning():
+    # R^2 overflows at R = 1e155: one ValueError, no RuntimeWarning (which
+    # pytest turns into an error here) printed ahead of it on the CLI
+    with pytest.raises(ValueError, match=r"dimension d = 2$"):
+        RadialGrid.uniform(2, 1e155, 257)
+
+
 def test_indicator_exact_l1():
     g = RadialGrid.uniform(2, 1.0, 97)
     u = indicator(g, BallIndicator(0.37, amplitude=2.0))
