@@ -4,12 +4,15 @@ certified lower-bound constants c_d, alpha_d, beta_d.
 Heat started from a ball has one closed form in every dimension: by the
 Brownian-motion representation, [S(t) chi_r](x) = P(|x + sqrt(2t) Z| <= r)
 for a standard normal Z in R^d, the non-central chi-square CDF
-chndtr(r^2/2t, d, |x|^2/2t). Certification margins take off a relative
-error budget that this evaluator is checked to meet.
-
-scipy is imported where the profile is evaluated, not at module level: the
-constants c_d, alpha_d, beta_d come from a stdlib series, so commands that
-only need them run on numpy and the stdlib alone.
+F(r^2/2t; d, |x|^2/2t). With y = x/2, mu = lam/2 and h = d/2, F(x; d, lam)
+is the Poisson mixture sum_m g_m C_m, g_m = e^-y y^(h+m) / Gamma(h+m+1),
+C_m = P(Pois(mu) <= m), whose terms are all positive. It is summed over a
+window around its largest term (Benton and Krishnamoorthy, 2003), with
+Poisson weights in Loader's saddle-point form (Loader, 2000), and the
+window grows until the bounds on what it leaves out fall below 1e-17 of
+the sum: above it the geometric tail of g_m (C_m <= 1), below it C_lo
+times that of g_m. Certification margins take off a relative error budget
+that this evaluator is checked to meet. The module needs no scipy.
 """
 
 from __future__ import annotations
@@ -29,9 +32,12 @@ KERNEL_REL_TOL = 1e-8
 # sqrt(pi) = Gamma(1/2) to 70 digits, for c'_d in odd dimensions
 _SQRT_PI = ("1.772453850905516027298167483341145182797549456122387128213807"
             "789852911")
-# largest r^2/2t accepted: beyond it chndtr slows down sharply near the
-# ball's edge and past about 1e11 returns NaN there
+# largest r^2/2t accepted: the series' window grows like its square root (a
+# million terms at 5e9), and there the rounding of r^2/2t already costs 1e-11
 MAX_SCALED_RADIUS = 1e10
+_TAIL = 1e-17                   # relative size of the series' dropped tails
+# stirlerr(a) ~ 1/12a - 1/360a^3 + 1/1260a^5 - 1/1680a^7 + 1/1188a^9
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
 
 
 class QuadratureError(Exception):
@@ -94,9 +100,91 @@ def gaussian_kernel(x, y, t: float, d: int) -> float:
     return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-r2 / (4.0 * t))
 
 
+def _bd0(a, lam):
+    """a log(a/lam) + lam - a, broadcast. Where v = (a - lam)/(a + lam) is
+    below 0.1 its terms cancel, so there it is the series (a - lam) v +
+    2a (v^3/3 + ... + v^19/19), whose next term is below 1e-19 of the sum."""
+    v = (a - lam) / (a + lam)
+    v2, near, s = v * v, np.abs(v) < 0.1, 0.0
+    for k in range(19, 2, -2):
+        s += 1.0 / k
+        s *= v2
+    s = (a - lam) * v + 2.0 * a * v * s
+    if near.all():
+        return s
+    return np.where(near, s, a * np.log(a / lam) + lam - a)
+
+
+def _dpois(a, lam):
+    """e^-lam lam^a / Gamma(a+1) for increasing multiples a of 1/2 and lam a
+    scalar or a column (a row each): above a = 15 Loader's saddle-point form
+    exp(-stirlerr(a) - bd0(a, lam)) / sqrt(2 pi a), stirlerr(a) = log
+    Gamma(a+1) - (a+1/2) log a + a - log(2 pi)/2 from Stirling's series; up
+    to 15 the product itself while e^-lam is normal (exp(L) errs |L|/2 ulp)."""
+    k = int(np.searchsorted(a, 15.0, side="right"))
+    small, big = a[:k], a[k:]
+    b2, s = 1.0 / (big * big), _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        s = c - b2 * s
+    gamma = np.array([math.gamma(v + 1) for v in small.tolist()])
+    return np.concatenate([
+        np.where(lam < 708.0, np.exp(-lam) * lam ** small / gamma,
+                 np.exp(small * np.log(lam) - lam - np.log(gamma))),
+        np.exp(-s / big - 0.5 * np.log(2 * math.pi * big) - _bd0(big, lam))],
+        axis=-1)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _ncx2_cdf(x: float, d: int, lam: np.ndarray) -> np.ndarray:
+    """F(x; d, lam) for a 1-D array lam >= 0, by the series of the module
+    docstring. Each value has its own window and its own sums, so it does
+    not depend on the other entries of lam."""
+    y, h = x / 2.0, d / 2.0
+    out = np.where(np.isnan(lam), np.nan, 0.0)
+    live = np.sqrt(lam / 2.0) - math.sqrt(y) < 27.3   # else F < e^-745
+    mu = lam[live] / 2.0
+    peak = np.maximum(y, np.sqrt(y * mu))    # about h + m at the largest term
+    half = 10.0 * np.sqrt(peak + 1.0) + 10.0
+    lo = np.maximum(0.0, np.floor(peak - h - half))
+    hi = np.maximum(lo, np.ceil(peak - h + half))
+    while mu.size:
+        m = np.arange(lo.min(), hi.max() + 1.0)
+        g = _dpois(h + m, y)
+        i0, i1 = (lo - m[0]).astype(int), (hi - m[0]).astype(int) + 1
+        # C_m = 1 to within _TAIL on the window where Chernoff's bound
+        # e^-k^2/2(lo+1) on P(Pois(mu) > lo), k = lo + 1 - mu > 0, is below it
+        k = lo + 1 - mu
+        sat = (k > 0) & (k * k > -2.0 * (lo + 1) * math.log(_TAIL))
+        act, c_lo = np.flatnonzero(~sat), np.ones(mu.size)
+        if act.size:
+            # pmfs from 10 sd below min(lo, mu): the rest is < 2e-18 C_lo
+            mu_a = mu[act, None]
+            jlo = np.maximum(0.0, np.floor(np.minimum(lo[act, None], mu_a)
+                                           - 10.0 * np.sqrt(mu_a) - 10.0))
+            j = np.arange(min(jlo.min(), m[0]), hi.max() + 1.0)
+            c = np.cumsum(np.where(j < jlo, 0.0, _dpois(j, mu_a)), axis=1)
+            c_lo[act] = c[np.arange(act.size), (lo[act] - j[0]).astype(int)]
+            terms = g * c[:, int(m[0] - j[0]):]
+        row = np.cumsum(~sat) - 1
+        total = np.array([(g if sat[i] else terms[row[i]])[i0[i]:i1[i]].sum()
+                          for i in range(mu.size)])
+        # g_m falls at least geometrically past the ends: ratio r up, s down
+        r, s = y / (h + hi + 1), (h + lo) / y
+        upper = np.where(r < 1, g[i1 - 1] * r / (1 - r), math.inf)
+        below = (lo > 0) * np.where(s < 1, g[i0] * s / (1 - s), 1.0)
+        cut = _TAIL * total + np.finfo(float).tiny
+        up, down = upper > cut, c_lo * below > cut
+        if not (up.any() or down.any()):
+            out[live] = np.minimum(total, 1.0)
+            return out
+        width = hi - lo + 1
+        hi, lo = hi + up * width, np.maximum(0.0, lo - down * width)
+    return out
+
+
 def _ball_profile(r: float, t: float, rho, d: int):
     """[S(t) chi_r] at distance rho from the centre, for an array of rho:
-    P(|rho e_1 + sqrt(2t) Z| <= r) = chndtr(r^2/2t, d, rho^2/2t).
+    P(|rho e_1 + sqrt(2t) Z| <= r) = F(r^2/2t; d, rho^2/2t).
 
     Raises QuadratureError when r^2/2t exceeds MAX_SCALED_RADIUS or a value
     comes out non-finite.
@@ -110,11 +198,8 @@ def _ball_profile(r: float, t: float, rho, d: int):
         raise QuadratureError(
             f"r^2/2t = {x:.3g} exceeds {MAX_SCALED_RADIUS:.0e}, beyond which "
             f"the ball profile is not evaluated (d={d}, r={r}, t={t})")
-    # imported here, not at module level: loading scipy.special costs more
-    # than a whole cold classify, which needs no ball profile
-    from scipy.special import chndtr
     rho = np.asarray(rho, dtype=float)
-    val = chndtr(x, d, rho * rho / (2.0 * t))
+    val = _ncx2_cdf(x, d, np.ravel(rho * rho / (2.0 * t))).reshape(rho.shape)
     if not np.all(np.isfinite(val)):
         raise QuadratureError(
             f"non-finite ball profile (d={d}, r={r}, t={t})")
@@ -130,7 +215,7 @@ def heat_on_ball(chi: BallIndicator, x, t: float, d: int) -> float:
 
 
 def _c_prime(d: int) -> float:
-    """c'_d = chndtr(1/2, d, 2), correctly rounded.
+    """c'_d = F(1/2; d, 2), correctly rounded.
 
     The non-central chi-square CDF is the Poisson(1) mixture
     sum_j e^-1/j! P(d/2 + j, 1/4) of regularised incomplete gammas, and

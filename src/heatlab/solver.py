@@ -33,7 +33,7 @@ ITERATION_TOL = 1e-8       # sup change that ends duhamel_iterate
 # step control of simulate_forward
 REL_CHANGE_TARGET = 0.05   # halve dt above it, grow by DT_GROWTH below half
 DT_GROWTH = 1.4
-DT_MIN = 1e-14             # halving below it declares blow-up
+DT_MIN = 1e-14             # halving below DT_MIN R^2 declares blow-up
 MAX_STEPS = 200000
 
 
@@ -148,17 +148,20 @@ def lq_norm(u: RadialField, q: float) -> float:
 
 def _lq(w: np.ndarray, a: np.ndarray, q: float) -> float:
     """(sum w a^q)^(1/q) for a = |u| and finite q; a SolverError when the sum
-    is not finite, or underflows to 0 for a non-zero field."""
+    is not finite."""
     with np.errstate(over="ignore"):
         total = (w * a ** q).sum()
-    return _lq_root(total, a, q)
+    return _lq_root(total, w, a, q)
 
 
-def _lq_root(total, a: np.ndarray, q: float) -> float:
-    """total^(1/q) for total = sum w a^q, refused as in _lq."""
-    if not (math.isfinite(total) and (total > 0.0 or not a.any())):
+def _lq_root(total, w: np.ndarray, a: np.ndarray, q: float) -> float:
+    """total^(1/q) for total = sum w a^q, refused as in _lq; a sum that
+    underflows to 0 for a non-zero field is taken again on a / max a."""
+    if not math.isfinite(total):
         raise SolverError(f"the l^{q:g} norm does not fit in a double: "
                           f"sum of w |u|^q is {float(total):g}")
+    if total == 0.0 and a.any():
+        return float(a.max()) * _lq(w, a / a.max(), q)
     return float(total ** (1.0 / q))
 
 
@@ -724,6 +727,7 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         raise ValueError("dt must be finite and positive")
     _check_grid(P, u0.grid)
     q, w = ct.q, P.grid.quad_weights
+    dt_min = DT_MIN * P.grid.R ** 2    # the modes decay on a time scale ~ R^2
     u, clamps = u0.values.copy(), u0.clamp_count
     t, dt = 0.0, min(ct.dt_init, T)
     sup = lq_norm(u0, math.inf)
@@ -756,10 +760,10 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         if ct.adaptive:
             diff = u_new - u
             rel = float(np.abs(diff, out=diff).max()) / max(sup, 1e-300)
-            if rel > REL_CHANGE_TARGET and dt > DT_MIN:
+            if rel > REL_CHANGE_TARGET and dt > dt_min:
                 rejected += 1
                 dt *= 0.5
-                if dt < DT_MIN:
+                if dt < dt_min:
                     blowup_time = t
                     break
                 continue
@@ -769,7 +773,7 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         times.append(t)
         l1.append(float((w * a).sum()))
         lq.append(sup if q == math.inf else
-                  _lq_root(l1[-1], a, q) if q == 1.0 else _lq(w, a, q))
+                  _lq_root(l1[-1], w, a, q) if q == 1.0 else _lq(w, a, q))
         linf.append(sup)
         dts.append(dt)
         clamp_counts.append(clamps)

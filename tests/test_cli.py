@@ -351,7 +351,7 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
      "--q", "1e300"],
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
-     "--q", "1e300", "--amplitude", "0.1"],
+     "--q", "1e300", "--amplitude", "2"],
     ["classify", "--f=" + "(" * 200 + "s" + ")" * 200, "--d", "1", "--q", "2"],
     ["classify", "--f=s^2" + "+0" * 989, "--d", "1", "--q", "2"],
     ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
@@ -436,6 +436,17 @@ def test_small_ball_is_not_refused(capsys):
     code, rep = run_json(capsys, ["experiment", "simulate", "--f", "s^2",
                                   "--d", "2", "--T", "0.01", "--R", "1e-5"])
     assert code == EXIT_OK and rep["T"] == 0.01
+
+
+@pytest.mark.parametrize("d, R", [(1, "1e-5"), (2, "1e-5"), (2, "1e-3")])
+def test_small_ball_decays_to_T_without_blowup(capsys, d, R):
+    # the modes decay on a time scale ~ R^2, so the step floor that declares
+    # blow-up scales with R^2; the decayed field's sums w |u|^2 underflow to
+    # 0 and its l^2 norm is taken on u / max|u|
+    code, rep = run_json(capsys, ["experiment", "simulate", "--f", "s^2",
+                                  "--d", str(d), "--T", "0.01", "--R", R])
+    assert code == EXIT_OK
+    assert rep["blowup"] is False and rep["steps"] > 0
 
 
 @pytest.mark.parametrize("message", [
@@ -574,12 +585,14 @@ NEEDS_DSTEMR = pytest.mark.skipif(
     pytest.param(["experiment", "simulate", "--f", "s^2", "--d", "2",
                   "--r", "0.5", "--amplitude", "0.1", "--T", "0.01"],
                  marks=NEEDS_DSTEMR),
+    # the README verify-kernel: the ball profile is a numpy series
+    ["verify-kernel", "--d", "2", "--r-grid", "0.25,1,4", "--t-grid",
+     "0.01,1,4"],
 ])
 def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
-    # only evaluating a ball profile needs scipy; the constants, the
-    # classifiers, the horizon and both spectra (the cosine closed form on
-    # the uniform 1-D grid, dstemr in numpy's BLAS on every other) run
-    # without it
+    # no command needs scipy: the constants, the classifiers, the horizon,
+    # the ball profile and both spectra (the cosine closed form on the
+    # uniform 1-D grid, dstemr in numpy's BLAS on every other) run without it
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys\n"
               "import heatlab\n"

@@ -115,15 +115,23 @@ def test_lq_norm_closed_forms():
     assert lq_norm(u2, 2.0) == pytest.approx(3.0 * lq_norm(u, 2.0), rel=1e-14)
 
 
-@pytest.mark.parametrize("amplitude, q", [(2.0, 1e300), (0.5, 1e300),
-                                          (1e-200, 2.0)])
+@pytest.mark.parametrize("amplitude, q", [(2.0, 1e300)])
 def test_lq_norm_refuses_what_a_double_cannot_hold(amplitude, q):
-    # 2^1e300 overflows; 0.5^1e300 and (1e-200)^2 underflow to 0 for a field
-    # that is not zero
+    # 2^1e300 overflows
     u = indicator(RadialGrid.uniform(1, 1.0, 65),
                   BallIndicator(0.5, amplitude=amplitude))
     with pytest.raises(SolverError, match="does not fit in a double"):
         lq_norm(u, q)
+
+
+@pytest.mark.parametrize("amplitude, q", [(0.5, 1e300), (1e-200, 2.0)])
+def test_lq_norm_rescales_a_sum_that_underflows(amplitude, q):
+    # 0.5^1e300 and (1e-200)^2 underflow to 0 for a field that is not zero:
+    # the sum is taken again on |u| / max|u|, here the indicator itself
+    g = RadialGrid.uniform(1, 1.0, 65)
+    u = indicator(g, BallIndicator(0.5, amplitude=amplitude))
+    assert lq_norm(u, q) == amplitude * lq_norm(
+        indicator(g, BallIndicator(0.5)), q) > 0.0
 
 
 def test_lq_norm_of_zero_field_is_zero():
@@ -131,16 +139,27 @@ def test_lq_norm_of_zero_field_is_zero():
     assert lq_norm(RadialField(g, np.zeros(g.n)), 1e300) == 0.0
 
 
-@pytest.mark.parametrize("amplitude", [1.0, 0.1])
+@pytest.mark.parametrize("amplitude", [1.0])
 def test_simulate_refuses_lq_norm_out_of_range(amplitude):
-    # amplitude 1: the initial norm fits, a later step's (values above 1)
-    # overflows; amplitude 0.1: the initial norm underflows
+    # the initial norm fits, a later step's (values above 1) overflows
     g = RadialGrid.uniform(1, 1.0, 65)
     P = build_propagator(g)
     u0 = indicator(g, BallIndicator(0.5, amplitude=amplitude))
     ct = SimulationControls(dt_init=1e-3, q=1e300)
     with pytest.raises(SolverError, match="does not fit in a double"):
         simulate_forward(P, u0, parse_nonlinearity("s^2"), 0.01, ct)
+
+
+def test_simulate_reports_lq_norm_whose_powers_underflow():
+    # 0.1^1e300 underflows to 0 at every node: on u / max u only the peak
+    # nodes count, so the l^1e300 norm is the sup norm at every step
+    g = RadialGrid.uniform(1, 1.0, 65)
+    P = build_propagator(g)
+    u0 = indicator(g, BallIndicator(0.5, amplitude=0.1))
+    ct = SimulationControls(dt_init=1e-3, q=1e300)
+    traj = simulate_forward(P, u0, parse_nonlinearity("s^2"), 0.01, ct)
+    assert not traj.blowup and traj.times[-1] == 0.01
+    assert traj.lq == traj.linf and traj.lq[0] == 0.1
 
 
 # --- propagator --------------------------------------------------------------
