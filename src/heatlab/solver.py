@@ -33,7 +33,7 @@ ITERATION_TOL = 1e-8       # sup change that ends duhamel_iterate
 # step control of simulate_forward
 REL_CHANGE_TARGET = 0.05   # halve dt above it, grow by DT_GROWTH below half
 DT_GROWTH = 1.4
-DT_MIN = 1e-14             # halving below DT_MIN R^2 declares blow-up
+DT_MIN = 1e-14             # halving below DT_MIN min(1, R^2) declares blow-up
 MAX_STEPS = 200000
 
 
@@ -727,7 +727,7 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         raise ValueError("dt must be finite and positive")
     _check_grid(P, u0.grid)
     q, w = ct.q, P.grid.quad_weights
-    dt_min = DT_MIN * P.grid.R ** 2    # the modes decay on a time scale ~ R^2
+    dt_min = DT_MIN * min(1.0, P.grid.R ** 2)  # modes decay on scale ~ R^2
     u, clamps = u0.values.copy(), u0.clamp_count
     t, dt = 0.0, min(ct.dt_init, T)
     sup = lq_norm(u0, math.inf)

@@ -432,21 +432,26 @@ def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
 
 
 def test_small_ball_is_not_refused(capsys):
-    # LAPACK's MRRR failed on the unscaled d = 2 band of this ball (info 22)
-    code, rep = run_json(capsys, ["experiment", "simulate", "--f", "s^2",
-                                  "--d", "2", "--T", "0.01", "--R", "1e-5"])
-    assert code == EXIT_OK and rep["T"] == 0.01
-
-
-@pytest.mark.parametrize("d, R", [(1, "1e-5"), (2, "1e-5"), (2, "1e-3")])
-def test_small_ball_decays_to_T_without_blowup(capsys, d, R):
+    # LAPACK's MRRR failed on the unscaled d = 2 band at R = 1e-5 (info 22);
     # the modes decay on a time scale ~ R^2, so the step floor that declares
-    # blow-up scales with R^2; the decayed field's sums w |u|^2 underflow to
-    # 0 and its l^2 norm is taken on u / max|u|
+    # blow-up scales with R^2 below R = 1; the decayed field's sums w |u|^2
+    # underflow to 0 and its l^2 norm is taken on u / max|u|
+    for d, R in [(1, "1e-5"), (2, "1e-5"), (2, "1e-3")]:
+        code, rep = run_json(capsys, ["experiment", "simulate", "--f", "s^2",
+                                      "--d", str(d), "--T", "0.01",
+                                      "--R", R])
+        assert code == EXIT_OK and rep["T"] == 0.01, (d, R)
+        assert rep["blowup"] is False and rep["steps"] > 0, (d, R)
+
+
+@pytest.mark.parametrize("R", ["1e3", "1e6"])
+def test_large_ball_still_halves_steps_into_blowup(capsys, R):
+    # above R = 1 the reaction sets the step, so the floor stays DT_MIN
     code, rep = run_json(capsys, ["experiment", "simulate", "--f", "s^2",
-                                  "--d", str(d), "--T", "0.01", "--R", R])
-    assert code == EXIT_OK
-    assert rep["blowup"] is False and rep["steps"] > 0
+                                  "--d", "1", "--T", "0.01", "--R", R,
+                                  "--amplitude", "200"])
+    assert code == EXIT_OK and rep["blowup"] is True
+    assert rep["rejected_steps"] > 0 and 0 < rep["blowup_time"] < 0.01
 
 
 @pytest.mark.parametrize("message", [

@@ -304,7 +304,9 @@ def test_c_prime_correctly_rounded(d):
 
 @pytest.mark.parametrize("d", range(1, 21))
 def test_c_prime_matches_chndtr(d):
-    # the stdlib series and the evaluator of the ball profile agree
+    # the stdlib series and the evaluator of the ball profile agree; the name
+    # is historical (the profile was scipy's chndtr, which
+    # test_ball_profile_matches_scipy_chndtr still checks)
     c_prime = kernel_constants(d).c_prime
     value = _ncx2_cdf(0.5, d, np.array([2.0]))[0]
     assert abs(c_prime - value) <= 16 * math.ulp(c_prime)
