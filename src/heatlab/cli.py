@@ -375,6 +375,61 @@ def experiment_blowup_trend(args) -> tuple:
             EXIT_OK if monotone else EXIT_ERROR)
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on 32-bit words, with its running constant."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+class _PCG64:
+    """numpy.random.default_rng(seed)'s stream without importing numpy.random
+    (it loads every bit generator, secrets and hashlib). SeedSequence mixes
+    the seed's 32-bit words into a 4-word pool; generate_state(4, uint64)
+    seeds PCG64, a 128-bit LCG with XSL-RR output (O'Neill, HMC-CS-2014-0905),
+    as pcg64_set_seed does. uniform is Generator.uniform's, bit for bit, and
+    pinned here: NEP 19 lets Generator's streams change."""
+
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        words = [seed >> k & _M32
+                 for k in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+        def mix(x, y):
+            x = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+            return x ^ x >> 16
+
+        pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        out = _hasher(0x8B51F9DD, 0x58F38DED)
+        s = [out(pool[i % 4]) for i in range(8)]
+        s = [s[i] | s[i + 1] << 32 for i in range(0, 8, 2)]  # little-endian
+        self.inc = (s[2] << 64 | s[3]) << 1 & _M128 | 1
+        self.state = (self.inc + (s[0] << 64 | s[1])) * self.MULT + self.inc
+        self.state &= _M128
+
+    def uniform(self, lo: float, hi: float) -> float:
+        self.state = self.state * self.MULT + self.inc & _M128
+        x, rot = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
+
+
 def _suite_case(case):
     a, b, d = case
     f = parse_nonlinearity(f"s^{a:.6f} * log(e+s)^{b:.6f}")
@@ -387,7 +442,7 @@ def _suite_case(case):
 
 def experiment_equivalence_suite(args) -> tuple:
     seed, count, d = args.seed, args.count, args.d
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     cases = []
     for _ in range(count):
         a = rng.uniform(1.3, 2.7)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from heatlab.cli import (
     EXPERIMENTS,
     OPTIONS,
     REQUIRED,
+    _PCG64,
     _with_config,
     build_parser,
     constants_block,
@@ -274,6 +276,27 @@ def test_experiment_equivalence_suite_small(capsys):
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
     assert rep["n_disagreements"] == 0
     assert len(rep["cases"]) == 4
+
+
+def _assert_default_rng_stream(seed, draws):
+    # numpy.random is the oracle here alone: the CLI never imports it
+    ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+    bounds = [(1.3, 2.7), (0.0, 1.5), (-3.0, 1e3)]
+    for k in range(draws):
+        lo, hi = bounds[k % 3]
+        assert ours.uniform(lo, hi) == numpys.uniform(lo, hi), (seed, k)
+
+
+@pytest.mark.parametrize("seed", [*range(256), 2**32, 2**64 + 3,
+                                  2**200 + 12345])  # 7 words, pool holds 4
+def test_suite_stream_is_default_rng_bit_for_bit(seed):
+    _assert_default_rng_stream(seed, 1000)
+
+
+@given(st.integers(0, 2**256 - 1))
+@settings(max_examples=200, deadline=None)
+def test_suite_stream_is_default_rng_on_any_seed(seed):
+    _assert_default_rng_stream(seed, 50)
 
 
 # --- inputs outside the solver's or the theorem's scope -------------------------
@@ -574,7 +597,8 @@ NEEDS_DSTEMR = pytest.mark.skipif(
     ["experiment", "horizon", "--f", "s + s^2", "--d", "2", "--u0-l1", "0.5"],
     ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
      "--t", "0.01"],
-    ["experiment", "equivalence_suite", "--seed", "7", "--count", "3",
+    # the README equivalence_suite: its seeded stream is a pure-Python PCG64
+    ["experiment", "equivalence_suite", "--seed", "7", "--count", "20",
      "--d", "2"],
     # the README iterate and simulate, on the uniform 1-D grid
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--r", "0.5",
@@ -597,14 +621,19 @@ NEEDS_DSTEMR = pytest.mark.skipif(
 def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
     # no command needs scipy: the constants, the classifiers, the horizon,
     # the ball profile and both spectra (the cosine closed form on the
-    # uniform 1-D grid, dstemr in numpy's BLAS on every other) run without it
+    # uniform 1-D grid, dstemr in numpy's BLAS on every other) run without
+    # it; nor numpy.random, counted from the modules present once numpy is
+    # imported, so a numpy that loads numpy.random eagerly does not fail
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys\n"
+              "import numpy\n"
+              "before = set(sys.modules)\n"
               "import heatlab\n"
               "from heatlab.cli import main\n"
               "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-              "print(rc, sorted(m for m in sys.modules\n"
-              "                 if m == 'scipy' or m.startswith('scipy.')))\n")
+              "print(rc, sorted(m for m in set(sys.modules) - before\n"
+              "                 if m.split('.')[0] == 'scipy'\n"
+              "                 or m.startswith('numpy.random')))\n")
     src = os.path.dirname(os.path.dirname(heatlab.__file__))
     out = subprocess.run([sys.executable, "-c", script, *argv],
                          capture_output=True, text=True, cwd=tmp_path,
