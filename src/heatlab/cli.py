@@ -101,7 +101,6 @@ OPTIONS = {
     "domain": (["bounded", "whole_space"], "domain of the problem"),
     "r_grid": (POSITIVE_LIST, "ball radii to certify"),
     "t_grid": (POSITIVE_LIST, "times to certify"),
-    "n_points": (_integer(2), "radial samples per (r, t)"),
     "u0_l1": (NON_NEGATIVE, "L1 norm of the data"),
     "A": (_checked(lambda v: 1 < v < math.inf, "a finite number > 1"),
           "supersolution factor"),
@@ -270,8 +269,7 @@ def cmd_classify(args) -> tuple:
 
 
 def cmd_verify_kernel(args) -> tuple:
-    rep = verify_lower_bounds(args.d, args.r_grid, args.t_grid,
-                              n_points=args.n_points)
+    rep = verify_lower_bounds(args.d, args.r_grid, args.t_grid)
     return ({"report": rep.to_dict(), "passed": rep.passed}, None,
             EXIT_OK if rep.passed else EXIT_ERROR)
 
@@ -347,7 +345,7 @@ def experiment_blowup_trend(args) -> tuple:
     # one grid and one fixed step size for every N, so trajectories for
     # nested data stay pointwise ordered (discrete comparison principle);
     # per-run adaptive stepping would break the ordering near blow-up
-    spec_hi, u0_hi = build_t1_data(f, d=d, q=q, N=hi, epsilon=epsilon, R=R)
+    _, u0_hi = build_t1_data(f, d=d, q=q, N=hi, epsilon=epsilon, R=R)
     grid = u0_hi.grid
     P = build_propagator(grid)
     # simulate a tenth of the reaction timescale sup/f(sup) of the largest
@@ -359,8 +357,8 @@ def experiment_blowup_trend(args) -> tuple:
     controls = SimulationControls(dt_init=dt, adaptive=False, q=q)
     rows = []
     for N in range(lo, hi + 1):
-        spec, u0 = build_t1_data(f, d=d, q=q, N=N, epsilon=epsilon, R=R,
-                                 grid=grid)
+        u0 = u0_hi if N == hi else build_t1_data(
+            f, d=d, q=q, N=N, epsilon=epsilon, R=R, grid=grid)[1]
         traj = simulate_forward(P, u0, f, T, controls)
         rows.append({"N": N, "peak_l1": traj.peak_l1,
                      "initial_l1": lq_norm(u0, 1.0), "blowup": traj.blowup,
@@ -466,8 +464,7 @@ COMMANDS = {
     "classify": (cmd_classify, "existence classification", {
         **NONLINEARITY, "q": REQUIRED, "domain": "bounded", "csv": None}),
     "verify-kernel": (cmd_verify_kernel, "certify the kernel bounds", {
-        "d": 1, "r_grid": "0.25,1,4", "t_grid": "0.01,0.25,1,4",
-        "n_points": 17}),
+        "d": 1, "r_grid": "0.25,1,4", "t_grid": "0.01,0.25,1,4"}),
 }
 EXPERIMENTS = {
     "horizon": (experiment_horizon, "existence horizon of L1 data", {

@@ -86,20 +86,6 @@ def _eval(node, s):
     return out
 
 
-def _text(node) -> str:
-    op = node[0]
-    if op == "s":
-        return "s"
-    if op == "num":
-        return repr(node[1])
-    args = [_text(child) for child in node[1:]]
-    if op == "neg":
-        return f"(-{args[0]})"
-    if op in _FUNCS:
-        return f"{op}({', '.join(args)})"
-    return f"({args[0]} {op} {args[1]})"
-
-
 def _tree_depth(node) -> int:
     """Depth of the tree, walked level by level without recursion."""
     depth, level = 0, [node]
@@ -231,9 +217,6 @@ class NonlinearityExpr:
 
     root: tuple
     source_text: str
-
-    def to_text(self) -> str:
-        return _text(self.root)
 
     def eval_raw(self, s):
         """Evaluate without domain checks, in the shape of s (0-d for a
@@ -393,15 +376,13 @@ def sup_ratio_envelope(expr: NonlinearityExpr) -> RatioEnvelope:
             return -math.inf
 
     # refine around interior local maxima of f(t)/t
-    extra_t, extra_r = [], []
     finite = np.where(np.isfinite(ratios), ratios, np.inf)
-    for i in range(1, len(grid) - 1):
-        if finite[i] > finite[i - 1] and finite[i] > finite[i + 1] \
-                and np.isfinite(ratios[i]):
-            t_star = _golden_max(ratio_at, float(grid[i - 1]),
-                                 float(grid[i + 1]))
-            extra_t.append(t_star)
-            extra_r.append(ratio_at(t_star))
+    inner = finite[1:-1]
+    peaks = np.flatnonzero((inner > finite[:-2]) & (inner > finite[2:])
+                           & np.isfinite(ratios[1:-1])) + 1
+    extra_t = [_golden_max(ratio_at, float(grid[i - 1]), float(grid[i + 1]))
+               for i in peaks]
+    extra_r = [ratio_at(t) for t in extra_t]
 
     if extra_t:
         grid = np.concatenate([grid, extra_t])
@@ -414,25 +395,6 @@ def sup_ratio_envelope(expr: NonlinearityExpr) -> RatioEnvelope:
 
 
 # --- built-in families -----------------------------------------------------
-
-def log_family_lambda() -> float:
-    """Largest positive root of exp(x) = e^2 * x (monotonicity threshold).
-
-    Newton's iteration from x = 4: above the root the function is convex and
-    increasing, so the iterates decrease onto it; the loop stops when
-    rounding stops them decreasing.
-    """
-    e2 = math.e ** 2
-    x, prev = 4.0, math.inf
-    while x < prev:
-        prev, x = x, x - (math.exp(x) - e2 * x) / (math.exp(x) - e2)
-    return prev
-
-
-def log_family_beta_max(d: int) -> float:
-    """Largest beta keeping s^(1+2/d)/log(e+s)^beta non-decreasing."""
-    return log_family_lambda() * (1.0 + 2.0 / d)
-
 
 def builtin_family(name: str, params: dict) -> NonlinearityExpr:
     """Construct a named nonlinearity family member.

@@ -115,8 +115,11 @@ def test_kernel_certification_sweep():
     r_grid = [0.25, 1.0, 4.0]
     for d in (1, 2, 3):
         t_grid = sorted({0.01, 1.0, 4.0} | {r * r for r in r_grid})
-        rep = verify_lower_bounds(d, r_grid, t_grid, n_points=9)
+        rep = verify_lower_bounds(d, r_grid, t_grid)
         assert rep.min_margin >= -1e-6, (d, rep.min_margin)
+        # one edge value per (r, t) cell; beta where t <= r^2
+        assert {c.bound: c.n_checked for c in rep.checks} == {
+            "lemma": 15, "mass": 15, "beta": 10}
     # d = 1 values cross-checked against direct Gaussian quadrature
     for r, t, rho in ((0.25, 0.0625, 0.2), (1.0, 1.0, 1.5), (4.0, 4.0, 0.0)):
         chi = BallIndicator(r)

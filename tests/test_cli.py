@@ -136,8 +136,8 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_config_parser_accepts_dashes(tmp_path):
     cfg = tmp_path / "d.cfg"
-    cfg.write_text("n-points = 5\n")
-    assert load_config(str(cfg)) == {"n_points": "5"}
+    cfg.write_text("r-grid = 0.5,1\n")
+    assert load_config(str(cfg)) == {"r_grid": "0.5,1"}
 
 
 def test_csv_evidence_export(tmp_path):
@@ -154,8 +154,7 @@ def test_csv_evidence_export(tmp_path):
 
 def test_verify_kernel_passes(capsys):
     code, rep = run_json(capsys, ["verify-kernel", "--d", "1",
-                                  "--r-grid", "0.5,1", "--t-grid", "0.25,1",
-                                  "--n-points", "5"])
+                                  "--r-grid", "0.5,1", "--t-grid", "0.25,1"])
     assert code == EXIT_OK and rep["passed"]
     assert rep["report"]["passed"]
     assert rep["report"]["variant"] == "whole_space"
@@ -179,8 +178,7 @@ def test_verify_kernel_inflated_constant_fails(monkeypatch, capsys):
         heatkernel_mod, "kernel_constants",
         lambda d: dataclasses.replace(real(d), c_d=1.0))
     code, rep = run_json(capsys, ["verify-kernel", "--d", "1",
-                                  "--r-grid", "0.5", "--t-grid", "0.25",
-                                  "--n-points", "5"])
+                                  "--r-grid", "0.5", "--t-grid", "0.25"])
     assert code == EXIT_ERROR and not rep["passed"]
     lemma, = [b for b in rep["report"]["bounds"] if b["bound"] == "lemma"]
     assert lemma["min_margin"] < 0.0
@@ -345,8 +343,8 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
      "--N-range", "3..3"],
     ["experiment", "horizon", "--f", "s^2", "--d", "1", "--u0-l1", "inf"],
-    ["verify-kernel", "--d", "2", "--n-points", "1"],
-    ["verify-kernel", "--d", "2", "--n-points", "0"],
+    ["verify-kernel", "--d", "2", "--n-points", "5"],
+    ["verify-kernel", "--d", "2", "--n-points", "17"],
     ["experiment", "horizon", "--f", "s^2", "--d", "1", "--u0-l1", "1e200"],
     ["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
      "--N-range", "3"],
@@ -722,7 +720,7 @@ def test_every_report_is_framed_the_same_way(capsys, head):
 # removed options and the command that read them: every command refuses
 # them now. pytest numbers these cases, so each removed option's own command
 # comes last, where it shifts no other case's id.
-RETIRED = {"inflate_cd": ("verify-kernel",)}
+RETIRED = {"inflate_cd": ("verify-kernel",), "n_points": ("verify-kernel",)}
 
 
 @pytest.mark.parametrize("head, name", [
@@ -737,6 +735,19 @@ def test_an_option_the_command_never_reads_is_an_error(tmp_path, capsys,
     (tmp_path / "run.cfg").write_text(f"{name} = 1\n")
     assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == EXIT_ERROR
     assert _flag(name) in _assert_one_line_error(capsys)
+
+
+def test_verify_kernel_no_longer_takes_n_points(tmp_path, capsys):
+    # the certificate is one edge value per (r, t) cell, so the sample count
+    # is gone: --help omits it, and a config line with a once valid value is
+    # a one-line usage error, as the flag is in the out-of-scope list above
+    with pytest.raises(SystemExit):
+        main(["verify-kernel", "--help"])
+    assert "--n-points" not in capsys.readouterr().out
+    (tmp_path / "run.cfg").write_text("n-points = 5\n")
+    assert main(["verify-kernel", "--config",
+                 str(tmp_path / "run.cfg")]) == EXIT_ERROR
+    assert "--n-points" in _assert_one_line_error(capsys)
 
 
 def test_unread_options_named_in_the_tables_are_gone():

@@ -24,7 +24,6 @@ from heatlab.heatkernel import (
     QuadratureError,
     _ball_profile,
     _ncx2_cdf,
-    gaussian_kernel,
     heat_on_ball,
     kernel_constants,
     unit_ball_volume,
@@ -50,7 +49,17 @@ def test_unit_ball_volume_stops_once_it_underflows():
         math.exp(150.5 * math.log(math.pi) - math.lgamma(151.5)), rel=1e-12)
 
 
-# --- gaussian kernel ---------------------------------------------------------
+# --- the Gaussian kernel oracle ----------------------------------------------
+
+def gaussian_kernel(x, y, t: float, d: int) -> float:
+    """Whole-space heat kernel (4 pi t)^(-d/2) exp(-|x-y|^2 / 4t): the
+    oracle of the semigroup test, checked by the tests below."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    dx = np.atleast_1d(np.asarray(x, dtype=float) -
+                       np.asarray(y, dtype=float))
+    return (4.0 * math.pi * t) ** (-d / 2.0) * math.exp(-dx @ dx / (4.0 * t))
+
 
 def test_kernel_normalization_point():
     assert gaussian_kernel([0.0], [0.0], 1.0 / (4.0 * math.pi), 1) \
@@ -349,10 +358,10 @@ def test_c_prime_against_gauss_ball_quadrature():
     assert kc.c_prime == pytest.approx(ref, rel=1e-8)
 
 
-# --- certification sweep -----------------------------------------------------
+# --- certification -----------------------------------------------------------
 
 def test_verify_lower_bounds_d1_point_example():
-    rep = verify_lower_bounds(1, [1.0], [1.0], n_points=9)
+    rep = verify_lower_bounds(1, [1.0], [1.0])
     kc = rep.constants
     val = heat_on_ball(BallIndicator(radius=1.0), [2.0], 1.0, 1)
     assert val - kc.c_d * 0.5 >= 0.0
@@ -362,19 +371,18 @@ def test_verify_lower_bounds_d1_point_example():
 def test_verify_lower_bounds_d2_sweep():
     r_grid = [0.25, 1.0, 4.0]
     t_grid = [0.01, 1.0, 4.0]
-    rep = verify_lower_bounds(2, r_grid, t_grid, n_points=9)
+    rep = verify_lower_bounds(2, r_grid, t_grid)
     assert rep.passed
     assert rep.min_margin >= 0.0
-    names = {c.bound for c in rep.checks}
-    assert names == {"lemma", "mass", "beta"}
+    # n_checked counts (r, t) cells; beta only those with t <= r^2
     counts = {c.bound: c.n_checked for c in rep.checks}
-    assert counts["lemma"] == 3 * 3 * 9 and counts["mass"] == 3 * 3
+    assert counts == {"lemma": 3 * 3, "mass": 3 * 3, "beta": 1 + 2 + 3}
 
 
 def test_verify_lower_bounds_exact_mass_margin():
     # the mass is omega_d r^d exactly, so its margin is (omega_d - alpha_d)
     # r^d at the smallest radius, independent of t
-    rep = verify_lower_bounds(3, [0.5, 2.0], [0.01, 1.0], n_points=5)
+    rep = verify_lower_bounds(3, [0.5, 2.0], [0.01, 1.0])
     kc = rep.constants
     mass = {c.bound: c for c in rep.checks}["mass"]
     assert mass.min_margin == pytest.approx(
@@ -382,19 +390,29 @@ def test_verify_lower_bounds_exact_mass_margin():
     assert mass.witness[:2] == (0.5, 0.01)
 
 
-def test_verify_lower_bounds_witness_is_worst_point():
-    # the reported lemma witness is the sampled point of smallest margin
-    r, t, n = 1.0, 0.5, 11
-    rep = verify_lower_bounds(2, [r], [t], n_points=n)
-    kc = rep.constants
-    reach = r + math.sqrt(t)
-    margins = [heat_on_ball(BallIndicator(radius=r), [rho, 0.0], t, 2)
-               * (1.0 - KERNEL_REL_TOL) - kc.c_d * (r / reach) ** 2
-               for rho in np.linspace(0.0, reach, n)]
-    lemma = {c.bound: c for c in rep.checks}["lemma"]
-    assert lemma.min_margin == min(margins)
-    assert lemma.witness == (r, t, float(np.linspace(0.0, reach, n)[
-        int(np.argmin(margins))]))
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), log_r=st.floats(-2.0, 2.0),
+       log_t=st.floats(-4.0, 2.0))
+def test_verify_lower_bounds_witnesses_sit_at_the_edge(d, log_r, log_t):
+    # S(t)chi_r is radially non-increasing, so the edge rho = r + sqrt(t)
+    # holds the smallest value on the ball; the lemma and beta witnesses sit
+    # there and min_margin is that one value's margin, bit for bit
+    r, t = 10.0 ** log_r, 10.0 ** log_t
+    rep = verify_lower_bounds(d, [r], [t])
+    kc, edge = rep.constants, r + math.sqrt(t)
+    vals = _ball_profile(r, t, np.linspace(0.0, edge, 9), d)
+    assert np.all(vals >= vals[-1] * (1.0 - 2.0 * KERNEL_REL_TOL))
+    low = vals[-1] * (1.0 - KERNEL_REL_TOL)
+    bounds = {c.bound: c for c in rep.checks}
+    want = {"lemma": low - kc.c_d * (r / edge) ** d, "mass": (
+        kc.omega_d * r ** d - kc.alpha_d * r ** d)}
+    if t <= r * r:
+        want["beta"] = low - kc.beta_d
+    assert {k: c.min_margin for k, c in bounds.items()} == want
+    assert rep.min_margin == min(want.values())
+    for name in set(want) - {"mass"}:
+        assert bounds[name].witness == (r, t, edge)
+        assert bounds[name].n_checked == 1
 
 
 def test_verify_lower_bounds_certifies_tiny_values():
@@ -420,14 +438,6 @@ def test_verify_lower_bounds_rejects_empty_grid(r_grid, t_grid):
         verify_lower_bounds(2, r_grid, t_grid)
 
 
-@pytest.mark.parametrize("n_points", [1, 0, -3])
-def test_verify_lower_bounds_rejects_fewer_than_two_points(n_points):
-    # one sample sits at rho = 0 and never reaches the edge r + sqrt(t),
-    # where the lemma and beta bounds bind
-    with pytest.raises(ValueError, match="at least 2"):
-        verify_lower_bounds(2, [1.0], [0.1], n_points=n_points)
-
-
 def test_verify_lower_bounds_fails_with_inflated_constant():
     from heatlab.heatkernel import KernelConstants
     kc = kernel_constants(1)
@@ -440,12 +450,12 @@ def test_verify_lower_bounds_fails_with_inflated_constant():
     worst = {c.bound: c for c in rep.checks}
     assert worst["lemma"].min_margin < 0.0
     r, t, rho = worst["lemma"].witness
-    assert (r, t) == (1.0, 1.0) and 0.0 <= rho <= 2.0
+    assert (r, t, rho) == (1.0, 1.0, 2.0)
 
 
 def test_certification_report_json():
     # the mass witness rho is NaN, which JSON cannot hold as a number
-    rep = verify_lower_bounds(1, [0.5, 1.0], [0.25], n_points=5)
+    rep = verify_lower_bounds(1, [0.5, 1.0], [0.25])
     data = json.loads(json.dumps(jsonable(rep.to_dict()), allow_nan=False))
     assert data["d"] == 1 and data["variant"] == "whole_space"
     assert data["passed"] is True

