@@ -105,9 +105,9 @@ def _bd0(a, lam):
     return np.where(near, s, a * np.log(a / lam) + lam - a)
 
 
-def _dpois(a, lam):
-    """e^-lam lam^a / Gamma(a+1) for increasing multiples a of 1/2 and lam a
-    scalar or a column (a row each): above a = 15 Loader's saddle-point form
+def _dpois(a, lam: float):
+    """e^-lam lam^a / Gamma(a+1) for increasing multiples a of 1/2 and a
+    scalar lam: above a = 15 Loader's saddle-point form
     exp(-stirlerr(a) - bd0(a, lam)) / sqrt(2 pi a), stirlerr(a) = log
     Gamma(a+1) - (a+1/2) log a + a - log(2 pi)/2 from Stirling's series; up
     to 15 the product itself while e^-lam is normal (exp(L) errs |L|/2 ulp)."""
@@ -118,63 +118,50 @@ def _dpois(a, lam):
         s = c - b2 * s
     gamma = np.array([math.gamma(v + 1) for v in small.tolist()])
     return np.concatenate([
-        np.where(lam < 708.0, np.exp(-lam) * lam ** small / gamma,
-                 np.exp(small * np.log(lam) - lam - np.log(gamma))),
-        np.exp(-s / big - 0.5 * np.log(2 * math.pi * big) - _bd0(big, lam))],
-        axis=-1)
+        np.exp(-lam) * lam ** small / gamma if lam < 708.0
+        else np.exp(small * np.log(lam) - lam - np.log(gamma)),
+        np.exp(-s / big - 0.5 * np.log(2 * math.pi * big) - _bd0(big, lam))])
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _ncx2_cdf(x: float, d: int, lam: np.ndarray) -> np.ndarray:
-    """F(x; d, lam) for a 1-D array lam >= 0, by the series of the module
-    docstring. Each value has its own window and its own sums, so it does
-    not depend on the other entries of lam."""
-    y, h = x / 2.0, d / 2.0
-    out = np.where(np.isnan(lam), np.nan, 0.0)
-    live = np.sqrt(lam / 2.0) - math.sqrt(y) < 27.3   # else F < e^-745
-    mu = lam[live] / 2.0
-    peak = np.maximum(y, np.sqrt(y * mu))    # about h + m at the largest term
-    half = 10.0 * np.sqrt(peak + 1.0) + 10.0
-    lo = np.maximum(0.0, np.floor(peak - h - half))
-    hi = np.maximum(lo, np.ceil(peak - h + half))
-    while mu.size:
-        m = np.arange(lo.min(), hi.max() + 1.0)
-        g = _dpois(h + m, y)
-        i0, i1 = (lo - m[0]).astype(int), (hi - m[0]).astype(int) + 1
+def _ncx2_cdf(x: float, d: int, lam: float) -> float:
+    """F(x; d, lam) for lam >= 0, by the series of the module docstring."""
+    y, h, mu = x / 2.0, d / 2.0, lam / 2.0
+    if not math.sqrt(mu) - math.sqrt(y) < 27.3:     # else F < e^-745
+        return math.nan if math.isnan(lam) else 0.0
+    peak = max(y, math.sqrt(y * mu))    # about h + m at the largest term
+    half = 10.0 * math.sqrt(peak + 1.0) + 10.0
+    lo = max(0, math.floor(peak - h - half))
+    hi = max(lo, math.ceil(peak - h + half))
+    while True:
+        g = _dpois(h + np.arange(lo, hi + 1.0), y)
         # C_m = 1 to within _TAIL on the window where Chernoff's bound
         # e^-k^2/2(lo+1) on P(Pois(mu) > lo), k = lo + 1 - mu > 0, is below it
         k = lo + 1 - mu
-        sat = (k > 0) & (k * k > -2.0 * (lo + 1) * math.log(_TAIL))
-        act, c_lo = np.flatnonzero(~sat), np.ones(mu.size)
-        if act.size:
+        if k > 0 and k * k > -2.0 * (lo + 1) * math.log(_TAIL):
+            c_lo, total = 1.0, g.sum()
+        else:
             # pmfs from 10 sd below min(lo, mu): the rest is < 2e-18 C_lo
-            mu_a = mu[act, None]
-            jlo = np.maximum(0.0, np.floor(np.minimum(lo[act, None], mu_a)
-                                           - 10.0 * np.sqrt(mu_a) - 10.0))
-            j = np.arange(min(jlo.min(), m[0]), hi.max() + 1.0)
-            c = np.cumsum(np.where(j < jlo, 0.0, _dpois(j, mu_a)), axis=1)
-            c_lo[act] = c[np.arange(act.size), (lo[act] - j[0]).astype(int)]
-            terms = g * c[:, int(m[0] - j[0]):]
-        row = np.cumsum(~sat) - 1
-        total = np.array([(g if sat[i] else terms[row[i]])[i0[i]:i1[i]].sum()
-                          for i in range(mu.size)])
+            jlo = max(0, math.floor(min(lo, mu) - 10.0 * math.sqrt(mu) - 10.0))
+            c = np.cumsum(_dpois(np.arange(jlo, hi + 1.0), mu))
+            c_lo, total = c[lo - jlo], (g * c[lo - jlo:]).sum()
         # g_m falls at least geometrically past the ends: ratio r up, s down
-        r, s = y / (h + hi + 1), (h + lo) / y
-        upper = np.where(r < 1, g[i1 - 1] * r / (1 - r), math.inf)
-        below = (lo > 0) * np.where(s < 1, g[i0] * s / (1 - s), 1.0)
+        # (nothing lies below lo = 0, where y may be 0)
+        r, s = y / (h + hi + 1), ((h + lo) / y if lo else math.inf)
+        upper = g[-1] * r / (1 - r) if r < 1 else math.inf
+        below = g[0] * s / (1 - s) if s < 1 else float(lo > 0)
         cut = _TAIL * total + np.finfo(float).tiny
         up, down = upper > cut, c_lo * below > cut
-        if not (up.any() or down.any()):
-            out[live] = np.minimum(total, 1.0)
-            return out
+        if not (up or down):
+            return min(total, 1.0)
         width = hi - lo + 1
-        hi, lo = hi + up * width, np.maximum(0.0, lo - down * width)
-    return out
+        hi, lo = hi + up * width, max(0, lo - down * width)
 
 
 def _ball_profile(r: float, t: float, rho, d: int):
-    """[S(t) chi_r] at distance rho from the centre, for an array of rho:
-    P(|rho e_1 + sqrt(2t) Z| <= r) = F(r^2/2t; d, rho^2/2t).
+    """[S(t) chi_r] at distance rho from the centre, for an array of rho
+    taken one value at a time: P(|rho e_1 + sqrt(2t) Z| <= r) =
+    F(r^2/2t; d, rho^2/2t).
 
     Raises QuadratureError when r^2/2t exceeds MAX_SCALED_RADIUS or a value
     comes out non-finite.
@@ -189,7 +176,8 @@ def _ball_profile(r: float, t: float, rho, d: int):
             f"r^2/2t = {x:.3g} exceeds {MAX_SCALED_RADIUS:.0e}, beyond which "
             f"the ball profile is not evaluated (d={d}, r={r}, t={t})")
     rho = np.asarray(rho, dtype=float)
-    val = _ncx2_cdf(x, d, np.ravel(rho * rho / (2.0 * t))).reshape(rho.shape)
+    lam = np.ravel(rho * rho / (2.0 * t)).tolist()
+    val = np.array([_ncx2_cdf(x, d, v) for v in lam]).reshape(rho.shape)
     if not np.all(np.isfinite(val)):
         raise QuadratureError(
             f"non-finite ball profile (d={d}, r={r}, t={t})")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -208,29 +207,23 @@ def _band(grid: RadialGrid) -> tuple:
 def _lapacke_dstemr():
     """LAPACKE_dstemr of the OpenBLAS that numpy has loaded, typed for its
     ILP64 build; None where numpy's BLAS does not export it (Accelerate,
-    MKL) or the process has no /proc/self/maps to find it in (not Linux).
-    RTLD_NOLOAD opens only a library that is already mapped."""
+    MKL) or dlopen has no RTLD_NOLOAD (Windows). A handle on numpy's linalg
+    extension, opened with RTLD_NOLOAD because it is already mapped, finds
+    the symbol in the libraries that extension depends on."""
     import ctypes
     try:
-        with open("/proc/self/maps") as maps:
-            libs = sorted(set(re.findall(r"/\S*openblas\S*\.so\S*",
-                                         maps.read())))
-    except OSError:
+        call = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__,
+                                   mode=os.RTLD_NOLOAD),
+                       "scipy_LAPACKE_dstemr64_", None)
+    except (AttributeError, OSError):
         return None
-    for lib in libs:
-        try:
-            call = getattr(ctypes.CDLL(lib, mode=os.RTLD_NOLOAD),
-                           "scipy_LAPACKE_dstemr64_", None)
-        except OSError:
-            continue
-        if call is not None:
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            call.restype = i64
-            call.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,
-                             ptr, ptr, ctypes.c_double, ctypes.c_double, i64,
-                             i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
-            return call
-    return None
+    if call is not None:
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        call.restype = i64
+        call.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,
+                         ptr, ptr, ctypes.c_double, ctypes.c_double, i64,
+                         i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
+    return call
 
 
 def _stemr(diag: np.ndarray, off: np.ndarray) -> tuple:

@@ -12,7 +12,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import chndtr, erf
@@ -242,11 +242,12 @@ def test_ball_profile_matches_scipy_chndtr(d):
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 10), x=st.floats(0.0, 1e7), dx=st.floats(0.0, 1e3),
        lam=st.floats(0.0, 1e7), dlam=st.floats(0.0, 1e3))
+@example(d=2, x=0.0, dx=5e-324, lam=0.0, dlam=1.0)  # x/2 rounds to 0
 def test_ball_profile_series_is_a_monotone_probability(d, x, dx, lam, dlam):
     # F(x; d, lam) lies in [0, 1], does not decrease in x and does not
     # increase in lam, up to a rounding of 1e-12 relative
-    val, val_lam = _ncx2_cdf(x, d, np.array([lam, lam + dlam]))
-    val_x = _ncx2_cdf(x + dx, d, np.array([lam]))[0]
+    val, val_lam = _ncx2_cdf(x, d, lam), _ncx2_cdf(x, d, lam + dlam)
+    val_x = _ncx2_cdf(x + dx, d, lam)
     assert all(0.0 <= v <= 1.0 for v in (val, val_lam, val_x))
     assert val_x >= val * (1 - 1e-12) and val_lam <= val * (1 + 1e-12)
 
@@ -317,7 +318,7 @@ def test_c_prime_matches_chndtr(d):
     # is historical (the profile was scipy's chndtr, which
     # test_ball_profile_matches_scipy_chndtr still checks)
     c_prime = kernel_constants(d).c_prime
-    value = _ncx2_cdf(0.5, d, np.array([2.0]))[0]
+    value = _ncx2_cdf(0.5, d, 2.0)
     assert abs(c_prime - value) <= 16 * math.ulp(c_prime)
 
 

@@ -329,6 +329,17 @@ def test_stemr_asks_for_relative_accuracy_as_scipy_does():
     assert Q.tobytes() == Q_ref.tobytes()
 
 
+def test_lapacke_dstemr_is_none_without_rtld_noload(monkeypatch):
+    # Windows' os has no RTLD_NOLOAD: the lookup gives None, and the
+    # propagator is built by scipy's fallback
+    monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+    solver_mod._lapacke_dstemr.cache_clear()
+    try:
+        assert solver_mod._lapacke_dstemr() is None
+    finally:
+        solver_mod._lapacke_dstemr.cache_clear()
+
+
 @pytest.mark.parametrize("make_grid", PARITY_GRIDS.values(),
                          ids=PARITY_GRIDS.keys())
 def test_scipy_fallback_builds_the_same_propagator(monkeypatch, make_grid):
@@ -369,6 +380,22 @@ def test_small_balls_have_the_unit_ball_spectrum(stemr_path, d, n, R):
     assert np.abs(P.eigenvalues * R * R / unit - 1.0).max() <= 1e-10
     constant = np.abs((P.modes @ (P.sqrt_w @ P.modes)) / P.sqrt_w - 1.0)
     assert constant.max() <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: dstemr loses the "
+                   "lowest eigenvalue on strongly graded T1 grids")
+@pytest.mark.parametrize("f, d, N, lam0", [
+    ("s^5.547523027016545", 1, 5, 2.464888065950676),
+    ("s^5.55", 1, 6, 2.464177031005176),
+    ("s^2.5", 3, 7, 9.828032110221459),
+    ("s^5.55", 1, 3, 2.466220738078269)])
+def test_graded_grid_lowest_eigenvalue(f, d, N, lam0):
+    # lam0 from a 40-digit mpmath Sturm-count bisection of the band of the
+    # T1 grid at q = 2, epsilon = 0.5, R = 1
+    _, u0 = build_t1_data(parse_nonlinearity(f), d=d, q=2.0, N=N,
+                          epsilon=0.5, R=1.0)
+    lam = build_propagator(u0.grid).eigenvalues[0]
+    assert lam == pytest.approx(lam0, rel=1e-10)
 
 
 def test_propagator_build_allocates_one_dense_matrix(stemr_path):
