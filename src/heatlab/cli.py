@@ -331,7 +331,7 @@ def experiment_lower_bound(args) -> tuple:
     lb = duhamel_lower_bound(
         BallIndicator(radius=args.r, amplitude=args.amplitude),
         f, args.t, d, q=q)
-    report = {"f": f.source_text, "t": args.t, "lq": lb.lq, "q": lb.q,
+    report = {"f": f.source_text, "t": args.t, "lq": lb.lq, "q": q,
               "min_on_ball": lb.min_on_ball(args.r)}
     return (report, (["rho", "lower_bound"], list(zip(lb.radii, lb.values))),
             EXIT_OK)
@@ -353,8 +353,10 @@ def experiment_blowup_trend(args) -> tuple:
     sup_max = lq_norm(u0_hi, math.inf)
     T = (0.1 * sup_max / float(eval_f(f, sup_max)) if args.T is None
          else args.T)
-    dt = T / args.n_time if args.dt is None else args.dt
-    controls = SimulationControls(dt_init=dt, adaptive=False, q=q)
+    if not 0 < T < math.inf:  # a derived T, from an f(sup u0) that overflows
+        raise CliError(f"the default T = 0.1 sup u0 / f(sup u0) is {T:g} at "
+                       f"sup u0 = {sup_max:g} (N = {hi}); pass --T")
+    controls = SimulationControls(dt_init=T / args.n_time, adaptive=False, q=q)
     rows = []
     for N in range(lo, hi + 1):
         u0 = u0_hi if N == hi else build_t1_data(
@@ -482,7 +484,7 @@ EXPERIMENTS = {
         **NONLINEARITY, "q": REQUIRED, "N_range": REQUIRED, "n_time": 20,
         "epsilon": 0.5, "R": 1.0,
         "T": Derived("a tenth of sup u0 / f(sup u0) at N = HI"),
-        "dt": Derived("T / n-time"), "csv": None}),
+        "csv": None}),
     "equivalence_suite": (experiment_equivalence_suite, "series and "
                           "integral criteria on random f",
                           {"seed": 7, "count": 20, "d": 2}),

@@ -37,7 +37,6 @@ class BlowupDataSpec:
     radii: np.ndarray           # per-term ball radius
     phi: np.ndarray             # underlying phi_k sequence
     constants: KernelConstants
-    epsilon: Optional[float] = None       # T1 only
     n0: Optional[int] = None              # Todd only
     zeta: Optional[np.ndarray] = None     # Todd only
     k_n: Optional[np.ndarray] = None      # Todd window schedule
@@ -140,8 +139,7 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     norm_bound = per_term * float(np.sum(ks ** -2.0))
     spec = BlowupDataSpec(kind="T1", d=d, q=q, f=f, N=N,
                           amplitudes=amplitudes, radii=radii, phi=phi,
-                          constants=consts, epsilon=epsilon,
-                          norm_bound=norm_bound,
+                          constants=consts, norm_bound=norm_bound,
                           sampled_norm=lq_norm(u0, q))
     return spec, u0
 

@@ -275,6 +275,7 @@ AUDIT_TOL = 1e-10
 AUDIT_SAMPLES = 560   # s = 0 and ~25 points a decade of [1e-8, 2^48]
 ENVELOPE_GRID_RATIO = 1.05
 ENVELOPE_S_MAX = float(2 ** 48)
+GOLDEN_ITERS = 60     # golden-section steps that refine a peak of f(t)/t
 TAIL_S_MAX = 1e8      # range of the q > 1 tail sample
 ZERO_ORIGIN_EPS = 1e-8
 
@@ -342,13 +343,13 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
                          violation)
 
 
-def _golden_max(fun, a: float, b: float, iters: int = 60) -> float:
+def _golden_max(fun, a: float, b: float) -> float:
     """Abscissa of the maximum of fun on [a, b] by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

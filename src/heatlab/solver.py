@@ -34,6 +34,7 @@ REL_CHANGE_TARGET = 0.05   # halve dt above it, grow by DT_GROWTH below half
 DT_GROWTH = 1.4
 DT_MIN = 1e-14             # halving below DT_MIN min(1, R^2) declares blow-up
 MAX_STEPS = 200000
+HORIZON_T_MAX = 100.0      # the longest horizon find_existence_horizon grants
 
 
 class SolverError(Exception):
@@ -433,7 +434,6 @@ def duhamel_map(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
 
 @dataclass
 class IterationTrace:
-    times: np.ndarray
     v: np.ndarray                  # final iterate, (n_time, n_interior)
     baseline: np.ndarray           # S(t)u0 on the same grid
     sup_deltas: list
@@ -445,8 +445,8 @@ class IterationTrace:
 
 
 def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
-                    v_init, T: float, n_time: int = 64,
-                    n_iter: int = 50) -> IterationTrace:
+                    v_init, T: float, n_time: int,
+                    n_iter: int) -> IterationTrace:
     """Monotone supersolution iteration v_(n+1) = F(v_n), until the sup
     change falls below ITERATION_TOL or n_iter >= 1 iterations have run.
 
@@ -483,7 +483,7 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     final += baseline
     final -= v
     residual = float(max(final.max(), -final.min()))
-    return IterationTrace(times=times, v=v, baseline=baseline,
+    return IterationTrace(v=v, baseline=baseline,
                           sup_deltas=sup_deltas, max_increase=max_increase,
                           min_above_baseline=min_above, converged=converged,
                           residual=residual, n_iter=it)
@@ -492,7 +492,6 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
 @dataclass(frozen=True)
 class MarginReport:
     margin: float
-    witness: tuple  # (t, r) of the minimizing node
 
     @property
     def certified(self) -> bool:
@@ -501,15 +500,13 @@ class MarginReport:
 
 def supersolution_check(P: HeatPropagator, u0: RadialField,
                         f: NonlinearityExpr, v, T: float,
-                        n_time: int = 64) -> MarginReport:
+                        n_time: int) -> MarginReport:
     """min over (node, time) of v(t) - F(v)(t); non-negative certifies a
     discrete supersolution."""
     times = np.linspace(0.0, T, n_time)
     varr = np.asarray(v, dtype=float)
     diff = varr - duhamel_map(P, u0, f, varr, times)
-    j, i = np.unravel_index(np.argmin(diff), diff.shape)
-    return MarginReport(margin=float(diff[j, i]),
-                        witness=(float(times[j]), float(P.grid.nodes[i])))
+    return MarginReport(margin=float(diff.min()))
 
 
 # --- existence horizon (supersolution construction) --------------------------
@@ -544,9 +541,9 @@ def _tilde_tail_integral(envelope, d: int, s0: float) -> float:
 
 
 def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
-                           A: float = 2.0, T_max: float = 100.0) -> HorizonReport:
-    """Largest T (up to T_max) for which v(t) = A S(t)u0 + chi_Omega is a
-    certified supersolution on [0, T].
+                           A: float) -> HorizonReport:
+    """Largest T up to T_max = HORIZON_T_MAX for which v(t) = A S(t)u0 +
+    chi_Omega is a certified supersolution on [0, T].
 
     Two conditions are enforced: the integral condition
     C^(2/d) * int_0^(T C^(-2/d)) tau^(d/2) ftilde(tau^(-d/2)) dtau <= (A-1)/A
@@ -555,15 +552,14 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     A c s^(-d/2) ||u0||_1 >= 1 throughout [0, T]). The cap is 2^(-2/d)
     C^(2/d), so the integral is only ever needed for tau < 1. The condition
     is tested at min(T_max, cap); if it fails there, an 80-step bisection on
-    [0, T_max] finds T, counting every midpoint above the cap as failing.
+    [0, T_max] finds T, counting every midpoint above the cap as failing; a
+    midpoint at which (T / C^(2/d))^(-d/2) overflows is a SolverError.
     """
     if not A > 1:
         raise ValueError("A must exceed 1")
     if not 0 <= u0_l1_norm < math.inf:
         raise ValueError("||u0||_1 must be finite and non-negative")
-    if not T_max > 0:
-        raise ValueError("T_max must be positive")
-    bound = (A - 1.0) / A
+    T_max, bound = HORIZON_T_MAX, (A - 1.0) / A
     csm = (4.0 * math.pi) ** (-d / 2.0)
 
     if u0_l1_norm == 0.0:
@@ -585,7 +581,11 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                          "||u0||_1 or A is out of range")
 
     def condition(T: float) -> float:
-        return scale * _tilde_tail_integral(env, d, (T / scale) ** (-d / 2.0))
+        try:
+            return scale * _tilde_tail_integral(env, d, (T / scale) ** (-d / 2))
+        except OverflowError:
+            raise SolverError(f"(T / scale)^(-d/2) = ({T / scale:.3g})^"
+                              f"{-d / 2.0:g} overflows in d = {d}") from None
 
     T = min(T_max, cap)
     at_endpoint = condition(T) <= bound
@@ -614,9 +614,6 @@ class LowerBoundResult:
     radii: np.ndarray
     values: np.ndarray
     lq: float
-    q: float
-    t: float
-    constants: object
 
     def min_on_ball(self, radius: float) -> float:
         sel = self.radii <= radius + 1e-15
@@ -624,7 +621,7 @@ class LowerBoundResult:
 
 
 def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
-                        d: int, q: float = 1.0) -> LowerBoundResult:
+                        d: int, q: float) -> LowerBoundResult:
     """Certified pointwise lower bound on any local integral solution with
     u0 >= chi, via u(t) >= S(t)chi + int_0^t S(t-s) f(S(s)chi) ds and the
     ball bounds S(s)chi_r >= c_d (r/(r+sqrt s))^d chi_(r+sqrt s), on 129
@@ -660,17 +657,16 @@ def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
         sigma = d * unit_ball_volume(d)
         lq = float(np.trapezoid(sigma * radii ** (d - 1) * values ** q,
                                 radii) ** (1.0 / q))
-    return LowerBoundResult(radii=radii, values=values, lq=lq, q=q, t=t,
-                            constants=consts)
+    return LowerBoundResult(radii=radii, values=values, lq=lq)
 
 
 # --- forward simulation ------------------------------------------------------
 
 @dataclass
 class SimulationControls:
-    dt_init: float = 1e-3
+    dt_init: float
+    q: float
     adaptive: bool = True
-    q: float = 2.0
 
 
 @dataclass
@@ -682,7 +678,6 @@ class Trajectory:
     dts: list
     clamp_counts: list
     rejected_steps: int     # attempts whose dt was halved
-    q: float
     blowup: bool
     blowup_time: Optional[float]
     final: RadialField
@@ -693,8 +688,7 @@ class Trajectory:
 
 
 def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
-                     T: float,
-                     controls: SimulationControls = None) -> Trajectory:
+                     T: float, controls: SimulationControls) -> Trajectory:
     """Exponential-integrator stepping u_(m+1) = S(dt)(u_m + dt f(u_m)) with
     adaptive step halving; declares numeric blow-up (not a proof) when the
     sup norm exceeds the guard or dt underflows. Running out of MAX_STEPS
@@ -711,18 +705,17 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     adaptive attempt takes its relative change. The decay vector
     e^(-lam dt) is computed once per distinct dt: once for a fixed step,
     once more for a shorter last step. A candidate or stepped field that is
-    not finite is a ValueError, and an l^q norm that does not fit in a
-    double a SolverError, as for field objects and lq_norm."""
+    not finite is a ValueError (for the candidate, naming dt), and an l^q
+    norm that does not fit in a double a SolverError, as in lq_norm."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and positive")
-    ct = controls or SimulationControls()
-    if not (math.isfinite(ct.dt_init) and ct.dt_init > 0):
+    if not (math.isfinite(controls.dt_init) and controls.dt_init > 0):
         raise ValueError("dt must be finite and positive")
     _check_grid(P, u0.grid)
-    q, w = ct.q, P.grid.quad_weights
+    q, w = controls.q, P.grid.quad_weights
     dt_min = DT_MIN * min(1.0, P.grid.R ** 2)  # modes decay on scale ~ R^2
     u, clamps = u0.values.copy(), u0.clamp_count
-    t, dt = 0.0, min(ct.dt_init, T)
+    t, dt = 0.0, min(controls.dt_init, T)
     sup = lq_norm(u0, math.inf)
     times, l1, lq, linf = [0.0], [lq_norm(u0, 1.0)], [lq_norm(u0, q)], [sup]
     dts, clamp_counts = [dt], [0]
@@ -740,17 +733,21 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         except SolverError:
             blowup_time = t
             break
-        cand = u + dt * fu
+        with np.errstate(over="ignore"):
+            cand = u + dt * fu
         cand[-1] = 0.0  # Dirichlet boundary node
         if dt != decay_dt:
             decay_dt, decay = dt, np.exp(-P.eigenvalues * dt)
-        u_new, n_clamped = _heat_step(P, decay, cand)
+        try:
+            u_new, n_clamped = _heat_step(P, decay, cand)
+        except ValueError:  # u and f(u) are finite, so dt f(u) overflowed
+            raise ValueError(f"dt f(u) overflows at dt = {dt:g}") from None
         a = np.abs(u_new)
         new_sup = float(a.max())
         if not math.isfinite(new_sup):
             raise ValueError("field values must be finite")
         grow = False
-        if ct.adaptive:
+        if controls.adaptive:
             diff = u_new - u
             rel = float(np.abs(diff, out=diff).max()) / max(sup, 1e-300)
             if rel > REL_CHANGE_TARGET and dt > dt_min:
@@ -776,6 +773,6 @@ def simulate_forward(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
         if grow:
             dt *= DT_GROWTH
     return Trajectory(times=times, l1=l1, lq=lq, linf=linf, dts=dts,
-                      clamp_counts=clamp_counts, rejected_steps=rejected, q=q,
+                      clamp_counts=clamp_counts, rejected_steps=rejected,
                       blowup=blowup_time is not None, blowup_time=blowup_time,
                       final=RadialField(P.grid, u, clamp_count=clamps))

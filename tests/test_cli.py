@@ -547,6 +547,34 @@ def test_blowup_trend_names_the_range_form(capsys, N_range):
     assert "LO..HI" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", ["60", "80", "99", "400"])
+def test_horizon_overflow_is_one_line_naming_d(capsys, d):
+    # the bisection reaches a T at which (T / scale)^(-d/2) overflows a
+    # double: an error that names d and the power, not a horizon
+    assert main(["experiment", "horizon", "--f", "s^2", "--d", d,
+                 "--u0-l1", "0.5"]) == EXIT_ERROR
+    err = _assert_one_line_error(capsys)
+    assert f"^{-int(d) / 2:g} overflows in d = {d}" in err, err
+
+
+def test_blowup_trend_step_overflow_names_dt(capsys):
+    # dt = 1e300 / 20: the candidate u + dt f(u) overflows, which is one line
+    # that names dt and no numpy warning (RuntimeWarnings raise here)
+    assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
+                 "--q", "1", "--N-range", "1..2", "--T", "1e300"]) == EXIT_ERROR
+    assert _assert_one_line_error(capsys) == \
+        "error: dt f(u) overflows at dt = 5e+298\n"
+
+
+def test_blowup_trend_default_T_names_its_derivation(capsys):
+    # f(sup u0) = exp(1370.9) overflows, so the default T is 0
+    assert main(["experiment", "blowup_trend", "--f", "exp(s)", "--d", "1",
+                 "--q", "1", "--N-range", "1..3"]) == EXIT_ERROR
+    err = _assert_one_line_error(capsys)
+    assert "the default T = 0.1 sup u0 / f(sup u0) is 0" in err, err
+    assert err.endswith("; pass --T\n"), err
+
+
 @pytest.mark.parametrize("n_time", ["0", "-2"])
 def test_blowup_trend_names_the_step_count(capsys, n_time):
     assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
@@ -717,14 +745,16 @@ def test_every_report_is_framed_the_same_way(capsys, head):
         argv).d)
 
 
-# removed options and the command that read them: every command refuses
-# them now. pytest numbers these cases, so each removed option's own command
-# comes last, where it shifts no other case's id.
-RETIRED = {"inflate_cd": ("verify-kernel",), "n_points": ("verify-kernel",)}
+# options removed from a command, and that command: it refuses them now, as
+# does every command that never read them. pytest numbers these cases, so
+# each removed option's own command comes last, where it shifts no other
+# case's id.
+RETIRED = {"inflate_cd": ("verify-kernel",), "n_points": ("verify-kernel",),
+           "dt": ("experiment", "blowup_trend")}
 
 
 @pytest.mark.parametrize("head, name", [
-    *[(head, name) for head in TABLES for name in sorted([*OPTIONS, *RETIRED])
+    *[(head, name) for head in TABLES for name in sorted({*OPTIONS, *RETIRED})
       if name not in _taken(head) and head != RETIRED.get(name)],
     *[(head, name) for name, head in RETIRED.items()]])
 def test_an_option_the_command_never_reads_is_an_error(tmp_path, capsys,
@@ -748,6 +778,14 @@ def test_verify_kernel_no_longer_takes_n_points(tmp_path, capsys):
     assert main(["verify-kernel", "--config",
                  str(tmp_path / "run.cfg")]) == EXIT_ERROR
     assert "--n-points" in _assert_one_line_error(capsys)
+
+
+def test_blowup_trend_no_longer_takes_dt(capsys):
+    # the step is T / --n-time, so --dt was a second spelling of --n-time:
+    # --help omits it (the flag itself is in the retired cases above)
+    with pytest.raises(SystemExit):
+        main(["experiment", "blowup_trend", "--help"])
+    assert "--dt" not in capsys.readouterr().out
 
 
 def test_unread_options_named_in_the_tables_are_gone():

@@ -199,6 +199,15 @@ def test_classify_l1_powers():
     assert classify_l1(power(p + 0.3), d).outcome == NO_LOCAL_EXISTENCE
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the block rate "
+                   "sigma = -2/d of f = s falls inside the sigma dead band "
+                   "from d = 51 on, and tau = 0 then reads as divergence")
+@pytest.mark.parametrize("d", [51, 200])
+def test_classify_l1_linear_f_exists_in_high_dimension(d):
+    # F = 1, so int_1^inf s^-(1+2/d) F(s) ds = d/2 converges in every d
+    assert classify_l1(parse_nonlinearity("s"), d).outcome == EXISTS
+
+
 def test_integral_blocks_against_quadrature():
     # dyadic block integrals agree with adaptive quadrature of s^-(1+2/d) f(s)/s
     from scipy.integrate import quad

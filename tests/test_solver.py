@@ -29,6 +29,7 @@ from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
 from heatlab.nonlinearity import (DomainError, parse_nonlinearity,
                                   sup_ratio_envelope)
 from heatlab.solver import (
+    HORIZON_T_MAX,
     HorizonReport,
     RadialField,
     RadialGrid,
@@ -50,6 +51,10 @@ from heatlab.solver import (
 )
 
 ZERO = parse_nonlinearity("0")
+# adaptive steps from dt = 1e-3, with the l^2 norm: experiment simulate's
+# defaults, spelled out, since simulate_forward takes its settings from the
+# caller
+ADAPTIVE = SimulationControls(dt_init=1e-3, q=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -472,7 +477,7 @@ def test_grid_of_another_dimension_rejected(prop_d1):
     with pytest.raises(ValueError, match="does not match"):
         semigroup_apply(prop_d1, 0.1, u)
     with pytest.raises(ValueError, match="does not match"):
-        simulate_forward(prop_d1, u, ZERO, 0.1)
+        simulate_forward(prop_d1, u, ZERO, 0.1, ADAPTIVE)
 
 
 # --- Duhamel iteration -------------------------------------------------------
@@ -563,7 +568,7 @@ def test_duhamel_needs_two_time_slices(prop_d1, n_time):
     with pytest.raises(ValueError, match="two time slices"):
         duhamel_map(P, u0, f, v, np.linspace(0.0, 0.1, n_time))
     with pytest.raises(ValueError, match="two time slices"):
-        duhamel_iterate(P, u0, f, v, 0.1, n_time=n_time)
+        duhamel_iterate(P, u0, f, v, 0.1, n_time=n_time, n_iter=50)
     with pytest.raises(ValueError, match="two time slices"):
         supersolution_check(P, u0, f, v, 0.1, n_time=n_time)
 
@@ -595,7 +600,7 @@ def test_iteration_monotone_and_bounded(prop_d1):
     base = heat_series(P, u0, times)
     chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v_init = 2.0 * base + chi.values[None, :P.grid.n_interior]
-    check = supersolution_check(P, u0, f, v_init, hor.T)
+    check = supersolution_check(P, u0, f, v_init, hor.T, n_time=64)
     assert check.certified and check.margin >= 0.0
     tr = duhamel_iterate(P, u0, f, v_init, hor.T, n_time=64, n_iter=50)
     assert tr.converged
@@ -613,12 +618,12 @@ def test_iteration_refined_time_grid_consistency(prop_d1):
     base = heat_series(P, u0, np.linspace(0, hor.T, 64))
     chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v_init = 2.0 * base + chi.values[None, :P.grid.n_interior]
-    tr = duhamel_iterate(P, u0, f, v_init, hor.T, n_time=64)
+    tr = duhamel_iterate(P, u0, f, v_init, hor.T, n_time=64, n_iter=50)
     # solving the fixed-point identity on a 2x finer time grid (sharing
     # every coarse point) reproduces the limit there within 1e-4
     base_f = heat_series(P, u0, np.linspace(0, hor.T, 127))
     v_init_f = 2.0 * base_f + chi.values[None, :P.grid.n_interior]
-    tr_f = duhamel_iterate(P, u0, f, v_init_f, hor.T, n_time=127)
+    tr_f = duhamel_iterate(P, u0, f, v_init_f, hor.T, n_time=127, n_iter=50)
     assert np.max(np.abs(tr.v - tr_f.v[::2])) < 1e-4
 
 
@@ -712,7 +717,7 @@ def test_duhamel_iterate_keeps_duhamel_map_refusals(prop_d1, T, n_time, cols):
     with pytest.raises(ValueError) as want:
         duhamel_map(P, u0, f, v, np.linspace(0.0, T, n_time))
     with pytest.raises(ValueError) as got:
-        duhamel_iterate(P, u0, f, v, T, n_time=n_time)
+        duhamel_iterate(P, u0, f, v, T, n_time=n_time, n_iter=50)
     assert str(got.value) == str(want.value)
 
 
@@ -739,20 +744,20 @@ def test_supersolution_fails_for_supercritical(prop_d1):
 # --- existence horizon -------------------------------------------------------
 
 def test_horizon_zero_nonlinearity_capped():
-    rep = find_existence_horizon(0.0, ZERO, 2)
-    assert rep.T == 100.0 and rep.capped_at_max
+    rep = find_existence_horizon(0.0, ZERO, 2, A=2.0)
+    assert rep.T == HORIZON_T_MAX == 100.0 and rep.capped_at_max
 
 
 def test_horizon_zero_data_uses_f_at_one():
     f = parse_nonlinearity("4*s")
-    rep = find_existence_horizon(0.0, f, 2)
+    rep = find_existence_horizon(0.0, f, 2, A=2.0)
     assert rep.T == pytest.approx(0.25, rel=1e-12)
 
 
 def test_horizon_zero_data_refuses_negative_f_at_one():
     # t f(1) <= 1 holds for every t when f(1) < 0; that is no horizon
     with pytest.raises(DomainError, match="negative"):
-        find_existence_horizon(0.0, parse_nonlinearity("s-2"), 2)
+        find_existence_horizon(0.0, parse_nonlinearity("s-2"), 2, A=2.0)
 
 
 def test_horizon_linear_f_closed_form():
@@ -770,27 +775,29 @@ def test_horizon_monotone_in_norm_where_integral_binds():
     # in the regime where the integral condition (not the smoothing cap)
     # determines T, doubling ||u0||_1 shrinks the horizon
     f = parse_nonlinearity("s^2")
-    r1 = find_existence_horizon(2.0, f, 1)
-    r2 = find_existence_horizon(4.0, f, 1)
+    r1 = find_existence_horizon(2.0, f, 1, A=2.0)
+    r2 = find_existence_horizon(4.0, f, 1, A=2.0)
     assert not r1.smoothing_capped and not r2.smoothing_capped
     assert r2.T < r1.T
 
 
-@pytest.mark.parametrize("norm,A,T_max", [
-    (0.5, 2.0, 0.0), (0.5, 2.0, -1.0), (0.5, 2.0, math.nan),
-    (math.inf, 2.0, 100.0), (math.nan, 2.0, 100.0), (-1.0, 2.0, 100.0),
-    (0.5, math.nan, 100.0), (0.5, 1.0, 100.0),
+BAD_HORIZON_INPUTS = [
+    (math.inf, 2.0), (math.nan, 2.0), (-1.0, 2.0), (0.5, math.nan), (0.5, 1.0),
     # (2 A c ||u0||_1)^(2/d) overflows, underflows or is infinite in d = 1
-    (1e200, 2.0, 100.0), (1e-200, 2.0, 100.0), (0.5, math.inf, 100.0),
-])
-def test_horizon_rejects_bad_input(norm, A, T_max):
+    (1e200, 2.0), (1e-200, 2.0), (0.5, math.inf),
+]
+
+
+# the ids end in the cap T_max = 100.0, as when the cap was a parameter
+@pytest.mark.parametrize("norm,A", BAD_HORIZON_INPUTS,
+                         ids=[f"{n}-{a}-100.0" for n, a in BAD_HORIZON_INPUTS])
+def test_horizon_rejects_bad_input(norm, A):
     with pytest.raises(ValueError):
-        find_existence_horizon(norm, parse_nonlinearity("s^2"), 1, A=A,
-                               T_max=T_max)
+        find_existence_horizon(norm, parse_nonlinearity("s^2"), 1, A=A)
 
 
 def test_horizon_is_a_report(prop_d1):
-    rep = find_existence_horizon(0.1, parse_nonlinearity("s^2"), 1)
+    rep = find_existence_horizon(0.1, parse_nonlinearity("s^2"), 1, A=2.0)
     assert isinstance(rep, HorizonReport)
     assert rep.integral_value <= rep.condition_bound + 1e-12
 
@@ -878,9 +885,12 @@ def _quad_horizon(u0_l1_norm, f, d, A=2.0, T_max=100.0):
     ("s^1.5", 3, 5.0, 100.0, "integral"),
     ("s + s^2", 2, 0.5, 100.0, "integral"),  # the README example
 ])
-def test_horizon_matches_quad_reference(expr, d, norm, T_max, kind):
+def test_horizon_matches_quad_reference(monkeypatch, expr, d, norm, T_max,
+                                        kind):
+    # the T_max cases lower the module's cap; the others run at its value
+    monkeypatch.setattr(solver_mod, "HORIZON_T_MAX", T_max)
     f = parse_nonlinearity(expr)
-    rep = find_existence_horizon(norm, f, d, T_max=T_max)
+    rep = find_existence_horizon(norm, f, d, A=2.0)
     assert vars(rep) == vars(_quad_horizon(norm, f, d, T_max=T_max))
     found = ("zero" if norm == 0.0 else "smoothing" if rep.smoothing_capped
              else "T_max" if rep.capped_at_max else "integral")
@@ -892,7 +902,7 @@ def test_horizon_refusal_matches_quad_reference():
     with pytest.raises(SolverError) as ref:
         _quad_horizon(0.44, f, 1)
     with pytest.raises(SolverError) as exc:
-        find_existence_horizon(0.44, f, 1)
+        find_existence_horizon(0.44, f, 1, A=2.0)
     assert str(exc.value) == str(ref.value)
 
 
@@ -915,7 +925,7 @@ def test_horizon_leaves_scipy_integrate_unimported(tmp_path):
 
 def test_lower_bound_zero_nonlinearity():
     chi = BallIndicator(0.5, amplitude=2.0)
-    lb = duhamel_lower_bound(chi, ZERO, 0.25, 1)
+    lb = duhamel_lower_bound(chi, ZERO, 0.25, 1, q=1.0)
     kc = kernel_constants(1)
     level = 2.0 * kc.c_d * (0.5 / 1.0) ** 1
     assert lb.min_on_ball(0.5) == pytest.approx(level, rel=1e-12)
@@ -931,10 +941,10 @@ def test_lower_bound_dominates_t1_prediction():
         r_k = eps / (phi * k * k)
         chi = BallIndicator(r_k, amplitude=phi / kc.beta_d)
         for t in (0.5 * r_k ** 2, r_k ** 2):
-            lb = duhamel_lower_bound(chi, f, t, 1)
+            lb = duhamel_lower_bound(chi, f, t, 1, q=1.0)
             pred = kc.beta_d * r_k ** 2 * phi ** 4
             assert lb.min_on_ball(r_k) >= 0.5 * pred  # t = t_k/2 halves it
-        lb = duhamel_lower_bound(chi, f, r_k ** 2, 1)
+        lb = duhamel_lower_bound(chi, f, r_k ** 2, 1, q=1.0)
         assert lb.min_on_ball(r_k) >= pred
 
 
@@ -950,7 +960,7 @@ def test_lower_bound_lq_norm_positive():
 def test_simulate_heat_flow_contracts(prop_d1):
     P = prop_d1
     u0 = indicator(P.grid, BallIndicator(1.0))
-    traj = simulate_forward(P, u0, ZERO, 1.0)
+    traj = simulate_forward(P, u0, ZERO, 1.0, ADAPTIVE)
     assert not traj.blowup
     assert all(a >= b - 1e-12 for a, b in zip(traj.lq, traj.lq[1:]))
 
@@ -959,15 +969,15 @@ def test_simulate_heat_flow_contracts(prop_d1):
 def test_simulate_rejects_bad_horizon(prop_d1, T):
     u0 = indicator(prop_d1.grid, BallIndicator(1.0))
     with pytest.raises(ValueError, match="finite and positive"):
-        simulate_forward(prop_d1, u0, ZERO, T)
+        simulate_forward(prop_d1, u0, ZERO, T, ADAPTIVE)
 
 
 def test_simulate_small_data_stays_below_supersolution(prop_d1):
     P = prop_d1
     f = parse_nonlinearity("s^2")
     u0 = indicator(P.grid, BallIndicator(0.5, amplitude=0.1))
-    hor = find_existence_horizon(lq_norm(u0, 1.0), f, 1)
-    traj = simulate_forward(P, u0, f, hor.T)
+    hor = find_existence_horizon(lq_norm(u0, 1.0), f, 1, A=2.0)
+    traj = simulate_forward(P, u0, f, hor.T, ADAPTIVE)
     assert not traj.blowup
     # L1 norm stays below the supersolution's: 2||S(t)u0||_1 + |Omega|
     bound = 2.0 * lq_norm(u0, 1.0) + P.grid.quad_weights.sum()
@@ -978,14 +988,14 @@ def test_simulate_blowup_detected():
     g = RadialGrid.uniform(1, 1.0, 65)
     P = build_propagator(g)
     u0 = indicator(g, BallIndicator(0.5, amplitude=30.0))
-    traj = simulate_forward(P, u0, parse_nonlinearity("s^4"), 1.0)
+    traj = simulate_forward(P, u0, parse_nonlinearity("s^4"), 1.0, ADAPTIVE)
     assert traj.blowup and traj.blowup_time is not None
 
 
 def test_simulate_comparison_property(prop_d1):
     P = prop_d1
     u0 = indicator(P.grid, BallIndicator(0.5, amplitude=0.2))
-    ctl = SimulationControls(adaptive=False, dt_init=1e-3)
+    ctl = SimulationControls(adaptive=False, dt_init=1e-3, q=2.0)
     lo = simulate_forward(P, u0, parse_nonlinearity("s^2"), 0.2, ctl)
     hi = simulate_forward(P, u0, parse_nonlinearity("s^2 + s^3"), 0.2, ctl)
     assert np.all(hi.final.values - lo.final.values >= -1e-12)
@@ -1198,7 +1208,7 @@ def test_simulate_fixed_step_takes_exactly_n_steps(T):
     g = RadialGrid.uniform(1, 1.0, 65)
     P = build_propagator(g)
     u0 = indicator(g, BallIndicator(0.5, amplitude=0.1))
-    ct = SimulationControls(dt_init=T / 200, adaptive=False)
+    ct = SimulationControls(dt_init=T / 200, adaptive=False, q=2.0)
     traj = simulate_forward(P, u0, parse_nonlinearity("s^2"), T, ct)
     assert len(traj.times) == 201
     assert traj.dts[1:] == [T / 200] * 200
@@ -1208,7 +1218,8 @@ def test_simulate_fixed_step_takes_exactly_n_steps(T):
 def test_simulate_rejects_bad_step(prop_d1, dt):
     u0 = indicator(prop_d1.grid, BallIndicator(1.0))
     with pytest.raises(ValueError, match="dt must be finite and positive"):
-        simulate_forward(prop_d1, u0, ZERO, 1.0, SimulationControls(dt_init=dt))
+        simulate_forward(prop_d1, u0, ZERO, 1.0,
+                         SimulationControls(dt_init=dt, q=2.0))
 
 
 def test_iteration_needs_one_iteration(prop_d1):
@@ -1226,7 +1237,7 @@ def test_simulate_step_budget_is_an_error(monkeypatch):
     g = RadialGrid.uniform(1, 1.0, 33)
     P = build_propagator(g)
     u0 = indicator(g, BallIndicator(0.5, amplitude=0.1))
-    ct = SimulationControls(dt_init=1e-6, adaptive=False)
+    ct = SimulationControls(dt_init=1e-6, adaptive=False, q=2.0)
     with pytest.raises(SolverError, match=r"ran out at t = 5e-05 before T = 1"):
         simulate_forward(P, u0, parse_nonlinearity("s^2"), 1.0, ct)
 
@@ -1236,7 +1247,7 @@ def test_trajectory_csv_roundtrip(tmp_path, prop_d1):
     from heatlab.cli import write_csv
     traj = simulate_forward(prop_d1,
                             indicator(prop_d1.grid, BallIndicator(1.0)),
-                            ZERO, 0.1)
+                            ZERO, 0.1, ADAPTIVE)
     path = tmp_path / "traj.csv"
     write_csv(str(path), ["t", "l1", "l2", "linf", "dt", "clamps"],
               list(zip(traj.times, traj.l1, traj.lq, traj.linf,
