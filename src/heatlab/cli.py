@@ -25,9 +25,9 @@ import time
 
 import numpy as np
 
-from .criteria import (SIGMA_DEAD_BAND, SLOPE_DEAD_BAND, TAU_DEAD_BAND,
-                       classify_l1, classify_lq, classify_whole_space,
-                       equivalence_check, jsonable)
+from .criteria import (SIGMA_DEAD_BAND, TAU_DEAD_BAND, classify_l1,
+                       classify_lq, classify_whole_space, equivalence_check,
+                       jsonable)
 from .databuilder import ScheduleError, build_t1_data
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
                          kernel_constants, verify_lower_bounds)
@@ -88,7 +88,7 @@ BUILTIN_PARAMS = {"power": ("p",), "log_family": ("beta",),
 OPTIONS = {
     "config": (str, "'key = value' lines, read as flags before the others"),
     "out": (str, "JSON report path (default: stdout)"),
-    "csv": (str, "CSV path for the evidence, trace or profile table"),
+    "csv": (str, "CSV path for the trace, trajectory, profile or peak table"),
     "f": (str, "nonlinearity expression in s"),
     "builtin": (list(BUILTIN_PARAMS), "builtin family instead of --f"),
     "p": (NUMBER, "exponent of --builtin power"),
@@ -215,8 +215,7 @@ def write_csv(path: str, header, rows) -> None:
 def constants_block(d: int) -> dict:
     return {
         "kernel": kernel_constants(d).to_dict(),
-        "dead_bands": {"slope": SLOPE_DEAD_BAND, "sigma": SIGMA_DEAD_BAND,
-                       "tau": TAU_DEAD_BAND},
+        "dead_bands": {"sigma": SIGMA_DEAD_BAND, "tau": TAU_DEAD_BAND},
         "kernel_rel_tol": KERNEL_REL_TOL,
     }
 
@@ -264,8 +263,7 @@ def cmd_classify(args) -> tuple:
         verdict = classify_l1(f, d)
     report = {"f": f.source_text, "d": d, "q": q, "domain": args.domain,
               "verdict": verdict.to_dict()}
-    return (report, (["s", "statistic"], verdict.evidence_rows()),
-            EXIT_OK if verdict.decided else EXIT_INCONCLUSIVE)
+    return report, None, EXIT_OK if verdict.decided else EXIT_INCONCLUSIVE
 
 
 def cmd_verify_kernel(args) -> tuple:
@@ -464,7 +462,7 @@ def experiment_equivalence_suite(args) -> tuple:
 # REQUIRED}); every command also takes --config and --out
 COMMANDS = {
     "classify": (cmd_classify, "existence classification", {
-        **NONLINEARITY, "q": REQUIRED, "domain": "bounded", "csv": None}),
+        **NONLINEARITY, "q": REQUIRED, "domain": "bounded"}),
     "verify-kernel": (cmd_verify_kernel, "certify the kernel bounds", {
         "d": 1, "r_grid": "0.25,1,4", "t_grid": "0.01,0.25,1,4"}),
 }

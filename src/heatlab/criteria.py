@@ -1,47 +1,46 @@
 """Existence / non-existence classifiers for u_t - Lap(u) = f(u).
 
-Every numeric decision about an asymptotic dichotomy (a limsup being finite,
-an improper integral converging) is trend-based with an explicit dead-band:
-Inconclusive is a first-class outcome, never an error.
+The bounded-domain and whole-space verdicts read the leading terms of f at
+infinity and at 0+ (nonlinearity.leading_term) and decide by the paper's
+conditions, written as lexicographic comparisons of the powers (a, b, c) of
+C s^a (log s)^b (log log s)^c. An UNKNOWN term is Inconclusive, a
+first-class outcome, never an error. The witness series of the q = 1 series
+criterion is sampled and decided by its fitted tail law inside explicit dead
+bands; equivalence_check holds it against the exact integral route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .nonlinearity import (
-    ENVELOPE_S_MAX,
-    TAIL_S_MAX,
-    ZERO_ORIGIN_EPS,
+    UNKNOWN,
+    ZERO,
     AuditError,
     DomainError,
     NonlinearityExpr,
-    RatioEnvelope,
     eval_f,
+    leading_term,
     monotonicity_audit,
-    sup_ratio_envelope,
 )
 
 EXISTS = "Exists"
 NO_LOCAL_EXISTENCE = "NoLocalExistence"
 INCONCLUSIVE = "Inconclusive"
 
-SLOPE_DEAD_BAND = 0.05
 WITNESS_RATIO = 2.0     # theta: consecutive witness candidates theta^j
 WITNESS_TERMS = 64      # K: windows searched for the series witness
-GAMMA_HI = 12.0         # upper end of the critical-exponent bisections
 
 
 @dataclass(frozen=True)
 class Verdict:
     outcome: str
     criterion: str  # LqLimsup | L1Integral | L1Series | WholeSpaceZero
-    dead_band: float | dict  # slope band, or the sigma and tau bands (L1)
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
 
     @property
     def decided(self) -> bool:
@@ -51,15 +50,8 @@ class Verdict:
         return {
             "outcome": self.outcome,
             "criterion": self.criterion,
-            "dead_band": self.dead_band,
             "evidence": jsonable(self.evidence),
         }
-
-    def evidence_rows(self):
-        """(s, statistic) rows of the evidence grid, for CSV export."""
-        grid = self.evidence.get("grid", [])
-        vals = self.evidence.get("grid_values", [])
-        return list(zip(grid, vals))
 
 
 def jsonable(obj):
@@ -101,13 +93,6 @@ class EquivalenceReport:
     integral_verdict: Verdict
 
 
-def _tail_sample(f: NonlinearityExpr) -> tuple:
-    """(grid, log f) on 320 geometric points (40 a decade) of [1, TAIL_S_MAX],
-    the one tail sample of the q > 1 route and the critical exponent."""
-    grid = np.geomspace(1.0, TAIL_S_MAX, 320)
-    return grid, _log_values(f, f.eval_raw(grid))
-
-
 def _log_values(f: NonlinearityExpr, vals: np.ndarray) -> np.ndarray:
     """log f from the samples vals of f; log 0 = -inf, NaN is an AuditError."""
     if np.isnan(vals).any():
@@ -116,106 +101,83 @@ def _log_values(f: NonlinearityExpr, vals: np.ndarray) -> np.ndarray:
         return np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -np.inf)
 
 
-def _tail_statistics(grid, log_g):
-    """(log-log slope over the last two decades, per-decade max growth).
+# --- exact routes ------------------------------------------------------------
 
-    log g = -inf is g = 0: where the last sample is -inf, g vanishes at the
-    end of the tail, which is bounded evidence (-inf), not overflow (inf)."""
-    vanishes = bool(np.isneginf(log_g[-1]))
-    tail = (grid >= TAIL_S_MAX / 100.0) & np.isfinite(log_g)
-    if tail.sum() < 4:
-        return (-math.inf, -math.inf) if vanishes else (math.inf, math.inf)
-    slope = float(np.polyfit(np.log10(grid[tail]),
-                             log_g[tail] / math.log(10), 1)[0])
-    last = (grid >= TAIL_S_MAX / 10.0) & np.isfinite(log_g)
-    prev = ((grid >= TAIL_S_MAX / 100.0) & (grid < TAIL_S_MAX / 10.0)
-            & np.isfinite(log_g))
-    if not last.any() or not prev.any():
-        return slope, -math.inf if vanishes else math.inf
-    growth = float((np.max(log_g[last]) - np.max(log_g[prev])) / math.log(10))
-    return slope, growth
+def _term_evidence(term):
+    """A leading term as report data: its coefficient and three powers, or
+    its flag."""
+    if isinstance(term, str):
+        return term
+    return dict(zip(("coefficient", "power", "log_power", "loglog_power"),
+                    term))
 
 
-def decide_tail(slope: float, growth: float, overflow: bool = False) -> str:
-    """Decide the boundedness of a sampled tail statistic.
+def _verdict(term, gamma: float, criterion: str, exists) -> Verdict:
+    """Exists where f is ZERO or exists(a, b, c) holds for its leading term
+    at infinity; Inconclusive where that term is UNKNOWN."""
+    if term == UNKNOWN:
+        outcome = INCONCLUSIVE
+    elif term == ZERO or exists(term[1:]):
+        outcome = EXISTS
+    else:
+        outcome = NO_LOCAL_EXISTENCE
+    return Verdict(outcome=outcome, criterion=criterion,
+                   evidence={"gamma": gamma,
+                             "leading_term": _term_evidence(term)})
 
-    The Exists and NoLocalExistence regions are separated by at least one
-    dead-band SLOPE_DEAD_BAND in each statistic, so perturbations smaller
-    than the dead-band can only move a decision into Inconclusive, never
-    flip it.
-    """
-    if overflow:
-        return NO_LOCAL_EXISTENCE
-    if slope >= SLOPE_DEAD_BAND and growth >= SLOPE_DEAD_BAND:
-        return NO_LOCAL_EXISTENCE
-    if slope <= -SLOPE_DEAD_BAND:
-        return EXISTS
-    if growth <= 1e-12:
-        return EXISTS  # tail running max is non-increasing
-    return INCONCLUSIVE
+
+def _lq_verdict(term, q: float, d: int) -> Verdict:
+    gamma = 1.0 + 2.0 * q / d
+    return _verdict(term, gamma, "LqLimsup",
+                    lambda abc: abc <= (gamma, 0.0, 0.0))
+
+
+def _l1_verdict(term, d: int) -> Verdict:
+    # F(s) = sup f(t)/t is bounded where f(s)/s is, and is eventually f(s)/s
+    # where that ratio grows; int^inf s^-gamma f(s)/s ds then converges iff
+    # (a, b, c) < (gamma, -1, -1)
+    gamma = 1.0 + 2.0 / d
+    return _verdict(term, gamma, "L1Integral",
+                    lambda abc: abc <= (1.0, 0.0, 0.0)
+                    or abc < (gamma, -1.0, -1.0))
 
 
 def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
-    """Local existence in L^q(Omega), q > 1: the limsup criterion with
-    exponent 1 + 2q/d, from the trend of g(s) = s^-gamma f(s) over the last
-    two decades of the tail sample; overflow of f is divergence evidence."""
+    """Local existence in L^q(Omega), q > 1: limsup s^-gamma f(s) < inf with
+    gamma = 1 + 2q/d, that is (a, b, c) <= (gamma, 0, 0)."""
     if q <= 1:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
     if d < 1:
         raise ValueError("d must be a positive dimension")
     monotonicity_audit(f)
-    gamma = 1.0 + 2.0 * q / d
-    grid, log_f = _tail_sample(f)
-    # a huge gamma makes gamma log s overflow: log g = -inf, g below every
-    # double (and inf - inf = nan where f overflows too, which `overflow`
-    # decides)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_g = log_f - gamma * np.log(grid)
-    overflow = bool(np.isposinf(log_f).any())
-    slope, growth = _tail_statistics(grid, log_g)
-    step = len(grid) // 64
-    evidence = {
-        "gamma": gamma,
-        "slope": slope,
-        "tail_growth": growth,
-        "overflow": overflow,
-        "s_max": TAIL_S_MAX,
-        "grid": grid[::step],
-        "grid_values": log_g[::step],
-    }
-    return Verdict(outcome=decide_tail(slope, growth, overflow),
-                   criterion="LqLimsup", dead_band=SLOPE_DEAD_BAND,
-                   evidence=evidence)
+    return _lq_verdict(leading_term(f, math.inf), q, d)
 
 
-# --- integral (q = 1) route --------------------------------------------------
+def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
+    """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
+    F(s) = sup over 1 <= t <= s of f(t)/t."""
+    monotonicity_audit(f)
+    return _l1_verdict(leading_term(f, math.inf), d)
 
-def dyadic_block_integrals(envelope: RatioEnvelope, d: int) -> np.ndarray:
-    """I_j = integral over [2^j, 2^(j+1)] of s^-(1+2/d) F(s) ds for every
-    block up to ENVELOPE_S_MAX, trapezoid on the envelope grid."""
-    p = 1.0 + 2.0 / d
-    return np.array([envelope.weighted_integral(p, 2.0 ** j, 2.0 ** (j + 1))
-                     for j in range(int(math.log2(ENVELOPE_S_MAX)))])
 
+# --- series (q = 1) route ----------------------------------------------------
 
 SIGMA_DEAD_BAND = 0.04  # per-block geometric rate, in log2
 TAU_DEAD_BAND = 0.15    # polynomial-in-index exponent around the -1 boundary
-# the dead bands decide_blocks decides with, as L1 verdicts report them
-BLOCK_DEAD_BANDS = {"sigma": SIGMA_DEAD_BAND, "tau": TAU_DEAD_BAND}
 
 
 def block_trend_fit(blocks: np.ndarray) -> tuple:
-    """Fit log2 b_j = c + sigma*j + tau*log2(j) over the block tail.
+    """Fit log2 b_j = c + sigma*j + tau*log2(j) over the tail of the terms.
 
-    Every block sequence produced here behaves like C * 2^(sigma*j) * j^tau
-    up to lower-order corrections (power nonlinearities give pure geometric
-    blocks, log-corrected critical ones give sigma = 0 and tau < 0), so the
+    The witness terms behave like C * 2^(sigma*j) * j^tau up to lower-order
+    corrections (power nonlinearities give pure geometric terms,
+    log-corrected critical ones give sigma = 0 and tau < 0), so the
     two-parameter fit separates the geometric rate from the polynomial
-    correction even when the blocks are not yet monotone.
+    correction even when the terms are not yet monotone.
     """
     n = len(blocks)
     j = np.arange(1, n + 1, dtype=float)
-    lo = max(10, n // 4)  # skip envelope flat stretches and small-s effects
+    lo = max(10, n // 4)  # skip the small-s windows
     sel = (j >= lo) & np.isfinite(blocks) & (blocks > 0)
     if sel.sum() < 8:
         return math.nan, math.nan
@@ -249,29 +211,6 @@ def decide_blocks(sigma: float, tau: float, overflow: bool = False) -> str:
         return EXISTS
     return INCONCLUSIVE
 
-
-def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
-    """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
-    F(s) = sup over 1 <= t <= s of f(t)/t, from its dyadic blocks up to
-    ENVELOPE_S_MAX."""
-    monotonicity_audit(f)
-    blocks = dyadic_block_integrals(sup_ratio_envelope(f), d)
-    overflow = bool(np.isinf(blocks).any())
-    sigma, tau = block_trend_fit(blocks)
-    outcome = decide_blocks(sigma, tau, overflow)
-    evidence = {
-        "sigma": sigma,
-        "tau": tau,
-        "overflow": overflow,
-        "exponent": 1.0 + 2.0 / d,
-        "grid": 2.0 ** np.arange(len(blocks)),
-        "grid_values": blocks,
-    }
-    return Verdict(outcome=outcome, criterion="L1Integral",
-                   dead_band=dict(BLOCK_DEAD_BANDS), evidence=evidence)
-
-
-# --- series (q = 1) route ----------------------------------------------------
 
 def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     """Greedy witness sequence for the divergent-series criterion.
@@ -317,8 +256,7 @@ def series_verdict(witness: SeriesWitness) -> Verdict:
         "grid": witness.sequence,
         "grid_values": witness.terms,
     }
-    return Verdict(outcome=outcome, criterion="L1Series",
-                   dead_band=dict(BLOCK_DEAD_BANDS), evidence=evidence)
+    return Verdict(outcome=outcome, criterion="L1Series", evidence=evidence)
 
 
 def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:
@@ -337,149 +275,65 @@ def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:
 
 def critical_exponent_report(f: NonlinearityExpr,
                              d: int) -> CriticalExponentReport:
-    """Estimate gamma* = sup{gamma : limsup s^-gamma f(s) = infinity}.
-
-    gamma* itself comes from extrapolating the tail slope of log f over two
-    decade windows (the fitted slope converges to gamma* like 1/log s for the
-    built-in families). The bracket endpoints are found by bisecting the
-    classifier's own decided regions (on [0, GAMMA_HI]), so the classifier
-    is NoLocalExistence below the bracket and Exists above it on the same
-    samples. Where f vanishes somewhere in the windows, gamma* is the
-    midpoint of the two bisection endpoints.
-    """
+    """gamma* = sup{gamma : limsup s^-gamma f(s) = infinity}, the power a of
+    the leading term at infinity, and q* = d(gamma* - 1)/2; the bracket
+    (gamma*, gamma*) is exact. f = 0 has gamma* = 0; an UNKNOWN term gives
+    gamma* = NaN and the bracket [0, inf]."""
     monotonicity_audit(f)
-    grid, log_f = _tail_sample(f)
-    overflow = bool(np.isposinf(log_f).any())
-    if overflow:
-        return CriticalExponentReport(gamma_star=math.inf, q_star=math.inf,
-                                      bracket=(GAMMA_HI, math.inf), d=d)
-    if np.isneginf(log_f).all():
-        # f = 0 on the sample: gamma* sits at its clamp 0, q* = d(0 - 1)/2
-        return CriticalExponentReport(gamma_star=0.0, q_star=-d / 2.0,
-                                      bracket=(0.0, 0.0), d=d)
-
-    def stats(gamma):
-        return _tail_statistics(grid, log_f - gamma * np.log(grid))
-
-    def is_nle(gamma):
-        slope, growth = stats(gamma)
-        return decide_tail(slope, growth) == NO_LOCAL_EXISTENCE
-
-    def is_exists(gamma):
-        slope, growth = stats(gamma)
-        return decide_tail(slope, growth) == EXISTS
-
-    lo_end = _bisect_boundary(is_nle, 0.0, GAMMA_HI, want_low=True)
-    hi_end = _bisect_boundary(is_exists, 0.0, GAMMA_HI, want_low=False)
-    if np.isneginf(log_f[grid >= TAIL_S_MAX / 1e4]).any():
-        # f vanishes somewhere in the two fit windows, where a slope of
-        # log f is undefined: gamma* is the middle of the decided bracket
-        gamma_star = 0.5 * (lo_end + hi_end)
-    else:
-        # Richardson extrapolation in 1/log s over the two windows
-        log10s = np.log10(grid)
-        log10f = log_f / math.log(10)
-
-        def window_slope(hi):
-            sel = (grid >= hi / 100.0) & (grid <= hi)
-            return float(np.polyfit(log10s[sel], log10f[sel], 1)[0])
-
-        s1 = window_slope(TAIL_S_MAX)
-        s0 = window_slope(TAIL_S_MAX / 100.0)
-        m1 = np.log(math.sqrt(TAIL_S_MAX / 10.0))
-        m0 = np.log(math.sqrt(TAIL_S_MAX / 1000.0))
-        b = (s1 - s0) / (1.0 / m0 - 1.0 / m1)
-        gamma_star = max(s1 + b / m1, 0.0)
-    bracket = (min(lo_end, gamma_star - SLOPE_DEAD_BAND),
-               max(hi_end, gamma_star + SLOPE_DEAD_BAND))
-    q_star = d * (gamma_star - 1.0) / 2.0
-    return CriticalExponentReport(gamma_star=float(gamma_star),
-                                  q_star=float(q_star),
-                                  bracket=bracket, d=d)
-
-
-def _bisect_boundary(pred, lo, hi, want_low, tol=0.005):
-    """Boundary of a monotone predicate region on [lo, hi].
-
-    want_low: pred holds for small gamma (NoLocalExistence region); returns
-    the largest gamma where it holds. Otherwise pred holds for large gamma
-    and the smallest such gamma is returned.
-    """
-    def inside(gamma):  # on the low side of the boundary
-        return pred(gamma) == want_low
-
-    if not inside(lo):
-        return lo
-    if inside(hi):
-        return hi
-    a, b = lo, hi  # inside(a), not inside(b)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if inside(mid):
-            a = mid
-        else:
-            b = mid
-    return a if want_low else b
+    term = leading_term(f, math.inf)
+    if term == UNKNOWN:
+        return CriticalExponentReport(gamma_star=math.nan, q_star=math.nan,
+                                      bracket=(0.0, math.inf), d=d)
+    a = 0.0 if term == ZERO else term[1]
+    return CriticalExponentReport(gamma_star=a, q_star=d * (a - 1.0) / 2.0,
+                                  bracket=(a, a), d=d)
 
 
 # --- whole space -------------------------------------------------------------
 
 def near_zero_ratio_check(f: NonlinearityExpr) -> dict:
-    """Sample f(s)/s on [ZERO_ORIGIN_EPS, 1e-2] and classify
-    limsup_{s->0} f(s)/s.
+    """Whether limsup_{s->0} f(s)/s is finite: not where f(0) > 0, and else
+    iff the leading term of f at 0+ (in t = 1/s) has (a, b, c) <= (-1, 0, 0).
 
-    Returns {"bounded": True/False/None, ...diagnostics}.
+    Returns {"bounded": True/False/None (an UNKNOWN term), ...evidence}.
     """
     try:
         f0 = eval_f(f, 0.0)
     except DomainError:
         f0 = math.nan
-    grid = np.geomspace(ZERO_ORIGIN_EPS, 1e-2, 60)
-    log_r = _log_values(f, f.eval_raw(grid)) - np.log(grid)
-    finite = np.isfinite(log_r)
-    if finite.sum() < 4:
-        slope = 0.0 if not np.isposinf(log_r).any() else -math.inf
-    else:
-        slope = float(np.polyfit(np.log(grid[finite]), log_r[finite], 1)[0])
-    if not math.isnan(f0) and f0 > 0:
+    term = leading_term(f, 0.0)
+    if f0 > 0:
         bounded = False
-    elif np.isposinf(log_r).any() or slope <= -SLOPE_DEAD_BAND:
-        bounded = False
-    elif np.isneginf(log_r[-1]):
-        bounded = True  # f = 0 at 1e-2, so on the whole sample (f monotone)
-    elif slope >= SLOPE_DEAD_BAND or np.all(np.diff(log_r[finite]) >= -1e-12):
-        bounded = True
-    else:
+    elif term == UNKNOWN:
         bounded = None
-    return {"bounded": bounded, "slope_at_zero": slope, "f_at_zero": f0,
-            "grid": grid, "ratios": np.exp(np.clip(log_r, -700, 700))}
+    else:
+        bounded = term == ZERO or term[1:] <= (-1.0, 0.0, 0.0)
+    return {"bounded": bounded, "f_at_zero": f0,
+            "leading_term": _term_evidence(term)}
 
 
 def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     """Existence on the whole space: the near-zero ratio condition combined
     with the bounded-domain verdict (q > 1 limsup; q = 1 the integral of the
-    same F as classify_l1)."""
+    same F as classify_l1), on one audit of f."""
     if q < 1:
         raise ValueError("q must be at least 1")
+    if d < 1:
+        raise ValueError("d must be a positive dimension")
     monotonicity_audit(f)
     zero = near_zero_ratio_check(f)
     if zero["bounded"] is False:
         return Verdict(outcome=NO_LOCAL_EXISTENCE, criterion="WholeSpaceZero",
-                       dead_band=SLOPE_DEAD_BAND,
-                       evidence={"slope_at_zero": zero["slope_at_zero"],
-                                 "f_at_zero": zero["f_at_zero"],
-                                 "grid": zero["grid"],
-                                 "grid_values": zero["ratios"]})
-    if q > 1:
-        inner = classify_lq(f, q, d)
-    else:
-        inner = classify_l1(f, d)
+                       evidence={"f_at_zero": zero["f_at_zero"],
+                                 "leading_term": zero["leading_term"]})
+    term = leading_term(f, math.inf)
+    inner = _lq_verdict(term, q, d) if q > 1 else _l1_verdict(term, d)
     if zero["bounded"] is None and inner.outcome == EXISTS:
         outcome = INCONCLUSIVE  # zero end undecided, cannot certify existence
     else:
         outcome = inner.outcome
-    evidence = dict(inner.evidence)
-    evidence["near_zero"] = {"bounded": zero["bounded"],
-                             "slope_at_zero": zero["slope_at_zero"]}
+    evidence = {**inner.evidence,
+                "near_zero": {"bounded": zero["bounded"],
+                              "leading_term": zero["leading_term"]}}
     return Verdict(outcome=outcome, criterion=inner.criterion,
-                   dead_band=inner.dead_band, evidence=evidence)
+                   evidence=evidence)

@@ -1,4 +1,5 @@
-"""Scalar nonlinearities f(s): parsing, evaluation, audits, and ratio envelopes.
+"""Scalar nonlinearities f(s): parsing, evaluation, leading terms, audits
+and ratio envelopes.
 
 The expression grammar (EBNF, also documented in the README):
 
@@ -93,6 +94,127 @@ def _tree_depth(node) -> int:
         depth += 1
         level = [c for n in level for c in n[1:] if isinstance(c, tuple)]
     return depth
+
+
+# --- leading terms -----------------------------------------------------------
+#
+# A term (C, a, b, c) is C t^a (log t)^b (log log t)^c as t -> inf, where t
+# is s at infinity and 1/s at 0+. Every f of the grammar is an exp-log
+# function, so it has one (Hardy, Orders of Infinity, 1910), and the rules
+# below read it off the tree. a = +inf (-inf) is beyond (below) every power,
+# with C the sign. Two flags stand in for a term: ZERO, f identically zero,
+# and UNKNOWN, where the rules cannot tell (an exact cancellation, a log of a
+# term tending to 1, an exp of a term of order log t).
+
+ZERO, UNKNOWN = "zero", "unknown"
+_ONE, _MINUS_ONE = (1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)
+
+
+def _term(C, a, b, c):
+    """The term, normalised: beyond every power keeps the sign of C alone;
+    C = 0 (a cancellation or an underflow) or a NaN is UNKNOWN."""
+    if C == 0 or any(map(math.isnan, (C, a, b, c))):
+        return UNKNOWN
+    if math.isinf(a):
+        return (math.copysign(1.0, C), a, 0.0, 0.0)
+    return (C, a, b, c)
+
+
+def _order(x):
+    """Sort key of eventual size: negative terms, then ZERO, then positive
+    terms, each side by magnitude."""
+    if x == ZERO:
+        return (0,)
+    sign = 1 if x[0] > 0 else -1
+    return (sign, *(sign * v for v in (*x[1:], abs(x[0]))))
+
+
+def _add(x, y):
+    if ZERO in (x, y):
+        return y if x == ZERO else x
+    if UNKNOWN in (x, y):
+        return UNKNOWN
+    if x[1:] != y[1:]:
+        return max(x, y, key=lambda v: v[1:])
+    return _term(x[0] + y[0], *x[1:])
+
+
+def _mul(x, y):
+    if ZERO in (x, y):
+        return ZERO
+    if UNKNOWN in (x, y):
+        return UNKNOWN
+    return _term(x[0] * y[0], *(u + v for u, v in zip(x[1:], y[1:])))
+
+
+def _power(x, p):
+    """x^p for a constant p, as numpy: x^0 = 1, and a negative base with a
+    non-integer p is NaN."""
+    if p == 0:
+        return _ONE
+    if x == ZERO:
+        return ZERO if p > 0 else UNKNOWN
+    if x == UNKNOWN or not math.isfinite(p) or (x[0] < 0
+                                                and not p.is_integer()):
+        return UNKNOWN
+    return _term(float(np.power(x[0], p)), p * x[1], p * x[2], p * x[3])
+
+
+def _log(x):
+    if x in (ZERO, UNKNOWN) or x[0] < 0 or math.isinf(x[1]):
+        return UNKNOWN
+    C, a, b, c = x
+    if a != 0:
+        return _term(a, 0.0, 1.0, 0.0)
+    if b != 0:
+        return _term(b, 0.0, 0.0, 1.0)
+    if c != 0 or C == 1:
+        return UNKNOWN
+    return _term(float(np.log(C)), 0.0, 0.0, 0.0)
+
+
+def _exp(x):
+    if x == ZERO:
+        return _ONE
+    if x == UNKNOWN:
+        return UNKNOWN
+    C, a, b, c = x
+    if (a, b, c) < (0, 0, 0):
+        return _ONE
+    if (a, b, c) == (0, 0, 0):
+        return _term(float(np.exp(C)), 0.0, 0.0, 0.0)
+    if a > 0 or (a == 0 and b > 1):
+        return _term(1.0, math.copysign(math.inf, C), 0.0, 0.0)
+    return UNKNOWN
+
+
+_RULES = {"+": _add, "-": lambda x, y: _add(x, _mul(_MINUS_ONE, y)),
+          "*": _mul, "/": lambda x, y: _mul(x, _power(y, -1.0)),
+          "^": lambda x, y: _exp(_mul(y, _log(x))),  # exp(y log x)
+          "neg": lambda x: _mul(_MINUS_ONE, x), "log": _log, "exp": _exp,
+          "max": lambda *xs: UNKNOWN if UNKNOWN in xs else max(xs, key=_order)}
+
+
+def _constant(node) -> bool:
+    return node[0] == "num" or (node[0] != "s"
+                                and all(map(_constant, node[1:])))
+
+
+def _value(node) -> float:
+    """A constant subtree's double, as the evaluator computes it."""
+    return float(_eval(node, np.zeros(1))[0])
+
+
+def _leading(node, x):
+    """The leading term of the tree, where s has the term x."""
+    if node[0] == "s":
+        return x
+    if _constant(node):
+        v = _value(node)
+        return ZERO if v == 0 else _term(v, 0.0, 0.0, 0.0)
+    if node[0] == "^" and _constant(node[2]):
+        return _power(_leading(node[1], x), _value(node[2]))
+    return _RULES[node[0]](*(_leading(child, x) for child in node[1:]))
 
 
 # --- parser ----------------------------------------------------------------
@@ -241,11 +363,6 @@ class RatioEnvelope:
     values: np.ndarray
     expr: NonlinearityExpr = field(repr=False)
 
-    def at(self, s: float) -> float:
-        """F(s): the stored running max up to the nearest grid point below s,
-        folded with the exact ratio f(s)/s."""
-        return self._at(int(self.grid.searchsorted(s, side="right")) - 1, s)
-
     def _at(self, idx: int, s: float) -> float:
         """F(s) given idx, the index of the last grid point <= s. The value
         stored at a grid point already holds that point's ratio."""
@@ -276,13 +393,23 @@ AUDIT_SAMPLES = 560   # s = 0 and ~25 points a decade of [1e-8, 2^48]
 ENVELOPE_GRID_RATIO = 1.05
 ENVELOPE_S_MAX = float(2 ** 48)
 GOLDEN_ITERS = 60     # golden-section steps that refine a peak of f(t)/t
-TAIL_S_MAX = 1e8      # range of the q > 1 tail sample
 ZERO_ORIGIN_EPS = 1e-8
 
 
 def parse_nonlinearity(text: str) -> NonlinearityExpr:
     """Parse an arithmetic expression in the variable s into an AST."""
     return NonlinearityExpr(root=_Parser(text).parse(), source_text=text)
+
+
+def leading_term(expr: NonlinearityExpr, at: float):
+    """The leading term (C, a, b, c) of f, C t^a (log t)^b (log log t)^c,
+    as s -> inf (at = inf, t = s) or as s -> 0+ (at = 0, t = 1/s); or the
+    flag ZERO or UNKNOWN. a = +/-inf is beyond or below every power. The
+    constants are the evaluator's doubles, overflow is inf, and nothing
+    raises."""
+    s = {math.inf: (1.0, 1.0, 0.0, 0.0), 0.0: (1.0, -1.0, 0.0, 0.0)}[at]
+    with np.errstate(all="ignore"):
+        return _leading(expr.root, s)
 
 
 def eval_f(expr: NonlinearityExpr, s: float) -> float:
@@ -320,7 +447,9 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
     """AuditError unless f is non-negative and non-decreasing on s = 0 and a
     geometric grid of [ZERO_ORIGIN_EPS, ENVELOPE_S_MAX] (AUDIT_SAMPLES
     points in all): the standing hypotheses, on the widest range that any
-    classifier or the existence horizon reads.
+    classifier or the existence horizon reads. Beyond the grid, the leading
+    term at infinity must not be negative, tend to 0, or be ZERO while
+    f(ENVELOPE_S_MAX) > 0: a non-decreasing f >= 0 does none of these.
 
     A decrease is refined by 33 samples between the offending grid
     neighbours, so that the reported pair is as tight as that grid allows.
@@ -341,6 +470,12 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
         raise AuditError(f"f = {expr.source_text!r} failed the audit "
                          f"(nonneg={nonneg}, violation={violation})",
                          violation)
+    term = leading_term(expr, math.inf)
+    if term == ZERO and vals[-1] > 0 or term not in (ZERO, UNKNOWN) and (
+            term[0] < 0 or term[1:] < (0, 0, 0)):
+        raise AuditError(f"f = {expr.source_text!r} failed the audit: it "
+                         f"decreases beyond s = {ENVELOPE_S_MAX:g}, where its "
+                         f"leading term is {term}")
 
 
 def _golden_max(fun, a: float, b: float) -> float:

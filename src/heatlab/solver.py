@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .criteria import EXISTS, classify_l1
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
 from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr, eval_f,
                            sup_ratio_envelope)
@@ -554,6 +555,8 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     is tested at min(T_max, cap); if it fails there, an 80-step bisection on
     [0, T_max] finds T, counting every midpoint above the cap as failing; a
     midpoint at which (T / C^(2/d))^(-d/2) overflows is a SolverError.
+    Data with ||u0||_1 > 0 get a horizon only where the L^1 condition holds
+    (classify_l1 says Exists); elsewhere the refusal is a SolverError.
     """
     if not A > 1:
         raise ValueError("A must exceed 1")
@@ -570,6 +573,11 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                              A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
                              smoothing_capped=False)
 
+    verdict = classify_l1(f, d)
+    if verdict.outcome != EXISTS:
+        raise SolverError(f"no horizon for L^1 data: classify_l1 says "
+                          f"{verdict.outcome} for f = {f.source_text!r} in "
+                          f"d = {d}")
     env = sup_ratio_envelope(f)
     try:
         scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)

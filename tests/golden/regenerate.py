@@ -16,13 +16,8 @@ codes and stderr exactly, floats within 1e-12 relative.
 A change that moves report bytes on purpose reruns this script, so the diff
 shows the moved values, and lists them in CHANGES.md.
 
-Pinned as they are today, although known to be wrong:
+Pinned as it is today, although known to be wrong:
 
-- ``horizon``: the README's L^1-critical ``experiment horizon --f s+s^2 --d 2
-  --u0-l1 0.5`` exits 0 with a horizon T of about 4.8e-15, where
-  ``classify --f s+s^2 --d 2 --q 1`` says NoLocalExistence, so no horizon
-  should be granted (ROADMAP item 2, "the horizon must be granted by the
-  theory").
 - ``lower_bound``: ``duhamel_lower_bound`` takes trapezoids of a convex,
   decreasing integrand, so its "lower bound" can lie above the true value
   (ROADMAP item 2).

@@ -66,12 +66,23 @@ def test_classify_builtin_log_family(capsys):
     assert rep["verdict"]["outcome"] == "NoLocalExistence"
 
 
-def test_classify_dead_band_exit_code(capsys):
-    # exponent inside the slope dead band around the critical power
-    code, rep = run_json(capsys, ["classify", "--f", "s^3.02", "--d", "2",
-                                  "--q", "2"])
+def test_classify_unknown_term_exit_code(capsys):
+    # exp(log(s)) = s, but exp of a term of order log s has no leading term
+    # the walk can read: Inconclusive, exit 2
+    code, rep = run_json(capsys, ["classify", "--f", "exp(log(s))", "--d",
+                                  "2", "--q", "2"])
     assert code == EXIT_INCONCLUSIVE
     assert rep["verdict"]["outcome"] == "Inconclusive"
+    assert rep["verdict"]["evidence"]["leading_term"] == "unknown"
+
+
+def test_classify_just_above_the_critical_power(capsys):
+    # s^3.02 against gamma = 3: a power 0.02 above the critical one is
+    # decided
+    code, rep = run_json(capsys, ["classify", "--f", "s^3.02", "--d", "2",
+                                  "--q", "2"])
+    assert code == EXIT_OK
+    assert rep["verdict"]["outcome"] == "NoLocalExistence"
 
 
 def test_classify_parse_error_exit(capsys):
@@ -140,13 +151,16 @@ def test_config_parser_accepts_dashes(tmp_path):
     assert load_config(str(cfg)) == {"r_grid": "0.5,1"}
 
 
-def test_csv_evidence_export(tmp_path):
-    csv_path = tmp_path / "ev.csv"
-    assert main(["classify", "--f", "s^3", "--d", "1", "--q", "1",
-                 "--out", str(tmp_path / "r.json"),
-                 "--csv", str(csv_path)]) == EXIT_OK
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "s,statistic" and len(lines) > 10
+@pytest.mark.parametrize("f, d, q", [
+    ("s^2*exp(-s/1e15)", "1", "1"),     # decreases from s = 2e15
+    ("max(0, 1e16 - s)*s^2", "2", "2"),  # vanishes from s = 1e16
+])
+def test_classify_refuses_an_f_that_decreases_beyond_the_grid(capsys, f, d,
+                                                               q):
+    # non-decreasing on the audit grid up to 2^48, but its leading term at
+    # infinity tends to 0 or is zero while f(2^48) > 0
+    assert main(["classify", "--f", f, "--d", d, "--q", q]) == EXIT_ERROR
+    assert _assert_one_line_error(capsys).startswith("error: audit failed: ")
 
 
 # --- verify-kernel -------------------------------------------------------------
@@ -209,10 +223,21 @@ def test_verify_kernel_out_of_range_is_an_error(capsys):
 
 def test_experiment_horizon_positive(capsys):
     code, rep = run_json(capsys, ["experiment", "horizon", "--f", "s + s^2",
-                                  "--d", "2", "--u0-l1", "0.5"])
+                                  "--d", "1", "--u0-l1", "0.5"])
     assert code == EXIT_OK
     assert rep["result"]["T"] > 0.0
     assert rep["result"]["integral_value"] <= rep["result"]["condition_bound"]
+
+
+@pytest.mark.parametrize("f, d", [("s + s^2", "2"), ("s^3", "1"),
+                                  ("s^2*log(e+s)", "2")])
+def test_experiment_horizon_refused_without_the_l1_condition(capsys, f, d):
+    # L^1-critical or supercritical f: classify_l1 says NoLocalExistence, so
+    # no horizon is granted to data with ||u0||_1 > 0
+    assert main(["experiment", "horizon", "--f", f, "--d", d,
+                 "--u0-l1", "0.5"]) == EXIT_ERROR
+    assert "classify_l1 says NoLocalExistence" in \
+        _assert_one_line_error(capsys)
 
 
 def test_experiment_iterate_certifies(tmp_path, capsys):
@@ -274,6 +299,16 @@ def test_experiment_equivalence_suite_small(capsys):
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
     assert rep["n_disagreements"] == 0
     assert len(rep["cases"]) == 4
+
+
+@pytest.mark.parametrize("seed", ["123", "18446744073709551619"])
+def test_experiment_equivalence_suite_d3(capsys, seed):
+    # cases with a < 1 + 2/3 and a log factor, which the sampled integral
+    # route once read as divergent
+    code, rep = run_json(capsys, ["experiment", "equivalence_suite",
+                                  "--seed", seed, "--count", "20", "--d", "3"])
+    assert code == EXIT_OK
+    assert (rep["n_decided"], rep["n_disagreements"]) == (20, 0)
 
 
 def _assert_default_rng_stream(seed, draws):
@@ -422,6 +457,8 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
      "--R", "1e200"],
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
+    # classify has no sampled evidence table to write
+    ["classify", "--f", "s^2", "--d", "1", "--q", "2", "--csv", "x.csv"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
@@ -463,6 +500,18 @@ def test_small_ball_is_not_refused(capsys):
                                       "--R", R])
         assert code == EXIT_OK and rep["T"] == 0.01, (d, R)
         assert rep["blowup"] is False and rep["steps"] > 0, (d, R)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 12 and 15: at R = "
+                   "1e-100 the adaptive step halves below DT_MIN R^2 at t "
+                   "~ 8.8e-199, after about 19 000 steps, while the data "
+                   "only decay, and the run reports a blow-up")
+def test_tiny_ball_reports_no_blowup(capsys):
+    code, rep = run_json(capsys, ["experiment", "simulate", "--f", "s^2",
+                                  "--d", "2", "--T", "0.01", "--R", "1e-100",
+                                  "--nodes", "33"])
+    assert code == EXIT_OK
+    assert rep["blowup"] is False
 
 
 @pytest.mark.parametrize("R", ["1e3", "1e6"])
@@ -517,8 +566,7 @@ def test_experiments_refuse_an_f_that_classify_refuses(capsys, argv):
     (["classify", "--f", "0*s", "--d", "2", "--q", "2", "--domain",
       "whole_space"], {EXIT_OK}),
     (["classify", "--f", "s^2", "--d", "1", "--q", "1e307"], {EXIT_OK}),
-    (["classify", "--f", "0*s", "--d", "1", "--q", "1"],
-     {EXIT_OK, EXIT_INCONCLUSIVE}),
+    (["classify", "--f", "0*s", "--d", "1", "--q", "1"], {EXIT_OK}),
     (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
       "--q", "1e300"], {EXIT_ERROR}),
     (["experiment", "simulate", "--f", "s^2", "--T", "0.01", "--d", "150"],
@@ -550,8 +598,9 @@ def test_blowup_trend_names_the_range_form(capsys, N_range):
 @pytest.mark.parametrize("d", ["60", "80", "99", "400"])
 def test_horizon_overflow_is_one_line_naming_d(capsys, d):
     # the bisection reaches a T at which (T / scale)^(-d/2) overflows a
-    # double: an error that names d and the power, not a horizon
-    assert main(["experiment", "horizon", "--f", "s^2", "--d", d,
+    # double: an error that names d and the power, not a horizon (f is
+    # L^1-subcritical in every d, so the verdict grants the search)
+    assert main(["experiment", "horizon", "--f", "1e12*s", "--d", d,
                  "--u0-l1", "0.5"]) == EXIT_ERROR
     err = _assert_one_line_error(capsys)
     assert f"^{-int(d) / 2:g} overflows in d = {d}" in err, err
@@ -620,7 +669,7 @@ NEEDS_DSTEMR = pytest.mark.skipif(
     ["classify", "--builtin", "log_family", "--d", "2", "--beta", "1",
      "--q", "1"],
     ["classify", "--config", "run.cfg", "--q", "3"],
-    ["experiment", "horizon", "--f", "s + s^2", "--d", "2", "--u0-l1", "0.5"],
+    ["experiment", "horizon", "--f", "s + s^2", "--d", "1", "--u0-l1", "0.5"],
     ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
      "--t", "0.01"],
     # the README equivalence_suite: its seeded stream is a pure-Python PCG64
@@ -635,7 +684,7 @@ NEEDS_DSTEMR = pytest.mark.skipif(
     # at d = 2: LAPACK dstemr, called in numpy's own OpenBLAS
     pytest.param(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
                   "--q", "1", "--N-range", "3..8"], marks=NEEDS_DSTEMR),
-    pytest.param(["experiment", "iterate", "--f", "s^2", "--d", "2",
+    pytest.param(["experiment", "iterate", "--f", "s^1.5", "--d", "2",
                   "--r", "0.5", "--amplitude", "0.1"], marks=NEEDS_DSTEMR),
     pytest.param(["experiment", "simulate", "--f", "s^2", "--d", "2",
                   "--r", "0.5", "--amplitude", "0.1", "--T", "0.01"],
@@ -718,14 +767,15 @@ def test_non_integer_value_names_its_option(tmp_path, capsys, argv, flag):
     assert _assert_one_line_error(capsys).startswith(f"error: argument {flag}:")
 
 
-# the command line heads that take --csv; classify keeps its bare ids
+# the command line heads that take --csv, and classify (--out alone), which
+# keeps its bare id
 WRITERS = [head for head in TABLES if "csv" in TABLES[head]]
 
 
 @pytest.mark.parametrize("head, option", [
-    pytest.param(head, option, id=option if head == ("classify",)
-                 else f"{head[-1]}{option}")
-    for head in WRITERS for option in ("--csv", "--out")])
+    pytest.param(("classify",), "--out", id="--out"),
+    *(pytest.param(head, option, id=f"{head[-1]}{option}")
+      for head in WRITERS for option in ("--csv", "--out"))])
 def test_failed_write_leaves_no_report(tmp_path, capsys, head, option):
     path = str(tmp_path / "no-such-dir" / "x")
     assert main([*head, *VALID[head], option, path]) == EXIT_ERROR
@@ -750,7 +800,7 @@ def test_every_report_is_framed_the_same_way(capsys, head):
 # each removed option's own command comes last, where it shifts no other
 # case's id.
 RETIRED = {"inflate_cd": ("verify-kernel",), "n_points": ("verify-kernel",),
-           "dt": ("experiment", "blowup_trend")}
+           "dt": ("experiment", "blowup_trend"), "csv": ("classify",)}
 
 
 @pytest.mark.parametrize("head, name", [

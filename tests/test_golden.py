@@ -1,7 +1,7 @@
 """The eleven reference CLI commands against their golden outputs.
 
 tests/golden/regenerate.py holds the commands and writes the golden files;
-see its docstring for the outputs pinned although known to be wrong. Keys,
+see its docstring for the output pinned although known to be wrong. Keys,
 strings, verdicts, booleans, integers, exit codes and stderr must match
 exactly; floats within 1e-12 relative, since numpy releases and BLAS builds
 may round the last bits differently.

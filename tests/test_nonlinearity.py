@@ -16,6 +16,7 @@ from heatlab.nonlinearity import (
     ParseError,
     builtin_family,
     eval_f,
+    leading_term,
     monotonicity_audit,
     parse_nonlinearity,
     sup_ratio_envelope,
@@ -212,6 +213,42 @@ def test_log_family_lambda_root():
     assert lam == float(root)  # 3.14619322062058258...
 
 
+# --- leading terms -----------------------------------------------------------
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("text, at, term", [
+    ("s", INF, (1.0, 1.0, 0.0, 0.0)),
+    ("s", 0.0, (1.0, -1.0, 0.0, 0.0)),          # t = 1/s at 0+
+    ("0*s", INF, "zero"),
+    ("3*s^2/log(e+s)", INF, (3.0, 2.0, -1.0, 0.0)),
+    ("s^2 + 5*s^2", INF, (6.0, 2.0, 0.0, 0.0)),  # equal exponents add
+    ("(s^3+s)-s^3", INF, "unknown"),            # an exact cancellation
+    ("(s^3+s)-s^3", 0.0, (1.0, -1.0, 0.0, 0.0)),
+    ("max(s, 2*s, s^0.5)", INF, (2.0, 1.0, 0.0, 0.0)),
+    ("max(s, 2*s, s^0.5)", 0.0, (1.0, -0.5, 0.0, 0.0)),
+    ("max(0 - s, 0)", INF, "zero"),
+    ("(0-s)^3", INF, (-1.0, 3.0, 0.0, 0.0)),
+    ("(0-s)^0.5", INF, "unknown"),              # NaN in numpy
+    ("log(log(e+s))", INF, (1.0, 0.0, 0.0, 1.0)),
+    ("log(2+1/s)", INF, (math.log(2.0), 0.0, 0.0, 0.0)),
+    ("log(1+1/s)", INF, "unknown"),             # log of a term tending to 1
+    ("exp(s)", INF, (1.0, INF, 0.0, 0.0)),      # beyond every power
+    ("exp(-s)*s^9", INF, (1.0, -INF, 0.0, 0.0)),
+    ("exp(log(1+s)^2)", INF, (1.0, INF, 0.0, 0.0)),
+    ("exp(log(s))", INF, "unknown"),            # exp of order log s
+    ("exp(2+1/s)", INF, (math.exp(2.0), 0.0, 0.0, 0.0)),
+    ("s^s", INF, (1.0, INF, 0.0, 0.0)),         # exp(s log s)
+    ("1e300*s*1e300", INF, (INF, 1.0, 0.0, 0.0)),
+    ("exp(1e3)*s", INF, (INF, 1.0, 0.0, 0.0)),  # overflow is inf
+    ("s/(0*s)", INF, "unknown"),
+])
+def test_leading_term_rules(text, at, term):
+    # no OverflowError and no numpy warning (RuntimeWarnings raise here)
+    assert leading_term(parse_nonlinearity(text), at) == term
+
+
 # --- sup-ratio envelope ------------------------------------------------------
 
 def test_envelope_monotone_ratio_is_identity():
@@ -220,13 +257,19 @@ def test_envelope_monotone_ratio_is_identity():
     assert np.allclose(env.values, env.grid, rtol=1e-12)
 
 
+def envelope_at(env, s):
+    """F(s): the running max up to the last grid point <= s, folded with the
+    exact ratio f(s)/s, as the envelope's weighted integral reads it."""
+    return max(float(env.values[env.grid <= s][-1]), eval_f(env.expr, s) / s)
+
+
 def test_envelope_matches_dense_bruteforce():
     f = parse_nonlinearity("s^2/log(e+s)")
     env = sup_ratio_envelope(f)
     for s in [3.0, 47.0, 1e3, 9.9e5]:
         dense = np.geomspace(1.0, s, 10 ** 6)
         brute = float(np.max(f.eval_raw(dense) / dense))
-        assert env.at(s) == pytest.approx(brute, rel=1e-6)
+        assert envelope_at(env, s) == pytest.approx(brute, rel=1e-6)
 
 
 def test_envelope_refines_interior_hump():
@@ -236,8 +279,8 @@ def test_envelope_refines_interior_hump():
     env = sup_ratio_envelope(f)
     dense = np.geomspace(1.0, 1e8, 10 ** 6)
     brute = float(np.max(f.eval_raw(dense) / dense))
-    assert env.at(1e8) >= brute * (1 - 1e-9)
-    assert env.at(1e8) == pytest.approx(brute, rel=1e-6)
+    assert envelope_at(env, 1e8) >= brute * (1 - 1e-9)
+    assert envelope_at(env, 1e8) == pytest.approx(brute, rel=1e-6)
 
 
 def test_envelope_nondecreasing_and_dominates():
@@ -256,7 +299,8 @@ def test_envelope_property_dominates_samples(a, b):
     env = sup_ratio_envelope(f)
     probes = np.geomspace(1.0, 1e6, 200)
     for s in probes[::17]:
-        assert env.at(float(s)) >= eval_f(f, float(s)) / s * (1 - 1e-10)
+        assert envelope_at(env, float(s)) >= \
+            eval_f(f, float(s)) / s * (1 - 1e-10)
 
 
 # --- builtin families --------------------------------------------------------

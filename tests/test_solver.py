@@ -829,7 +829,10 @@ def _quad_horizon(u0_l1_norm, f, d, A=2.0, T_max=100.0):
             return f_end * s0 ** (-2.0 / d)
         sel = grid > s0
         xs = np.concatenate([[s0], grid[sel]])
-        fs = np.concatenate([[env.at(s0)], vals[sel]])
+        # F(s0): the running max up to the last grid point below s0, folded
+        # with the exact ratio f(s0)/s0
+        F0 = max(float(vals[grid <= s0][-1]), float(f.eval_raw(s0)) / s0)
+        fs = np.concatenate([[F0], vals[sel]])
         return float((2.0 / d) * np.trapezoid(xs ** (-p) * fs, xs) + frozen)
 
     def integral(T_prime):
@@ -883,7 +886,8 @@ def _quad_horizon(u0_l1_norm, f, d, A=2.0, T_max=100.0):
     ("s^2", 1, 5.0, 100.0, "integral"),
     ("s^1.5", 2, 5.0, 100.0, "integral"),
     ("s^1.5", 3, 5.0, 100.0, "integral"),
-    ("s + s^2", 2, 0.5, 100.0, "integral"),  # the README example
+    # the README f, at d = 1: at d = 2 it is L^1-critical and refused
+    ("s + s^2", 1, 5.0, 100.0, "integral"),
 ])
 def test_horizon_matches_quad_reference(monkeypatch, expr, d, norm, T_max,
                                         kind):
@@ -909,7 +913,7 @@ def test_horizon_refusal_matches_quad_reference():
 def test_horizon_leaves_scipy_integrate_unimported(tmp_path):
     script = ("import sys\n"
               "from heatlab.cli import main\n"
-              "main(['experiment', 'horizon', '--f', 's + s^2', '--d', '2',"
+              "main(['experiment', 'horizon', '--f', 's + s^2', '--d', '1',"
               " '--u0-l1', '0.5', '--out', sys.argv[1]])\n"
               "print('scipy.integrate' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(heatlab.__file__))
