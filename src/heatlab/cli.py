@@ -23,8 +23,7 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
+from . import _numpy
 from .criteria import (SIGMA_DEAD_BAND, TAU_DEAD_BAND, classify_l1,
                        classify_lq, classify_whole_space, equivalence_check,
                        jsonable)
@@ -38,6 +37,8 @@ from .solver import (RadialGrid, SimulationControls, SolverError,
                      build_propagator, duhamel_iterate, duhamel_lower_bound,
                      find_existence_horizon, heat_series, indicator, lq_norm,
                      simulate_forward, supersolution_check)
+
+np = _numpy()
 
 EXIT_OK = 0
 EXIT_ERROR = 1

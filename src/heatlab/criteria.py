@@ -6,16 +6,17 @@ conditions, written as lexicographic comparisons of the powers (a, b, c) of
 C s^a (log s)^b (log log s)^c. An UNKNOWN term is Inconclusive, a
 first-class outcome, never an error. The witness series of the q = 1 series
 criterion is sampled and decided by its fitted tail law inside explicit dead
-bands; equivalence_check holds it against the exact integral route.
+bands; equivalence_check holds it against the exact integral route. All of
+it runs on Python floats, so no verdict loads numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .nonlinearity import (
     UNKNOWN,
@@ -55,14 +56,14 @@ class Verdict:
 
 
 def jsonable(obj):
-    """obj as plain JSON data: numpy scalars and arrays unwrapped, inf/nan
-    spelled out (JSON has neither)."""
+    """obj as plain JSON data: numpy scalars and arrays unwrapped through
+    their tolist(), inf/nan spelled out (JSON has neither)."""
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if hasattr(obj, "tolist"):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -72,9 +73,9 @@ def jsonable(obj):
 class SeriesWitness:
     theta: float
     p: float
-    sequence: np.ndarray
-    terms: np.ndarray
-    partial_sums: np.ndarray
+    sequence: tuple
+    terms: tuple
+    partial_sums: tuple
     overflow: bool
 
 
@@ -93,12 +94,15 @@ class EquivalenceReport:
     integral_verdict: Verdict
 
 
-def _log_values(f: NonlinearityExpr, vals: np.ndarray) -> np.ndarray:
-    """log f from the samples vals of f; log 0 = -inf, NaN is an AuditError."""
-    if np.isnan(vals).any():
-        raise AuditError(f"f undefined on the sampling grid: {f.source_text!r}")
-    with np.errstate(divide="ignore"):
-        return np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -np.inf)
+def check_scope(d, q: float = 1.0) -> None:
+    """ValueError unless 1 <= q < inf and d is a positive integer, with a
+    finite critical power 1 + 2q/d: the paper's setting, outside which no
+    route gives a verdict."""
+    if not (1 <= q < math.inf and isinstance(d, numbers.Integral)
+            and d >= 1 and math.isfinite(1.0 + 2.0 * q / d)):
+        raise ValueError(f"out of scope: q = {q!r} must be a finite exponent "
+                         f">= 1 and d = {d!r} a positive dimension (an "
+                         "integer), with 1 + 2q/d finite")
 
 
 # --- exact routes ------------------------------------------------------------
@@ -147,8 +151,7 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     gamma = 1 + 2q/d, that is (a, b, c) <= (gamma, 0, 0)."""
     if q <= 1:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
-    if d < 1:
-        raise ValueError("d must be a positive dimension")
+    check_scope(d, q)
     monotonicity_audit(f)
     return _lq_verdict(leading_term(f, math.inf), q, d)
 
@@ -156,6 +159,7 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
 def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
     """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
     F(s) = sup over 1 <= t <= s of f(t)/t."""
+    check_scope(d)
     monotonicity_audit(f)
     return _l1_verdict(leading_term(f, math.inf), d)
 
@@ -166,7 +170,7 @@ SIGMA_DEAD_BAND = 0.04  # per-block geometric rate, in log2
 TAU_DEAD_BAND = 0.15    # polynomial-in-index exponent around the -1 boundary
 
 
-def block_trend_fit(blocks: np.ndarray) -> tuple:
+def block_trend_fit(blocks) -> tuple:
     """Fit log2 b_j = c + sigma*j + tau*log2(j) over the tail of the terms.
 
     The witness terms behave like C * 2^(sigma*j) * j^tau up to lower-order
@@ -174,17 +178,33 @@ def block_trend_fit(blocks: np.ndarray) -> tuple:
     log-corrected critical ones give sigma = 0 and tau < 0), so the
     two-parameter fit separates the geometric rate from the polynomial
     correction even when the terms are not yet monotone.
+
+    Least squares in Python floats: centring the columns and y removes c,
+    and modified Gram-Schmidt on the two centred columns, carried through
+    y, gives sigma and tau.
     """
-    n = len(blocks)
-    j = np.arange(1, n + 1, dtype=float)
-    lo = max(10, n // 4)  # skip the small-s windows
-    sel = (j >= lo) & np.isfinite(blocks) & (blocks > 0)
-    if sel.sum() < 8:
+    lo = max(10, len(blocks) // 4)  # skip the small-s windows
+    rows = [(float(j), math.log2(j), math.log2(b))
+            for j, b in enumerate(blocks, start=1)
+            if j >= lo and math.isfinite(b) and b > 0]
+    if len(rows) < 8:
         return math.nan, math.nan
-    y = np.log2(blocks[sel])
-    A = np.column_stack([np.ones(sel.sum()), j[sel], np.log2(j[sel])])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[1]), float(coef[2])
+
+    def centred(col):
+        mean = math.fsum(col) / len(col)
+        return [x - mean for x in col]
+
+    def dot(a, b):
+        return math.fsum(x * z for x, z in zip(a, b))
+
+    u, v, y = map(centred, zip(*rows))
+    r11 = math.sqrt(dot(u, u))
+    q1 = [x / r11 for x in u]
+    r12, z1 = dot(q1, v), dot(q1, y)
+    w = [x - r12 * e for x, e in zip(v, q1)]
+    y = [x - z1 * e for x, e in zip(y, q1)]
+    tau = dot(w, y) / dot(w, w)
+    return (z1 - r12 * tau) / r11, tau
 
 
 def decide_blocks(sigma: float, tau: float, overflow: bool = False) -> str:
@@ -213,31 +233,43 @@ def decide_blocks(sigma: float, tau: float, overflow: bool = False) -> str:
 
 
 def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
-    """Greedy witness sequence for the divergent-series criterion.
+    """Greedy witness sequence for the divergent-series criterion, on
+    Python floats.
 
     Candidates live on the grid theta^j, theta = WITNESS_RATIO; window k
     (k < WITNESS_TERMS) covers exponents {2k, 2k+1} and we keep the
     candidate maximising s^-p f(s). Any two choices from consecutive
     windows are a factor of at least theta apart.
     """
+    check_scope(d)
     monotonicity_audit(f)
     theta = WITNESS_RATIO
     p = 1.0 + 2.0 / d
-    cands = np.array([theta ** j for j in range(2 * WITNESS_TERMS)]).reshape(
-        WITNESS_TERMS, 2)
-    vals = f.eval_raw(cands)
+    cands = [theta ** j for j in range(2 * WITNESS_TERMS)]
+    vals = f.eval_floats(cands)
+    # log f - p log s, with log 0 = -inf and f clamped to 1e-300 from below
+    log_t = [(math.log(max(v, 1e-300)) if v > 0 else -math.inf)
+             - p * math.log(s) for s, v in zip(cands, vals)]
+    sequence, terms = [], []
     # the witness ends at the first window holding NaN or +inf: a NaN there
     # is an AuditError, +inf alone is overflow; later windows are ignored
-    stop = (np.isnan(vals) | np.isposinf(vals)).any(axis=1)
-    n = int(np.argmax(stop)) if stop.any() else WITNESS_TERMS
-    log_f = _log_values(f, vals[:n + 1])[:n]
-    log_t = log_f - p * np.log(cands[:n])
-    rows, best = np.arange(n), np.argmax(log_t, axis=1)
-    with np.errstate(over="ignore"):
-        terms = np.exp(log_t[rows, best])
-    return SeriesWitness(theta=theta, p=p, sequence=cands[rows, best],
-                         terms=terms, partial_sums=np.cumsum(terms),
-                         overflow=n < WITNESS_TERMS)
+    for k in range(WITNESS_TERMS):
+        window = vals[2 * k:2 * k + 2]
+        if any(map(math.isnan, window)):
+            raise AuditError(f"f undefined on the sampling grid: "
+                             f"{f.source_text!r}")
+        if math.inf in window:
+            break
+        best = 2 * k + (log_t[2 * k] < log_t[2 * k + 1])  # first of equals
+        sequence.append(cands[best])
+        try:
+            terms.append(math.exp(log_t[best]))
+        except OverflowError:
+            terms.append(math.inf)
+    return SeriesWitness(theta=theta, p=p, sequence=tuple(sequence),
+                         terms=tuple(terms),
+                         partial_sums=tuple(itertools.accumulate(terms)),
+                         overflow=len(terms) < WITNESS_TERMS)
 
 
 def series_verdict(witness: SeriesWitness) -> Verdict:
@@ -262,7 +294,7 @@ def series_verdict(witness: SeriesWitness) -> Verdict:
 def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:
     """Cross-check the series and integral blow-up criteria against each
     other; they are provably equivalent for non-decreasing f."""
-    sv = series_verdict(series_search(f, d))
+    sv = series_verdict(series_search(f, d))  # checks scope, audits f
     iv = classify_l1(f, d)
     if not (sv.decided and iv.decided):
         return EquivalenceReport(agree=None, series_verdict=sv,
@@ -279,6 +311,7 @@ def critical_exponent_report(f: NonlinearityExpr,
     the leading term at infinity, and q* = d(gamma* - 1)/2; the bracket
     (gamma*, gamma*) is exact. f = 0 has gamma* = 0; an UNKNOWN term gives
     gamma* = NaN and the bracket [0, inf]."""
+    check_scope(d)
     monotonicity_audit(f)
     term = leading_term(f, math.inf)
     if term == UNKNOWN:
@@ -316,10 +349,7 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     """Existence on the whole space: the near-zero ratio condition combined
     with the bounded-domain verdict (q > 1 limsup; q = 1 the integral of the
     same F as classify_l1), on one audit of f."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if d < 1:
-        raise ValueError("d must be a positive dimension")
+    check_scope(d, q)
     monotonicity_audit(f)
     zero = near_zero_ratio_check(f)
     if zero["bounded"] is False:

@@ -8,14 +8,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
+from . import _numpy
 from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, series_search, \
     series_verdict
 from .heatkernel import BallIndicator, KernelConstants, kernel_constants, \
     unit_ball_volume
 from .nonlinearity import NonlinearityExpr
 from .solver import RadialField, RadialGrid, indicator, lq_norm
+
+np = _numpy()
 
 PHI_GRID_RATIO = 1.1
 PHI_CAP = 1e12
@@ -160,7 +161,7 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     if series_verdict(witness).outcome != NO_LOCAL_EXISTENCE:
         raise ScheduleError("series witness is not numerically divergent; "
                             "the construction does not apply")
-    phi_all = witness.sequence / consts.c_d
+    phi_all = np.asarray(witness.sequence) / consts.c_d
 
     zeta, alpha = [], []
     for n in range(1, N + 1):

@@ -21,7 +21,9 @@ import decimal
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from . import _numpy
+
+np = _numpy()
 
 # relative error budget of the ball profile. Against an mpmath oracle the
 # profile is within 1e-15 relative down to values of 1e-25; near the edge of
@@ -123,39 +125,41 @@ def _dpois(a, lam: float):
         np.exp(-s / big - 0.5 * np.log(2 * math.pi * big) - _bd0(big, lam))])
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _ncx2_cdf(x: float, d: int, lam: float) -> float:
     """F(x; d, lam) for lam >= 0, by the series of the module docstring."""
     y, h, mu = x / 2.0, d / 2.0, lam / 2.0
     if not math.sqrt(mu) - math.sqrt(y) < 27.3:     # else F < e^-745
         return math.nan if math.isnan(lam) else 0.0
-    peak = max(y, math.sqrt(y * mu))    # about h + m at the largest term
-    half = 10.0 * math.sqrt(peak + 1.0) + 10.0
-    lo = max(0, math.floor(peak - h - half))
-    hi = max(lo, math.ceil(peak - h + half))
-    while True:
-        g = _dpois(h + np.arange(lo, hi + 1.0), y)
-        # C_m = 1 to within _TAIL on the window where Chernoff's bound
-        # e^-k^2/2(lo+1) on P(Pois(mu) > lo), k = lo + 1 - mu > 0, is below it
-        k = lo + 1 - mu
-        if k > 0 and k * k > -2.0 * (lo + 1) * math.log(_TAIL):
-            c_lo, total = 1.0, g.sum()
-        else:
-            # pmfs from 10 sd below min(lo, mu): the rest is < 2e-18 C_lo
-            jlo = max(0, math.floor(min(lo, mu) - 10.0 * math.sqrt(mu) - 10.0))
-            c = np.cumsum(_dpois(np.arange(jlo, hi + 1.0), mu))
-            c_lo, total = c[lo - jlo], (g * c[lo - jlo:]).sum()
-        # g_m falls at least geometrically past the ends: ratio r up, s down
-        # (nothing lies below lo = 0, where y may be 0)
-        r, s = y / (h + hi + 1), ((h + lo) / y if lo else math.inf)
-        upper = g[-1] * r / (1 - r) if r < 1 else math.inf
-        below = g[0] * s / (1 - s) if s < 1 else float(lo > 0)
-        cut = _TAIL * total + np.finfo(float).tiny
-        up, down = upper > cut, c_lo * below > cut
-        if not (up or down):
-            return min(total, 1.0)
-        width = hi - lo + 1
-        hi, lo = hi + up * width, max(0, lo - down * width)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        peak = max(y, math.sqrt(y * mu))    # about h + m at the largest term
+        half = 10.0 * math.sqrt(peak + 1.0) + 10.0
+        lo = max(0, math.floor(peak - h - half))
+        hi = max(lo, math.ceil(peak - h + half))
+        while True:
+            g = _dpois(h + np.arange(lo, hi + 1.0), y)
+            # C_m = 1 to within _TAIL on the window where Chernoff's bound
+            # e^-k^2/2(lo+1) on P(Pois(mu) > lo), k = lo + 1 - mu > 0, is
+            # below it
+            k = lo + 1 - mu
+            if k > 0 and k * k > -2.0 * (lo + 1) * math.log(_TAIL):
+                c_lo, total = 1.0, g.sum()
+            else:
+                # pmfs from 10 sd below min(lo, mu): the rest is < 2e-18 C_lo
+                jlo = max(0, math.floor(min(lo, mu) - 10.0 * math.sqrt(mu)
+                                        - 10.0))
+                c = np.cumsum(_dpois(np.arange(jlo, hi + 1.0), mu))
+                c_lo, total = c[lo - jlo], (g * c[lo - jlo:]).sum()
+            # g_m falls at least geometrically past the ends: ratio r up, s
+            # down (nothing lies below lo = 0, where y may be 0)
+            r, s = y / (h + hi + 1), ((h + lo) / y if lo else math.inf)
+            upper = g[-1] * r / (1 - r) if r < 1 else math.inf
+            below = g[0] * s / (1 - s) if s < 1 else float(lo > 0)
+            cut = _TAIL * total + np.finfo(float).tiny
+            up, down = upper > cut, c_lo * below > cut
+            if not (up or down):
+                return min(total, 1.0)
+            width = hi - lo + 1
+            hi, lo = hi + up * width, max(0, lo - down * width)
 
 
 def _ball_profile(r: float, t: float, rho, d: int):

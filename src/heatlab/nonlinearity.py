@@ -14,18 +14,25 @@ The expression grammar (EBNF, also documented in the README):
 nested deeper than MAX_DEPTH levels, or whose tree is deeper, is refused.
 
 A parsed expression is a tree of tuples `(op, *children)`: the leaves are
-`("num", value)` and `("s",)`, and every other op names its numpy ufunc in
-_UFUNCS.
+`("num", value)` and `("s",)`. One walk evaluates it with either of two op
+tables: numpy's ufuncs on arrays (eval_raw, for the solver) or math-based
+functions on lists of Python floats (eval_floats, for the decisions), which
+follow numpy's conventions. + - * / round alike in both; libm's pow, exp and
+log may differ from numpy's in the last bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
+from . import _numpy
+
+np = _numpy()
 
 
 class ExpressionError(Exception):
@@ -58,11 +65,6 @@ class AuditError(ExpressionError):
 
 # --- expression tree ---------------------------------------------------------
 
-# "max" folds its arguments left to right; "neg", "log" and "exp" are unary
-_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-           "^": np.power, "neg": np.negative, "log": np.log, "exp": np.exp,
-           "max": np.maximum}
-
 _FUNCS = ("log", "exp", "max")
 
 # Deepest nesting (parentheses, unary minus, exponents) and deepest tree the
@@ -71,20 +73,92 @@ _FUNCS = ("log", "exp", "max")
 MAX_DEPTH = 100
 
 
-def _eval(node, s):
-    """Values of the tree at s, a 1-D float array; the caller sets errstate."""
+def _eval(node, s, ops):
+    """Values of the tree at the points s, node by node over all points: a
+    1-D float array with _ufuncs() (the caller sets errstate), or a list of
+    floats with _FLOAT_OPS. "max" folds its arguments left to right."""
     op = node[0]
     if op == "s":
         return s
     if op == "num":
-        return np.full(s.shape, node[1], dtype=float)
-    ufunc = _UFUNCS[op]
-    out = _eval(node[1], s)
+        return ops["num"](node[1], s)
+    fn = ops[op]
+    out = _eval(node[1], s, ops)
     if len(node) == 2:
-        return ufunc(out)
+        return fn(out)
     for child in node[2:]:
-        out = ufunc(out, _eval(child, s))
+        out = fn(out, _eval(child, s, ops))
     return out
+
+
+@functools.cache
+def _ufuncs() -> dict:
+    """The array table, built on the first array evaluation."""
+    return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+            "^": np.power, "neg": np.negative, "log": np.log, "exp": np.exp,
+            "max": np.maximum,
+            "num": lambda v, s: np.full(s.shape, v, dtype=float)}
+
+
+# The float table: numpy's conventions on Python floats, and nothing raises.
+# NaN marks a domain failure, +/-inf overflow, x/0 and 0^-p.
+
+def _fdiv(x: float, y: float) -> float:
+    try:
+        return x / y
+    except ZeroDivisionError:
+        if x == 0 or x != x:
+            return math.nan
+        return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+def _fpow(x: float, p: float) -> float:
+    try:
+        return math.pow(x, p)
+    except (OverflowError, ValueError):
+        if x < 0 and not p.is_integer():
+            return math.nan
+        # an overflow, or 0^-p: negative only for a negative base (or -0)
+        # and an odd integer p
+        return math.copysign(math.inf, x) if p % 2.0 == 1.0 else math.inf
+
+
+def _flog(x: float) -> float:
+    if x > 0:
+        return math.log(x)
+    return -math.inf if x == 0 else math.nan
+
+
+def _fexp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _fmax(x: float, y: float) -> float:
+    return x if x > y or x != x else y  # NaN propagates; as numpy on +/-0
+
+
+def _pointwise(fn, fast=None):
+    """fn mapped over columns of floats. fast, the C function that fn
+    wraps, gives the same doubles sooner wherever it raises at no point."""
+    def apply(*columns):
+        if fast is not None:
+            try:
+                return list(map(fast, *columns))
+            except (ArithmeticError, ValueError):
+                pass
+        return list(map(fn, *columns))
+    return apply
+
+
+_FLOAT_OPS = {op: _pointwise(*fns) for op, fns in {
+    "+": (operator.add,), "-": (operator.sub,), "*": (operator.mul,),
+    "/": (_fdiv, operator.truediv), "^": (_fpow, math.pow),
+    "neg": (operator.neg,), "log": (_flog, math.log),
+    "exp": (_fexp, math.exp), "max": (_fmax,)}.items()}
+_FLOAT_OPS["num"] = lambda v, s: [v] * len(s)
 
 
 def _tree_depth(node) -> int:
@@ -148,8 +222,8 @@ def _mul(x, y):
 
 
 def _power(x, p):
-    """x^p for a constant p, as numpy: x^0 = 1, and a negative base with a
-    non-integer p is NaN."""
+    """x^p for a constant p, as the evaluator: x^0 = 1, and a negative base
+    with a non-integer p is NaN."""
     if p == 0:
         return _ONE
     if x == ZERO:
@@ -157,7 +231,7 @@ def _power(x, p):
     if x == UNKNOWN or not math.isfinite(p) or (x[0] < 0
                                                 and not p.is_integer()):
         return UNKNOWN
-    return _term(float(np.power(x[0], p)), p * x[1], p * x[2], p * x[3])
+    return _term(_fpow(x[0], p), p * x[1], p * x[2], p * x[3])
 
 
 def _log(x):
@@ -170,7 +244,7 @@ def _log(x):
         return _term(b, 0.0, 0.0, 1.0)
     if c != 0 or C == 1:
         return UNKNOWN
-    return _term(float(np.log(C)), 0.0, 0.0, 0.0)
+    return _term(_flog(C), 0.0, 0.0, 0.0)
 
 
 def _exp(x):
@@ -182,7 +256,7 @@ def _exp(x):
     if (a, b, c) < (0, 0, 0):
         return _ONE
     if (a, b, c) == (0, 0, 0):
-        return _term(float(np.exp(C)), 0.0, 0.0, 0.0)
+        return _term(_fexp(C), 0.0, 0.0, 0.0)
     if a > 0 or (a == 0 and b > 1):
         return _term(1.0, math.copysign(math.inf, C), 0.0, 0.0)
     return UNKNOWN
@@ -201,8 +275,8 @@ def _constant(node) -> bool:
 
 
 def _value(node) -> float:
-    """A constant subtree's double, as the evaluator computes it."""
-    return float(_eval(node, np.zeros(1))[0])
+    """A constant subtree's double, as eval_floats computes it."""
+    return _eval(node, [0.0], _FLOAT_OPS)[0]
 
 
 def _leading(node, x):
@@ -351,7 +425,13 @@ class NonlinearityExpr:
         """
         s = np.asarray(s, dtype=float)
         with np.errstate(all="ignore"):
-            return _eval(self.root, s.reshape(-1)).reshape(s.shape)
+            return _eval(self.root, s.reshape(-1), _ufuncs()).reshape(s.shape)
+
+    def eval_floats(self, points) -> list:
+        """f at each of points, as a list of Python floats: the same walk
+        on the float table, with eval_raw's NaN and +/-inf and nothing
+        raised. The decisions read f through it."""
+        return _eval(self.root, list(map(float, points)), _FLOAT_OPS)
 
 
 @dataclass(frozen=True)
@@ -405,18 +485,17 @@ def leading_term(expr: NonlinearityExpr, at: float):
     """The leading term (C, a, b, c) of f, C t^a (log t)^b (log log t)^c,
     as s -> inf (at = inf, t = s) or as s -> 0+ (at = 0, t = 1/s); or the
     flag ZERO or UNKNOWN. a = +/-inf is beyond or below every power. The
-    constants are the evaluator's doubles, overflow is inf, and nothing
+    constants are eval_floats's doubles, overflow is inf, and nothing
     raises."""
     s = {math.inf: (1.0, 1.0, 0.0, 0.0), 0.0: (1.0, -1.0, 0.0, 0.0)}[at]
-    with np.errstate(all="ignore"):
-        return _leading(expr.root, s)
+    return _leading(expr.root, s)
 
 
 def eval_f(expr: NonlinearityExpr, s: float) -> float:
     """Evaluate f(s) for scalar s >= 0, raising on domain failures."""
     if s < 0:
         raise DomainError("s must be non-negative", s)
-    v = float(expr.eval_raw(s))
+    v = expr.eval_floats([s])[0]
     if math.isnan(v):
         raise DomainError("evaluation is undefined", s)
     if v < 0:
@@ -424,23 +503,54 @@ def eval_f(expr: NonlinearityExpr, s: float) -> float:
     return v
 
 
-def _defined_values(expr: NonlinearityExpr, grid: np.ndarray) -> np.ndarray:
+def _undefined(expr: NonlinearityExpr, s: float) -> AuditError:
+    return AuditError(f"f = {expr.source_text!r} is undefined (at s = {s!r})")
+
+
+def _geomspace(lo: float, hi: float, n: int) -> list:
+    """np.geomspace(lo, hi, n) for 0 < lo < hi and n >= 2, in Python
+    floats: 10 to the n evenly spaced powers from log10 lo to log10 hi, with
+    both ends exact."""
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)
+    return [lo, *(10.0 ** (k * step + a) for k in range(1, n - 1)), hi]
+
+
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """np.linspace(lo, hi, n) for n >= 2, in Python floats."""
+    step = (hi - lo) / (n - 1)
+    return [k * step + lo for k in range(n - 1)] + [hi]
+
+
+def _defined_values(expr: NonlinearityExpr, grid) -> list:
     """f on grid; AuditError at the first s where f is undefined (NaN)."""
-    vals = expr.eval_raw(grid)
-    if np.isnan(vals).any():
-        bad = float(grid[np.flatnonzero(np.isnan(vals))[0]])
-        raise AuditError(f"f = {expr.source_text!r} is undefined "
-                         f"(at s = {bad!r})")
+    vals = expr.eval_floats(grid)
+    if any(map(math.isnan, vals)):
+        raise _undefined(expr, grid[list(map(math.isnan, vals)).index(True)])
     return vals
 
 
-def _first_decrease(grid: np.ndarray, vals: np.ndarray) -> Optional[tuple]:
+def _first_decrease(grid, vals: list) -> Optional[tuple]:
     """The first neighbours (s_lo, s_hi) of grid where the values drop by
     more than AUDIT_TOL (relative), or None; +/-inf counts as very large."""
-    finite = np.where(np.isfinite(vals), vals, np.inf)
-    tol = AUDIT_TOL * np.maximum(1.0, np.abs(finite[:-1]))
-    bad = np.flatnonzero(finite[:-1] > finite[1:] + tol)
-    return (float(grid[bad[0]]), float(grid[bad[0] + 1])) if bad.size else None
+    if vals[0] != -math.inf and all(map(operator.le, vals, vals[1:])):
+        return None     # non-decreasing, and no -inf to count as large
+    finite = [v if math.isfinite(v) else math.inf for v in vals]
+    for s_lo, s_hi, a, b in zip(grid, grid[1:], finite, finite[1:]):
+        if a > b + AUDIT_TOL * max(1.0, abs(a)):
+            return s_lo, s_hi
+    return None
+
+
+@functools.cache
+def _audit_grid(eps: float, s_max: float, n: int) -> tuple:
+    """s = 0 and n - 1 geometric points of [eps, s_max]."""
+    return (0.0, *_geomspace(eps, s_max, n - 1))
+
+
+# (tree, audit constants) of the fs that passed; forgotten at _PASSED_MAX
+_PASSED = set()
+_PASSED_MAX = 4096
 
 
 def monotonicity_audit(expr: NonlinearityExpr) -> None:
@@ -453,16 +563,21 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
 
     A decrease is refined by 33 samples between the offending grid
     neighbours, so that the reported pair is as tight as that grid allows.
+    f is read on Python floats. The audit depends on the tree and the
+    module constants alone, so a tree that passed is not audited again;
+    a failure is, so that each AuditError names its own f.
     """
-    grid = np.concatenate(
-        [[0.0], np.geomspace(ZERO_ORIGIN_EPS, ENVELOPE_S_MAX,
-                             AUDIT_SAMPLES - 1)])
+    key = (expr.root, AUDIT_TOL, AUDIT_SAMPLES, ZERO_ORIGIN_EPS,
+           ENVELOPE_S_MAX)
+    if key in _PASSED:
+        return
+    grid = _audit_grid(ZERO_ORIGIN_EPS, ENVELOPE_S_MAX, AUDIT_SAMPLES)
     vals = _defined_values(expr, grid)
-    nonneg = bool(np.all(vals >= -AUDIT_TOL))
+    nonneg = all(v >= -AUDIT_TOL for v in vals)
     violation = _first_decrease(grid, vals)
     if violation:
         lo, hi = violation
-        sub = np.linspace(lo, hi, 33) if lo <= 0 else np.geomspace(lo, hi, 33)
+        sub = _linspace(lo, hi, 33) if lo <= 0 else _geomspace(lo, hi, 33)
         # the refinement may smooth the dip away; then keep the coarse pair
         violation = (_first_decrease(sub, _defined_values(expr, sub))
                      or violation)
@@ -476,6 +591,9 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
         raise AuditError(f"f = {expr.source_text!r} failed the audit: it "
                          f"decreases beyond s = {ENVELOPE_S_MAX:g}, where its "
                          f"leading term is {term}")
+    if len(_PASSED) >= _PASSED_MAX:
+        _PASSED.clear()
+    _PASSED.add(key)
 
 
 def _golden_max(fun, a: float, b: float) -> float:
@@ -501,7 +619,10 @@ def sup_ratio_envelope(expr: NonlinearityExpr) -> RatioEnvelope:
     of ratio ENVELOPE_GRID_RATIO up to ENVELOPE_S_MAX."""
     n = int(math.ceil(math.log(ENVELOPE_S_MAX) / math.log(ENVELOPE_GRID_RATIO)))
     grid = np.geomspace(1.0, ENVELOPE_S_MAX, n + 1)
-    fvals = _defined_values(expr, grid)
+    fvals = expr.eval_raw(grid)
+    if np.isnan(fvals).any():
+        bad = np.flatnonzero(np.isnan(fvals))[0]
+        raise _undefined(expr, float(grid[bad]))
     with np.errstate(all="ignore"):
         ratios = fvals / grid
 

@@ -19,12 +19,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .criteria import EXISTS, classify_l1
+from . import _numpy
+from .criteria import EXISTS, check_scope, classify_l1
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
 from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr, eval_f,
                            sup_ratio_envelope)
+
+np = _numpy()
 
 CLAMP_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-8      # modal round trip of the constant field
@@ -556,8 +557,10 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     [0, T_max] finds T, counting every midpoint above the cap as failing; a
     midpoint at which (T / C^(2/d))^(-d/2) overflows is a SolverError.
     Data with ||u0||_1 > 0 get a horizon only where the L^1 condition holds
-    (classify_l1 says Exists); elsewhere the refusal is a SolverError.
+    (classify_l1 says Exists); elsewhere the refusal is a SolverError. A d
+    that is not a positive integer is a ValueError.
     """
+    check_scope(d)
     if not A > 1:
         raise ValueError("A must exceed 1")
     if not 0 <= u0_l1_norm < math.inf:

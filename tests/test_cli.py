@@ -716,6 +716,34 @@ def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
     assert out.stdout.splitlines()[-1] in ("0 []", "2 []")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["classify", "--f", "s^3", "--d", "1", "--q", "1"], 0),
+    (["classify", "--f", "s^2", "--d", "2", "--q", "2"], 0),
+    (["classify", "--builtin", "log_family", "--d", "2", "--beta", "1",
+      "--q", "1"], 0),
+    (["classify", "--config", "run.cfg", "--q", "3"], 0),
+    # refused by classify_l1 before any array
+    (["experiment", "horizon", "--f", "s + s^2", "--d", "2", "--u0-l1",
+      "0.5"], 1),
+    (["experiment", "equivalence_suite", "--seed", "7", "--count", "20",
+      "--d", "2"], 0),
+])
+def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
+    # the README's deciding commands run on Python floats: in a process
+    # that has not imported numpy, heatlab registers it to load on first
+    # use, and none of them uses it
+    (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
+    script = ("import sys\n"
+              "from heatlab.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(rc, 'numpy._core' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    out = subprocess.run([sys.executable, "-c", script, *argv],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.splitlines()[-1] == f"{code} False"
+
+
 # --- one option table per command ---------------------------------------------
 
 # the option table of every command line head, and one valid invocation

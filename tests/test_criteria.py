@@ -20,6 +20,7 @@ from heatlab.criteria import (
     EXISTS,
     INCONCLUSIVE,
     NO_LOCAL_EXISTENCE,
+    block_trend_fit,
     classify_l1,
     classify_lq,
     classify_whole_space,
@@ -31,9 +32,12 @@ from heatlab.criteria import (
     series_search,
     series_verdict,
 )
-from heatlab.nonlinearity import (UNKNOWN, ZERO, AuditError, builtin_family,
-                                  leading_term, monotonicity_audit,
-                                  parse_nonlinearity, sup_ratio_envelope)
+import heatlab.nonlinearity as nonlinearity
+from heatlab.nonlinearity import (UNKNOWN, ZERO, AuditError, NonlinearityExpr,
+                                  builtin_family, leading_term,
+                                  monotonicity_audit, parse_nonlinearity,
+                                  sup_ratio_envelope)
+from heatlab.solver import find_existence_horizon
 
 
 def power(p):
@@ -119,6 +123,30 @@ def test_every_route_audits_up_to_2_48(text, route):
            "series": lambda: series_search(f, 1)}[route]
     with pytest.raises(AuditError):
         run()
+
+
+@pytest.mark.parametrize("route, q, d", [
+    ("lq", math.nan, 2), ("whole_space", math.nan, 2),
+    ("lq", math.inf, 2), ("whole_space", math.inf, 2),
+    ("lq", 1e308, 1), ("whole_space", 1e308, 1),
+    ("whole_space", 0.5, 2), ("l1", 1.0, -1), ("l1", 1.0, 0),
+    ("l1", 1.0, 2.5), ("lq", 2.0, 1.0), ("critical", 1.0, 0),
+    ("series", 1.0, 0), ("equivalence", 1.0, -3), ("horizon", 1.0, 0)])
+def test_out_of_scope_q_and_d_are_refused(route, q, d):
+    # every route decides only for 1 <= q < inf and d a positive integer,
+    # with 1 + 2q/d finite (at q = 1e308, d = 1 it overflows, and exp(s)
+    # read Exists); elsewhere it is a one-line ValueError, never a verdict
+    f = power(2.0)
+    run = {"lq": lambda: classify_lq(f, q, d),
+           "whole_space": lambda: classify_whole_space(f, q, d),
+           "l1": lambda: classify_l1(f, d),
+           "critical": lambda: critical_exponent_report(f, d),
+           "series": lambda: series_search(f, d),
+           "equivalence": lambda: equivalence_check(f, d),
+           "horizon": lambda: find_existence_horizon(0.0, f, d, A=2.0)}[route]
+    with pytest.raises(ValueError, match="out of scope") as exc:
+        run()
+    assert "\n" not in str(exc.value)
 
 
 def test_classify_lq_rejects_bad_input():
@@ -268,32 +296,34 @@ def test_dyadic_blocks_are_the_per_block_trapezoid(text):
 def test_series_witness_spacing_and_terms():
     f = builtin_family("log_family", {"d": 2, "beta": 1.0})
     w = series_search(f, d=2)
-    assert np.all(w.sequence[1:] / w.sequence[:-1] >= w.theta - 1e-12)
-    expected = f.eval_raw(w.sequence) * w.sequence ** (-w.p)
+    seq = np.asarray(w.sequence)
+    assert np.all(seq[1:] / seq[:-1] >= w.theta - 1e-12)
+    expected = f.eval_raw(seq) * seq ** (-w.p)
     assert np.allclose(w.terms, expected, rtol=1e-12)
 
 
 def _series_search_loop(f, d):
     """Reference: the witness search window by window, each window's
-    candidates evaluated on their own."""
+    candidates evaluated on their own by the float evaluator that
+    series_search reads (eval_floats), with math's log and exp."""
     theta, p = 2.0, 1.0 + 2.0 / d
     seq, terms, overflow = [], [], False
     for k in range(64):
-        cands = np.array([theta ** (2 * k), theta ** (2 * k + 1)])
-        vals = f.eval_raw(cands)
-        if np.isnan(vals).any():
+        cands = [theta ** (2 * k), theta ** (2 * k + 1)]
+        vals = f.eval_floats(cands)
+        if any(math.isnan(v) for v in vals):
             raise AuditError("f undefined on the sampling grid")
-        if np.isposinf(vals).any():
+        if math.inf in vals:
             overflow = True
             break
-        with np.errstate(divide="ignore"):
-            log_f = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)),
-                             -np.inf)
-        log_t = log_f - p * np.log(cands)
+        log_t = [(math.log(max(v, 1e-300)) if v > 0 else -math.inf)
+                 - p * math.log(c) for v, c in zip(vals, cands)]
         i = int(np.argmax(log_t))
-        seq.append(float(cands[i]))
-        with np.errstate(over="ignore"):
-            terms.append(float(np.exp(log_t[i])))
+        seq.append(cands[i])
+        try:
+            terms.append(math.exp(log_t[i]))
+        except OverflowError:
+            terms.append(math.inf)
     return np.array(seq), np.array(terms), overflow
 
 
@@ -319,10 +349,43 @@ def test_series_search_matches_the_window_loop(text, d):
             series_search(f, d)
         return
     w = series_search(f, d)
-    assert w.sequence.tobytes() == seq.tobytes()
-    assert w.terms.tobytes() == terms.tobytes()
-    assert w.partial_sums.tobytes() == np.cumsum(terms).tobytes()
+    assert np.array(w.sequence).tobytes() == seq.tobytes()
+    assert np.array(w.terms).tobytes() == terms.tobytes()
+    assert np.array(w.partial_sums).tobytes() == np.cumsum(terms).tobytes()
     assert w.overflow == overflow
+
+
+def _lstsq_fit(blocks):
+    """block_trend_fit's least squares by numpy's lstsq."""
+    b = np.asarray(blocks, dtype=float)
+    j = np.arange(1.0, len(b) + 1)
+    sel = (j >= max(10, len(b) // 4)) & np.isfinite(b) & (b > 0)
+    if sel.sum() < 8:
+        return math.nan, math.nan
+    A = np.column_stack([np.ones(sel.sum()), j[sel], np.log2(j[sel])])
+    coef, *_ = np.linalg.lstsq(A, np.log2(b[sel]), rcond=None)
+    return float(coef[1]), float(coef[2])
+
+
+def test_block_trend_fit_matches_lstsq():
+    # the pure-Python fit agrees with numpy's lstsq to about 1e-12, on the
+    # witnesses of the series tests and on noisy tail laws of every length
+    rng = np.random.default_rng(3)
+    cases = [series_search(parse_nonlinearity(text), d).terms
+             for text in ("s^2", "s^1.5/log(e+s)^2", "s + s^3.5",
+                          "s^2/log(e+s)", "s^2*log(e+s)^3", "exp(s)")
+             for d in (1, 2, 3)]
+    for n in range(1, 65):
+        sigma, tau = rng.uniform(-1, 1), rng.uniform(-3, 3)
+        j = np.arange(1.0, n + 1)
+        noisy = 2 ** (sigma * j) * j ** tau * np.exp(rng.normal(0, 0.1, n))
+        noisy[rng.integers(0, n)] = rng.choice([0.0, np.inf, np.nan])
+        cases.append(noisy.tolist())
+    for blocks in cases:
+        ours, want = block_trend_fit(blocks), _lstsq_fit(blocks)
+        for a, b in zip(ours, want):
+            assert (math.isnan(a) and math.isnan(b)) or \
+                abs(a - b) <= 1e-12 * max(1.0, abs(b)), blocks
 
 
 def test_series_critical_power_partial_sums():
@@ -349,6 +412,23 @@ def test_series_convergent_case():
     d = 2
     f = builtin_family("log_family", {"d": d, "beta": 3.0})
     assert series_verdict(series_search(f, d=d)).outcome == EXISTS
+
+
+def test_equivalence_check_audits_f_once(monkeypatch):
+    # both routes read one audit of f: the series search audits it, and
+    # classify_l1 finds the tree among those that passed
+    monkeypatch.setattr(nonlinearity, "_PASSED", set())
+    grids = []
+    real = NonlinearityExpr.eval_floats
+
+    def counting(self, points):
+        points = list(points)
+        grids.append(len(points))
+        return real(self, points)
+
+    monkeypatch.setattr(NonlinearityExpr, "eval_floats", counting)
+    equivalence_check(parse_nonlinearity("s^2/log(e+s)^3"), 2)
+    assert grids.count(nonlinearity.AUDIT_SAMPLES) == 1
 
 
 def test_equivalence_on_random_monotone_suite():

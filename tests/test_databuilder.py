@@ -113,7 +113,7 @@ def test_todd_build_and_norm_bound():
 def test_todd_schedule_constraints():
     f = parse_nonlinearity("s^3")
     spec, _ = build_todd_data(f, d=1, N=5, R=1.0)
-    phi_all = spec.witness.sequence / spec.constants.c_d
+    phi_all = np.asarray(spec.witness.sequence) / spec.constants.c_d
     for i, n in enumerate(range(spec.n0, 6)):
         z, k_n = int(spec.zeta[i]), int(spec.k_n[i])
         assert phi_all[k_n + 1] <= 0.5 * phi_all[z] * (1 + 1e-12)
@@ -121,7 +121,7 @@ def test_todd_schedule_constraints():
         assert spec.radii[i] == pytest.approx(1.0 / alpha, rel=1e-12)
         assert spec.amplitudes[i] == pytest.approx(alpha / n ** 2, rel=1e-12)
     # underlying witness spacing
-    seq = spec.witness.sequence
+    seq = np.asarray(spec.witness.sequence)
     assert np.all(seq[1:] / seq[:-1] >= spec.witness.theta - 1e-12)
 
 

@@ -1,6 +1,7 @@
 """Parser, audit and envelope tests for the nonlinearity module."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heatlab.nonlinearity as nonlinearity
 from heatlab.nonlinearity import (
     MAX_DEPTH,
     AuditError,
@@ -126,20 +128,75 @@ def test_depth_limit():
 
 
 def test_vector_eval_matches_scalar():
-    # one evaluator: a point gives the same double alone (eval_f, a 0-d
-    # eval_raw) as inside a grid of any shape
+    # each op table gives a point the same double alone as among others:
+    # numpy's (eval_raw) in a 0-d array and in a grid of any shape, and the
+    # float table (eval_floats) through eval_f and in a list
     grid = np.geomspace(1e-6, 1e9, 5001)
     for f in (builtin_family("log_family", {"d": 2, "beta": 6.0}),
               parse_nonlinearity("s^1.5/log(e+s)"),
               parse_nonlinearity("s^2.7+s^1.3"),
               parse_nonlinearity("max(s^0.97, s^2.41)*exp(s/(1+s))")):
         vec = f.eval_raw(grid)
-        assert [eval_f(f, float(s)) for s in grid] == vec.tolist(), \
-            f.source_text
         assert [float(f.eval_raw(s)) for s in grid] == vec.tolist(), \
             f.source_text
         assert np.array_equal(f.eval_raw(grid[:5000].reshape(50, 100)),
                               vec[:5000].reshape(50, 100))
+        assert [eval_f(f, float(s)) for s in grid] == \
+            f.eval_floats(grid.tolist()), f.source_text
+
+
+def _same_doubles(a, b) -> bool:
+    """Equal values, NaN at the same places and zeros of the same sign."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.array_equal(a, b, equal_nan=True)
+                and np.array_equal(np.signbit(a) | np.isnan(a),
+                                   np.signbit(b) | np.isnan(b)))
+
+
+_SPECIAL = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 2.5,
+            710.0, -745.5, 1e-320, 1e-308, 1e300, -1e300, 1e308, -1e308,
+            math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^", "max", "neg",
+                                "log", "exp"])
+def test_float_table_follows_numpy_conventions(op):
+    # on every special value, or pair of them (the second a constant leaf),
+    # the float table raises nothing and agrees with numpy's ufunc: + - * /
+    # max and neg bit for bit; pow, exp and log are libm's, so those agree
+    # on every NaN, inf and zero and within one ulp elsewhere
+    unary = op in ("neg", "log", "exp")
+    ours, want = [], []
+    for x in _SPECIAL:
+        for y in [None] if unary else _SPECIAL:
+            node = (op, ("s",)) if unary else (op, ("s",), ("num", y))
+            f = NonlinearityExpr(root=node, source_text=op)
+            ours += f.eval_floats([x])
+            want += f.eval_raw(np.array([x])).tolist()
+    if op in ("^", "log", "exp"):
+        ours, want = np.array(ours), np.array(want)
+        special = ~np.isfinite(want) | (want == 0)
+        assert _same_doubles(ours[special], want[special])
+        assert np.allclose(ours[~special], want[~special], rtol=2.3e-16,
+                           atol=0.0)
+    else:
+        assert _same_doubles(ours, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    st.one_of(st.floats(min_value=0.0, max_value=1e300).map(
+        lambda v: ("num", v)), st.just(("s",))),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: ("max", *a))),
+    max_leaves=12))
+def test_arithmetic_rounds_alike_in_both_tables(tree):
+    # + - * /, neg and max: the float table gives numpy's doubles exactly
+    f = NonlinearityExpr(root=tree, source_text="drawn")
+    grid = [0.0, 1e-300, 0.5, 1.0, math.e, 7.0, 1e8, 1e300]
+    assert _same_doubles(f.eval_floats(grid), f.eval_raw(np.array(grid)))
 
 
 # --- monotonicity audit ------------------------------------------------------
@@ -148,6 +205,28 @@ def test_audit_accepts_monotone_family():
     # exp(s/100) overflows to +inf, which the audit reads as very large
     for text in ["s^2", "s*log(e+s)", "exp(s/100)-1"]:
         assert monotonicity_audit(parse_nonlinearity(text)) is None, text
+
+
+def test_audit_remembers_the_trees_that_passed(monkeypatch):
+    # a tree that passed is not sampled again, until an audit constant
+    # changes; a failure is, so that each AuditError names its own f
+    monkeypatch.setattr(nonlinearity, "_PASSED", set())
+    sampled = []
+    real = NonlinearityExpr.eval_floats
+    monkeypatch.setattr(NonlinearityExpr, "eval_floats",
+                        lambda self, points: sampled.append(1)
+                        or real(self, points))
+    monotonicity_audit(parse_nonlinearity("s^2"))
+    monotonicity_audit(parse_nonlinearity("s^2"))
+    assert len(sampled) == 1
+    monkeypatch.setattr(nonlinearity, "AUDIT_TOL", 1e-11)
+    monotonicity_audit(parse_nonlinearity("s^2"))
+    assert len(sampled) == 2
+    bad = parse_nonlinearity("1/(1+s)")
+    twin = NonlinearityExpr(root=bad.root, source_text="twin")
+    for f in (bad, twin, bad):
+        with pytest.raises(AuditError, match=re.escape(repr(f.source_text))):
+            monotonicity_audit(f)
 
 
 def test_audit_rejects_decreasing():
