@@ -17,6 +17,8 @@ def _numpy():
     module = sys.modules.get("numpy")
     if module is None:
         spec = importlib.util.find_spec("numpy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
         sys.modules["numpy"] = module

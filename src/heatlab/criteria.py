@@ -295,7 +295,7 @@ def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:
     """Cross-check the series and integral blow-up criteria against each
     other; they are provably equivalent for non-decreasing f."""
     sv = series_verdict(series_search(f, d))  # checks scope, audits f
-    iv = classify_l1(f, d)
+    iv = _l1_verdict(leading_term(f, math.inf), d)  # classify_l1 on f
     if not (sv.decided and iv.decided):
         return EquivalenceReport(agree=None, series_verdict=sv,
                                  integral_verdict=iv)

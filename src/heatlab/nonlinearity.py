@@ -140,24 +140,12 @@ def _fmax(x: float, y: float) -> float:
     return x if x > y or x != x else y  # NaN propagates; as numpy on +/-0
 
 
-def _pointwise(fn, fast=None):
-    """fn mapped over columns of floats. fast, the C function that fn
-    wraps, gives the same doubles sooner wherever it raises at no point."""
-    def apply(*columns):
-        if fast is not None:
-            try:
-                return list(map(fast, *columns))
-            except (ArithmeticError, ValueError):
-                pass
-        return list(map(fn, *columns))
-    return apply
-
-
-_FLOAT_OPS = {op: _pointwise(*fns) for op, fns in {
-    "+": (operator.add,), "-": (operator.sub,), "*": (operator.mul,),
-    "/": (_fdiv, operator.truediv), "^": (_fpow, math.pow),
-    "neg": (operator.neg,), "log": (_flog, math.log),
-    "exp": (_fexp, math.exp), "max": (_fmax,)}.items()}
+# each op maps its function over columns of floats
+_FLOAT_OPS = {
+    op: lambda *columns, fn=fn: list(map(fn, *columns))
+    for op, fn in {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                   "/": _fdiv, "^": _fpow, "neg": operator.neg,
+                   "log": _flog, "exp": _fexp, "max": _fmax}.items()}
 _FLOAT_OPS["num"] = lambda v, s: [v] * len(s)
 
 
@@ -533,8 +521,6 @@ def _defined_values(expr: NonlinearityExpr, grid) -> list:
 def _first_decrease(grid, vals: list) -> Optional[tuple]:
     """The first neighbours (s_lo, s_hi) of grid where the values drop by
     more than AUDIT_TOL (relative), or None; +/-inf counts as very large."""
-    if vals[0] != -math.inf and all(map(operator.le, vals, vals[1:])):
-        return None     # non-decreasing, and no -inf to count as large
     finite = [v if math.isfinite(v) else math.inf for v in vals]
     for s_lo, s_hi, a, b in zip(grid, grid[1:], finite, finite[1:]):
         if a > b + AUDIT_TOL * max(1.0, abs(a)):
@@ -548,11 +534,6 @@ def _audit_grid(eps: float, s_max: float, n: int) -> tuple:
     return (0.0, *_geomspace(eps, s_max, n - 1))
 
 
-# (tree, audit constants) of the fs that passed; forgotten at _PASSED_MAX
-_PASSED = set()
-_PASSED_MAX = 4096
-
-
 def monotonicity_audit(expr: NonlinearityExpr) -> None:
     """AuditError unless f is non-negative and non-decreasing on s = 0 and a
     geometric grid of [ZERO_ORIGIN_EPS, ENVELOPE_S_MAX] (AUDIT_SAMPLES
@@ -563,14 +544,8 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
 
     A decrease is refined by 33 samples between the offending grid
     neighbours, so that the reported pair is as tight as that grid allows.
-    f is read on Python floats. The audit depends on the tree and the
-    module constants alone, so a tree that passed is not audited again;
-    a failure is, so that each AuditError names its own f.
+    f is read on Python floats.
     """
-    key = (expr.root, AUDIT_TOL, AUDIT_SAMPLES, ZERO_ORIGIN_EPS,
-           ENVELOPE_S_MAX)
-    if key in _PASSED:
-        return
     grid = _audit_grid(ZERO_ORIGIN_EPS, ENVELOPE_S_MAX, AUDIT_SAMPLES)
     vals = _defined_values(expr, grid)
     nonneg = all(v >= -AUDIT_TOL for v in vals)
@@ -591,9 +566,6 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
         raise AuditError(f"f = {expr.source_text!r} failed the audit: it "
                          f"decreases beyond s = {ENVELOPE_S_MAX:g}, where its "
                          f"leading term is {term}")
-    if len(_PASSED) >= _PASSED_MAX:
-        _PASSED.clear()
-    _PASSED.add(key)
 
 
 def _golden_max(fun, a: float, b: float) -> float:

@@ -744,6 +744,22 @@ def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     assert out.stdout.splitlines()[-1] == f"{code} False"
 
 
+def test_missing_numpy_is_a_module_not_found_error():
+    # where numpy cannot be found, importing heatlab names it, as a plain
+    # "import numpy" would (a None entry in sys.modules hides numpy)
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "try:\n"
+              "    import heatlab.cli\n"
+              "except ModuleNotFoundError as e:\n"
+              "    print(e.name, e)\n")
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "numpy No module named 'numpy'"
+
+
 # --- one option table per command ---------------------------------------------
 
 # the option table of every command line head, and one valid invocation

@@ -416,8 +416,7 @@ def test_series_convergent_case():
 
 def test_equivalence_check_audits_f_once(monkeypatch):
     # both routes read one audit of f: the series search audits it, and
-    # classify_l1 finds the tree among those that passed
-    monkeypatch.setattr(nonlinearity, "_PASSED", set())
+    # the integral route reads the leading term without a second audit
     grids = []
     real = NonlinearityExpr.eval_floats
 

@@ -1,7 +1,6 @@
 """Parser, audit and envelope tests for the nonlinearity module."""
 
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heatlab.nonlinearity as nonlinearity
 from heatlab.nonlinearity import (
     MAX_DEPTH,
     AuditError,
@@ -205,28 +203,6 @@ def test_audit_accepts_monotone_family():
     # exp(s/100) overflows to +inf, which the audit reads as very large
     for text in ["s^2", "s*log(e+s)", "exp(s/100)-1"]:
         assert monotonicity_audit(parse_nonlinearity(text)) is None, text
-
-
-def test_audit_remembers_the_trees_that_passed(monkeypatch):
-    # a tree that passed is not sampled again, until an audit constant
-    # changes; a failure is, so that each AuditError names its own f
-    monkeypatch.setattr(nonlinearity, "_PASSED", set())
-    sampled = []
-    real = NonlinearityExpr.eval_floats
-    monkeypatch.setattr(NonlinearityExpr, "eval_floats",
-                        lambda self, points: sampled.append(1)
-                        or real(self, points))
-    monotonicity_audit(parse_nonlinearity("s^2"))
-    monotonicity_audit(parse_nonlinearity("s^2"))
-    assert len(sampled) == 1
-    monkeypatch.setattr(nonlinearity, "AUDIT_TOL", 1e-11)
-    monotonicity_audit(parse_nonlinearity("s^2"))
-    assert len(sampled) == 2
-    bad = parse_nonlinearity("1/(1+s)")
-    twin = NonlinearityExpr(root=bad.root, source_text="twin")
-    for f in (bad, twin, bad):
-        with pytest.raises(AuditError, match=re.escape(repr(f.source_text))):
-            monotonicity_audit(f)
 
 
 def test_audit_rejects_decreasing():
