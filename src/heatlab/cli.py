@@ -23,22 +23,22 @@ import sys
 import tempfile
 import time
 
-from . import _numpy
+from . import _lazy
 from .criteria import (SIGMA_DEAD_BAND, TAU_DEAD_BAND, classify_l1,
                        classify_lq, classify_whole_space, equivalence_check,
                        jsonable)
-from .databuilder import ScheduleError, build_t1_data
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
                          kernel_constants, verify_lower_bounds)
 from .nonlinearity import (AuditError, DomainError, ParseError,
                            builtin_family, eval_f, monotonicity_audit,
                            parse_nonlinearity)
-from .solver import (RadialGrid, SimulationControls, SolverError,
-                     build_propagator, duhamel_iterate, duhamel_lower_bound,
-                     find_existence_horizon, heat_series, indicator, lq_norm,
-                     simulate_forward, supersolution_check)
 
-np = _numpy()
+np = _lazy("numpy")
+# the experiments' layers, executed on first use, since no deciding command
+# reads them; calls go through the module, so a function rebound there (by
+# the benchmark's tracer or a test) is the one called
+solver = _lazy("heatlab.solver")
+databuilder = _lazy("heatlab.databuilder")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -274,15 +274,15 @@ def cmd_verify_kernel(args) -> tuple:
 
 
 def _setup_problem(args):
-    grid = RadialGrid.uniform(args.d, args.R, args.nodes)
-    P = build_propagator(grid)
+    grid = solver.RadialGrid.uniform(args.d, args.R, args.nodes)
+    P = solver.build_propagator(grid)
     radius = args.R / 2 if args.r is None else args.r
-    return P, indicator(grid, BallIndicator(radius, args.amplitude))
+    return P, solver.indicator(grid, BallIndicator(radius, args.amplitude))
 
 
 def experiment_horizon(args) -> tuple:
     f = audited_f(args)
-    rep = find_existence_horizon(args.u0_l1, f, args.d, A=args.A)
+    rep = solver.find_existence_horizon(args.u0_l1, f, args.d, A=args.A)
     return {"f": f.source_text, "result": vars(rep).copy()}, None, EXIT_OK
 
 
@@ -292,13 +292,15 @@ def experiment_iterate(args) -> tuple:
     f = audited_f(args)
     P, u0 = _setup_problem(args)
     A, n_time = args.A, args.n_time
-    hor = find_existence_horizon(lq_norm(u0, 1.0), f, args.d, A=A)
-    base = heat_series(P, u0, np.linspace(0.0, hor.T, n_time))
-    chi = indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
+    hor = solver.find_existence_horizon(solver.lq_norm(u0, 1.0), f, args.d,
+                                        A=A)
+    base = solver.heat_series(P, u0, np.linspace(0.0, hor.T, n_time))
+    chi = solver.indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
     v_init = A * base + chi.values[None, :P.grid.n_interior]
-    margin = supersolution_check(P, u0, f, v_init, hor.T, n_time=n_time)
-    trace = duhamel_iterate(P, u0, f, v_init, hor.T, n_time=n_time,
-                            n_iter=args.n_iter)
+    margin = solver.supersolution_check(P, u0, f, v_init, hor.T,
+                                        n_time=n_time)
+    trace = solver.duhamel_iterate(P, u0, f, v_init, hor.T, n_time=n_time,
+                                   n_iter=args.n_iter)
     report = {"f": f.source_text, "horizon": vars(hor).copy(),
               "supersolution_margin": margin.margin,
               "converged": trace.converged, "iterations": trace.n_iter,
@@ -313,8 +315,8 @@ def experiment_simulate(args) -> tuple:
     d, q = _d_and_q(args)
     f = audited_f(args)
     P, u0 = _setup_problem(args)
-    controls = SimulationControls(q=q, dt_init=args.dt)
-    traj = simulate_forward(P, u0, f, args.T, controls)
+    controls = solver.SimulationControls(q=q, dt_init=args.dt)
+    traj = solver.simulate_forward(P, u0, f, args.T, controls)
     report = {"f": f.source_text, "T": args.T, "steps": len(traj.times) - 1,
               "rejected_steps": traj.rejected_steps, "blowup": traj.blowup,
               "blowup_time": traj.blowup_time, "peak_l1": traj.peak_l1,
@@ -327,7 +329,7 @@ def experiment_simulate(args) -> tuple:
 def experiment_lower_bound(args) -> tuple:
     d, q = _d_and_q(args)
     f = audited_f(args)
-    lb = duhamel_lower_bound(
+    lb = solver.duhamel_lower_bound(
         BallIndicator(radius=args.r, amplitude=args.amplitude),
         f, args.t, d, q=q)
     report = {"f": f.source_text, "t": args.t, "lq": lb.lq, "q": q,
@@ -344,25 +346,28 @@ def experiment_blowup_trend(args) -> tuple:
     # one grid and one fixed step size for every N, so trajectories for
     # nested data stay pointwise ordered (discrete comparison principle);
     # per-run adaptive stepping would break the ordering near blow-up
-    _, u0_hi = build_t1_data(f, d=d, q=q, N=hi, epsilon=epsilon, R=R)
+    _, u0_hi = databuilder.build_t1_data(f, d=d, q=q, N=hi, epsilon=epsilon,
+                                         R=R)
     grid = u0_hi.grid
-    P = build_propagator(grid)
+    P = solver.build_propagator(grid)
     # simulate a tenth of the reaction timescale sup/f(sup) of the largest
     # data set, so every run stays resolved on the common step size
-    sup_max = lq_norm(u0_hi, math.inf)
+    sup_max = solver.lq_norm(u0_hi, math.inf)
     T = (0.1 * sup_max / float(eval_f(f, sup_max)) if args.T is None
          else args.T)
     if not 0 < T < math.inf:  # a derived T, from an f(sup u0) that overflows
         raise CliError(f"the default T = 0.1 sup u0 / f(sup u0) is {T:g} at "
                        f"sup u0 = {sup_max:g} (N = {hi}); pass --T")
-    controls = SimulationControls(dt_init=T / args.n_time, adaptive=False, q=q)
+    controls = solver.SimulationControls(dt_init=T / args.n_time,
+                                         adaptive=False, q=q)
     rows = []
     for N in range(lo, hi + 1):
-        u0 = u0_hi if N == hi else build_t1_data(
+        u0 = u0_hi if N == hi else databuilder.build_t1_data(
             f, d=d, q=q, N=N, epsilon=epsilon, R=R, grid=grid)[1]
-        traj = simulate_forward(P, u0, f, T, controls)
+        traj = solver.simulate_forward(P, u0, f, T, controls)
         rows.append({"N": N, "peak_l1": traj.peak_l1,
-                     "initial_l1": lq_norm(u0, 1.0), "blowup": traj.blowup,
+                     "initial_l1": solver.lq_norm(u0, 1.0),
+                     "blowup": traj.blowup,
                      "blowup_time": traj.blowup_time})
     peaks = [r["peak_l1"] for r in rows]
     monotone = all(a < b for a, b in zip(peaks, peaks[1:]))
@@ -548,9 +553,11 @@ def main(argv=None) -> int:
             write_csv(args.csv, *table)
         emit_report(report, args.out, argv)
         return code
-    except (CliError, AuditError, SolverError, ParseError, DomainError,
-            QuadratureError, ScheduleError, ValueError, OverflowError,
-            OSError, MemoryError) as exc:
+    # evaluated only when an exception propagates, so only an error exit
+    # executes solver and databuilder for their exception classes
+    except (CliError, AuditError, solver.SolverError, ParseError,
+            DomainError, QuadratureError, databuilder.ScheduleError,
+            ValueError, OverflowError, OSError, MemoryError) as exc:
         audit = "audit failed: " if isinstance(exc, AuditError) else ""
         print(f"error: {audit}{str(exc) or repr(exc)}", file=sys.stderr)
         return EXIT_ERROR

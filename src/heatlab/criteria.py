@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Optional
 
 from .nonlinearity import (
@@ -37,11 +36,12 @@ WITNESS_RATIO = 2.0     # theta: consecutive witness candidates theta^j
 WITNESS_TERMS = 64      # K: windows searched for the series witness
 
 
-@dataclass(frozen=True)
 class Verdict:
-    outcome: str
-    criterion: str  # LqLimsup | L1Integral | L1Series | WholeSpaceZero
-    evidence: dict
+    def __init__(self, outcome: str, criterion: str, evidence: dict):
+        self.outcome = outcome
+        # LqLimsup | L1Integral | L1Series | WholeSpaceZero
+        self.criterion = criterion
+        self.evidence = evidence
 
     @property
     def decided(self) -> bool:
@@ -69,29 +69,32 @@ def jsonable(obj):
     return obj
 
 
-@dataclass(frozen=True)
 class SeriesWitness:
-    theta: float
-    p: float
-    sequence: tuple
-    terms: tuple
-    partial_sums: tuple
-    overflow: bool
+    def __init__(self, theta: float, p: float, sequence: tuple, terms: tuple,
+                 partial_sums: tuple, overflow: bool):
+        self.theta = theta
+        self.p = p
+        self.sequence = sequence
+        self.terms = terms
+        self.partial_sums = partial_sums
+        self.overflow = overflow
 
 
-@dataclass(frozen=True)
 class CriticalExponentReport:
-    gamma_star: float
-    q_star: float
-    bracket: tuple
-    d: int
+    def __init__(self, gamma_star: float, q_star: float, bracket: tuple,
+                 d: int):
+        self.gamma_star = gamma_star
+        self.q_star = q_star
+        self.bracket = bracket
+        self.d = d
 
 
-@dataclass(frozen=True)
 class EquivalenceReport:
-    agree: Optional[bool]  # None when either side is Inconclusive
-    series_verdict: Verdict
-    integral_verdict: Verdict
+    def __init__(self, agree: Optional[bool], series_verdict: Verdict,
+                 integral_verdict: Verdict):
+        self.agree = agree  # None when either side is Inconclusive
+        self.series_verdict = series_verdict
+        self.integral_verdict = integral_verdict
 
 
 def check_scope(d, q: float = 1.0) -> None:

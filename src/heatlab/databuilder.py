@@ -5,10 +5,9 @@ inflation, together with the predicted per-term lower bounds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
-from . import _numpy
+from . import _lazy
 from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, series_search, \
     series_verdict
 from .heatkernel import BallIndicator, KernelConstants, kernel_constants, \
@@ -16,7 +15,7 @@ from .heatkernel import BallIndicator, KernelConstants, kernel_constants, \
 from .nonlinearity import NonlinearityExpr
 from .solver import RadialField, RadialGrid, indicator, lq_norm
 
-np = _numpy()
+np = _lazy("numpy")
 
 PHI_GRID_RATIO = 1.1
 PHI_CAP = 1e12
@@ -27,23 +26,31 @@ class ScheduleError(Exception):
     """The amplitude/radius schedule could not be built or verified."""
 
 
-@dataclass(frozen=True)
 class BlowupDataSpec:
-    kind: str                   # "T1" | "Todd"
-    d: int
-    q: float
-    f: NonlinearityExpr
-    N: int
-    amplitudes: np.ndarray      # per-term field amplitude
-    radii: np.ndarray           # per-term ball radius
-    phi: np.ndarray             # underlying phi_k sequence
-    constants: KernelConstants
-    n0: Optional[int] = None              # Todd only
-    zeta: Optional[np.ndarray] = None     # Todd only
-    k_n: Optional[np.ndarray] = None      # Todd window schedule
-    witness: Optional[SeriesWitness] = field(default=None, repr=False)
-    norm_bound: float = math.nan          # analytic bound on ||u0||
-    sampled_norm: float = math.nan
+    def __init__(self, kind: str, d: int, q: float, f: NonlinearityExpr,
+                 N: int, amplitudes: np.ndarray, radii: np.ndarray,
+                 phi: np.ndarray, constants: KernelConstants,
+                 n0: Optional[int] = None,
+                 zeta: Optional[np.ndarray] = None,
+                 k_n: Optional[np.ndarray] = None,
+                 witness: Optional[SeriesWitness] = None,
+                 norm_bound: float = math.nan,
+                 sampled_norm: float = math.nan):
+        self.kind = kind                # "T1" | "Todd"
+        self.d = d
+        self.q = q
+        self.f = f
+        self.N = N
+        self.amplitudes = amplitudes    # per-term field amplitude
+        self.radii = radii              # per-term ball radius
+        self.phi = phi                  # underlying phi_k sequence
+        self.constants = constants
+        self.n0 = n0                    # Todd only
+        self.zeta = zeta                # Todd only
+        self.k_n = k_n                  # Todd window schedule
+        self.witness = witness
+        self.norm_bound = norm_bound    # analytic bound on ||u0||
+        self.sampled_norm = sampled_norm
 
 
 def _search_phi(f: NonlinearityExpr, p: float, k: int, q: float,
@@ -215,13 +222,14 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     return spec, u0
 
 
-@dataclass(frozen=True)
 class TermPrediction:
-    k: int
-    t: float
-    pointwise: float           # lower bound on u(t_k) over the k-th ball
-    lq_q: float                # lower bound on ||u(t_k)||_q^q
-    normalized: float          # lq_q with the polynomial k-factor removed
+    def __init__(self, k: int, t: float, pointwise: float, lq_q: float,
+                 normalized: float):
+        self.k = k
+        self.t = t
+        self.pointwise = pointwise  # lower bound on u(t_k) over the k-th ball
+        self.lq_q = lq_q            # lower bound on ||u(t_k)||_q^q
+        self.normalized = normalized  # lq_q without the polynomial k-factor
 
 
 def predicted_bounds(spec: BlowupDataSpec):

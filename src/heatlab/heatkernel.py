@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
 
-from . import _numpy
+from . import _lazy
 
-np = _numpy()
+np = _lazy("numpy")
 
 # relative error budget of the ball profile. Against an mpmath oracle the
 # profile is within 1e-15 relative down to values of 1e-25; near the edge of
@@ -46,29 +45,28 @@ class QuadratureError(Exception):
     """The kernel evaluator cannot meet the certification error budget."""
 
 
-@dataclass(frozen=True)
 class BallIndicator:
     """amplitude * (characteristic function of the ball B_radius(0))."""
 
-    radius: float
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.radius < math.inf:
+    def __init__(self, radius: float, amplitude: float = 1.0):
+        if not 0 < radius < math.inf:
             raise ValueError("radius must be finite and positive")
-        if not 0 <= self.amplitude < math.inf:
+        if not 0 <= amplitude < math.inf:
             raise ValueError("amplitude must be finite and non-negative")
+        self.radius = radius
+        self.amplitude = amplitude
 
 
-@dataclass(frozen=True)
 class KernelConstants:
-    d: int
-    c_prime: float
-    c_doubleprime: float
-    c_d: float
-    alpha_d: float
-    beta_d: float
-    omega_d: float
+    def __init__(self, d: int, c_prime: float, c_doubleprime: float,
+                 c_d: float, alpha_d: float, beta_d: float, omega_d: float):
+        self.d = d
+        self.c_prime = c_prime
+        self.c_doubleprime = c_doubleprime
+        self.c_d = c_d
+        self.alpha_d = alpha_d
+        self.beta_d = beta_d
+        self.omega_d = omega_d
 
     def to_dict(self) -> dict:
         return {
@@ -255,26 +253,29 @@ def kernel_constants(d: int) -> KernelConstants:
 
 # --- certification -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class BoundCheck:
-    bound: str  # "lemma" | "mass" | "beta"
-    min_margin: float
-    witness: tuple  # (r, t, rho) achieving the min margin
-    n_checked: int
+    def __init__(self, bound: str, min_margin: float, witness: tuple,
+                 n_checked: int):
+        self.bound = bound  # "lemma" | "mass" | "beta"
+        self.min_margin = min_margin
+        self.witness = witness  # (r, t, rho) achieving the min margin
+        self.n_checked = n_checked
 
     @property
     def passed(self) -> bool:
         return self.min_margin >= 0.0
 
 
-@dataclass(frozen=True)
 class CertificationReport:
-    d: int
-    r_grid: tuple
-    t_grid: tuple
-    kernel_rel_tol: float
-    checks: tuple = field(default_factory=tuple)
-    constants: KernelConstants = None
+    def __init__(self, d: int, r_grid: tuple, t_grid: tuple,
+                 kernel_rel_tol: float, checks: tuple = (),
+                 constants: KernelConstants = None):
+        self.d = d
+        self.r_grid = r_grid
+        self.t_grid = t_grid
+        self.kernel_rel_tol = kernel_rel_tol
+        self.checks = checks
+        self.constants = constants
 
     @property
     def passed(self) -> bool:

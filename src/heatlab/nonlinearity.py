@@ -27,12 +27,11 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from . import _numpy
+from . import _lazy
 
-np = _numpy()
+np = _lazy("numpy")
 
 
 class ExpressionError(Exception):
@@ -395,12 +394,12 @@ class _Parser:
 
 # --- public types ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class NonlinearityExpr:
     """A parsed nonlinearity f: [0, inf) -> [0, inf)."""
 
-    root: tuple
-    source_text: str
+    def __init__(self, root: tuple, source_text: str):
+        self.root = root
+        self.source_text = source_text
 
     def eval_raw(self, s):
         """Evaluate without domain checks, in the shape of s (0-d for a
@@ -422,14 +421,15 @@ class NonlinearityExpr:
         return _eval(self.root, list(map(float, points)), _FLOAT_OPS)
 
 
-@dataclass(frozen=True)
 class RatioEnvelope:
     """The paper's F(s) = sup over 1 <= t <= s of f(t)/t, a running maximum
     sampled on [1, ENVELOPE_S_MAX]."""
 
-    grid: np.ndarray
-    values: np.ndarray
-    expr: NonlinearityExpr = field(repr=False)
+    def __init__(self, grid: np.ndarray, values: np.ndarray,
+                 expr: NonlinearityExpr):
+        self.grid = grid
+        self.values = values
+        self.expr = expr
 
     def _at(self, idx: int, s: float) -> float:
         """F(s) given idx, the index of the last grid point <= s. The value

@@ -16,16 +16,15 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
 from typing import Optional
 
-from . import _numpy
+from . import _lazy
 from .criteria import EXISTS, check_scope, classify_l1
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
 from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr, eval_f,
                            sup_ratio_envelope)
 
-np = _numpy()
+np = _lazy("numpy")
 
 CLAMP_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-8      # modal round trip of the constant field
@@ -50,7 +49,6 @@ def _require_radius(R: float) -> None:
         raise ValueError("R must be finite and positive")
 
 
-@dataclass(frozen=True)
 class RadialGrid:
     """Radial mesh on [0, R]: nodes[0] = 0, nodes[-1] = R (Dirichlet).
 
@@ -59,33 +57,28 @@ class RadialGrid:
     omega_d R^d exactly.
     """
 
-    d: int
-    R: float
-    nodes: np.ndarray
-    faces: np.ndarray = field(init=False, repr=False)
-    quad_weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        _require_radius(self.R)
-        nodes = np.asarray(self.nodes, dtype=float)
+    def __init__(self, d: int, R: float, nodes: np.ndarray):
+        _require_radius(R)
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("a radial grid needs a 1-D array of at least "
                              "two nodes")
-        if nodes[0] != 0.0 or not math.isclose(nodes[-1], self.R):
+        if nodes[0] != 0.0 or not math.isclose(nodes[-1], R):
             raise ValueError("nodes must start at 0 and end at R")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        faces = np.concatenate([[0.0], 0.5 * (nodes[:-1] + nodes[1:]),
-                                [self.R]])
-        omega = unit_ball_volume(self.d)
+        faces = np.concatenate([[0.0], 0.5 * (nodes[:-1] + nodes[1:]), [R]])
+        omega = unit_ball_volume(d)
         with np.errstate(over="ignore", invalid="ignore"):
-            vols = omega * (faces[1:] ** self.d - faces[:-1] ** self.d)
+            vols = omega * (faces[1:] ** d - faces[:-1] ** d)
         if not np.all((vols > 0.0) & (vols < math.inf)):
             raise ValueError(f"the cell volumes of this grid under- or "
-                             f"overflow a double in dimension d = {self.d}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "quad_weights", vols)
+                             f"overflow a double in dimension d = {d}")
+        self.d = d
+        self.R = R
+        self.nodes = nodes
+        self.faces = faces
+        self.quad_weights = vols
 
     @property
     def n(self) -> int:
@@ -114,18 +107,17 @@ class RadialGrid:
         return cls(d=d, R=R, nodes=nodes)
 
 
-@dataclass
 class RadialField:
-    grid: RadialGrid
-    values: np.ndarray
-    clamp_count: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
+    def __init__(self, grid: RadialGrid, values: np.ndarray,
+                 clamp_count: int = 0):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n,):
             raise ValueError("values must have one entry per node")
-        if not np.isfinite(self.values).all():
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
+        self.grid = grid
+        self.values = values
+        self.clamp_count = clamp_count
 
 
 def indicator(grid: RadialGrid, chi: BallIndicator) -> RadialField:
@@ -169,12 +161,13 @@ def _lq_root(total, w: np.ndarray, a: np.ndarray, q: float) -> float:
 
 # --- propagator --------------------------------------------------------------
 
-@dataclass(frozen=True)
 class HeatPropagator:
-    grid: RadialGrid
-    eigenvalues: np.ndarray
-    modes: np.ndarray       # orthonormal columns of the symmetrized operator
-    sqrt_w: np.ndarray      # sqrt cell volumes on the interior nodes
+    def __init__(self, grid: RadialGrid, eigenvalues: np.ndarray,
+                 modes: np.ndarray, sqrt_w: np.ndarray):
+        self.grid = grid
+        self.eigenvalues = eigenvalues
+        self.modes = modes    # orthonormal columns of the symmetrized operator
+        self.sqrt_w = sqrt_w  # sqrt cell volumes on the interior nodes
 
     def to_modal(self, interior_values: np.ndarray) -> np.ndarray:
         return self.modes.T @ (self.sqrt_w * interior_values)
@@ -434,16 +427,19 @@ def duhamel_map(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
     return out
 
 
-@dataclass
 class IterationTrace:
-    v: np.ndarray                  # final iterate, (n_time, n_interior)
-    baseline: np.ndarray           # S(t)u0 on the same grid
-    sup_deltas: list
-    max_increase: float            # max over iterations of max(v_new - v_old)
-    min_above_baseline: float
-    converged: bool
-    residual: float
-    n_iter: int
+    def __init__(self, v: np.ndarray, baseline: np.ndarray, sup_deltas: list,
+                 max_increase: float, min_above_baseline: float,
+                 converged: bool, residual: float, n_iter: int):
+        self.v = v                  # final iterate, (n_time, n_interior)
+        self.baseline = baseline    # S(t)u0 on the same grid
+        self.sup_deltas = sup_deltas
+        # max over iterations of max(v_new - v_old)
+        self.max_increase = max_increase
+        self.min_above_baseline = min_above_baseline
+        self.converged = converged
+        self.residual = residual
+        self.n_iter = n_iter
 
 
 def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
@@ -491,9 +487,9 @@ def duhamel_iterate(P: HeatPropagator, u0: RadialField, f: NonlinearityExpr,
                           residual=residual, n_iter=it)
 
 
-@dataclass(frozen=True)
 class MarginReport:
-    margin: float
+    def __init__(self, margin: float):
+        self.margin = margin
 
     @property
     def certified(self) -> bool:
@@ -513,16 +509,18 @@ def supersolution_check(P: HeatPropagator, u0: RadialField,
 
 # --- existence horizon (supersolution construction) --------------------------
 
-@dataclass(frozen=True)
 class HorizonReport:
-    T: float
-    integral_value: float
-    condition_bound: float
-    A: float
-    u0_l1: float
-    d: int
-    capped_at_max: bool
-    smoothing_capped: bool
+    def __init__(self, T: float, integral_value: float,
+                 condition_bound: float, A: float, u0_l1: float, d: int,
+                 capped_at_max: bool, smoothing_capped: bool):
+        self.T = T
+        self.integral_value = integral_value
+        self.condition_bound = condition_bound
+        self.A = A
+        self.u0_l1 = u0_l1
+        self.d = d
+        self.capped_at_max = capped_at_max
+        self.smoothing_capped = smoothing_capped
 
 
 def _tilde_tail_integral(envelope, d: int, s0: float) -> float:
@@ -620,11 +618,11 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
 
 # --- certified Duhamel lower bound -------------------------------------------
 
-@dataclass(frozen=True)
 class LowerBoundResult:
-    radii: np.ndarray
-    values: np.ndarray
-    lq: float
+    def __init__(self, radii: np.ndarray, values: np.ndarray, lq: float):
+        self.radii = radii
+        self.values = values
+        self.lq = lq
 
     def min_on_ball(self, radius: float) -> float:
         sel = self.radii <= radius + 1e-15
@@ -673,25 +671,28 @@ def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
 
 # --- forward simulation ------------------------------------------------------
 
-@dataclass
 class SimulationControls:
-    dt_init: float
-    q: float
-    adaptive: bool = True
+    def __init__(self, dt_init: float, q: float, adaptive: bool = True):
+        self.dt_init = dt_init
+        self.q = q
+        self.adaptive = adaptive
 
 
-@dataclass
 class Trajectory:
-    times: list
-    l1: list
-    lq: list
-    linf: list
-    dts: list
-    clamp_counts: list
-    rejected_steps: int     # attempts whose dt was halved
-    blowup: bool
-    blowup_time: Optional[float]
-    final: RadialField
+    def __init__(self, times: list, l1: list, lq: list, linf: list,
+                 dts: list, clamp_counts: list, rejected_steps: int,
+                 blowup: bool, blowup_time: Optional[float],
+                 final: RadialField):
+        self.times = times
+        self.l1 = l1
+        self.lq = lq
+        self.linf = linf
+        self.dts = dts
+        self.clamp_counts = clamp_counts
+        self.rejected_steps = rejected_steps  # attempts whose dt was halved
+        self.blowup = blowup
+        self.blowup_time = blowup_time
+        self.final = final
 
     @property
     def peak_l1(self) -> float:

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -190,7 +189,8 @@ def test_verify_kernel_inflated_constant_fails(monkeypatch, capsys):
     real = heatkernel_mod.kernel_constants
     monkeypatch.setattr(
         heatkernel_mod, "kernel_constants",
-        lambda d: dataclasses.replace(real(d), c_d=1.0))
+        lambda d: heatkernel_mod.KernelConstants(**{**vars(real(d)),
+                                                    "c_d": 1.0}))
     code, rep = run_json(capsys, ["verify-kernel", "--d", "1",
                                   "--r-grid", "0.5", "--t-grid", "0.25"])
     assert code == EXIT_ERROR and not rep["passed"]
@@ -530,11 +530,11 @@ def test_large_ball_still_halves_steps_into_blowup(capsys, R):
 def test_basis_too_big_to_allocate_is_a_one_line_error(monkeypatch, capsys,
                                                        message):
     # what --nodes 100000 raises; the basis is never allocated here
-    import heatlab.cli as cli_mod
+    import heatlab.solver as solver_mod
 
     def build_propagator(grid):
         raise MemoryError(message)
-    monkeypatch.setattr(cli_mod, "build_propagator", build_propagator)
+    monkeypatch.setattr(solver_mod, "build_propagator", build_propagator)
     assert main(["experiment", "simulate", "--f", "s^2", "--d", "1",
                  "--T", "0.01", "--nodes", "100000"]) == EXIT_ERROR
     assert (message or "MemoryError") in _assert_one_line_error(capsys)
@@ -731,17 +731,57 @@ def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
 def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     # the README's deciding commands run on Python floats: in a process
     # that has not imported numpy, heatlab registers it to load on first
-    # use, and none of them uses it
+    # use, and none of them uses it. The CLI registers solver and
+    # databuilder the same way, and no record class imports dataclasses:
+    # classify and equivalence_suite execute neither module, while the
+    # refused horizon executes solver (find_existence_horizon refuses it)
+    # and, through main's except tuple, databuilder
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
-    script = ("import sys\n"
+    script = ("import sys, types\n"
               "from heatlab.cli import main\n"
               "rc = main(sys.argv[1:])\n"
-              "print(rc, 'numpy._core' in sys.modules)\n")
+              "ran = [type(sys.modules.get(name)) is types.ModuleType\n"
+              "       for name in ('heatlab.solver', 'heatlab.databuilder')]\n"
+              "print(rc, 'numpy._core' in sys.modules, *ran,\n"
+              "      'dataclasses' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(heatlab.__file__))
     out = subprocess.run([sys.executable, "-c", script, *argv],
                          capture_output=True, text=True, cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.splitlines()[-1] == f"{code} False"
+    rc, numpy, solver, databuilder, dataclasses = \
+        out.stdout.splitlines()[-1].split()
+    assert (rc, numpy, dataclasses) == (str(code), "False", "False")
+    if "horizon" not in argv:
+        assert (solver, databuilder) == ("False", "False")
+
+
+def test_traced_functions_stay_reachable_through_their_modules():
+    # the benchmark's tracer, right after "import heatlab.cli", looks up
+    # every traced function on sys.modules["heatlab.<layer>"] and rebinds
+    # it there; the CLI calls solver through that module, so a function
+    # rebound on it is the one main calls
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "heatbench")
+    script = ("import contextlib, io, sys\n"
+              "import heatlab.cli\n"
+              f"sys.path.insert(0, {bench!r})\n"
+              "from tracer import TRACED\n"
+              "print([f'{layer}.{fn}' for layer, fns in TRACED.items()\n"
+              "       for fn in fns if not callable(\n"
+              "           getattr(sys.modules['heatlab.' + layer], fn))])\n"
+              "solver, calls = sys.modules['heatlab.solver'], []\n"
+              "real = solver.find_existence_horizon\n"
+              "solver.find_existence_horizon = \\\n"
+              "    lambda *a, **k: calls.append(a) or real(*a, **k)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = heatlab.cli.main(['experiment', 'horizon', '--f',\n"
+              "                           's^2', '--d', '1', '--u0-l1', '0.5'])\n"
+              "print(rc, len(calls))\n")
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.splitlines()[-2:] == ["[]", "0 1"]
 
 
 def test_missing_numpy_is_a_module_not_found_error():
