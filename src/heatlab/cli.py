@@ -89,7 +89,7 @@ BUILTIN_PARAMS = {"power": ("p",), "log_family": ("beta",),
 OPTIONS = {
     "config": (str, "'key = value' lines, read as flags before the others"),
     "out": (str, "JSON report path (default: stdout)"),
-    "csv": (str, "CSV path for the trace, trajectory, profile or peak table"),
+    "csv": (str, "CSV path for the trace, trajectory or peak table"),
     "f": (str, "nonlinearity expression in s"),
     "builtin": (list(BUILTIN_PARAMS), "builtin family instead of --f"),
     "p": (NUMBER, "exponent of --builtin power"),
@@ -332,10 +332,8 @@ def experiment_lower_bound(args) -> tuple:
     lb = solver.duhamel_lower_bound(
         BallIndicator(radius=args.r, amplitude=args.amplitude),
         f, args.t, d, q=q)
-    report = {"f": f.source_text, "t": args.t, "lq": lb.lq, "q": q,
-              "min_on_ball": lb.min_on_ball(args.r)}
-    return (report, (["rho", "lower_bound"], list(zip(lb.radii, lb.values))),
-            EXIT_OK)
+    return ({"f": f.source_text, "t": args.t, "lq": lb.lq, "q": q,
+             "min_on_ball": lb.value}, None, EXIT_OK)
 
 
 def experiment_blowup_trend(args) -> tuple:
@@ -483,7 +481,7 @@ EXPERIMENTS = {
         "csv": None}),
     "lower_bound": (experiment_lower_bound, "Duhamel lower bound", {
         **NONLINEARITY, "q": 1.0, "r": REQUIRED, "t": REQUIRED,
-        "amplitude": 1.0, "csv": None}),
+        "amplitude": 1.0}),
     "blowup_trend": (experiment_blowup_trend, "blow-up trend in N", {
         **NONLINEARITY, "q": REQUIRED, "N_range": REQUIRED, "n_time": 20,
         "epsilon": 0.5, "R": 1.0,

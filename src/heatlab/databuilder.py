@@ -125,10 +125,9 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     radii = epsilon * phi ** (-q / d) * ks ** (-2.0 * q / d)
 
     # schedule re-verification with fresh evaluations
-    for k, (ph, r) in enumerate(zip(phi, radii), start=1):
+    for k, ph in enumerate(phi, start=1):
         if not float(f.eval_raw(ph)) >= ph ** p * math.exp(k / q) * (1 - 1e-9):
             raise ScheduleError(f"schedule inequality fails at k={k}")
-        assert math.isclose(r, epsilon * ph ** (-q / d) * k ** (-2 * q / d))
     if 2.0 * radii.max() > R:
         raise ScheduleError(
             f"balls do not fit: 2*r_max = {2 * radii.max():g} > R = {R:g}; "
@@ -198,9 +197,8 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     radii = 1.0 / alpha[sel]
     amplitudes = ns ** -2.0 * alpha[sel] ** d
 
-    # term-by-term re-verification of the schedule identities
-    for n, z, a in zip(range(n0, N + 1), zeta[sel], alpha[sel]):
-        assert math.isclose(a, (n * n * phi_all[z]) ** (1.0 / d))
+    # term-by-term re-verification of the half-phi constraint
+    for n, z in zip(range(n0, N + 1), zeta[sel]):
         if not phi_all[n + 1] <= 0.5 * phi_all[z] + 1e-12:
             raise ScheduleError(f"half-phi constraint fails at n = {n}")
 

@@ -15,12 +15,6 @@ codes and stderr exactly, floats within 1e-12 relative.
 
 A change that moves report bytes on purpose reruns this script, so the diff
 shows the moved values, and lists them in CHANGES.md.
-
-Pinned as it is today, although known to be wrong:
-
-- ``lower_bound``: ``duhamel_lower_bound`` takes trapezoids of a convex,
-  decreasing integrand, so its "lower bound" can lie above the true value
-  (ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -459,6 +459,12 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--n-time", "1"],
     # classify has no sampled evidence table to write
     ["classify", "--f", "s^2", "--d", "1", "--q", "2", "--csv", "x.csv"],
+    # lower_bound reports one value on one ball: no profile to write
+    ["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
+     "--t", "0.01", "--csv", "x.csv"],
+    # the ball's volume omega_d (r + sqrt t)^d overflows a double
+    ["experiment", "lower_bound", "--f", "s^2", "--d", "40", "--r", "1e8",
+     "--t", "0.01"],
 ])
 def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     assert main(argv) == EXIT_ERROR
@@ -851,15 +857,13 @@ def test_non_integer_value_names_its_option(tmp_path, capsys, argv, flag):
     assert _assert_one_line_error(capsys).startswith(f"error: argument {flag}:")
 
 
-# the command line heads that take --csv, and classify (--out alone), which
-# keeps its bare id
-WRITERS = [head for head in TABLES if "csv" in TABLES[head]]
-
-
+# every command line head writes --out, and --csv where it takes one;
+# classify keeps its bare id
 @pytest.mark.parametrize("head, option", [
     pytest.param(("classify",), "--out", id="--out"),
     *(pytest.param(head, option, id=f"{head[-1]}{option}")
-      for head in WRITERS for option in ("--csv", "--out"))])
+      for head in TABLES if head != ("classify",)
+      for option in ("--csv", "--out") if option[2:] in _taken(head))])
 def test_failed_write_leaves_no_report(tmp_path, capsys, head, option):
     path = str(tmp_path / "no-such-dir" / "x")
     assert main([*head, *VALID[head], option, path]) == EXIT_ERROR
@@ -883,14 +887,17 @@ def test_every_report_is_framed_the_same_way(capsys, head):
 # does every command that never read them. pytest numbers these cases, so
 # each removed option's own command comes last, where it shifts no other
 # case's id.
-RETIRED = {"inflate_cd": ("verify-kernel",), "n_points": ("verify-kernel",),
-           "dt": ("experiment", "blowup_trend"), "csv": ("classify",)}
+RETIRED = [("inflate_cd", ("verify-kernel",)),
+           ("n_points", ("verify-kernel",)),
+           ("dt", ("experiment", "blowup_trend")), ("csv", ("classify",)),
+           ("csv", ("experiment", "lower_bound"))]
 
 
 @pytest.mark.parametrize("head, name", [
-    *[(head, name) for head in TABLES for name in sorted({*OPTIONS, *RETIRED})
-      if name not in _taken(head) and head != RETIRED.get(name)],
-    *[(head, name) for name, head in RETIRED.items()]])
+    *[(head, name) for head in TABLES
+      for name in sorted({*OPTIONS, *dict(RETIRED)})
+      if name not in _taken(head) and (name, head) not in RETIRED],
+    *[(head, name) for name, head in RETIRED]])
 def test_an_option_the_command_never_reads_is_an_error(tmp_path, capsys,
                                                        head, name):
     argv = [*head, *VALID[head]]
@@ -927,6 +934,7 @@ def test_unread_options_named_in_the_tables_are_gone():
     assert "q" not in _taken(("experiment", "iterate"))
     assert "q" not in _taken(("experiment", "equivalence_suite"))
     for head in [("verify-kernel",), ("experiment", "horizon"),
+                 ("experiment", "lower_bound"),
                  ("experiment", "equivalence_suite")]:
         assert "csv" not in _taken(head)
     assert "f" not in _taken(("experiment", "equivalence_suite"))

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -932,7 +933,7 @@ def test_lower_bound_zero_nonlinearity():
     lb = duhamel_lower_bound(chi, ZERO, 0.25, 1, q=1.0)
     kc = kernel_constants(1)
     level = 2.0 * kc.c_d * (0.5 / 1.0) ** 1
-    assert lb.min_on_ball(0.5) == pytest.approx(level, rel=1e-12)
+    assert lb.value == pytest.approx(level, rel=1e-12)
 
 
 def test_lower_bound_dominates_t1_prediction():
@@ -947,16 +948,54 @@ def test_lower_bound_dominates_t1_prediction():
         for t in (0.5 * r_k ** 2, r_k ** 2):
             lb = duhamel_lower_bound(chi, f, t, 1, q=1.0)
             pred = kc.beta_d * r_k ** 2 * phi ** 4
-            assert lb.min_on_ball(r_k) >= 0.5 * pred  # t = t_k/2 halves it
+            assert lb.value >= 0.5 * pred  # t = t_k/2 halves it
         lb = duhamel_lower_bound(chi, f, r_k ** 2, 1, q=1.0)
-        assert lb.min_on_ball(r_k) >= pred
+        assert lb.value >= pred
 
 
 def test_lower_bound_lq_norm_positive():
     lb = duhamel_lower_bound(BallIndicator(1.0), parse_nonlinearity("s^2"),
                              0.5, 2, q=2.0)
     assert lb.lq > 0.0
-    assert np.all(np.diff(lb.values) <= 1e-12)  # non-increasing in radius
+    # one value on the disc |x| <= 1 + sqrt 0.5, times its area to the 1/2
+    assert lb.radius == 1.0 + math.sqrt(0.5)
+    assert lb.lq == pytest.approx(
+        lb.value * math.sqrt(math.pi * lb.radius ** 2), rel=1e-12)
+
+
+def _chain_in_mpmath(p, d, r, t, amp):
+    """The chain duhamel_lower_bound evaluates, f = s^p, to 30 digits: the
+    ball lemma inside f and outside, integrated in w = sqrt s, which takes
+    the square root out of the integrand at s = 0."""
+    c, r, t, amp = (mpmath.mpf(x) for x in (kernel_constants(d).c_d, r, t,
+                                            amp))
+
+    def integrand(w):
+        rho, rest = r + w, mpmath.sqrt(max(t - w * w, 0))
+        inner = (amp * c * (r / rho) ** d) ** p
+        return 2 * w * inner * c * (rho / (rho + rest)) ** d
+
+    edge = mpmath.sqrt(t)
+    return (amp * c * (r / (r + edge)) ** d
+            + mpmath.quad(integrand, [0, edge / 2, edge]))
+
+
+@pytest.mark.parametrize("p, d, r, t, amp, q", [
+    (2, 1, 0.5, 0.01, 1.0, 1.0),   # the README lower_bound
+    (2, 2, 1.0, 0.5, 1.0, 2.0),
+    (2, 3, 0.5, 0.01, 1.0, 1.0),
+    (4, 1, 0.1, 0.01, 30.0, 1.0)])
+def test_lower_bound_is_one_sided_against_mpmath(p, d, r, t, amp, q):
+    lb = duhamel_lower_bound(BallIndicator(r, amplitude=amp),
+                             parse_nonlinearity(f"s^{p}"), t, d, q=q)
+    with mpmath.workdps(30):
+        value = _chain_in_mpmath(p, d, r, t, amp)
+        ball = (mpmath.pi ** (d / mpmath.mpf(2)) / mpmath.gamma(d / 2 + 1)
+                * (r + mpmath.sqrt(t)) ** d)
+        lq = value * ball ** (1 / mpmath.mpf(q))
+        # below the truth, and close to it: a bound of 0 fails as well
+        assert lb.value <= value and lb.lq <= lq
+        assert lb.value >= value * (1 - 1e-6) and lb.lq >= lq * (1 - 1e-6)
 
 
 # --- forward simulation ------------------------------------------------------
