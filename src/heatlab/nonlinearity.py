@@ -422,45 +422,19 @@ class NonlinearityExpr:
 
 
 class RatioEnvelope:
-    """The paper's F(s) = sup over 1 <= t <= s of f(t)/t, a running maximum
-    sampled on [1, ENVELOPE_S_MAX]."""
+    """An upper step function of the paper's F(s) = sup over 1 <= t <= s of
+    f(t)/t: values[i] bounds F on the cell [grid[i], grid[i + 1]] of a
+    geometric grid of [1, ENVELOPE_S_MAX]."""
 
-    def __init__(self, grid: np.ndarray, values: np.ndarray,
-                 expr: NonlinearityExpr):
+    def __init__(self, grid: np.ndarray, values: np.ndarray):
         self.grid = grid
         self.values = values
-        self.expr = expr
-
-    def _at(self, idx: int, s: float) -> float:
-        """F(s) given idx, the index of the last grid point <= s. The value
-        stored at a grid point already holds that point's ratio."""
-        idx = max(idx, 0)
-        val = float(self.values[idx])
-        if s > 0 and s != self.grid[idx]:
-            fs = float(self.expr.eval_raw(s))
-            if math.isfinite(fs):
-                val = max(val, fs / s)
-        return val
-
-    def weighted_integral(self, p: float, a: float, b: float) -> float:
-        """Trapezoid of s^-p F(s) over [a, b], 1 <= a < b <= ENVELOPE_S_MAX:
-        the grid points strictly inside, plus F at both ends.
-
-        s^-p is positive and at most 1 on the envelope's range, so the
-        integrand neither overflows nor turns an infinite F into NaN."""
-        lo, hi = self.grid.searchsorted((a, b), side="right")
-        end = hi - 1 if self.grid[hi - 1] == b else hi
-        xs = np.concatenate([[a], self.grid[lo:end], [b]])
-        fs = np.concatenate([[self._at(lo - 1, a)], self.values[lo:end],
-                             [self._at(hi - 1, b)]])
-        return float(np.trapezoid(xs ** (-p) * fs, xs))
 
 
 AUDIT_TOL = 1e-10
 AUDIT_SAMPLES = 560   # s = 0 and ~25 points a decade of [1e-8, 2^48]
-ENVELOPE_GRID_RATIO = 1.05
+ENVELOPE_GRID_RATIO = 1.01
 ENVELOPE_S_MAX = float(2 ** 48)
-GOLDEN_ITERS = 60     # golden-section steps that refine a peak of f(t)/t
 ZERO_ORIGIN_EPS = 1e-8
 
 
@@ -568,59 +542,23 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
                          f"leading term is {term}")
 
 
-def _golden_max(fun, a: float, b: float) -> float:
-    """Abscissa of the maximum of fun on [a, b] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def sup_ratio_envelope(expr: NonlinearityExpr) -> RatioEnvelope:
-    """Running supremum F(s) of f(t)/t over 1 <= t <= s, on a geometric grid
-    of ratio ENVELOPE_GRID_RATIO up to ENVELOPE_S_MAX."""
+    """An upper bound of F(s) = sup over 1 <= t <= s of f(t)/t on each cell
+    of a geometric grid of ratio ENVELOPE_GRID_RATIO up to ENVELOPE_S_MAX.
+
+    f is non-decreasing, so f(t)/t <= f(g[i+1])/g[i] on the cell [g[i],
+    g[i+1]], and the running maximum of these bounds F there with no search.
+    A negative f (down to -AUDIT_TOL) counts as 0. Rounding in f itself is
+    left to outward-rounded enclosures of f.
+    """
     n = int(math.ceil(math.log(ENVELOPE_S_MAX) / math.log(ENVELOPE_GRID_RATIO)))
     grid = np.geomspace(1.0, ENVELOPE_S_MAX, n + 1)
     fvals = expr.eval_raw(grid)
     if np.isnan(fvals).any():
         bad = np.flatnonzero(np.isnan(fvals))[0]
         raise _undefined(expr, float(grid[bad]))
-    with np.errstate(all="ignore"):
-        ratios = fvals / grid
-
-    def ratio_at(t):
-        try:
-            return eval_f(expr, t) / t
-        except DomainError:
-            return -math.inf
-
-    # refine around interior local maxima of f(t)/t
-    finite = np.where(np.isfinite(ratios), ratios, np.inf)
-    inner = finite[1:-1]
-    peaks = np.flatnonzero((inner > finite[:-2]) & (inner > finite[2:])
-                           & np.isfinite(ratios[1:-1])) + 1
-    extra_t = [_golden_max(ratio_at, float(grid[i - 1]), float(grid[i + 1]))
-               for i in peaks]
-    extra_r = [ratio_at(t) for t in extra_t]
-
-    if extra_t:
-        grid = np.concatenate([grid, extra_t])
-        ratios = np.concatenate([ratios, extra_r])
-        order = np.argsort(grid)
-        grid, ratios = grid[order], ratios[order]
-
-    return RatioEnvelope(grid=grid, values=np.maximum.accumulate(ratios),
-                         expr=expr)
+    ratios = np.maximum(fvals[1:], 0.0) / grid[:-1]
+    return RatioEnvelope(grid=grid, values=np.maximum.accumulate(ratios))
 
 
 # --- built-in families -----------------------------------------------------

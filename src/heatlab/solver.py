@@ -21,8 +21,7 @@ from typing import Optional
 from . import _lazy
 from .criteria import EXISTS, check_scope, classify_l1
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
-from .nonlinearity import (ENVELOPE_S_MAX, NonlinearityExpr, eval_f,
-                           sup_ratio_envelope)
+from .nonlinearity import NonlinearityExpr, eval_f, sup_ratio_envelope
 
 np = _lazy("numpy")
 
@@ -36,6 +35,11 @@ DT_GROWTH = 1.4
 DT_MIN = 1e-14             # halving below DT_MIN min(1, R^2) declares blow-up
 MAX_STEPS = 200000
 HORIZON_T_MAX = 100.0      # the longest horizon find_existence_horizon grants
+# The shortest it grants. F beyond ENVELOPE_S_MAX is frozen at its last cell
+# bound, not bounded, and the shortest horizons lean on it most; at 2^-80 of
+# T_max, where the former 80-step bisection stopped, the floor also keeps
+# refused every input that the bisection refused.
+HORIZON_T_MIN = HORIZON_T_MAX * 2.0 ** -80
 
 
 class SolverError(Exception):
@@ -523,21 +527,19 @@ class HorizonReport:
         self.smoothing_capped = smoothing_capped
 
 
-def _tilde_tail_integral(envelope, d: int, s0: float) -> float:
-    """(2/d) * integral over [s0, infinity) of s^-(1+2/d) F(s) ds, s0 >= 1.
+def _condition_knots(f: NonlinearityExpr, d: int) -> tuple:
+    """Knots (x, J) of J(x) = (2/d) * integral over [x^(-d/2), inf) of
+    s^-(1+2/d) F(s) ds, both ascending from (0, 0), for x in [0, 1].
 
-    This equals the tau-substituted integral of tau^(d/2) ftilde(tau^(-d/2))
-    over (0, s0^(-2/d)]. The part beyond the envelope grid is estimated with
-    F frozen at its last value.
+    With x = s^(-2/d), J(x) is the integral over (0, x] of F(x'^(-d/2)) dx',
+    so the upper step function of sup_ratio_envelope makes it piecewise
+    linear, with knots at x = grid^(-2/d); beyond the grid F is frozen at its
+    last cell bound. F is non-decreasing, so J is concave.
     """
-    s_end, f_end = ENVELOPE_S_MAX, float(envelope.values[-1])
-    if s0 >= s_end:
-        return f_end * s0 ** (-2.0 / d)
-    body = (2.0 / d) * envelope.weighted_integral(1.0 + 2.0 / d, s0, s_end)
-    # the tail is F/s^(2/d); (2/d)(d/2) is 1 only in exact arithmetic, and
-    # dropping it moves integral_value by an ulp in d = 3, 5, 6, ...
-    tail = f_end * s_end ** (-2.0 / d) * (2.0 / d) * (d / 2.0)
-    return float(body + tail)
+    env = sup_ratio_envelope(f)
+    x = np.concatenate([[0.0], env.grid[::-1] ** (-2.0 / d)])
+    slopes = np.concatenate([env.values[-1:], env.values[::-1]])
+    return x, np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))])
 
 
 def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
@@ -550,10 +552,12 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     with C = 2 A c ||u0||_1 and c = (4 pi)^(-d/2), and the smoothing-estimate
     validity cap T <= (A c ||u0||_1)^(2/d) (needed so that
     A c s^(-d/2) ||u0||_1 >= 1 throughout [0, T]). The cap is 2^(-2/d)
-    C^(2/d), so the integral is only ever needed for tau < 1. The condition
-    is tested at min(T_max, cap); if it fails there, an 80-step bisection on
-    [0, T_max] finds T, counting every midpoint above the cap as failing; a
-    midpoint at which (T / C^(2/d))^(-d/2) overflows is a SolverError.
+    C^(2/d), so the integral is only ever needed for tau < 1, where it is
+    scale * J(T / scale) with scale = C^(2/d) and J from _condition_knots.
+    The condition is tested at min(T_max, cap); if it fails there, T inverts
+    the same knot table, at a bound lowered by the roundings of both
+    directions, so that integral_value <= condition_bound holds in floating
+    point. A T below HORIZON_T_MIN is a SolverError.
     Data with ||u0||_1 > 0 get a horizon only where the L^1 condition holds
     (classify_l1 says Exists); elsewhere the refusal is a SolverError. A d
     that is not a positive integer is a ValueError.
@@ -579,7 +583,7 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
         raise SolverError(f"no horizon for L^1 data: classify_l1 says "
                           f"{verdict.outcome} for f = {f.source_text!r} in "
                           f"d = {d}")
-    env = sup_ratio_envelope(f)
+    x, J = _condition_knots(f, d)
     try:
         scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
         cap = (A * csm * u0_l1_norm) ** (2.0 / d)
@@ -590,24 +594,16 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                          "||u0||_1 or A is out of range")
 
     def condition(T: float) -> float:
-        try:
-            return scale * _tilde_tail_integral(env, d, (T / scale) ** (-d / 2))
-        except OverflowError:
-            raise SolverError(f"(T / scale)^(-d/2) = ({T / scale:.3g})^"
-                              f"{-d / 2.0:g} overflows in d = {d}") from None
+        return scale * float(np.interp(T / scale, x, J))
 
     T = min(T_max, cap)
     at_endpoint = condition(T) <= bound
     if not at_endpoint:
-        lo, hi = 0.0, T_max
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid <= cap and condition(mid) <= bound:
-                lo = mid
-            else:
-                hi = mid
-        T = lo
-        if T == 0.0:
+        # 13 roundings, each moving J by at most an ulp of J, since J is
+        # concave with J(0) = 0: bound / scale, 5 in the inverse, T and
+        # T / scale, 4 in the forward and scale * J
+        T = scale * float(np.interp(_lowered(bound / scale, 13), J, x))
+        if not T >= HORIZON_T_MIN:
             raise SolverError("integral condition unsatisfiable: the "
                               "ftilde integral appears divergent")
     return HorizonReport(T=T, integral_value=condition(T),

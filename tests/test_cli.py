@@ -601,15 +601,15 @@ def test_blowup_trend_names_the_range_form(capsys, N_range):
     assert "LO..HI" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d", ["60", "80", "99", "400"])
-def test_horizon_overflow_is_one_line_naming_d(capsys, d):
-    # the bisection reaches a T at which (T / scale)^(-d/2) overflows a
-    # double: an error that names d and the power, not a horizon (f is
-    # L^1-subcritical in every d, so the verdict grants the search)
-    assert main(["experiment", "horizon", "--f", "1e12*s", "--d", d,
-                 "--u0-l1", "0.5"]) == EXIT_ERROR
-    err = _assert_one_line_error(capsys)
-    assert f"^{-int(d) / 2:g} overflows in d = {d}" in err, err
+@pytest.mark.parametrize("d", ["1", "2", "60", "80", "99", "400"])
+def test_horizon_of_a_constant_ratio_in_any_dimension(capsys, d):
+    # F = 1e12, so the exact horizon is (A-1)/A / 1e12 = 5e-13 in every d;
+    # the cell bounds of F cost at most the grid ratio, 1.01
+    code, rep = run_json(capsys, ["experiment", "horizon", "--f", "1e12*s",
+                                  "--d", d, "--u0-l1", "0.5"])
+    assert code == EXIT_OK
+    assert 0.98 * 5e-13 <= rep["result"]["T"] <= 5e-13
+    assert rep["result"]["integral_value"] <= rep["result"]["condition_bound"]
 
 
 def test_blowup_trend_step_overflow_names_dt(capsys):

@@ -35,8 +35,7 @@ from heatlab.criteria import (
 import heatlab.nonlinearity as nonlinearity
 from heatlab.nonlinearity import (UNKNOWN, ZERO, AuditError, NonlinearityExpr,
                                   builtin_family, leading_term,
-                                  monotonicity_audit, parse_nonlinearity,
-                                  sup_ratio_envelope)
+                                  monotonicity_audit, parse_nonlinearity)
 from heatlab.solver import find_existence_horizon
 
 
@@ -249,46 +248,6 @@ def test_decide_inputs_read_exactly(family, params, d, q):
         assert v.outcome == EXISTS, v.criterion
     rep = equivalence_check(f, d)
     assert rep.agree is True and rep.integral_verdict.outcome == EXISTS
-
-
-def test_integral_blocks_against_quadrature():
-    # the envelope's weighted integral over dyadic blocks agrees with
-    # adaptive quadrature of s^-(1+2/d) f(s)/s
-    from scipy.integrate import quad
-    d = 2
-    f = builtin_family("log_family", {"d": d, "beta": 2.0})
-    env = sup_ratio_envelope(f)
-    p = 1.0 + 2.0 / d
-    for j in (0, 5, 12, 20):
-        a, b = 2.0 ** j, 2.0 ** (j + 1)
-        # the envelope equals f(s)/s here (monotone ratio family)
-        ref, _ = quad(lambda s: s ** (-p) * f.eval_raw(np.array([s]))[0] / s,
-                      a, b, limit=200)
-        # trapezoid on the ratio-1.05 envelope grid is second order accurate
-        assert env.weighted_integral(p, a, b) == pytest.approx(ref, rel=1e-3)
-
-
-@pytest.mark.parametrize("text", ["s^2", "s^2/log(e+s)^8",
-                                  "max(s^1.2, s^3)"])
-def test_dyadic_blocks_are_the_per_block_trapezoid(text):
-    # the weighted integral over each dyadic block is the trapezoid on
-    # [a] + grid inside + [b], with F(a) and F(b) the running max up to the
-    # last grid point below them, folded with the exact ratio f(s)/s
-    f = parse_nonlinearity(text)
-    env = sup_ratio_envelope(f)
-    grid, vals = env.grid, env.values
-
-    def F(s):
-        return max(float(vals[grid <= s][-1]), float(f.eval_raw(s)) / s)
-
-    p = 2.0
-    for j in range(48):
-        a, b = 2.0 ** j, 2.0 ** (j + 1)
-        inside = (grid > a) & (grid < b)
-        xs = np.concatenate([[a], grid[inside], [b]])
-        fs = np.concatenate([[F(a)], vals[inside], [F(b)]])
-        assert env.weighted_integral(p, a, b) == \
-            float(np.trapezoid(xs ** (-p) * fs, xs))
 
 
 # --- series / q = 1 ----------------------------------------------------------

@@ -1,14 +1,14 @@
 """Radial grid, propagator, Duhamel iteration and simulation tests.
 
 Oracles: continuum Dirichlet eigenvalue (cos(r/2) mode), the erf closed form
-via heat_on_ball, the linear-nonlinearity closed form of the existence
-horizon, LAPACK MRRR against the cosine closed form of the uniform 1-D
+via heat_on_ball, the closed forms of the existence horizon for f = s, s^p
+and s + s^2, LAPACK MRRR against the cosine closed form of the uniform 1-D
 spectrum, scipy's eigh_tridiagonal against the direct LAPACKE dstemr call
-(bit for bit), grid/time refinement self-consistency, and five slow
+(bit for bit), grid/time refinement self-consistency, and four slow
 references kept here: the face-by-face propagator assembly diagonalised by
-dense eigh, the re-summed Duhamel history, the quad-based horizon search, the
-semigroup step with its own abs pass and the forward stepper on field
-objects with one lq_norm call per norm.
+dense eigh, the re-summed Duhamel history, the semigroup step with its own
+abs pass and the forward stepper on field objects with one lq_norm call per
+norm.
 """
 
 import math
@@ -27,8 +27,7 @@ import heatlab.solver as solver_mod
 from heatlab.databuilder import build_t1_data
 from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
                                 unit_ball_volume)
-from heatlab.nonlinearity import (DomainError, parse_nonlinearity,
-                                  sup_ratio_envelope)
+from heatlab.nonlinearity import DomainError, parse_nonlinearity
 from heatlab.solver import (
     HORIZON_T_MAX,
     HorizonReport,
@@ -800,77 +799,46 @@ def test_horizon_rejects_bad_input(norm, A):
 def test_horizon_is_a_report(prop_d1):
     rep = find_existence_horizon(0.1, parse_nonlinearity("s^2"), 1, A=2.0)
     assert isinstance(rep, HorizonReport)
-    assert rep.integral_value <= rep.condition_bound + 1e-12
+    assert rep.integral_value <= rep.condition_bound
 
 
-def _quad_horizon(u0_l1_norm, f, d, A=2.0, T_max=100.0):
-    """Reference: the horizon search that evaluates the integral condition
-    at every bisection midpoint, with scipy's quad for the tau > 1 part, and
-    clamps to the smoothing cap afterwards."""
-    from scipy.integrate import quad
+def _exact_horizon(text, d, norm, A=2.0):
+    """The T at which the integral condition scale * J(T / scale) = (A-1)/A
+    binds, in closed form. f = s^p: F(s) = s^(p-1), so J(x) = x^(1-a)/(1-a)
+    with a = d(p-1)/2 < 1; f = s + s^2 in d = 1: F(s) = 1 + s, so J(x) = x +
+    2 sqrt(x)."""
+    scale = (2.0 * A * (4.0 * math.pi) ** (-d / 2.0) * norm) ** (2.0 / d)
+    b = (A - 1.0) / A / scale
+    if text == "s + s^2":
+        return scale * (math.sqrt(1.0 + b) - 1.0) ** 2
+    a = d * (float(text[2:]) - 1.0) / 2.0
+    return scale * ((1.0 - a) * b) ** (1.0 / (1.0 - a))
 
-    bound = (A - 1.0) / A
-    csm = (4.0 * math.pi) ** (-d / 2.0)
-    if u0_l1_norm == 0.0:
-        f1 = float(np.asarray(f.eval_raw(np.array([1.0])))[0])
-        T = T_max if f1 == 0.0 else min(T_max, 1.0 / f1)
-        return HorizonReport(T=T, integral_value=0.0, condition_bound=bound,
-                             A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
-                             smoothing_capped=False)
-    env = sup_ratio_envelope(f)
-    scale = (2.0 * A * csm * u0_l1_norm) ** (2.0 / d)
 
-    def tail(s0):
-        grid, vals = env.grid, env.values
-        s_end, f_end = float(grid[-1]), float(vals[-1])
-        s0 = max(s0, 1.0)
-        p = 1.0 + 2.0 / d
-        frozen = f_end * s_end ** (-2.0 / d) * (2.0 / d) * (d / 2.0)
-        if s0 >= s_end:
-            return f_end * s0 ** (-2.0 / d)
-        sel = grid > s0
-        xs = np.concatenate([[s0], grid[sel]])
-        # F(s0): the running max up to the last grid point below s0, folded
-        # with the exact ratio f(s0)/s0
-        F0 = max(float(vals[grid <= s0][-1]), float(f.eval_raw(s0)) / s0)
-        fs = np.concatenate([[F0], vals[sel]])
-        return float((2.0 / d) * np.trapezoid(xs ** (-p) * fs, xs) + frozen)
+FROZEN_TAIL = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: F beyond 2^48 is frozen at its last cell bound, not "
+    "bounded; for s^1.5 in d = 3, F = s^0.5 grows beyond it, so T "
+    "over-claims"))
 
-    def integral(T_prime):
-        if T_prime <= 0:
-            return 0.0
-        total = tail(min(T_prime, 1.0) ** (-d / 2.0))
-        if T_prime > 1.0:
-            part, _ = quad(lambda tau: tau ** (d / 2.0) * float(np.asarray(
-                f.eval_raw(np.array([tau ** (-d / 2.0)])))[0]),
-                1.0, T_prime, limit=200)
-            total += part
-        return total
 
-    def condition(T):
-        return scale * integral(T / scale)
-
-    if condition(T_max) <= bound:
-        T, capped = T_max, True
-    else:
-        lo, hi = 0.0, T_max
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if condition(mid) <= bound:
-                lo = mid
-            else:
-                hi = mid
-        T, capped = lo, False
-        if T == 0.0:
-            raise SolverError("integral condition unsatisfiable: the "
-                              "ftilde integral appears divergent")
-    smoothing_cap = (A * csm * u0_l1_norm) ** (2.0 / d)
-    smoothing_capped = T > smoothing_cap
-    T = min(T, smoothing_cap)
-    return HorizonReport(T=T, integral_value=condition(T),
-                         condition_bound=bound, A=A, u0_l1=u0_l1_norm, d=d,
-                         capped_at_max=capped and not smoothing_capped,
-                         smoothing_capped=smoothing_capped)
+@pytest.mark.parametrize("expr,d,norm", [
+    ("s^2", 1, 5.0),
+    ("s^1.5", 2, 5.0),
+    ("s^2.5", 1, 5.0),
+    ("s^1.2", 2, 5.0),
+    # the README f, at d = 1: at d = 2 it is L^1-critical and refused
+    ("s + s^2", 1, 5.0),
+    pytest.param("s^1.5", 3, 5.0, marks=FROZEN_TAIL),
+    pytest.param("s^1.5", 3, 50.0, marks=FROZEN_TAIL),
+])
+def test_horizon_against_the_exact_horizon(expr, d, norm):
+    # the upper step function of F makes the integral an upper bound, so T
+    # lies below the exact horizon, and the ratio-1.01 grid keeps it close
+    rep = find_existence_horizon(norm, parse_nonlinearity(expr), d, A=2.0)
+    exact = _exact_horizon(expr, d, norm)
+    assert not rep.smoothing_capped and not rep.capped_at_max
+    assert 0.9 * exact <= rep.T <= exact
+    assert rep.integral_value <= rep.condition_bound == 0.5
 
 
 @pytest.mark.parametrize("expr,d,norm,T_max,kind", [
@@ -884,31 +852,35 @@ def _quad_horizon(u0_l1_norm, f, d, A=2.0, T_max=100.0):
     ("4*s", 1, 0.0, 100.0, "zero"),
     ("s^2", 2, 0.0, 100.0, "zero"),
     ("0", 3, 0.0, 100.0, "zero"),
-    ("s^2", 1, 5.0, 100.0, "integral"),
-    ("s^1.5", 2, 5.0, 100.0, "integral"),
-    ("s^1.5", 3, 5.0, 100.0, "integral"),
-    # the README f, at d = 1: at d = 2 it is L^1-critical and refused
-    ("s + s^2", 1, 5.0, 100.0, "integral"),
 ])
-def test_horizon_matches_quad_reference(monkeypatch, expr, d, norm, T_max,
-                                        kind):
+def test_horizon_at_its_caps(monkeypatch, expr, d, norm, T_max, kind):
     # the T_max cases lower the module's cap; the others run at its value
     monkeypatch.setattr(solver_mod, "HORIZON_T_MAX", T_max)
     f = parse_nonlinearity(expr)
     rep = find_existence_horizon(norm, f, d, A=2.0)
-    assert vars(rep) == vars(_quad_horizon(norm, f, d, T_max=T_max))
-    found = ("zero" if norm == 0.0 else "smoothing" if rep.smoothing_capped
-             else "T_max" if rep.capped_at_max else "integral")
-    assert found == kind
+    cap = (2.0 * (4.0 * math.pi) ** (-d / 2.0) * norm) ** (2.0 / d)
+    f1 = float(f.eval_raw(1.0))
+    T = {"smoothing": cap, "T_max": T_max,
+         "zero": T_max if f1 == 0.0 else min(T_max, 1.0 / f1)}[kind]
+    assert rep.T == pytest.approx(T, rel=1e-15)
+    assert (rep.smoothing_capped, rep.capped_at_max) == (
+        kind == "smoothing", kind == "T_max" or rep.T == T_max)
+    assert rep.integral_value <= rep.condition_bound
+    if kind == "zero":
+        assert rep.integral_value == 0.0
 
 
-def test_horizon_refusal_matches_quad_reference():
-    f = parse_nonlinearity("s^2.95")
-    with pytest.raises(SolverError) as ref:
-        _quad_horizon(0.44, f, 1)
+@pytest.mark.parametrize("expr,norm,exact", [
+    ("s^2.95", 0.44, _exact_horizon("s^2.95", 1, 0.44)),
+    ("1e300*s", 0.5, 0.5 / 1e300),  # F = 1e300
+], ids=["s^2.95", "1e300*s"])
+def test_horizon_refused_below_the_floor(expr, norm, exact):
+    # the true horizon lies below HORIZON_T_MIN = HORIZON_T_MAX 2^-80
+    assert solver_mod.HORIZON_T_MIN == HORIZON_T_MAX * 2.0 ** -80 > exact
     with pytest.raises(SolverError) as exc:
-        find_existence_horizon(0.44, f, 1, A=2.0)
-    assert str(exc.value) == str(ref.value)
+        find_existence_horizon(norm, parse_nonlinearity(expr), 1, A=2.0)
+    assert str(exc.value) == ("integral condition unsatisfiable: the ftilde "
+                              "integral appears divergent")
 
 
 def test_horizon_leaves_scipy_integrate_unimported(tmp_path):
