@@ -27,7 +27,8 @@ import heatlab.solver as solver_mod
 from heatlab.databuilder import build_t1_data
 from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
                                 unit_ball_volume)
-from heatlab.nonlinearity import DomainError, parse_nonlinearity
+from heatlab.nonlinearity import (ENVELOPE_S_MAX, DomainError,
+                                  parse_nonlinearity)
 from heatlab.solver import (
     HORIZON_T_MAX,
     HorizonReport,
@@ -802,17 +803,24 @@ def test_horizon_is_a_report(prop_d1):
     assert rep.integral_value <= rep.condition_bound
 
 
-def _exact_horizon(text, d, norm, A=2.0):
+def _exact_horizon(text, d, norm, A=2.0, frozen_beyond=None):
     """The T at which the integral condition scale * J(T / scale) = (A-1)/A
     binds, in closed form. f = s^p: F(s) = s^(p-1), so J(x) = x^(1-a)/(1-a)
     with a = d(p-1)/2 < 1; f = s + s^2 in d = 1: F(s) = 1 + s, so J(x) = x +
-    2 sqrt(x)."""
+    2 sqrt(x). With frozen_beyond = S, F(s) is F(S) for s > S, which adds
+    x F(S) - J(x) to J on x <= x_S = S^(-2/d) and a constant above it."""
     scale = (2.0 * A * (4.0 * math.pi) ** (-d / 2.0) * norm) ** (2.0 / d)
     b = (A - 1.0) / A / scale
+    xS = 0.0 if frozen_beyond is None else frozen_beyond ** (-2.0 / d)
     if text == "s + s^2":
-        return scale * (math.sqrt(1.0 + b) - 1.0) ** 2
+        if xS and b < (1.0 + frozen_beyond) * xS:
+            return scale * b / (1.0 + frozen_beyond)
+        return scale * (math.sqrt(1.0 + b + math.sqrt(xS)) - 1.0) ** 2
     a = d * (float(text[2:]) - 1.0) / 2.0
-    return scale * ((1.0 - a) * b) ** (1.0 / (1.0 - a))
+    c = xS ** (1.0 - a)  # J(x_S) with F frozen
+    if b < c:
+        return scale * b * xS ** a
+    return scale * ((1.0 - a) * b + a * c) ** (1.0 / (1.0 - a))
 
 
 FROZEN_TAIL = pytest.mark.xfail(strict=True, reason=(
@@ -821,16 +829,21 @@ FROZEN_TAIL = pytest.mark.xfail(strict=True, reason=(
     "over-claims"))
 
 
-@pytest.mark.parametrize("expr,d,norm", [
+EXACT_HORIZON_CASES = [
     ("s^2", 1, 5.0),
     ("s^1.5", 2, 5.0),
     ("s^2.5", 1, 5.0),
     ("s^1.2", 2, 5.0),
     # the README f, at d = 1: at d = 2 it is L^1-critical and refused
     ("s + s^2", 1, 5.0),
-    pytest.param("s^1.5", 3, 5.0, marks=FROZEN_TAIL),
-    pytest.param("s^1.5", 3, 50.0, marks=FROZEN_TAIL),
-])
+    ("s^1.5", 3, 5.0),
+    ("s^1.5", 3, 50.0),
+]
+
+
+@pytest.mark.parametrize("expr,d,norm", [
+    pytest.param(*case, marks=FROZEN_TAIL) if case[:2] == ("s^1.5", 3)
+    else case for case in EXACT_HORIZON_CASES])
 def test_horizon_against_the_exact_horizon(expr, d, norm):
     # the upper step function of F makes the integral an upper bound, so T
     # lies below the exact horizon, and the ratio-1.01 grid keeps it close
@@ -838,6 +851,19 @@ def test_horizon_against_the_exact_horizon(expr, d, norm):
     exact = _exact_horizon(expr, d, norm)
     assert not rep.smoothing_capped and not rep.capped_at_max
     assert 0.9 * exact <= rep.T <= exact
+    assert rep.integral_value <= rep.condition_bound == 0.5
+
+
+@pytest.mark.parametrize("expr,d,norm", EXACT_HORIZON_CASES)
+def test_horizon_against_the_frozen_tail_horizon(expr, d, norm):
+    # the cell bounds lie above F up to ENVELOPE_S_MAX and the tail repeats
+    # the last one, so T lies below the exact horizon of F frozen beyond
+    # ENVELOPE_S_MAX; the two s^1.5, d = 3 cases show that the frozen tail,
+    # not the step function, is what over-claims there
+    rep = find_existence_horizon(norm, parse_nonlinearity(expr), d, A=2.0)
+    frozen = _exact_horizon(expr, d, norm, frozen_beyond=ENVELOPE_S_MAX)
+    assert not rep.smoothing_capped and not rep.capped_at_max
+    assert 0.9 * frozen <= rep.T <= frozen
     assert rep.integral_value <= rep.condition_bound == 0.5
 
 
