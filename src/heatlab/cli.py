@@ -24,9 +24,8 @@ import tempfile
 import time
 
 from . import _lazy
-from .criteria import (SIGMA_DEAD_BAND, TAU_DEAD_BAND, classify_l1,
-                       classify_lq, classify_whole_space, equivalence_check,
-                       jsonable)
+from .criteria import (classify_l1, classify_lq, classify_whole_space,
+                       equivalence_check, jsonable)
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
                          kernel_constants, verify_lower_bounds)
 from .nonlinearity import (AuditError, DomainError, ParseError,
@@ -216,7 +215,6 @@ def write_csv(path: str, header, rows) -> None:
 def constants_block(d: int) -> dict:
     return {
         "kernel": kernel_constants(d).to_dict(),
-        "dead_bands": {"sigma": SIGMA_DEAD_BAND, "tau": TAU_DEAD_BAND},
         "kernel_rel_tol": KERNEL_REL_TOL,
     }
 

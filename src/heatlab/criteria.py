@@ -4,10 +4,10 @@ The bounded-domain and whole-space verdicts read the leading terms of f at
 infinity and at 0+ (nonlinearity.leading_term) and decide by the paper's
 conditions, written as lexicographic comparisons of the powers (a, b, c) of
 C s^a (log s)^b (log log s)^c. An UNKNOWN term is Inconclusive, a
-first-class outcome, never an error. The witness series of the q = 1 series
-criterion is sampled and decided by its fitted tail law inside explicit dead
-bands; equivalence_check holds it against the exact integral route. All of
-it runs on Python floats, so no verdict loads numpy.
+first-class outcome, never an error. The q = 1 series criterion decides its
+sampled witness series from the same leading term, by Cauchy condensation,
+beside the integral route (equivalence_check). All of it runs on Python
+floats, so no verdict loads numpy.
 """
 
 from __future__ import annotations
@@ -71,13 +71,14 @@ def jsonable(obj):
 
 class SeriesWitness:
     def __init__(self, theta: float, p: float, sequence: tuple, terms: tuple,
-                 partial_sums: tuple, overflow: bool):
+                 partial_sums: tuple, overflow: bool, leading_term):
         self.theta = theta
         self.p = p
         self.sequence = sequence
         self.terms = terms
         self.partial_sums = partial_sums
         self.overflow = overflow
+        self.leading_term = leading_term  # of f at infinity
 
 
 class CriticalExponentReport:
@@ -169,72 +170,6 @@ def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
 
 # --- series (q = 1) route ----------------------------------------------------
 
-SIGMA_DEAD_BAND = 0.04  # per-block geometric rate, in log2
-TAU_DEAD_BAND = 0.15    # polynomial-in-index exponent around the -1 boundary
-
-
-def block_trend_fit(blocks) -> tuple:
-    """Fit log2 b_j = c + sigma*j + tau*log2(j) over the tail of the terms.
-
-    The witness terms behave like C * 2^(sigma*j) * j^tau up to lower-order
-    corrections (power nonlinearities give pure geometric terms,
-    log-corrected critical ones give sigma = 0 and tau < 0), so the
-    two-parameter fit separates the geometric rate from the polynomial
-    correction even when the terms are not yet monotone.
-
-    Least squares in Python floats: centring the columns and y removes c,
-    and modified Gram-Schmidt on the two centred columns, carried through
-    y, gives sigma and tau.
-    """
-    lo = max(10, len(blocks) // 4)  # skip the small-s windows
-    rows = [(float(j), math.log2(j), math.log2(b))
-            for j, b in enumerate(blocks, start=1)
-            if j >= lo and math.isfinite(b) and b > 0]
-    if len(rows) < 8:
-        return math.nan, math.nan
-
-    def centred(col):
-        mean = math.fsum(col) / len(col)
-        return [x - mean for x in col]
-
-    def dot(a, b):
-        return math.fsum(x * z for x, z in zip(a, b))
-
-    u, v, y = map(centred, zip(*rows))
-    r11 = math.sqrt(dot(u, u))
-    q1 = [x / r11 for x in u]
-    r12, z1 = dot(q1, v), dot(q1, y)
-    w = [x - r12 * e for x, e in zip(v, q1)]
-    y = [x - z1 * e for x, e in zip(y, q1)]
-    tau = dot(w, y) / dot(w, w)
-    return (z1 - r12 * tau) / r11, tau
-
-
-def decide_blocks(sigma: float, tau: float, overflow: bool = False) -> str:
-    """Convergence decision for a positive series from its fitted tail law
-    b_j ~ 2^(sigma*j) * j^tau.
-
-    A geometric rate outside the sigma dead-band decides outright. Inside it
-    the series is critical and sum j^tau converges iff tau < -1; divergence
-    is declared down to tau = -1 - tau_db and convergence from
-    tau = -1 - 2*tau_db, leaving an honest gap of width tau_db
-    (sigma_db = SIGMA_DEAD_BAND, tau_db = TAU_DEAD_BAND).
-    """
-    if overflow:
-        return NO_LOCAL_EXISTENCE
-    if math.isnan(sigma) or math.isnan(tau):
-        return INCONCLUSIVE
-    if sigma >= SIGMA_DEAD_BAND:
-        return NO_LOCAL_EXISTENCE
-    if sigma <= -SIGMA_DEAD_BAND:
-        return EXISTS
-    if tau >= -1.0 - TAU_DEAD_BAND:
-        return NO_LOCAL_EXISTENCE
-    if tau <= -1.0 - 2.0 * TAU_DEAD_BAND:
-        return EXISTS
-    return INCONCLUSIVE
-
-
 def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     """Greedy witness sequence for the divergent-series criterion, on
     Python floats.
@@ -242,7 +177,8 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     Candidates live on the grid theta^j, theta = WITNESS_RATIO; window k
     (k < WITNESS_TERMS) covers exponents {2k, 2k+1} and we keep the
     candidate maximising s^-p f(s). Any two choices from consecutive
-    windows are a factor of at least theta apart.
+    windows are a factor of at least theta apart. The witness carries f's
+    leading term at infinity, which decides it (series_verdict).
     """
     check_scope(d)
     monotonicity_audit(f)
@@ -272,22 +208,28 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     return SeriesWitness(theta=theta, p=p, sequence=tuple(sequence),
                          terms=tuple(terms),
                          partial_sums=tuple(itertools.accumulate(terms)),
-                         overflow=len(terms) < WITNESS_TERMS)
+                         overflow=len(terms) < WITNESS_TERMS,
+                         leading_term=leading_term(f, math.inf))
 
 
 def series_verdict(witness: SeriesWitness) -> Verdict:
-    """Divergence decision for the witness series by dyadic condensation of
-    its terms."""
-    sigma, tau = block_trend_fit(witness.terms)
-    outcome = decide_blocks(sigma, tau, witness.overflow)
+    """Convergence of the witness series sum s_k^-p f(s_k), read from the
+    leading term C s^a (log s)^b (log log s)^c of f at infinity.
+
+    The terms carry that term with its power shifted by -p, and the s_k
+    grow geometrically, so by Cauchy condensation the series converges iff
+    the term is ZERO or (a - p, b, c) < (0, -1, -1): the rule classify_l1
+    reads from the same term. The sampled terms are evidence only."""
+    p = witness.p
+    outcome = _verdict(witness.leading_term, p, "L1Series",
+                       lambda abc: (abc[0] - p, *abc[1:]) < (0.0, -1.0, -1.0)
+                       ).outcome
     evidence = {
         "theta": witness.theta,
-        "p": witness.p,
-        "sigma": sigma,
-        "tau": tau,
+        "p": p,
+        "leading_term": _term_evidence(witness.leading_term),
         "overflow": witness.overflow,
-        "partial_sum": float(witness.partial_sums[-1]) if len(witness.terms)
-        else 0.0,
+        "partial_sum": witness.partial_sums[-1] if witness.terms else 0.0,
         "grid": witness.sequence,
         "grid_values": witness.terms,
     }
@@ -295,15 +237,14 @@ def series_verdict(witness: SeriesWitness) -> Verdict:
 
 
 def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:
-    """Cross-check the series and integral blow-up criteria against each
-    other; they are provably equivalent for non-decreasing f."""
-    sv = series_verdict(series_search(f, d))  # checks scope, audits f
-    iv = _l1_verdict(leading_term(f, math.inf), d)  # classify_l1 on f
-    if not (sv.decided and iv.decided):
-        return EquivalenceReport(agree=None, series_verdict=sv,
-                                 integral_verdict=iv)
-    return EquivalenceReport(agree=sv.outcome == iv.outcome,
-                             series_verdict=sv, integral_verdict=iv)
+    """The series and integral criteria side by side, on one audit and one
+    leading term of f; they are provably equivalent for non-decreasing f."""
+    witness = series_search(f, d)  # checks scope, audits f
+    sv = series_verdict(witness)
+    iv = _l1_verdict(witness.leading_term, d)  # classify_l1 on f
+    agree = sv.outcome == iv.outcome if sv.decided and iv.decided else None
+    return EquivalenceReport(agree=agree, series_verdict=sv,
+                             integral_verdict=iv)
 
 
 # --- critical exponent -------------------------------------------------------

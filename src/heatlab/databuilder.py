@@ -165,8 +165,9 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
     consts = kernel_constants(d)
     witness = series_search(f, d)
     if series_verdict(witness).outcome != NO_LOCAL_EXISTENCE:
-        raise ScheduleError("series witness is not numerically divergent; "
-                            "the construction does not apply")
+        raise ScheduleError("the witness series converges, or f's leading "
+                            "term is unknown; the construction needs it "
+                            "to diverge")
     phi_all = np.asarray(witness.sequence) / consts.c_d
 
     zeta, alpha = [], []

@@ -126,9 +126,18 @@ def test_todd_schedule_constraints():
 
 
 def test_todd_requires_divergent_witness():
-    f = parse_nonlinearity("s^1.5")  # strictly subcritical for d = 1
-    with pytest.raises(ScheduleError):
-        build_todd_data(f, d=1, N=5, R=1.0)
+    # each f is L^1-subcritical for d = 1, so its witness series converges
+    for text in ("s^1.5", "s^2.98", "s^3/log(e+s)^1.01"):
+        with pytest.raises(ScheduleError, match="witness series converges"):
+            build_todd_data(parse_nonlinearity(text), d=1, N=5, R=1.0)
+
+
+def test_todd_builds_for_a_supercritical_log_damped_f():
+    # s^3.01 / log(e+s)^2 outgrows s^3 in d = 1: its witness series diverges
+    spec, u0 = build_todd_data(parse_nonlinearity("s^3.01/log(e+s)^2"),
+                               d=1, N=6, R=1.0)
+    assert spec.kind == "Todd" and spec.n0 <= 6
+    assert spec.sampled_norm == pytest.approx(spec.norm_bound, rel=1e-10)
 
 
 def test_todd_witness_too_short():
