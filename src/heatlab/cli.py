@@ -169,14 +169,6 @@ def _with_config(argv: list) -> list:
     return rest[:head] + tokens + rest[head:]
 
 
-def _d_and_q(args) -> tuple:
-    """--d and --q, whose critical power 1 + 2q/d must also be finite."""
-    if not math.isfinite(1.0 + 2.0 * args.q / args.d):
-        raise CliError(f"q = {args.q:g} is too large: the critical power "
-                       "1 + 2q/d overflows")
-    return args.d, args.q
-
-
 def atomic_write(path: str, text: str) -> None:
     """Write through a temp file and a rename; a failure names path."""
     tmp = None
@@ -243,7 +235,8 @@ def resolve_f(args):
 
 def audited_f(args):
     """resolve_f's f once it passes the classifiers' audit (non-negative,
-    non-decreasing): no experiment runs an f outside the theorem's scope."""
+    non-decreasing), for simulate and blowup_trend, whose routes audit no f;
+    the classifiers, the horizon and the lower bound audit f themselves."""
     f = resolve_f(args)
     monotonicity_audit(f)
     return f
@@ -252,8 +245,7 @@ def audited_f(args):
 # --- commands ----------------------------------------------------------------
 
 def cmd_classify(args) -> tuple:
-    d, q = _d_and_q(args)
-    f = resolve_f(args)
+    f, d, q = resolve_f(args), args.d, args.q
     if args.domain == "whole_space":
         verdict = classify_whole_space(f, q, d)
     elif q > 1:
@@ -279,7 +271,7 @@ def _setup_problem(args):
 
 
 def experiment_horizon(args) -> tuple:
-    f = audited_f(args)
+    f = resolve_f(args)
     rep = solver.find_existence_horizon(args.u0_l1, f, args.d, A=args.A)
     return {"f": f.source_text, "result": vars(rep).copy()}, None, EXIT_OK
 
@@ -287,7 +279,7 @@ def experiment_horizon(args) -> tuple:
 def experiment_iterate(args) -> tuple:
     if args.n_time < 2:  # a trapezoid in time needs two slices
         raise CliError(f"--n-time must be at least 2, got {args.n_time}")
-    f = audited_f(args)
+    f = resolve_f(args)
     P, u0 = _setup_problem(args)
     A, n_time = args.A, args.n_time
     hor = solver.find_existence_horizon(solver.lq_norm(u0, 1.0), f, args.d,
@@ -310,10 +302,9 @@ def experiment_iterate(args) -> tuple:
 
 
 def experiment_simulate(args) -> tuple:
-    d, q = _d_and_q(args)
     f = audited_f(args)
     P, u0 = _setup_problem(args)
-    controls = solver.SimulationControls(q=q, dt_init=args.dt)
+    controls = solver.SimulationControls(q=args.q, dt_init=args.dt)
     traj = solver.simulate_forward(P, u0, f, args.T, controls)
     report = {"f": f.source_text, "T": args.T, "steps": len(traj.times) - 1,
               "rejected_steps": traj.rejected_steps, "blowup": traj.blowup,
@@ -325,17 +316,15 @@ def experiment_simulate(args) -> tuple:
 
 
 def experiment_lower_bound(args) -> tuple:
-    d, q = _d_and_q(args)
-    f = audited_f(args)
-    lb = solver.duhamel_lower_bound(
-        BallIndicator(radius=args.r, amplitude=args.amplitude),
-        f, args.t, d, q=q)
-    return ({"f": f.source_text, "t": args.t, "lq": lb.lq, "q": q,
+    f = resolve_f(args)
+    lb = solver.duhamel_lower_bound(BallIndicator(args.r, args.amplitude), f,
+                                    args.t, args.d, q=args.q)
+    return ({"f": f.source_text, "t": args.t, "lq": lb.lq, "q": args.q,
              "min_on_ball": lb.value}, None, EXIT_OK)
 
 
 def experiment_blowup_trend(args) -> tuple:
-    d, q = _d_and_q(args)
+    d, q = args.d, args.q
     f = audited_f(args)
     lo, hi = args.N_range
     epsilon, R = args.epsilon, args.R

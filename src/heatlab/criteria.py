@@ -8,6 +8,11 @@ first-class outcome, never an error. The q = 1 series criterion decides its
 sampled witness series from the same leading term, by Cauchy condensation,
 beside the integral route (equivalence_check). All of it runs on Python
 floats, so no verdict loads numpy.
+
+The one scope guard is check_scope (1 <= q < inf, d a positive integer,
+1 < 1 + 2q/d < inf) plus monotonicity_audit, whose leading term the routes
+decide from. The classifiers, series_search, critical_exponent_report, and
+solver's horizon and Duhamel lower bound each run it on their own input.
 """
 
 from __future__ import annotations
@@ -100,13 +105,14 @@ class EquivalenceReport:
 
 def check_scope(d, q: float = 1.0) -> None:
     """ValueError unless 1 <= q < inf and d is a positive integer, with a
-    finite critical power 1 + 2q/d: the paper's setting, outside which no
-    route gives a verdict."""
+    critical power 1 < 1 + 2q/d < inf: the paper's setting, outside which no
+    route gives a verdict. From d ~ 2^54 on, 1 + 2/d rounds to 1, and the
+    L^1 rules would read the power 1."""
     if not (1 <= q < math.inf and isinstance(d, numbers.Integral)
-            and d >= 1 and math.isfinite(1.0 + 2.0 * q / d)):
+            and d >= 1 and 1.0 < 1.0 + 2.0 * q / d < math.inf):
         raise ValueError(f"out of scope: q = {q!r} must be a finite exponent "
                          f">= 1 and d = {d!r} a positive dimension (an "
-                         "integer), with 1 + 2q/d finite")
+                         "integer), with 1 < 1 + 2q/d < inf")
 
 
 # --- exact routes ------------------------------------------------------------
@@ -156,16 +162,14 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     if q <= 1:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
     check_scope(d, q)
-    monotonicity_audit(f)
-    return _lq_verdict(leading_term(f, math.inf), q, d)
+    return _lq_verdict(monotonicity_audit(f), q, d)
 
 
 def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
     """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
     F(s) = sup over 1 <= t <= s of f(t)/t."""
     check_scope(d)
-    monotonicity_audit(f)
-    return _l1_verdict(leading_term(f, math.inf), d)
+    return _l1_verdict(monotonicity_audit(f), d)
 
 
 # --- series (q = 1) route ----------------------------------------------------
@@ -181,7 +185,7 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
     leading term at infinity, which decides it (series_verdict).
     """
     check_scope(d)
-    monotonicity_audit(f)
+    term = monotonicity_audit(f)
     theta = WITNESS_RATIO
     p = 1.0 + 2.0 / d
     cands = [theta ** j for j in range(2 * WITNESS_TERMS)]
@@ -209,7 +213,7 @@ def series_search(f: NonlinearityExpr, d: int) -> SeriesWitness:
                          terms=tuple(terms),
                          partial_sums=tuple(itertools.accumulate(terms)),
                          overflow=len(terms) < WITNESS_TERMS,
-                         leading_term=leading_term(f, math.inf))
+                         leading_term=term)
 
 
 def series_verdict(witness: SeriesWitness) -> Verdict:
@@ -256,8 +260,7 @@ def critical_exponent_report(f: NonlinearityExpr,
     (gamma*, gamma*) is exact. f = 0 has gamma* = 0; an UNKNOWN term gives
     gamma* = NaN and the bracket [0, inf]."""
     check_scope(d)
-    monotonicity_audit(f)
-    term = leading_term(f, math.inf)
+    term = monotonicity_audit(f)
     if term == UNKNOWN:
         return CriticalExponentReport(gamma_star=math.nan, q_star=math.nan,
                                       bracket=(0.0, math.inf), d=d)
@@ -294,13 +297,12 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     with the bounded-domain verdict (q > 1 limsup; q = 1 the integral of the
     same F as classify_l1), on one audit of f."""
     check_scope(d, q)
-    monotonicity_audit(f)
+    term = monotonicity_audit(f)
     zero = near_zero_ratio_check(f)
     if zero["bounded"] is False:
         return Verdict(outcome=NO_LOCAL_EXISTENCE, criterion="WholeSpaceZero",
                        evidence={"f_at_zero": zero["f_at_zero"],
                                  "leading_term": zero["leading_term"]})
-    term = leading_term(f, math.inf)
     inner = _lq_verdict(term, q, d) if q > 1 else _l1_verdict(term, d)
     if zero["bounded"] is None and inner.outcome == EXISTS:
         outcome = INCONCLUSIVE  # zero end undecided, cannot certify existence

@@ -8,8 +8,8 @@ import math
 from typing import Optional
 
 from . import _lazy
-from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, series_search, \
-    series_verdict
+from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, check_scope, \
+    series_search, series_verdict
 from .heatkernel import BallIndicator, KernelConstants, kernel_constants, \
     unit_ball_volume
 from .nonlinearity import NonlinearityExpr
@@ -103,12 +103,12 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     f(phi_k) >= phi_k^p e^(k/q), p = 1 + 2q/d, and
     r_k = epsilon phi_k^(-q/d) k^(-2q/d).
 
-    Returns (BlowupDataSpec, RadialField).
+    Returns (BlowupDataSpec, RadialField). (d, q) outside check_scope's is
+    a ValueError; f is not audited here.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    check_scope(d, q)
     if not (0 < epsilon < math.inf and 0 < R < math.inf):
         raise ValueError("epsilon and R must be finite and positive")
     p = 1.0 + 2.0 * q / d

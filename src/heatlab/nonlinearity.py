@@ -508,13 +508,14 @@ def _audit_grid(eps: float, s_max: float, n: int) -> tuple:
     return (0.0, *_geomspace(eps, s_max, n - 1))
 
 
-def monotonicity_audit(expr: NonlinearityExpr) -> None:
-    """AuditError unless f is non-negative and non-decreasing on s = 0 and a
-    geometric grid of [ZERO_ORIGIN_EPS, ENVELOPE_S_MAX] (AUDIT_SAMPLES
-    points in all): the standing hypotheses, on the widest range that any
-    classifier or the existence horizon reads. Beyond the grid, the leading
-    term at infinity must not be negative, tend to 0, or be ZERO while
-    f(ENVELOPE_S_MAX) > 0: a non-decreasing f >= 0 does none of these.
+def monotonicity_audit(expr: NonlinearityExpr):
+    """f's leading term at infinity (leading_term(f, inf)), or AuditError
+    unless f is non-negative and non-decreasing on s = 0 and a geometric
+    grid of [ZERO_ORIGIN_EPS, ENVELOPE_S_MAX] (AUDIT_SAMPLES points in all):
+    the standing hypotheses, on the widest range that any classifier or the
+    existence horizon reads. Beyond the grid, the leading term at infinity
+    must not be negative, tend to 0, or be ZERO while f(ENVELOPE_S_MAX) > 0:
+    a non-decreasing f >= 0 does none of these.
 
     A decrease is refined by 33 samples between the offending grid
     neighbours, so that the reported pair is as tight as that grid allows.
@@ -540,6 +541,7 @@ def monotonicity_audit(expr: NonlinearityExpr) -> None:
         raise AuditError(f"f = {expr.source_text!r} failed the audit: it "
                          f"decreases beyond s = {ENVELOPE_S_MAX:g}, where its "
                          f"leading term is {term}")
+    return term
 
 
 def sup_ratio_envelope(expr: NonlinearityExpr) -> RatioEnvelope:

@@ -21,7 +21,8 @@ from typing import Optional
 from . import _lazy
 from .criteria import EXISTS, check_scope, classify_l1
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
-from .nonlinearity import NonlinearityExpr, eval_f, sup_ratio_envelope
+from .nonlinearity import (NonlinearityExpr, eval_f, monotonicity_audit,
+                           sup_ratio_envelope)
 
 np = _lazy("numpy")
 
@@ -558,11 +559,12 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     the same knot table, at a bound lowered by the roundings of both
     directions, so that integral_value <= condition_bound holds in floating
     point. A T below HORIZON_T_MIN is a SolverError.
-    Data with ||u0||_1 > 0 get a horizon only where the L^1 condition holds
-    (classify_l1 says Exists); elsewhere the refusal is a SolverError. A d
-    that is not a positive integer is a ValueError.
+    classify_l1 runs first, zero data included, so (d, 1) outside
+    check_scope's is a ValueError and an f that fails the audit an
+    AuditError. Data with ||u0||_1 > 0 get a horizon only where classify_l1
+    says Exists; elsewhere the refusal is a SolverError.
     """
-    check_scope(d)
+    verdict = classify_l1(f, d)
     if not A > 1:
         raise ValueError("A must exceed 1")
     if not 0 <= u0_l1_norm < math.inf:
@@ -578,7 +580,6 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                              A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),
                              smoothing_capped=False)
 
-    verdict = classify_l1(f, d)
     if verdict.outcome != EXISTS:
         raise SolverError(f"no horizon for L^1 data: classify_l1 says "
                           f"{verdict.outcome} for f = {f.source_text!r} in "
@@ -645,9 +646,13 @@ def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
     F's argument, V and the norm are lowered by gamma_n of their n roundings
     (a power: 2, a d-th power: d times its base's, the rounded 1/q: |ln x| <
     745); rounding in f itself is left to outward-rounded enclosures of f.
+    (d, q) outside check_scope's is a ValueError, an f that fails the audit
+    an AuditError.
     """
     if not 0 < t < math.inf:
         raise ValueError("t must be finite and positive")
+    check_scope(d, q)
+    monotonicity_audit(f)
     consts = kernel_constants(d)
     r, amp, c = chi.radius, chi.amplitude, consts.c_d
     s = np.linspace(0.0, t, 513)

@@ -8,9 +8,11 @@ sympy's Gruntz limits for the leading terms (when sympy is installed), and
 internal consistency (monotonicity in q, scale invariance).
 """
 
+import importlib.util
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +33,20 @@ from heatlab.criteria import (
     series_search,
     series_verdict,
 )
+import heatlab.criteria as criteria
 import heatlab.nonlinearity as nonlinearity
 from heatlab.nonlinearity import (ENVELOPE_S_MAX, UNKNOWN, ZERO, AuditError,
                                   NonlinearityExpr, builtin_family,
                                   leading_term, monotonicity_audit,
                                   parse_nonlinearity, sup_ratio_envelope)
-from heatlab.solver import find_existence_horizon
+from heatlab.heatkernel import BallIndicator
+from heatlab.solver import duhamel_lower_bound, find_existence_horizon
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regenerate", Path(__file__).resolve().parent / "golden" /
+    "regenerate.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def power(p):
@@ -110,16 +120,23 @@ def test_classify_lq_monotone_in_q():
 
 
 @pytest.mark.parametrize("text", [
-    "max(0, 2e9 - s)*s^2", "s^2*exp(-s/1e9)", "s^26 + s^25 - s^25"])
-@pytest.mark.parametrize("route", ["lq", "whole_space", "series"])
+    "max(0, 2e9 - s)*s^2", "s^2*exp(-s/1e9)", "s^26 + s^25 - s^25", "2 - s"])
+@pytest.mark.parametrize("route", ["lq", "whole_space", "series", "horizon",
+                                   "lower_bound"])
 def test_every_route_audits_up_to_2_48(text, route):
-    # each f is non-decreasing up to 1e8 and leaves the theorem's scope
-    # below 2^48: it decreases from s = 1.3e9 or 2e9, or is inf - inf = NaN
-    # from 2.3e12; every route refuses it, as classify at q = 1 does
+    # the first three f are non-decreasing up to 1e8 and leave the theorem's
+    # scope below 2^48: they decrease from s = 1.3e9 or 2e9, or are inf - inf
+    # = NaN from 2.3e12; 2 - s decreases from 0 and is negative from 2.
+    # Every route refuses them, as classify at q = 1 does: the horizon for
+    # zero data too (it granted T = 1 for 2 - s), and the lower bound (it
+    # certified a value for 2 - s)
     f = parse_nonlinearity(text)
     run = {"lq": lambda: classify_lq(f, 2.0, 1),
            "whole_space": lambda: classify_whole_space(f, 2.0, 1),
-           "series": lambda: series_search(f, 1)}[route]
+           "series": lambda: series_search(f, 1),
+           "horizon": lambda: find_existence_horizon(0.0, f, 2, A=2.0),
+           "lower_bound": lambda: duhamel_lower_bound(
+               BallIndicator(0.5), f, 0.01, 1, q=1.0)}[route]
     with pytest.raises(AuditError):
         run()
 
@@ -130,11 +147,17 @@ def test_every_route_audits_up_to_2_48(text, route):
     ("lq", 1e308, 1), ("whole_space", 1e308, 1),
     ("whole_space", 0.5, 2), ("l1", 1.0, -1), ("l1", 1.0, 0),
     ("l1", 1.0, 2.5), ("lq", 2.0, 1.0), ("critical", 1.0, 0),
-    ("series", 1.0, 0), ("equivalence", 1.0, -3), ("horizon", 1.0, 0)])
+    ("series", 1.0, 0), ("equivalence", 1.0, -3), ("horizon", 1.0, 0),
+    ("l1", 1.0, 2**54), ("l1", 1.0, 10**17), ("equivalence", 1.0, 10**17),
+    ("lower_bound", 0.0, 1), ("lower_bound", 0.5, 1),
+    ("lower_bound", math.nan, 1)])
 def test_out_of_scope_q_and_d_are_refused(route, q, d):
-    # every route decides only for 1 <= q < inf and d a positive integer,
-    # with 1 + 2q/d finite (at q = 1e308, d = 1 it overflows, and exp(s)
-    # read Exists); elsewhere it is a one-line ValueError, never a verdict
+    # every route decides or certifies only for 1 <= q < inf and d a
+    # positive integer, with 1 < 1 + 2q/d < inf (at q = 1e308, d = 1 it
+    # overflows, and exp(s) read Exists; from d = 2^54 on it rounds to 1, and
+    # s log(e+s) read NoLocalExistence at q = 1); elsewhere it is a one-line
+    # ValueError, never a verdict or a number (the lower bound gave one at
+    # q = 0.5, and divided by zero at q = 0)
     f = power(2.0)
     run = {"lq": lambda: classify_lq(f, q, d),
            "whole_space": lambda: classify_whole_space(f, q, d),
@@ -142,7 +165,9 @@ def test_out_of_scope_q_and_d_are_refused(route, q, d):
            "critical": lambda: critical_exponent_report(f, d),
            "series": lambda: series_search(f, d),
            "equivalence": lambda: equivalence_check(f, d),
-           "horizon": lambda: find_existence_horizon(0.0, f, d, A=2.0)}[route]
+           "horizon": lambda: find_existence_horizon(0.0, f, d, A=2.0),
+           "lower_bound": lambda: duhamel_lower_bound(
+               BallIndicator(0.5), f, 0.01, d, q=q)}[route]
     with pytest.raises(ValueError, match="out of scope") as exc:
         run()
     assert "\n" not in str(exc.value)
@@ -427,20 +452,35 @@ def test_witness_partial_sum_bound_on_drawn_log_powers(a, b, d):
     assert 0.0 < total <= bound
 
 
-def test_equivalence_check_audits_f_once(monkeypatch):
-    # both routes read one audit of f: the series search audits it, and
-    # the integral route reads the leading term without a second audit
-    grids = []
-    real = NonlinearityExpr.eval_floats
+@pytest.mark.parametrize("name", list(golden.COMMANDS))
+def test_every_command_audits_f_once(monkeypatch, tmp_path, name):
+    # each README command audits its f once, and equivalence_suite once per
+    # case: the routes that decide or certify audit f themselves, and the
+    # CLI audits only for simulate and blowup_trend, whose routes do not.
+    # Each audit walks f's tree at infinity once, and the classifiers
+    # decide from the term it returns
+    grids, walks = [], []
+    real_eval, real_term = NonlinearityExpr.eval_floats, leading_term
 
-    def counting(self, points):
+    def counting_eval(self, points):
         points = list(points)
         grids.append(len(points))
-        return real(self, points)
+        return real_eval(self, points)
 
-    monkeypatch.setattr(NonlinearityExpr, "eval_floats", counting)
-    equivalence_check(parse_nonlinearity("s^2/log(e+s)^3"), 2)
-    assert grids.count(nonlinearity.AUDIT_SAMPLES) == 1
+    def counting_term(expr, at):
+        walks.append(at)
+        return real_term(expr, at)
+
+    monkeypatch.setattr(NonlinearityExpr, "eval_floats", counting_eval)
+    for module in (nonlinearity, criteria):
+        monkeypatch.setattr(module, "leading_term", counting_term)
+    argv = golden.COMMANDS[name]
+    golden.run(argv, tmp_path)
+    audits = (0 if name == "verify_kernel" else
+              int(argv[argv.index("--count") + 1])
+              if name == "equivalence_suite" else 1)
+    assert grids.count(nonlinearity.AUDIT_SAMPLES) == audits
+    assert walks.count(math.inf) == audits
 
 
 # --- critical exponent -------------------------------------------------------

@@ -201,9 +201,12 @@ def test_arithmetic_rounds_alike_in_both_tables(tree):
 # --- monotonicity audit ------------------------------------------------------
 
 def test_audit_accepts_monotone_family():
-    # exp(s/100) overflows to +inf, which the audit reads as very large
+    # exp(s/100) overflows to +inf, which the audit reads as very large; an
+    # f that passes gives back its leading term at infinity, the one the
+    # classifiers decide from
     for text in ["s^2", "s*log(e+s)", "exp(s/100)-1"]:
-        assert monotonicity_audit(parse_nonlinearity(text)) is None, text
+        f = parse_nonlinearity(text)
+        assert monotonicity_audit(f) == leading_term(f, math.inf), text
 
 
 def test_audit_rejects_decreasing():

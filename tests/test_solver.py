@@ -27,7 +27,7 @@ import heatlab.solver as solver_mod
 from heatlab.databuilder import build_t1_data
 from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
                                 unit_ball_volume)
-from heatlab.nonlinearity import (ENVELOPE_S_MAX, DomainError,
+from heatlab.nonlinearity import (ENVELOPE_S_MAX, AuditError,
                                   parse_nonlinearity)
 from heatlab.solver import (
     HORIZON_T_MAX,
@@ -756,8 +756,9 @@ def test_horizon_zero_data_uses_f_at_one():
 
 
 def test_horizon_zero_data_refuses_negative_f_at_one():
-    # t f(1) <= 1 holds for every t when f(1) < 0; that is no horizon
-    with pytest.raises(DomainError, match="negative"):
+    # t f(1) <= 1 holds for every t when f(1) < 0; that is no horizon, and
+    # the audit that the horizon runs for zero data too refuses such an f
+    with pytest.raises(AuditError, match="failed the audit"):
         find_existence_horizon(0.0, parse_nonlinearity("s-2"), 2, A=2.0)
 
 
