@@ -28,7 +28,7 @@ from .criteria import (classify_l1, classify_lq, classify_whole_space,
                        equivalence_check, jsonable)
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
                          kernel_constants, verify_lower_bounds)
-from .nonlinearity import (AuditError, DomainError, ParseError,
+from .nonlinearity import (AuditError, ExpressionError, ParseError,
                            builtin_family, eval_f, monotonicity_audit,
                            parse_nonlinearity)
 
@@ -285,8 +285,7 @@ def experiment_iterate(args) -> tuple:
     hor = solver.find_existence_horizon(solver.lq_norm(u0, 1.0), f, args.d,
                                         A=A)
     base = solver.heat_series(P, u0, np.linspace(0.0, hor.T, n_time))
-    chi = solver.indicator(P.grid, BallIndicator(P.grid.R * (1 - 1e-12)))
-    v_init = A * base + chi.values[None, :P.grid.n_interior]
+    v_init = A * base + 1.0   # chi_Omega is 1 on every interior node
     margin = solver.supersolution_check(P, u0, f, v_init, hor.T,
                                         n_time=n_time)
     trace = solver.duhamel_iterate(P, u0, f, v_init, hor.T, n_time=n_time,
@@ -540,9 +539,9 @@ def main(argv=None) -> int:
         return code
     # evaluated only when an exception propagates, so only an error exit
     # executes solver and databuilder for their exception classes
-    except (CliError, AuditError, solver.SolverError, ParseError,
-            DomainError, QuadratureError, databuilder.ScheduleError,
-            ValueError, OverflowError, OSError, MemoryError) as exc:
+    except (CliError, ExpressionError, solver.SolverError, QuadratureError,
+            databuilder.ScheduleError, ValueError, OverflowError, OSError,
+            MemoryError) as exc:
         audit = "audit failed: " if isinstance(exc, AuditError) else ""
         print(f"error: {audit}{str(exc) or repr(exc)}", file=sys.stderr)
         return EXIT_ERROR

@@ -4,10 +4,11 @@ The bounded-domain and whole-space verdicts read the leading terms of f at
 infinity and at 0+ (nonlinearity.leading_term) and decide by the paper's
 conditions, written as lexicographic comparisons of the powers (a, b, c) of
 C s^a (log s)^b (log log s)^c. An UNKNOWN term is Inconclusive, a
-first-class outcome, never an error. The q = 1 series criterion decides its
-sampled witness series from the same leading term, by Cauchy condensation,
-beside the integral route (equivalence_check). All of it runs on Python
-floats, so no verdict loads numpy.
+first-class outcome, never an error. At q = 1 the integral and the series
+over the geometric witness points converge together (Cauchy condensation),
+so both verdicts apply the one L^1 predicate, _l1_verdict, to the same
+leading term and agree by construction; equivalence_check sets them side by
+side. All of it runs on Python floats, so no verdict loads numpy.
 
 The one scope guard is check_scope (1 <= q < inf, d a positive integer,
 1 < 1 + 2q/d < inf) plus monotonicity_audit, whose leading term the routes
@@ -61,12 +62,10 @@ class Verdict:
 
 
 def jsonable(obj):
-    """obj as plain JSON data: numpy scalars and arrays unwrapped through
-    their tolist(), inf/nan spelled out (JSON has neither)."""
+    """obj as plain JSON data: tuples as lists, inf/nan spelled out (JSON
+    has neither)."""
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
-    if hasattr(obj, "tolist"):
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -107,9 +106,14 @@ def check_scope(d, q: float = 1.0) -> None:
     """ValueError unless 1 <= q < inf and d is a positive integer, with a
     critical power 1 < 1 + 2q/d < inf: the paper's setting, outside which no
     route gives a verdict. From d ~ 2^54 on, 1 + 2/d rounds to 1, and the
-    L^1 rules would read the power 1."""
-    if not (1 <= q < math.inf and isinstance(d, numbers.Integral)
-            and d >= 1 and 1.0 < 1.0 + 2.0 * q / d < math.inf):
+    L^1 rules would read the power 1; an integer d or q beyond the double
+    range is refused too."""
+    try:
+        ok = (1 <= q < math.inf and isinstance(d, numbers.Integral)
+              and d >= 1 and 1.0 < 1.0 + 2.0 * q / d < math.inf)
+    except OverflowError:   # int too large to convert to float
+        ok = False
+    if not ok:
         raise ValueError(f"out of scope: q = {q!r} must be a finite exponent "
                          f">= 1 and d = {d!r} a positive dimension (an "
                          "integer), with 1 < 1 + 2q/d < inf")
@@ -140,20 +144,17 @@ def _verdict(term, gamma: float, criterion: str, exists) -> Verdict:
                              "leading_term": _term_evidence(term)})
 
 
-def _lq_verdict(term, q: float, d: int) -> Verdict:
-    gamma = 1.0 + 2.0 * q / d
+def _lq_verdict(term, gamma: float) -> Verdict:
     return _verdict(term, gamma, "LqLimsup",
                     lambda abc: abc <= (gamma, 0.0, 0.0))
 
 
-def _l1_verdict(term, d: int) -> Verdict:
+def _l1_verdict(term, p: float) -> Verdict:
     # F(s) = sup f(t)/t is bounded where f(s)/s is, and is eventually f(s)/s
-    # where that ratio grows; int^inf s^-gamma f(s)/s ds then converges iff
-    # (a, b, c) < (gamma, -1, -1)
-    gamma = 1.0 + 2.0 / d
-    return _verdict(term, gamma, "L1Integral",
-                    lambda abc: abc <= (1.0, 0.0, 0.0)
-                    or abc < (gamma, -1.0, -1.0))
+    # where that ratio grows; int^inf s^-p f(s)/s ds, p = 1 + 2/d > 1 by
+    # check_scope, then converges iff (a, b, c) < (p, -1, -1), which every
+    # (a, b, c) <= (1, 0, 0) satisfies
+    return _verdict(term, p, "L1Integral", lambda abc: abc < (p, -1.0, -1.0))
 
 
 def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
@@ -162,14 +163,14 @@ def classify_lq(f: NonlinearityExpr, q: float, d: int) -> Verdict:
     if q <= 1:
         raise ValueError("classify_lq requires q > 1; use classify_l1 for q = 1")
     check_scope(d, q)
-    return _lq_verdict(monotonicity_audit(f), q, d)
+    return _lq_verdict(monotonicity_audit(f), 1.0 + 2.0 * q / d)
 
 
 def classify_l1(f: NonlinearityExpr, d: int) -> Verdict:
     """Local existence in L^1: convergence of int_1^inf s^-(1+2/d) F(s) ds,
     F(s) = sup over 1 <= t <= s of f(t)/t."""
     check_scope(d)
-    return _l1_verdict(monotonicity_audit(f), d)
+    return _l1_verdict(monotonicity_audit(f), 1.0 + 2.0 / d)
 
 
 # --- series (q = 1) route ----------------------------------------------------
@@ -222,15 +223,12 @@ def series_verdict(witness: SeriesWitness) -> Verdict:
 
     The terms carry that term with its power shifted by -p, and the s_k
     grow geometrically, so by Cauchy condensation the series converges iff
-    the term is ZERO or (a - p, b, c) < (0, -1, -1): the rule classify_l1
-    reads from the same term. The sampled terms are evidence only."""
-    p = witness.p
-    outcome = _verdict(witness.leading_term, p, "L1Series",
-                       lambda abc: (abc[0] - p, *abc[1:]) < (0.0, -1.0, -1.0)
-                       ).outcome
+    the integral of classify_l1 does: its rule, _l1_verdict, decides. The
+    sampled terms are evidence only."""
+    outcome = _l1_verdict(witness.leading_term, witness.p).outcome
     evidence = {
         "theta": witness.theta,
-        "p": p,
+        "p": witness.p,
         "leading_term": _term_evidence(witness.leading_term),
         "overflow": witness.overflow,
         "partial_sum": witness.partial_sums[-1] if witness.terms else 0.0,
@@ -245,7 +243,7 @@ def equivalence_check(f: NonlinearityExpr, d: int) -> EquivalenceReport:
     leading term of f; they are provably equivalent for non-decreasing f."""
     witness = series_search(f, d)  # checks scope, audits f
     sv = series_verdict(witness)
-    iv = _l1_verdict(witness.leading_term, d)  # classify_l1 on f
+    iv = _l1_verdict(witness.leading_term, witness.p)  # classify_l1 on f
     agree = sv.outcome == iv.outcome if sv.decided and iv.decided else None
     return EquivalenceReport(agree=agree, series_verdict=sv,
                              integral_verdict=iv)
@@ -303,7 +301,8 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
         return Verdict(outcome=NO_LOCAL_EXISTENCE, criterion="WholeSpaceZero",
                        evidence={"f_at_zero": zero["f_at_zero"],
                                  "leading_term": zero["leading_term"]})
-    inner = _lq_verdict(term, q, d) if q > 1 else _l1_verdict(term, d)
+    # the power 1 + 2q/d is at q = 1 the same double as 1 + 2/d
+    inner = (_lq_verdict if q > 1 else _l1_verdict)(term, 1.0 + 2.0 * q / d)
     if zero["bounded"] is None and inner.outcome == EXISTS:
         outcome = INCONCLUSIVE  # zero end undecided, cannot certify existence
     else:

@@ -10,8 +10,7 @@ from typing import Optional
 from . import _lazy
 from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, check_scope, \
     series_search, series_verdict
-from .heatkernel import BallIndicator, KernelConstants, kernel_constants, \
-    unit_ball_volume
+from .heatkernel import BallIndicator, KernelConstants, kernel_constants
 from .nonlinearity import NonlinearityExpr
 from .solver import RadialField, RadialGrid, indicator, lq_norm
 
@@ -32,7 +31,6 @@ class BlowupDataSpec:
                  phi: np.ndarray, constants: KernelConstants,
                  n0: Optional[int] = None,
                  zeta: Optional[np.ndarray] = None,
-                 k_n: Optional[np.ndarray] = None,
                  witness: Optional[SeriesWitness] = None,
                  norm_bound: float = math.nan,
                  sampled_norm: float = math.nan):
@@ -47,7 +45,6 @@ class BlowupDataSpec:
         self.constants = constants
         self.n0 = n0                    # Todd only
         self.zeta = zeta                # Todd only
-        self.k_n = k_n                  # Todd window schedule
         self.witness = witness
         self.norm_bound = norm_bound    # analytic bound on ||u0||
         self.sampled_norm = sampled_norm
@@ -141,7 +138,7 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
 
     # ||u_k||_q = beta^-1 omega_d^(1/q) eps^(d/q) k^-2 (exact); the bound is
     # the triangle inequality over the retained terms, an equality at q = 1
-    per_term = consts.beta_d ** -1 * unit_ball_volume(d) ** (1.0 / q) * \
+    per_term = consts.beta_d ** -1 * consts.omega_d ** (1.0 / q) * \
         epsilon ** (d / q)
     norm_bound = per_term * float(np.sum(ks ** -2.0))
     spec = BlowupDataSpec(kind="T1", d=d, q=q, f=f, N=N,
@@ -203,19 +200,16 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
         if not phi_all[n + 1] <= 0.5 * phi_all[z] + 1e-12:
             raise ScheduleError(f"half-phi constraint fails at n = {n}")
 
-    omega = unit_ball_volume(d)
     if grid is None:
         grid = _auto_grid(d, R, float(radii.min()))
     _check_resolution(grid, radii)
     u0 = _sample_sum(grid, amplitudes, radii)
 
-    norm_bound = omega * float(np.sum(ns ** -2.0))
+    norm_bound = consts.omega_d * float(np.sum(ns ** -2.0))
     spec = BlowupDataSpec(kind="Todd", d=d, q=1.0, f=f, N=N,
                           amplitudes=amplitudes, radii=radii,
                           phi=phi_all[zeta[sel]], constants=consts,
-                          n0=n0, zeta=zeta[sel],
-                          k_n=np.arange(n0, N + 1),
-                          witness=witness,
+                          n0=n0, zeta=zeta[sel], witness=witness,
                           norm_bound=norm_bound,
                           sampled_norm=lq_norm(u0, 1.0))
     return spec, u0
@@ -245,7 +239,6 @@ def predicted_bounds(spec: BlowupDataSpec):
     c''' = alpha_d sigma c_d^p.
     """
     consts = spec.constants
-    omega = unit_ball_volume(spec.d)
     if spec.kind == "T1":
         q, d = spec.q, spec.d
         kpow = 2.0 * q * (d + 2.0 * q) / d
@@ -254,7 +247,7 @@ def predicted_bounds(spec: BlowupDataSpec):
         for i, k in enumerate(range(1, spec.N + 1)):
             t_k = float(spec.radii[i] ** 2)
             pw = consts.beta_d * t_k * float(f_phi[i])
-            lqq = pw ** q * omega * float(spec.radii[i] ** d)
+            lqq = pw ** q * consts.omega_d * float(spec.radii[i] ** d)
             out.append(TermPrediction(
                 k=k, t=t_k, pointwise=pw,
                 lq_q=lqq, normalized=lqq * k ** kpow))
@@ -267,10 +260,8 @@ def predicted_bounds(spec: BlowupDataSpec):
     c3 = consts.alpha_d * sigma * consts.c_d ** p
     partial = spec.witness.partial_sums
     out = []
-    for n in range(spec.n0, spec.N + 1):
-        k_n = int(spec.k_n[n - spec.n0])
-        value = c3 * n ** (-2.0 * p) * float(partial[min(k_n,
-                                                         len(partial) - 1)])
+    for n in range(spec.n0, spec.N + 1):  # the window k_n = n
+        value = c3 * n ** (-2.0 * p) * float(partial[n])
         out.append(TermPrediction(k=n, t=math.nan, pointwise=math.nan,
                                   lq_q=value,
                                   normalized=value * n ** (2.0 * p)))

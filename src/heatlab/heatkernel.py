@@ -267,13 +267,11 @@ class BoundCheck:
 
 
 class CertificationReport:
-    def __init__(self, d: int, r_grid: tuple, t_grid: tuple,
-                 kernel_rel_tol: float, checks: tuple = (),
-                 constants: KernelConstants = None):
+    def __init__(self, d: int, r_grid: tuple, t_grid: tuple, checks: tuple,
+                 constants: KernelConstants):
         self.d = d
         self.r_grid = r_grid
         self.t_grid = t_grid
-        self.kernel_rel_tol = kernel_rel_tol
         self.checks = checks
         self.constants = constants
 
@@ -290,7 +288,7 @@ class CertificationReport:
             "d": self.d,
             "variant": "whole_space",  # the kernel that was evaluated
             "grid": {"r": list(self.r_grid), "t": list(self.t_grid)},
-            "kernel_rel_tol": self.kernel_rel_tol,
+            "kernel_rel_tol": KERNEL_REL_TOL,
             "constants": self.constants.to_dict(),
             "passed": self.passed,
             "bounds": [
@@ -351,5 +349,4 @@ def verify_lower_bounds(d: int, r_grid, t_grid,
             checks.append(BoundCheck(bound=k, min_margin=m, witness=w,
                                      n_checked=len(cells)))
     return CertificationReport(d=d, r_grid=r_grid, t_grid=t_grid,
-                               kernel_rel_tol=KERNEL_REL_TOL,
                                checks=tuple(checks), constants=consts)

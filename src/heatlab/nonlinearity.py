@@ -49,7 +49,6 @@ class DomainError(ExpressionError):
 
     def __init__(self, message: str, s: float):
         super().__init__(f"{message} (at s = {s!r})")
-        self.s = s
 
 
 class AuditError(ExpressionError):
@@ -405,10 +404,11 @@ class NonlinearityExpr:
         """Evaluate without domain checks, in the shape of s (0-d for a
         scalar).
 
-        The one evaluator of the tree: s is flattened to a 1-D float array,
-        so a point gives the same double alone as inside a grid. NaN marks
-        a domain failure (log of a non-positive argument, fractional power
-        of a negative number); +/-inf marks overflow.
+        The array evaluator of the tree (eval_floats is the other, on
+        Python floats): s is flattened to a 1-D float array, so a point
+        gives the same double alone as inside a grid. NaN marks a domain
+        failure (log of a non-positive argument, fractional power of a
+        negative number); +/-inf marks overflow.
         """
         s = np.asarray(s, dtype=float)
         with np.errstate(all="ignore"):

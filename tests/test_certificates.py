@@ -12,8 +12,42 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from test_heatkernel import _hitting_probability
+
+from heatlab.heatkernel import KERNEL_REL_TOL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_verify_kernel_margins_match_the_mpmath_profile():
+    # on each (r, t) cell the heat profile at the ball's edge r + sqrt t,
+    # from the mpmath oracle, must clear the lemma bound c_d (r/edge)^d, and
+    # beta_d where t <= r^2; the reported minimum margins are those of the
+    # oracle, lowered by at most the relative budget on a profile <= 1
+    report = json.loads((GOLDEN / "verify_kernel" / "stdout").read_text())
+    rep, consts = report["report"], report["report"]["constants"]
+    d = rep["d"]
+    assert report["passed"] and rep["passed"] and consts["d"] == d
+    assert rep["kernel_rel_tol"] == KERNEL_REL_TOL
+    found = {"lemma": [], "beta": [], "mass": []}
+    for r in rep["grid"]["r"]:
+        for t in rep["grid"]["t"]:
+            edge = r + math.sqrt(t)
+            value = float(_hitting_probability(r, t, edge, d))
+            found["lemma"].append((value - consts["c_d"] * (r / edge) ** d,
+                                   [r, t, edge]))
+            if t <= r ** 2:
+                found["beta"].append((value - consts["beta_d"], [r, t, edge]))
+            found["mass"].append(((consts["omega_d"] - consts["alpha_d"])
+                                  * r ** d, [r, t, "nan"]))
+    assert len(found["lemma"]) == 9
+    for bound in rep["bounds"]:
+        cells = found[bound["bound"]]
+        margin, witness = min(cells, key=lambda c: c[0])
+        assert margin >= 0.0 and bound["n_checked"] == len(cells)
+        assert bound["min_margin"] == pytest.approx(margin,
+                                                    abs=KERNEL_REL_TOL)
+        assert bound["witnesses"] == [witness]
 
 
 def test_iterate_horizon_integral_bounds_the_true_one():

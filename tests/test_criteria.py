@@ -149,13 +149,15 @@ def test_every_route_audits_up_to_2_48(text, route):
     ("l1", 1.0, 2.5), ("lq", 2.0, 1.0), ("critical", 1.0, 0),
     ("series", 1.0, 0), ("equivalence", 1.0, -3), ("horizon", 1.0, 0),
     ("l1", 1.0, 2**54), ("l1", 1.0, 10**17), ("equivalence", 1.0, 10**17),
+    pytest.param("l1", 1.0, 10**400, id="l1-1.0-10^400"),
     ("lower_bound", 0.0, 1), ("lower_bound", 0.5, 1),
     ("lower_bound", math.nan, 1)])
 def test_out_of_scope_q_and_d_are_refused(route, q, d):
     # every route decides or certifies only for 1 <= q < inf and d a
     # positive integer, with 1 < 1 + 2q/d < inf (at q = 1e308, d = 1 it
     # overflows, and exp(s) read Exists; from d = 2^54 on it rounds to 1, and
-    # s log(e+s) read NoLocalExistence at q = 1); elsewhere it is a one-line
+    # s log(e+s) read NoLocalExistence at q = 1; d = 10^400 does not convert
+    # to a double, and was an OverflowError); elsewhere it is a one-line
     # ValueError, never a verdict or a number (the lower bound gave one at
     # q = 0.5, and divided by zero at q = 0)
     f = power(2.0)

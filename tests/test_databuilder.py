@@ -115,8 +115,8 @@ def test_todd_schedule_constraints():
     spec, _ = build_todd_data(f, d=1, N=5, R=1.0)
     phi_all = np.asarray(spec.witness.sequence) / spec.constants.c_d
     for i, n in enumerate(range(spec.n0, 6)):
-        z, k_n = int(spec.zeta[i]), int(spec.k_n[i])
-        assert phi_all[k_n + 1] <= 0.5 * phi_all[z] * (1 + 1e-12)
+        z = int(spec.zeta[i])  # the window k_n = n
+        assert phi_all[n + 1] <= 0.5 * phi_all[z] * (1 + 1e-12)
         alpha = (n * n * phi_all[z]) ** 1.0
         assert spec.radii[i] == pytest.approx(1.0 / alpha, rel=1e-12)
         assert spec.amplitudes[i] == pytest.approx(alpha / n ** 2, rel=1e-12)
@@ -154,8 +154,7 @@ def test_todd_predictions_use_window_schedule():
     sigma = (2.0 / 3.0) * (1.0 - 2.0 ** -p) * (1.0 - 0.25) ** 1.5
     c3 = spec.constants.alpha_d * sigma * spec.constants.c_d ** p
     for pred, n in zip(preds, range(spec.n0, 7)):
-        k_n = int(spec.k_n[n - spec.n0])
-        expect = c3 * n ** (-2 * p) * spec.witness.partial_sums[k_n]
+        expect = c3 * n ** (-2 * p) * spec.witness.partial_sums[n]  # k_n = n
         assert pred.lq_q == pytest.approx(expect, rel=1e-12)
     # for the critical power the partial sums grow linearly in k_n, so the
     # normalized values n^(2p) * pred grow with n
