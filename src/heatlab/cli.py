@@ -263,11 +263,11 @@ def cmd_verify_kernel(args) -> tuple:
             EXIT_OK if rep.passed else EXIT_ERROR)
 
 
-def _setup_problem(args):
+def _initial_data(args):
+    """u0 on a uniform grid, which is cheap; its propagator is not."""
     grid = solver.RadialGrid.uniform(args.d, args.R, args.nodes)
-    P = solver.build_propagator(grid)
     radius = args.R / 2 if args.r is None else args.r
-    return P, solver.indicator(grid, BallIndicator(radius, args.amplitude))
+    return solver.indicator(grid, BallIndicator(radius, args.amplitude))
 
 
 def experiment_horizon(args) -> tuple:
@@ -279,11 +279,11 @@ def experiment_horizon(args) -> tuple:
 def experiment_iterate(args) -> tuple:
     if args.n_time < 2:  # a trapezoid in time needs two slices
         raise CliError(f"--n-time must be at least 2, got {args.n_time}")
-    f = resolve_f(args)
-    P, u0 = _setup_problem(args)
+    f, u0 = resolve_f(args), _initial_data(args)
     A, n_time = args.A, args.n_time
     hor = solver.find_existence_horizon(solver.lq_norm(u0, 1.0), f, args.d,
                                         A=A)
+    P = solver.build_propagator(u0.grid)
     base = solver.heat_series(P, u0, np.linspace(0.0, hor.T, n_time))
     v_init = A * base + 1.0   # chi_Omega is 1 on every interior node
     margin = solver.supersolution_check(P, u0, f, v_init, hor.T,
@@ -301,8 +301,8 @@ def experiment_iterate(args) -> tuple:
 
 
 def experiment_simulate(args) -> tuple:
-    f = audited_f(args)
-    P, u0 = _setup_problem(args)
+    f, u0 = audited_f(args), _initial_data(args)
+    P = solver.build_propagator(u0.grid)
     controls = solver.SimulationControls(q=args.q, dt_init=args.dt)
     traj = solver.simulate_forward(P, u0, f, args.T, controls)
     report = {"f": f.source_text, "T": args.T, "steps": len(traj.times) - 1,

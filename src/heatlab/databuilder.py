@@ -57,7 +57,7 @@ def _search_phi(f: NonlinearityExpr, p: float, k: int, q: float,
     target = k / q  # compare in logs: log f(phi) - p log phi >= k/q
     phi = start
     while phi <= PHI_CAP:
-        val = float(f.eval_raw(phi))
+        val = f.eval_floats([phi])[0]
         if math.isfinite(val) and val > 0 and \
                 math.log(val) - p * math.log(phi) >= target - 1e-12:
             return phi
@@ -122,8 +122,8 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     radii = epsilon * phi ** (-q / d) * ks ** (-2.0 * q / d)
 
     # schedule re-verification with fresh evaluations
-    for k, ph in enumerate(phi, start=1):
-        if not float(f.eval_raw(ph)) >= ph ** p * math.exp(k / q) * (1 - 1e-9):
+    for k, (ph, f_ph) in enumerate(zip(phi, f.eval_floats(phi)), start=1):
+        if not f_ph >= ph ** p * math.exp(k / q) * (1 - 1e-9):
             raise ScheduleError(f"schedule inequality fails at k={k}")
     if 2.0 * radii.max() > R:
         raise ScheduleError(
@@ -243,10 +243,10 @@ def predicted_bounds(spec: BlowupDataSpec):
         q, d = spec.q, spec.d
         kpow = 2.0 * q * (d + 2.0 * q) / d
         out = []
-        f_phi = spec.f.eval_raw(spec.phi)
+        f_phi = spec.f.eval_floats(spec.phi)
         for i, k in enumerate(range(1, spec.N + 1)):
             t_k = float(spec.radii[i] ** 2)
-            pw = consts.beta_d * t_k * float(f_phi[i])
+            pw = consts.beta_d * t_k * f_phi[i]
             lqq = pw ** q * consts.omega_d * float(spec.radii[i] ** d)
             out.append(TermPrediction(
                 k=k, t=t_k, pointwise=pw,

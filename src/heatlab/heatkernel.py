@@ -155,18 +155,17 @@ def _ncx2_cdf(x: float, d: int, lam: float) -> float:
             cut = _TAIL * total + np.finfo(float).tiny
             up, down = upper > cut, c_lo * below > cut
             if not (up or down):
-                return min(total, 1.0)
+                return min(float(total), 1.0)
             width = hi - lo + 1
             hi, lo = hi + up * width, max(0, lo - down * width)
 
 
-def _ball_profile(r: float, t: float, rho, d: int):
-    """[S(t) chi_r] at distance rho from the centre, for an array of rho
-    taken one value at a time: P(|rho e_1 + sqrt(2t) Z| <= r) =
-    F(r^2/2t; d, rho^2/2t).
+def _ball_profile(r: float, t: float, rho: float, d: int) -> float:
+    """[S(t) chi_r] at distance rho from the centre: P(|rho e_1 +
+    sqrt(2t) Z| <= r) = F(r^2/2t; d, rho^2/2t).
 
-    Raises QuadratureError when r^2/2t exceeds MAX_SCALED_RADIUS or a value
-    comes out non-finite.
+    Raises QuadratureError when r^2/2t exceeds MAX_SCALED_RADIUS or the
+    value comes out non-finite.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -177,10 +176,8 @@ def _ball_profile(r: float, t: float, rho, d: int):
         raise QuadratureError(
             f"r^2/2t = {x:.3g} exceeds {MAX_SCALED_RADIUS:.0e}, beyond which "
             f"the ball profile is not evaluated (d={d}, r={r}, t={t})")
-    rho = np.asarray(rho, dtype=float)
-    lam = np.ravel(rho * rho / (2.0 * t)).tolist()
-    val = np.array([_ncx2_cdf(x, d, v) for v in lam]).reshape(rho.shape)
-    if not np.all(np.isfinite(val)):
+    val = _ncx2_cdf(x, d, rho * rho / (2.0 * t))
+    if not math.isfinite(val):
         raise QuadratureError(
             f"non-finite ball profile (d={d}, r={r}, t={t})")
     return val
@@ -191,7 +188,7 @@ def heat_on_ball(chi: BallIndicator, x, t: float, d: int) -> float:
     rho = |x|."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     rho = float(np.sqrt(np.dot(xv, xv)))
-    return chi.amplitude * float(_ball_profile(chi.radius, t, rho, d))
+    return chi.amplitude * _ball_profile(chi.radius, t, rho, d)
 
 
 def _c_prime(d: int) -> float:
@@ -334,7 +331,7 @@ def verify_lower_bounds(d: int, r_grid, t_grid,
     for r in r_grid:
         for t in t_grid:
             edge = r + math.sqrt(t)
-            low = float(_ball_profile(r, t, edge, d)) * (1.0 - KERNEL_REL_TOL)
+            low = _ball_profile(r, t, edge, d) * (1.0 - KERNEL_REL_TOL)
             found["lemma"].append((low - consts.c_d * (r / edge) ** d,
                                    (r, t, edge)))
             if t <= r ** 2:

@@ -15,10 +15,10 @@ nested deeper than MAX_DEPTH levels, or whose tree is deeper, is refused.
 
 A parsed expression is a tree of tuples `(op, *children)`: the leaves are
 `("num", value)` and `("s",)`. One walk evaluates it with either of two op
-tables: numpy's ufuncs on arrays (eval_raw, for the solver) or math-based
-functions on lists of Python floats (eval_floats, for the decisions), which
-follow numpy's conventions. + - * / round alike in both; libm's pow, exp and
-log may differ from numpy's in the last bit.
+tables: numpy's ufuncs on arrays (eval_raw, for the solver's fields and the
+ratio envelope) or math-based functions on Python floats (eval_floats, for
+every read at points), which follow numpy's conventions. + - * / round alike
+in both; libm's pow, exp and log may differ from numpy's in the last bit.
 """
 
 from __future__ import annotations
@@ -417,7 +417,7 @@ class NonlinearityExpr:
     def eval_floats(self, points) -> list:
         """f at each of points, as a list of Python floats: the same walk
         on the float table, with eval_raw's NaN and +/-inf and nothing
-        raised. The decisions read f through it."""
+        raised. Every read of f at points goes through it."""
         return _eval(self.root, list(map(float, points)), _FLOAT_OPS)
 
 

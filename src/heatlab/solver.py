@@ -21,8 +21,8 @@ from typing import Optional
 from . import _lazy
 from .criteria import EXISTS, check_scope, classify_l1
 from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
-from .nonlinearity import (NonlinearityExpr, eval_f, monotonicity_audit,
-                           sup_ratio_envelope)
+from .nonlinearity import (NonlinearityExpr, _linspace, eval_f,
+                           monotonicity_audit, sup_ratio_envelope)
 
 np = _lazy("numpy")
 
@@ -591,8 +591,8 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     except OverflowError:
         scale = cap = math.inf
     if not (0.0 < cap and scale < math.inf):
-        raise ValueError("(2 A c ||u0||_1)^(2/d) overflows or underflows: "
-                         "||u0||_1 or A is out of range")
+        raise ValueError(f"(2 A c ||u0||_1)^(2/d) overflows or underflows "
+                         f"at ||u0||_1 = {u0_l1_norm:g}, A = {A:g}, d = {d}")
 
     def condition(T: float) -> float:
         return scale * float(np.interp(T / scale, x, J))
@@ -655,16 +655,19 @@ def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
     monotonicity_audit(f)
     consts = kernel_constants(d)
     r, amp, c = chi.radius, chi.amplitude, consts.c_d
-    s = np.linspace(0.0, t, 513)
-    rho = r + np.sqrt(s)  # 2 roundings
-    f_inner = f.eval_raw(_lowered(amp * c * (r / rho) ** d, 3 * d + 4))
-    if not np.all(np.isfinite(f_inner)):
+    s = _linspace(0.0, t, 513)
+    rho = [r + math.sqrt(x) for x in s]  # 2 roundings
+    f_inner = f.eval_floats([_lowered(amp * c * (r / x) ** d, 3 * d + 4)
+                             for x in rho])
+    if not all(map(math.isfinite, f_inner)):
         raise SolverError("nonlinearity overflow in the lower-bound integrand")
-    outer_factor = c * (rho / (rho + np.sqrt(t - s))) ** d  # 6d + 3
+    outer = [c * (x / (x + math.sqrt(t - y))) ** d for x, y in zip(rho, s)]
     reach = r + math.sqrt(t)
-    # a cell width times two factors: 6d + 6; then 511 to sum, 1 to add
-    value = _lowered(amp * c * (r / reach) ** d + float(np.sum(
-        np.diff(s) * f_inner[1:] * outer_factor[:-1])), 6 * d + 518)
+    # a cell width times f and outer (6d + 3): 6d + 6; fsum and the add round
+    # once each, so the 6d + 518 of a recursive sum on 512 cells covers them
+    value = _lowered(amp * c * (r / reach) ** d + math.fsum(
+        (b - a) * v * g for a, b, v, g in zip(s, s[1:], f_inner[1:], outer)),
+        6 * d + 518)
     try:
         volume = consts.omega_d * reach ** d  # 4d + 3, omega_d taking 2d
     except OverflowError:

@@ -472,9 +472,11 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, names", [
-    # the band's diagonal overflows, or underflows to 0
+    # iterate runs the horizon before it builds the propagator, and there
+    # (2 A c ||u0||_1)^2 underflows first
     (["experiment", "iterate", "--f", "s^2", "--d", "1", "--R", "1e-200"],
-     ("d = 1", "R = 1e-200", "257 nodes")),
+     ("||u0||_1 = 1e-200", "A = 2", "d = 1")),
+    # the band's diagonal overflows
     (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
       "--R", "1e200", "--nodes", "65"], ("d = 1", "R = 1e+200", "65 nodes")),
     # blowup_trend takes one step; a trapezoid in time needs two slices
@@ -485,6 +487,9 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
       "--R", "1e-100"],
      ("LAPACK dstemr failed (info = 22)", "d = 2", "R = 1e-100",
       "257 nodes")),
+    # the band's diagonal underflows to 0 (iterate meets its horizon first)
+    (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
+      "--R", "1e-200"], ("d = 1", "R = 1e-200", "257 nodes")),
 ])
 def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
     import heatlab.solver as solver_mod
@@ -493,6 +498,21 @@ def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
     assert main(argv) == EXIT_ERROR
     err = _assert_one_line_error(capsys)
     assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("kind", [["iterate"], ["simulate", "--T", "0.01"]])
+def test_f_is_audited_before_the_propagator_is_built(monkeypatch, capsys,
+                                                    kind):
+    # u0 on its grid is cheap and the grid's eigendecomposition is not, so
+    # an f that fails the audit is refused before build_propagator runs
+    import heatlab.solver as solver_mod
+
+    def build_propagator(grid):
+        raise AssertionError("the propagator was built")
+    monkeypatch.setattr(solver_mod, "build_propagator", build_propagator)
+    assert main(["experiment", *kind, "--f", "2-s", "--d", "2", "--r", "0.5",
+                 "--nodes", "1025"]) == EXIT_ERROR
+    assert "audit failed" in _assert_one_line_error(capsys)
 
 
 def test_small_ball_is_not_refused(capsys):
@@ -733,15 +753,19 @@ def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
       "0.5"], 1),
     (["experiment", "equivalence_suite", "--seed", "7", "--count", "20",
       "--d", "2"], 0),
+    # the Duhamel lower bound sums its 512 cells on Python floats
+    (["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
+      "--t", "0.01"], 0),
 ])
 def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     # the README's deciding commands run on Python floats: in a process
     # that has not imported numpy, heatlab registers it to load on first
     # use, and none of them uses it. The CLI registers solver and
     # databuilder the same way, and no record class imports dataclasses:
-    # classify and equivalence_suite execute neither module, while the
-    # refused horizon executes solver (find_existence_horizon refuses it)
-    # and, through main's except tuple, databuilder
+    # classify and equivalence_suite execute neither module, lower_bound
+    # executes solver alone, while the refused horizon executes solver
+    # (find_existence_horizon refuses it) and, through main's except tuple,
+    # databuilder
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys, types\n"
               "from heatlab.cli import main\n"
@@ -757,7 +781,9 @@ def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     rc, numpy, solver, databuilder, dataclasses = \
         out.stdout.splitlines()[-1].split()
     assert (rc, numpy, dataclasses) == (str(code), "False", "False")
-    if "horizon" not in argv:
+    if "lower_bound" in argv:
+        assert (solver, databuilder) == ("True", "False")
+    elif "horizon" not in argv:
         assert (solver, databuilder) == ("False", "False")
 
 

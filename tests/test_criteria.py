@@ -141,6 +141,30 @@ def test_every_route_audits_up_to_2_48(text, route):
         run()
 
 
+@pytest.mark.parametrize("route", ["l1", "lq", "whole_space", "equivalence",
+                                   "lower_bound", "t1_predictions"])
+def test_points_are_read_on_floats(monkeypatch, route):
+    # eval_floats reads f at points and eval_raw at arrays: the verdicts, the
+    # Duhamel lower bound and the T1 schedule with its predictions read f on
+    # Python floats; only the solver's fields and the ratio envelope take
+    # arrays
+    from heatlab.databuilder import build_t1_data, predicted_bounds
+
+    def eval_raw(self, s):
+        raise AssertionError("eval_raw was called")
+    monkeypatch.setattr(NonlinearityExpr, "eval_raw", eval_raw)
+    f = parse_nonlinearity("s^4")
+    run = {"l1": lambda: classify_l1(f, 1),
+           "lq": lambda: classify_lq(f, 2.0, 1),
+           "whole_space": lambda: classify_whole_space(f, 1.0, 1),
+           "equivalence": lambda: equivalence_check(f, 1),
+           "lower_bound": lambda: duhamel_lower_bound(
+               BallIndicator(0.5), f, 0.01, 1, q=1.0),
+           "t1_predictions": lambda: predicted_bounds(build_t1_data(
+               f, d=1, q=1.0, N=4, epsilon=0.5, R=1.0)[0])}[route]
+    assert run() is not None
+
+
 @pytest.mark.parametrize("route, q, d", [
     ("lq", math.nan, 2), ("whole_space", math.nan, 2),
     ("lq", math.inf, 2), ("whole_space", math.inf, 2),

@@ -231,7 +231,7 @@ def test_ball_profile_matches_scipy_chndtr(d):
     for r in np.geomspace(1e-2, 1e2, 9):
         for t in np.geomspace(1e-4, 1e2, 13):
             rhos = np.linspace(0.0, r + math.sqrt(t), 17)
-            val = _ball_profile(r, t, rhos, d)
+            val = np.array([_ball_profile(r, t, rho, d) for rho in rhos])
             ref = chndtr(r * r / (2 * t), d, rhos * rhos / (2 * t))
             apart = np.abs(val - ref) > 1e-11 * ref
             for rho, v in zip(rhos[apart], val[apart]):
@@ -253,12 +253,9 @@ def test_ball_profile_series_is_a_monotone_probability(d, x, dx, lam, dlam):
 
 
 def test_ball_profile_vectorised():
-    rhos = np.linspace(0.0, 2.0, 7)
-    vals = _ball_profile(1.0, 0.3, rhos, 3)
-    assert vals.shape == rhos.shape
-    for rho, val in zip(rhos, vals):
-        assert val == heat_on_ball(BallIndicator(radius=1.0),
-                                   [float(rho), 0.0, 0.0], 0.3, 3)
+    for rho in np.linspace(0.0, 2.0, 7):
+        assert _ball_profile(1.0, 0.3, rho, 3) == heat_on_ball(
+            BallIndicator(radius=1.0), [float(rho), 0.0, 0.0], 0.3, 3)
 
 
 def test_profile_refused_beyond_scaled_radius():
@@ -401,7 +398,8 @@ def test_verify_lower_bounds_witnesses_sit_at_the_edge(d, log_r, log_t):
     r, t = 10.0 ** log_r, 10.0 ** log_t
     rep = verify_lower_bounds(d, [r], [t])
     kc, edge = rep.constants, r + math.sqrt(t)
-    vals = _ball_profile(r, t, np.linspace(0.0, edge, 9), d)
+    vals = np.array([_ball_profile(r, t, rho, d)
+                     for rho in np.linspace(0.0, edge, 9)])
     assert np.all(vals >= vals[-1] * (1.0 - 2.0 * KERNEL_REL_TOL))
     low = vals[-1] * (1.0 - KERNEL_REL_TOL)
     bounds = {c.bound: c for c in rep.checks}
