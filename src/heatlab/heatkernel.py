@@ -6,39 +6,43 @@ Brownian-motion representation, [S(t) chi_r](x) = P(|x + sqrt(2t) Z| <= r)
 for a standard normal Z in R^d, the non-central chi-square CDF
 F(r^2/2t; d, |x|^2/2t). With y = x/2, mu = lam/2 and h = d/2, F(x; d, lam)
 is the Poisson mixture sum_m g_m C_m, g_m = e^-y y^(h+m) / Gamma(h+m+1),
-C_m = P(Pois(mu) <= m), whose terms are all positive. It is summed over a
-window around its largest term (Benton and Krishnamoorthy, 2003), with
-Poisson weights in Loader's saddle-point form (Loader, 2000), and the
-window grows until the bounds on what it leaves out fall below 1e-17 of
-the sum: above it the geometric tail of g_m (C_m <= 1), below it C_lo
-times that of g_m. Certification margins take off a relative error budget
-that this evaluator is checked to meet. The module needs no scipy.
+C_m = P(Pois(mu) <= m), whose terms are all positive. It is summed on
+Python floats over a window around its largest term (Benton and
+Krishnamoorthy, 2003), its weights stepped by recurrence from one anchor in
+Loader's saddle-point form (Loader, 2000) per 64 terms, and the window grows
+until the bounds on what it leaves out fall below 1e-17 of the sum: above
+it the geometric tail of g_m (C_m <= 1), below it C_lo times that of g_m.
+Certification margins take off a relative error budget that this evaluator
+is checked to meet. The module needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import math
-
-from . import _lazy
-
-np = _lazy("numpy")
+from itertools import accumulate
+from operator import mul
 
 # relative error budget of the ball profile. Against an mpmath oracle the
-# profile is within 1e-15 relative down to values of 1e-25; near the edge of
-# a narrow peak the rounding of r^2/2t and rho^2/2t costs up to about 1e-11
-# (at r^2/2t = 1e9 to 1e10). The profile is at most 1, so the budget is at
-# most 1e-8 in absolute terms.
+# profile is within 1.1e-15 relative down to values of 1e-25 (1e-13 at 1e-35,
+# from anchors far in the tails); near the edge of a narrow peak the rounding
+# of r^2/2t and rho^2/2t costs up to about 1e-11 (at r^2/2t = 1e9 to 1e10).
+# The profile is at most 1, so the budget is at most 1e-8 in absolute terms.
 KERNEL_REL_TOL = 1e-8
 # sqrt(pi) = Gamma(1/2) to 70 digits, for c'_d in odd dimensions
 _SQRT_PI = ("1.772453850905516027298167483341145182797549456122387128213807"
             "789852911")
-# largest r^2/2t accepted: the series' window grows like its square root (a
-# million terms at 5e9), and there the rounding of r^2/2t already costs 1e-11
+# largest r^2/2t accepted: the series' window grows like its square root (at
+# 1e10 0.17 s inside the ball, 0.6 s at its edge on a 2-core x86 box), and
+# there the rounding of r^2/2t already costs 1e-11
 MAX_SCALED_RADIUS = 1e10
 _TAIL = 1e-17                   # relative size of the series' dropped tails
 # stirlerr(a) ~ 1/12a - 1/360a^3 + 1/1260a^5 - 1/1680a^7 + 1/1188a^9
 _STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+_BD0_V = tuple(10 ** (-19 / k) for k in range(3, 19, 2))  # bd0: |v|^k = 1e-19
+_BLOCK = 64                     # weights stepped from one anchor
+_TINY = 2.2250738585072014e-308    # the smallest normal double
 
 
 class QuadratureError(Exception):
@@ -53,28 +57,18 @@ class BallIndicator:
             raise ValueError("radius must be finite and positive")
         if not 0 <= amplitude < math.inf:
             raise ValueError("amplitude must be finite and non-negative")
-        self.radius = radius
-        self.amplitude = amplitude
+        self.radius, self.amplitude = radius, amplitude
 
 
 class KernelConstants:
     def __init__(self, d: int, c_prime: float, c_doubleprime: float,
                  c_d: float, alpha_d: float, beta_d: float, omega_d: float):
-        self.d = d
-        self.c_prime = c_prime
-        self.c_doubleprime = c_doubleprime
-        self.c_d = c_d
-        self.alpha_d = alpha_d
-        self.beta_d = beta_d
+        self.d, self.c_prime, self.c_doubleprime = d, c_prime, c_doubleprime
+        self.c_d, self.alpha_d, self.beta_d = c_d, alpha_d, beta_d
         self.omega_d = omega_d
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d, "variant": "whole_space",
-            "c_prime": self.c_prime, "c_doubleprime": self.c_doubleprime,
-            "c_d": self.c_d, "alpha_d": self.alpha_d,
-            "beta_d": self.beta_d, "omega_d": self.omega_d,
-        }
+        return {**vars(self), "variant": "whole_space"}
 
 
 def unit_ball_volume(d: int) -> float:
@@ -90,37 +84,56 @@ def unit_ball_volume(d: int) -> float:
     return omega
 
 
-def _bd0(a, lam):
-    """a log(a/lam) + lam - a, broadcast. Where v = (a - lam)/(a + lam) is
-    below 0.1 its terms cancel, so there it is the series (a - lam) v +
-    2a (v^3/3 + ... + v^19/19), whose next term is below 1e-19 of the sum."""
+def _bd0(a: float, lam: float) -> float:
+    """a log(a/lam) + lam - a. Where v = (a - lam)/(a + lam) is below 0.1 in
+    size its terms cancel, so there it is the series (a - lam) v +
+    2a (v^3/3 + ... + v^(2k+1)/(2k+1)), k <= 9 the fewest terms whose next
+    one is below 1e-19 of the sum."""
     v = (a - lam) / (a + lam)
-    v2, near, s = v * v, np.abs(v) < 0.1, 0.0
-    for k in range(19, 2, -2):
-        s += 1.0 / k
-        s *= v2
-    s = (a - lam) * v + 2.0 * a * v * s
-    if near.all():
-        return s
-    return np.where(near, s, a * np.log(a / lam) + lam - a)
+    if not -0.1 < v < 0.1:
+        return a * math.log(a / lam) + lam - a
+    v2, s = v * v, 0.0
+    for k in range(2 * bisect.bisect(_BD0_V, abs(v)) + 3, 2, -2):
+        s = (s + 1.0 / k) * v2
+    return (a - lam) * v + 2.0 * a * v * s
 
 
-def _dpois(a, lam: float):
-    """e^-lam lam^a / Gamma(a+1) for increasing multiples a of 1/2 and a
-    scalar lam: above a = 15 Loader's saddle-point form
-    exp(-stirlerr(a) - bd0(a, lam)) / sqrt(2 pi a), stirlerr(a) = log
-    Gamma(a+1) - (a+1/2) log a + a - log(2 pi)/2 from Stirling's series; up
-    to 15 the product itself while e^-lam is normal (exp(L) errs |L|/2 ulp)."""
-    k = int(np.searchsorted(a, 15.0, side="right"))
-    small, big = a[:k], a[k:]
-    b2, s = 1.0 / (big * big), _STIRLING[-1]
+def _dpois(a: float, lam: float) -> float:
+    """e^-lam lam^a / Gamma(a+1) for a, lam >= 0 (at lam = 0, [a = 0]): above
+    a = 15 Loader's saddle-point form exp(-stirlerr(a) - bd0(a, lam)) /
+    sqrt(2 pi a), stirlerr(a) = log Gamma(a+1) - (a+1/2) log a + a -
+    log(2 pi)/2 from Stirling's series; up to 15 the product itself while
+    e^-lam is normal (exp(L) errs |L|/2 ulp)."""
+    if lam == 0.0:
+        return float(a == 0.0)
+    if a <= 15.0:
+        if lam < 708.0:
+            return math.exp(-lam) * lam ** a / math.gamma(a + 1)
+        return math.exp(a * math.log(lam) - lam - math.lgamma(a + 1))
+    b2, s = 1.0 / (a * a), _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
         s = c - b2 * s
-    gamma = np.array([math.gamma(v + 1) for v in small.tolist()])
-    return np.concatenate([
-        np.exp(-lam) * lam ** small / gamma if lam < 708.0
-        else np.exp(small * np.log(lam) - lam - np.log(gamma)),
-        np.exp(-s / big - 0.5 * np.log(2 * math.pi * big) - _bd0(big, lam))])
+    return math.exp(-s / a - 0.5 * math.log(2 * math.pi * a) - _bd0(a, lam))
+
+
+def _weights(a: float, n: int, lam: float) -> list:
+    """[_dpois(a + i, lam) for i < n], stepped by w(a + 1) = w(a) lam /
+    (a + 1), two roundings a step, from one anchor per block of _BLOCK
+    terms. A block whose anchor falls below the normal range while its last
+    term is larger gets an anchor for every term instead."""
+    w = []
+    for b in range(0, n, _BLOCK):
+        k, m = a + b, min(_BLOCK, n - b) - 1    # first a, steps to take
+        v = _dpois(k, lam)
+        if v < _TINY and _dpois(k + m, lam) > v:
+            w += [_dpois(k + i, lam) for i in range(m + 1)]
+            continue
+        w.append(v)
+        for _ in range(m):
+            k += 1.0
+            v *= lam / k
+            w.append(v)
+    return w
 
 
 def _ncx2_cdf(x: float, d: int, lam: float) -> float:
@@ -128,45 +141,46 @@ def _ncx2_cdf(x: float, d: int, lam: float) -> float:
     y, h, mu = x / 2.0, d / 2.0, lam / 2.0
     if not math.sqrt(mu) - math.sqrt(y) < 27.3:     # else F < e^-745
         return math.nan if math.isnan(lam) else 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        peak = max(y, math.sqrt(y * mu))    # about h + m at the largest term
-        half = 10.0 * math.sqrt(peak + 1.0) + 10.0
-        lo = max(0, math.floor(peak - h - half))
-        hi = max(lo, math.ceil(peak - h + half))
-        while True:
-            g = _dpois(h + np.arange(lo, hi + 1.0), y)
-            # C_m = 1 to within _TAIL on the window where Chernoff's bound
-            # e^-k^2/2(lo+1) on P(Pois(mu) > lo), k = lo + 1 - mu > 0, is
-            # below it
-            k = lo + 1 - mu
-            if k > 0 and k * k > -2.0 * (lo + 1) * math.log(_TAIL):
-                c_lo, total = 1.0, g.sum()
-            else:
-                # pmfs from 10 sd below min(lo, mu): the rest is < 2e-18 C_lo
-                jlo = max(0, math.floor(min(lo, mu) - 10.0 * math.sqrt(mu)
-                                        - 10.0))
-                c = np.cumsum(_dpois(np.arange(jlo, hi + 1.0), mu))
-                c_lo, total = c[lo - jlo], (g * c[lo - jlo:]).sum()
-            # g_m falls at least geometrically past the ends: ratio r up, s
-            # down (nothing lies below lo = 0, where y may be 0)
-            r, s = y / (h + hi + 1), ((h + lo) / y if lo else math.inf)
-            upper = g[-1] * r / (1 - r) if r < 1 else math.inf
-            below = g[0] * s / (1 - s) if s < 1 else float(lo > 0)
-            cut = _TAIL * total + np.finfo(float).tiny
-            up, down = upper > cut, c_lo * below > cut
-            if not (up or down):
-                return min(float(total), 1.0)
-            width = hi - lo + 1
-            hi, lo = hi + up * width, max(0, lo - down * width)
+    peak = max(y, math.sqrt(y * mu))    # about h + m at the largest term
+    half = 10.0 * math.sqrt(peak + 1.0) + 10.0
+    lo = max(0, math.floor(peak - h - half))
+    hi = max(lo, math.ceil(peak - h + half))
+    while True:
+        g = _weights(h + lo, hi - lo + 1, y)
+        # C_m = 1 to within _TAIL where Chernoff's bound e^-k^2/2(lo+1) on
+        # P(Pois(mu) > lo), k = lo + 1 - mu > 0, falls below _TAIL
+        k = lo + 1 - mu
+        if k > 0 and k * k > -2.0 * (lo + 1) * math.log(_TAIL):
+            c_lo, terms = 1.0, g
+        else:
+            # pmfs from 10 sd below min(lo, mu) to 10 sd above mu: the rest
+            # below is < 2e-18 C_lo, above < 3e-21 (C_m is C_jhi past jhi)
+            sd = 10.0 * math.sqrt(mu) + 10.0
+            jlo = max(0, math.floor(min(lo, mu) - sd))
+            jhi = min(hi, max(lo, math.ceil(mu + sd)))
+            c = list(accumulate(_weights(jlo, jhi - jlo + 1, mu)))[lo - jlo:]
+            c_lo, terms = c[0], list(map(mul, g, c + [c[-1]] * (hi - jhi)))
+        # blocks summed in order, their sums exactly: within _BLOCK roundings
+        total = math.fsum(sum(terms[i:i + _BLOCK])
+                          for i in range(0, len(terms), _BLOCK))
+        # g_m falls at least geometrically past the ends: ratio r up, s
+        # down (nothing lies below lo = 0, where y may be 0)
+        r, s = y / (h + hi + 1), ((h + lo) / y if lo else math.inf)
+        upper = g[-1] * r / (1 - r) if r < 1 else math.inf
+        below = g[0] * s / (1 - s) if s < 1 else float(lo > 0)
+        cut = _TAIL * total + _TINY
+        up, down = upper > cut, c_lo * below > cut
+        if not (up or down):
+            return min(total, 1.0)
+        width = hi - lo + 1
+        hi, lo = hi + up * width, max(0, lo - down * width)
 
 
 def _ball_profile(r: float, t: float, rho: float, d: int) -> float:
     """[S(t) chi_r] at distance rho from the centre: P(|rho e_1 +
-    sqrt(2t) Z| <= r) = F(r^2/2t; d, rho^2/2t).
-
-    Raises QuadratureError when r^2/2t exceeds MAX_SCALED_RADIUS or the
-    value comes out non-finite.
-    """
+    sqrt(2t) Z| <= r) = F(r^2/2t; d, rho^2/2t). Raises QuadratureError when
+    r^2/2t exceeds MAX_SCALED_RADIUS or the value comes out non-finite."""
+    r, t, rho = float(r), float(t), float(rho)
     if t <= 0:
         raise ValueError("t must be positive")
     if d < 1:
@@ -184,10 +198,9 @@ def _ball_profile(r: float, t: float, rho: float, d: int) -> float:
 
 
 def heat_on_ball(chi: BallIndicator, x, t: float, d: int) -> float:
-    """[S(t) chi](x) on R^d: the amplitude times the ball profile at
-    rho = |x|."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    rho = float(np.sqrt(np.dot(xv, xv)))
+    """[S(t) chi](x) on R^d, x a number or a sequence of coordinates: the
+    amplitude times the ball profile at rho = |x|."""
+    rho = math.hypot(*x) if hasattr(x, "__len__") else abs(x)
     return chi.amplitude * _ball_profile(chi.radius, t, rho, d)
 
 
@@ -242,8 +255,7 @@ def kernel_constants(d: int) -> KernelConstants:
     c_dp = math.pi ** (-d / 2.0) * 2.0 ** (-d) * math.exp(-9.0 / 4.0)
     c_d = min(c_prime, c_dp)
     omega = unit_ball_volume(d)
-    return KernelConstants(d=d, c_prime=c_prime,
-                           c_doubleprime=c_dp, c_d=c_d,
+    return KernelConstants(d=d, c_prime=c_prime, c_doubleprime=c_dp, c_d=c_d,
                            alpha_d=c_d * omega, beta_d=c_d * 2.0 ** (-d),
                            omega_d=omega)
 
@@ -254,9 +266,8 @@ class BoundCheck:
     def __init__(self, bound: str, min_margin: float, witness: tuple,
                  n_checked: int):
         self.bound = bound  # "lemma" | "mass" | "beta"
-        self.min_margin = min_margin
         self.witness = witness  # (r, t, rho) achieving the min margin
-        self.n_checked = n_checked
+        self.min_margin, self.n_checked = min_margin, n_checked
 
     @property
     def passed(self) -> bool:
@@ -266,11 +277,8 @@ class BoundCheck:
 class CertificationReport:
     def __init__(self, d: int, r_grid: tuple, t_grid: tuple, checks: tuple,
                  constants: KernelConstants):
-        self.d = d
-        self.r_grid = r_grid
-        self.t_grid = t_grid
-        self.checks = checks
-        self.constants = constants
+        self.d, self.r_grid, self.t_grid = d, r_grid, t_grid
+        self.checks, self.constants = checks, constants
 
     @property
     def passed(self) -> bool:
@@ -282,17 +290,14 @@ class CertificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "d": self.d,
-            "variant": "whole_space",  # the kernel that was evaluated
+            "d": self.d, "variant": "whole_space",  # the kernel evaluated
             "grid": {"r": list(self.r_grid), "t": list(self.t_grid)},
             "kernel_rel_tol": KERNEL_REL_TOL,
             "constants": self.constants.to_dict(),
             "passed": self.passed,
-            "bounds": [
-                {"bound": c.bound, "min_margin": c.min_margin,
-                 "witnesses": [list(c.witness)], "n_checked": c.n_checked}
-                for c in self.checks
-            ],
+            "bounds": [{"bound": c.bound, "min_margin": c.min_margin,
+                        "witnesses": [list(c.witness)],
+                        "n_checked": c.n_checked} for c in self.checks],
         }
 
 
@@ -305,21 +310,19 @@ def verify_lower_bounds(d: int, r_grid, t_grid,
     mass:  integral of S(t)chi_r              >= alpha_d r^d
     beta:  [S(t)chi_r](x) >= beta_d for |x| <= r + sqrt t, when t <= r^2
 
-    S(t)chi_r is radially non-increasing: the heat kernel and chi_r are
-    both symmetric decreasing, and so is their convolution (Riesz
-    rearrangement; Lieb and Loss, Analysis, 3.4). On the ball
-    |x| <= r + sqrt t it is therefore smallest at the edge, and one profile
-    value there, lowered by the evaluator's relative budget to
-    value * (1 - KERNEL_REL_TOL), bounds it on the whole ball. So a
-    non-negative min_margin certifies the lemma and beta inequalities on
-    every ball of the grid, up to floating-point rounding, however small the
-    value; each is witnessed at (r, t, r + sqrt t) and n_checked counts
-    cells. The mass is the exact whole-space value omega_d r^d (mass
-    conservation).
+    S(t)chi_r is radially non-increasing (the heat kernel and chi_r are
+    symmetric decreasing, and so is their convolution: Riesz rearrangement;
+    Lieb and Loss, Analysis, 3.4), so on the ball |x| <= r + sqrt t it is
+    smallest at the edge, and one profile value there, lowered by the
+    evaluator's relative budget to value * (1 - KERNEL_REL_TOL), bounds it on
+    the whole ball. A non-negative min_margin certifies the lemma and beta
+    inequalities on every ball of the grid, up to floating-point rounding,
+    however small the value; each is witnessed at (r, t, r + sqrt t) and
+    n_checked counts cells. The mass is the exact whole-space value
+    omega_d r^d (mass conservation).
     """
     consts = constants if constants is not None else kernel_constants(d)
-    r_grid = tuple(float(r) for r in r_grid)
-    t_grid = tuple(float(t) for t in t_grid)
+    r_grid, t_grid = tuple(map(float, r_grid)), tuple(map(float, t_grid))
     if not (r_grid and t_grid):
         raise ValueError("grids must be non-empty")
     if not all(0 < v < math.inf for v in r_grid + t_grid):
@@ -339,11 +342,8 @@ def verify_lower_bounds(d: int, r_grid, t_grid,
             found["mass"].append((omega * r ** d - consts.alpha_d * r ** d,
                                   (r, t, math.nan)))
 
-    checks = []
-    for k, cells in found.items():
-        if cells:   # the first cell of smallest margin is the witness
-            m, w = min(cells, key=lambda c: c[0])
-            checks.append(BoundCheck(bound=k, min_margin=m, witness=w,
-                                     n_checked=len(cells)))
+    # the first cell of smallest margin is the witness
+    checks = tuple(BoundCheck(k, *min(cells, key=lambda c: c[0]), len(cells))
+                   for k, cells in found.items() if cells)
     return CertificationReport(d=d, r_grid=r_grid, t_grid=t_grid,
-                               checks=tuple(checks), constants=consts)
+                               checks=checks, constants=consts)

@@ -715,7 +715,7 @@ NEEDS_DSTEMR = pytest.mark.skipif(
     pytest.param(["experiment", "simulate", "--f", "s^2", "--d", "2",
                   "--r", "0.5", "--amplitude", "0.1", "--T", "0.01"],
                  marks=NEEDS_DSTEMR),
-    # the README verify-kernel: the ball profile is a numpy series
+    # the README verify-kernel: the ball profile is a series on floats
     ["verify-kernel", "--d", "2", "--r-grid", "0.25,1,4", "--t-grid",
      "0.01,1,4"],
 ])
@@ -756,13 +756,17 @@ def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
     # the Duhamel lower bound sums its 512 cells on Python floats
     (["experiment", "lower_bound", "--f", "s^2", "--d", "1", "--r", "0.5",
       "--t", "0.01"], 0),
+    # the ball profiles are a series on Python floats
+    (["verify-kernel", "--d", "2", "--r-grid", "0.25,1,4", "--t-grid",
+      "0.01,1,4"], 0),
 ])
 def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
-    # the README's deciding commands run on Python floats: in a process
-    # that has not imported numpy, heatlab registers it to load on first
-    # use, and none of them uses it. The CLI registers solver and
+    # the README's deciding commands and verify-kernel run on Python floats:
+    # in a process that has not imported numpy, heatlab registers it to load
+    # on first use, and none of them uses it. The CLI registers solver and
     # databuilder the same way, and no record class imports dataclasses:
-    # classify and equivalence_suite execute neither module, lower_bound
+    # classify, equivalence_suite and verify-kernel execute neither module,
+    # lower_bound
     # executes solver alone, while the refused horizon executes solver
     # (find_existence_horizon refuses it) and, through main's except tuple,
     # databuilder

@@ -2,12 +2,15 @@
 
 Oracles: erf closed forms (d=1), seeded Monte-Carlo integration (d=2),
 an mpmath evaluation of the Brownian hitting probability (d=1..5), scipy's
-chndtr (d=1..10), radial quadrature of the mass, direct Gaussian
-convolution quadrature for the semigroup property.
+chndtr (d=1..10), mpmath's Poisson weights for the stepped recurrence,
+radial quadrature of the mass, direct Gaussian convolution quadrature for
+the semigroup property.
 """
 
 import json
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -23,7 +26,9 @@ from heatlab.heatkernel import (
     BallIndicator,
     QuadratureError,
     _ball_profile,
+    _dpois,
     _ncx2_cdf,
+    _weights,
     heat_on_ball,
     kernel_constants,
     unit_ball_volume,
@@ -250,6 +255,51 @@ def test_ball_profile_series_is_a_monotone_probability(d, x, dx, lam, dlam):
     val_x = _ncx2_cdf(x + dx, d, lam)
     assert all(0.0 <= v <= 1.0 for v in (val, val_lam, val_x))
     assert val_x >= val * (1 - 1e-12) and val_lam <= val * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("a0, n, lam", [
+    (0.0, 200, 0.0), (0.5, 200, 0.0),               # y = 0
+    (0.0, 200, 0.5), (0.5, 200, 0.5),
+    (0.0, 700, 400.0), (0.5, 700, 400.0),
+    (2.5e5 - 1500.5, 3000, 2.5e5),                  # the peak, +-3 sd
+    (2.5e7 - 99.5, 320, 2.5e7), (2.5e7 - 2e4, 320, 2.5e7),
+    (0.0, 192, 800.0), (0.5, 192, 800.0),           # first anchor underflows
+])
+def test_stepped_weights_match_mpmath(a0, n, lam):
+    # _weights steps each block of 64 from one anchor; the windows from
+    # a = 0 or 1/2 cross a = 15, where the anchors change form. Loader's
+    # anchors far in the tail err up to about 1e-13 (exp(L) alone errs
+    # |L|/2 ulp, |L| <= 745), and 63 steps add at most 126 roundings: each
+    # term is checked to 2e-13 of itself, or of the smallest normal double
+    # where it lies below that
+    tiny = sys.float_info.min
+    w = _weights(a0, n, lam)
+    assert len(w) == n
+    if lam == 800.0:    # anchored term by term, not zeroed
+        assert _dpois(a0, lam) < tiny <= w[63]
+    with mp.workdps(30):
+        for i, v in enumerate(w):
+            a = mp.mpf(a0) + i
+            ref = mp.exp(-mp.mpf(lam)) * mp.power(lam, a) / mp.gamma(a + 1)
+            assert abs(v - ref) <= 2e-13 * max(ref, tiny), (i, v, ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_series_at_zero_arguments_and_numpy_scalars(d):
+    # x = 0, lam = 0 and numpy scalars are plain inputs, not edge cases that
+    # raise or warn: F(0; d, lam) = 0, F(x; d, 0) is the chi-square CDF
+    # P(d/2, x/2), and _ball_profile reads numpy scalars as floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _ncx2_cdf(0.0, d, 0.0) == _ncx2_cdf(0.0, d, 3.0) == 0.0
+        for x in (1e-300, 0.3, 40.0, 2e3):
+            want = float(mp.gammainc(d / 2, 0, x / 2, regularized=True))
+            assert _ncx2_cdf(x, d, 0.0) == pytest.approx(want, rel=1e-13)
+        f64 = np.float64
+        for rho in np.linspace(0.0, 2.0, 5):
+            assert _ball_profile(f64(1.0), f64(0.3), rho, d) == \
+                _ball_profile(1.0, 0.3, float(rho), d)
+        assert _ball_profile(f64(1e-200), f64(1.0), f64(0.0), d) == 0.0
 
 
 def test_ball_profile_vectorised():
