@@ -25,7 +25,7 @@ import time
 
 from . import _lazy
 from .criteria import (classify_l1, classify_lq, classify_whole_space,
-                       equivalence_check, jsonable)
+                       duhamel_lower_bound, equivalence_check, jsonable)
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
                          kernel_constants, verify_lower_bounds)
 from .nonlinearity import (AuditError, ExpressionError, ParseError,
@@ -316,8 +316,8 @@ def experiment_simulate(args) -> tuple:
 
 def experiment_lower_bound(args) -> tuple:
     f = resolve_f(args)
-    lb = solver.duhamel_lower_bound(BallIndicator(args.r, args.amplitude), f,
-                                    args.t, args.d, q=args.q)
+    lb = duhamel_lower_bound(BallIndicator(args.r, args.amplitude), f, args.t,
+                             args.d, q=args.q)
     return ({"f": f.source_text, "t": args.t, "lq": lb.lq, "q": args.q,
              "min_on_ball": lb.value}, None, EXIT_OK)
 
@@ -482,11 +482,20 @@ EXPERIMENTS = {
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors are CliErrors: exit 1 with one line, not
     argparse's usage block and exit 2, which means Inconclusive here.
-    Subparsers are made from the same class. Options are never abbreviated:
-    a prefix of a flag is an unknown flag."""
+    Subparsers are made from the same class, each with its command's option
+    table, which it adds when it first parses: a run builds the options of
+    its own command alone. Options are never abbreviated: a prefix of a flag
+    is an unknown flag."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, table=None, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.table = table
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.table is not None:
+            _add_options(self, self.table)
+            self.table = None
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise CliError(message)
@@ -514,11 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "u_t - Lap(u) = f(u) with Lebesgue-space data.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, table) in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=text), table)
+        sub.add_parser(name, help=text, table=table)
     kinds = sub.add_parser("experiment", help="solver and data experiments"
                            ).add_subparsers(dest="kind", required=True)
     for kind, (_, text, table) in EXPERIMENTS.items():
-        _add_options(kinds.add_parser(kind, help=text), table)
+        kinds.add_parser(kind, help=text, table=table)
     return parser
 
 
@@ -537,11 +546,16 @@ def main(argv=None) -> int:
             write_csv(args.csv, *table)
         emit_report(report, args.out, argv)
         return code
-    # evaluated only when an exception propagates, so only an error exit
-    # executes solver and databuilder for their exception classes
-    except (CliError, ExpressionError, solver.SolverError, QuadratureError,
-            databuilder.ScheduleError, ValueError, OverflowError, OSError,
-            MemoryError) as exc:
+    except Exception as exc:
+        # solver's and databuilder's errors are known by module and class
+        # name, so that recognising one executes neither module
+        names = {(c.__module__, c.__qualname__) for c in type(exc).__mro__}
+        if not (isinstance(exc, (CliError, ExpressionError, QuadratureError,
+                                 ValueError, OverflowError, OSError,
+                                 MemoryError))
+                or ("heatlab.solver", "SolverError") in names
+                or ("heatlab.databuilder", "ScheduleError") in names):
+            raise
         audit = "audit failed: " if isinstance(exc, AuditError) else ""
         print(f"error: {audit}{str(exc) or repr(exc)}", file=sys.stderr)
         return EXIT_ERROR

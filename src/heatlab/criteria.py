@@ -8,12 +8,14 @@ first-class outcome, never an error. At q = 1 the integral and the series
 over the geometric witness points converge together (Cauchy condensation),
 so both verdicts apply the one L^1 predicate, _l1_verdict, to the same
 leading term and agree by construction; equivalence_check sets them side by
-side. All of it runs on Python floats, so no verdict loads numpy.
+side. duhamel_lower_bound certifies the lower bound on every local solution
+that the non-existence side rests on. All of it runs on Python floats, so
+none of it loads numpy.
 
 The one scope guard is check_scope (1 <= q < inf, d a positive integer,
 1 < 1 + 2q/d < inf) plus monotonicity_audit, whose leading term the routes
-decide from. The classifiers, series_search, critical_exponent_report, and
-solver's horizon and Duhamel lower bound each run it on their own input.
+decide from. The classifiers, series_search, critical_exponent_report, the
+Duhamel lower bound and solver's horizon each run it on their own input.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import math
 import numbers
 from typing import Optional
 
+from .heatkernel import BallIndicator, kernel_constants
 from .nonlinearity import (
     UNKNOWN,
     ZERO,
     AuditError,
     DomainError,
     NonlinearityExpr,
+    _linspace,
     eval_f,
     leading_term,
     monotonicity_audit,
@@ -312,3 +316,67 @@ def classify_whole_space(f: NonlinearityExpr, q: float, d: int) -> Verdict:
                               "leading_term": zero["leading_term"]}}
     return Verdict(outcome=outcome, criterion=inner.criterion,
                    evidence=evidence)
+
+
+# --- certified Duhamel lower bound -------------------------------------------
+
+class LowerBoundResult:
+    def __init__(self, radius: float, value: float, lq: float):
+        self.radius = radius
+        self.value = value
+        self.lq = lq
+
+
+def _lowered(x, n: int):
+    """x, the result of n roundings, times 1 - gamma_(n+3) <= its exact
+    value: gamma_n = n u / (1 - n u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 3.1); the 3 are its own."""
+    u = (n + 3) * 2.0 ** -53
+    return x * (1.0 - u / (1.0 - u))
+
+
+def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
+                        d: int, q: float) -> LowerBoundResult:
+    """Certified lower bound V on any local integral solution with u0 >= a
+    chi_r, on the ball |x| <= r + sqrt t, and V's L^q norm on that ball.
+
+    The chain u(t) >= S(t)u0 + int_0^t S(t-s) f(S(s)u0) ds and the lemma
+    S(s)chi_r >= c_d (r/(r+sqrt s))^d chi_(r+sqrt s), inside f and outside,
+    reach only balls that hold this one (sqrt s + sqrt(t-s) >= sqrt t), so
+    V = a c_d (r/(r+sqrt t))^d + the lower Riemann sum on 512 cells of F G:
+    the non-increasing F(s) = f(a c_d (r/rho)^d), rho = r + sqrt s, at each
+    cell's right end and the non-decreasing G(s) = c_d (rho/(rho +
+    sqrt(t-s)))^d at its left.
+
+    F's argument, V and the norm are lowered by gamma_n of their n roundings
+    (a power: 2, a d-th power: d times its base's, the rounded 1/q: |ln x| <
+    745); rounding in f itself is left to outward-rounded enclosures of f.
+    (d, q) outside check_scope's is a ValueError, an f that fails the audit
+    an AuditError.
+    """
+    if not 0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
+    check_scope(d, q)
+    monotonicity_audit(f)
+    consts = kernel_constants(d)
+    r, amp, c = chi.radius, chi.amplitude, consts.c_d
+    s = _linspace(0.0, t, 513)
+    rho = [r + math.sqrt(x) for x in s]  # 2 roundings
+    f_inner = f.eval_floats([_lowered(amp * c * (r / x) ** d, 3 * d + 4)
+                             for x in rho])
+    if not all(map(math.isfinite, f_inner)):
+        raise OverflowError(
+            "nonlinearity overflow in the lower-bound integrand")
+    outer = [c * (x / (x + math.sqrt(t - y))) ** d for x, y in zip(rho, s)]
+    reach = r + math.sqrt(t)
+    # a cell width times f and outer (6d + 3): 6d + 6; fsum and the add round
+    # once each, so the 6d + 518 of a recursive sum on 512 cells covers them
+    value = _lowered(amp * c * (r / reach) ** d + math.fsum(
+        (b - a) * v * g for a, b, v, g in zip(s, s[1:], f_inner[1:], outer)),
+        6 * d + 518)
+    try:
+        volume = consts.omega_d * reach ** d  # 4d + 3, omega_d taking 2d
+    except OverflowError:
+        raise OverflowError(f"(r + sqrt t)^d overflows in d = {d}") from None
+    lq = _lowered(value * volume ** (1.0 / q), 4 * d + 751)  # 4d + 6 + 745
+    return LowerBoundResult(radius=reach, value=value, lq=lq)

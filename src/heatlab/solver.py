@@ -19,10 +19,9 @@ import os
 from typing import Optional
 
 from . import _lazy
-from .criteria import EXISTS, check_scope, classify_l1
-from .heatkernel import BallIndicator, kernel_constants, unit_ball_volume
-from .nonlinearity import (NonlinearityExpr, _linspace, eval_f,
-                           monotonicity_audit, sup_ratio_envelope)
+from .criteria import EXISTS, _lowered, classify_l1
+from .heatkernel import BallIndicator, unit_ball_volume
+from .nonlinearity import NonlinearityExpr, eval_f, sup_ratio_envelope
 
 np = _lazy("numpy")
 
@@ -611,69 +610,6 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
                          condition_bound=bound, A=A, u0_l1=u0_l1_norm, d=d,
                          capped_at_max=at_endpoint and T_max <= cap,
                          smoothing_capped=at_endpoint and T_max > cap)
-
-
-# --- certified Duhamel lower bound -------------------------------------------
-
-class LowerBoundResult:
-    def __init__(self, radius: float, value: float, lq: float):
-        self.radius = radius
-        self.value = value
-        self.lq = lq
-
-
-def _lowered(x, n: int):
-    """x, the result of n roundings, times 1 - gamma_(n+3) <= its exact
-    value: gamma_n = n u / (1 - n u), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, 3.1); the 3 are its own."""
-    u = (n + 3) * 2.0 ** -53
-    return x * (1.0 - u / (1.0 - u))
-
-
-def duhamel_lower_bound(chi: BallIndicator, f: NonlinearityExpr, t: float,
-                        d: int, q: float) -> LowerBoundResult:
-    """Certified lower bound V on any local integral solution with u0 >= a
-    chi_r, on the ball |x| <= r + sqrt t, and V's L^q norm on that ball.
-
-    The chain u(t) >= S(t)u0 + int_0^t S(t-s) f(S(s)u0) ds and the lemma
-    S(s)chi_r >= c_d (r/(r+sqrt s))^d chi_(r+sqrt s), inside f and outside,
-    reach only balls that hold this one (sqrt s + sqrt(t-s) >= sqrt t), so
-    V = a c_d (r/(r+sqrt t))^d + the lower Riemann sum on 512 cells of F G:
-    the non-increasing F(s) = f(a c_d (r/rho)^d), rho = r + sqrt s, at each
-    cell's right end and the non-decreasing G(s) = c_d (rho/(rho +
-    sqrt(t-s)))^d at its left.
-
-    F's argument, V and the norm are lowered by gamma_n of their n roundings
-    (a power: 2, a d-th power: d times its base's, the rounded 1/q: |ln x| <
-    745); rounding in f itself is left to outward-rounded enclosures of f.
-    (d, q) outside check_scope's is a ValueError, an f that fails the audit
-    an AuditError.
-    """
-    if not 0 < t < math.inf:
-        raise ValueError("t must be finite and positive")
-    check_scope(d, q)
-    monotonicity_audit(f)
-    consts = kernel_constants(d)
-    r, amp, c = chi.radius, chi.amplitude, consts.c_d
-    s = _linspace(0.0, t, 513)
-    rho = [r + math.sqrt(x) for x in s]  # 2 roundings
-    f_inner = f.eval_floats([_lowered(amp * c * (r / x) ** d, 3 * d + 4)
-                             for x in rho])
-    if not all(map(math.isfinite, f_inner)):
-        raise SolverError("nonlinearity overflow in the lower-bound integrand")
-    outer = [c * (x / (x + math.sqrt(t - y))) ** d for x, y in zip(rho, s)]
-    reach = r + math.sqrt(t)
-    # a cell width times f and outer (6d + 3): 6d + 6; fsum and the add round
-    # once each, so the 6d + 518 of a recursive sum on 512 cells covers them
-    value = _lowered(amp * c * (r / reach) ** d + math.fsum(
-        (b - a) * v * g for a, b, v, g in zip(s, s[1:], f_inner[1:], outer)),
-        6 * d + 518)
-    try:
-        volume = consts.omega_d * reach ** d  # 4d + 3, omega_d taking 2d
-    except OverflowError:
-        raise SolverError(f"(r + sqrt t)^d overflows in d = {d}") from None
-    lq = _lowered(value * volume ** (1.0 / q), 4 * d + 751)  # 4d + 6 + 745
-    return LowerBoundResult(radius=reach, value=value, lq=lq)
 
 
 # --- forward simulation ------------------------------------------------------

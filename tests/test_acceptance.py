@@ -22,6 +22,7 @@ from heatlab.criteria import (
     NO_LOCAL_EXISTENCE,
     classify_l1,
     classify_lq,
+    duhamel_lower_bound,
     equivalence_check,
 )
 from heatlab.databuilder import build_t1_data, predicted_bounds
@@ -37,7 +38,6 @@ from heatlab.solver import (
     SimulationControls,
     build_propagator,
     duhamel_iterate,
-    duhamel_lower_bound,
     find_existence_horizon,
     heat_series,
     indicator,

@@ -32,7 +32,8 @@ from heatlab.cli import (
     load_config,
     main,
 )
-from heatlab.solver import _lapacke_dstemr
+from heatlab.databuilder import ScheduleError
+from heatlab.solver import SolverError, _lapacke_dstemr
 
 
 def run_json(capsys, argv):
@@ -500,6 +501,30 @@ def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
     assert all(name in err for name in names), err
 
 
+class _Refused(SolverError):
+    pass
+
+
+@pytest.mark.parametrize("cls, known", [
+    (SolverError, True), (ScheduleError, True), (_Refused, True),
+    (ZeroDivisionError, False), (RuntimeError, False)])
+def test_main_catches_its_errors_alone(monkeypatch, capsys, cls, known):
+    # main recognises solver's and databuilder's errors, their subclasses
+    # included, by module and class name, and turns them into one line and
+    # exit 1; any other exception keeps its traceback
+    def refuse(args):
+        raise cls("refused")
+    monkeypatch.setitem(COMMANDS, "classify",
+                        (refuse, *COMMANDS["classify"][1:]))
+    argv = ["classify", "--f", "s^2", "--d", "1", "--q", "2"]
+    if known:
+        assert main(argv) == EXIT_ERROR
+        assert _assert_one_line_error(capsys) == "error: refused\n"
+    else:
+        with pytest.raises(cls, match="refused"):
+            main(argv)
+
+
 @pytest.mark.parametrize("kind", [["iterate"], ["simulate", "--T", "0.01"]])
 def test_f_is_audited_before_the_propagator_is_built(monkeypatch, capsys,
                                                     kind):
@@ -759,17 +784,23 @@ def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
     # the ball profiles are a series on Python floats
     (["verify-kernel", "--d", "2", "--r-grid", "0.25,1,4", "--t-grid",
       "0.01,1,4"], 0),
+    # error exits: a usage error, an audit failure, a scope refusal and the
+    # lower bound's audit failure
+    (["classify", "--f", "s^3", "--d", "1", "--q", "1", "--bogus"], 1),
+    (["classify", "--f", "2-s", "--d", "1", "--q", "1"], 1),
+    (["classify", "--f", "s^3", "--d", "100000000000000000", "--q", "1"], 1),
+    (["experiment", "lower_bound", "--f", "2-s", "--d", "1", "--r", "0.5",
+      "--t", "0.01"], 1),
 ])
 def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
-    # the README's deciding commands and verify-kernel run on Python floats:
-    # in a process that has not imported numpy, heatlab registers it to load
-    # on first use, and none of them uses it. The CLI registers solver and
-    # databuilder the same way, and no record class imports dataclasses:
-    # classify, equivalence_suite and verify-kernel execute neither module,
-    # lower_bound
-    # executes solver alone, while the refused horizon executes solver
-    # (find_existence_horizon refuses it) and, through main's except tuple,
-    # databuilder
+    # the README's deciding commands, verify-kernel and the lower bound run
+    # on Python floats: in a process that has not imported numpy, heatlab
+    # registers it to load on first use, and none of them uses it. The CLI
+    # registers solver and databuilder the same way, and no record class
+    # imports dataclasses. Only the refused horizon executes solver
+    # (find_existence_horizon refuses it); every other command executes
+    # neither module, on an error exit too, since main recognises their
+    # errors by module and class name
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys, types\n"
               "from heatlab.cli import main\n"
@@ -785,9 +816,7 @@ def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     rc, numpy, solver, databuilder, dataclasses = \
         out.stdout.splitlines()[-1].split()
     assert (rc, numpy, dataclasses) == (str(code), "False", "False")
-    if "lower_bound" in argv:
-        assert (solver, databuilder) == ("True", "False")
-    elif "horizon" not in argv:
+    if "horizon" not in argv:
         assert (solver, databuilder) == ("False", "False")
 
 

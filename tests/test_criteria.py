@@ -27,6 +27,7 @@ from heatlab.criteria import (
     classify_lq,
     classify_whole_space,
     critical_exponent_report,
+    duhamel_lower_bound,
     equivalence_check,
     jsonable,
     near_zero_ratio_check,
@@ -40,7 +41,7 @@ from heatlab.nonlinearity import (ENVELOPE_S_MAX, UNKNOWN, ZERO, AuditError,
                                   leading_term, monotonicity_audit,
                                   parse_nonlinearity, sup_ratio_envelope)
 from heatlab.heatkernel import BallIndicator
-from heatlab.solver import duhamel_lower_bound, find_existence_horizon
+from heatlab.solver import find_existence_horizon
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate", Path(__file__).resolve().parent / "golden" /
@@ -197,6 +198,19 @@ def test_out_of_scope_q_and_d_are_refused(route, q, d):
     with pytest.raises(ValueError, match="out of scope") as exc:
         run()
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("text, d, r, amplitude, message", [
+    ("exp(s)", 1, 0.5, 1e5,
+     "nonlinearity overflow in the lower-bound integrand"),
+    ("s^2", 40, 1e8, 1.0, "(r + sqrt t)^d overflows in d = 40")])
+def test_lower_bound_refuses_overflow(text, d, r, amplitude, message):
+    # f overflowing in the integrand and a ball volume beyond the double
+    # range are OverflowErrors, which the CLI prints as one line with exit 1
+    with pytest.raises(OverflowError) as exc:
+        duhamel_lower_bound(BallIndicator(r, amplitude),
+                            parse_nonlinearity(text), 0.01, d, q=1.0)
+    assert str(exc.value) == message
 
 
 def test_classify_lq_rejects_bad_input():

@@ -1,4 +1,5 @@
-"""The eleven reference CLI commands against their golden outputs.
+"""The eleven reference CLI commands, every --help text and a set of usage
+errors against their golden outputs.
 
 tests/golden/regenerate.py holds the commands and writes the golden files;
 see its docstring for the output pinned although known to be wrong. Keys,
@@ -70,3 +71,11 @@ def test_cli_output_matches_golden(tmp_path, name):
     for file, text in want.items():
         _assert_same(_parse(file, ours[file]), _parse(file, text),
                      f"{name}/{file}")
+
+
+@pytest.mark.parametrize("argv", golden.USAGE)
+def test_help_and_usage_errors_match_golden(monkeypatch, tmp_path, argv):
+    # every --help text and usage error, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    want = json.loads((GOLDEN / "usage.json").read_text())[argv]
+    assert golden.run(argv.split(), tmp_path) == want

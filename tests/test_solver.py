@@ -24,6 +24,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 
 import heatlab
 import heatlab.solver as solver_mod
+from heatlab.criteria import duhamel_lower_bound
 from heatlab.databuilder import build_t1_data
 from heatlab.heatkernel import (BallIndicator, heat_on_ball, kernel_constants,
                                 unit_ball_volume)
@@ -40,7 +41,6 @@ from heatlab.solver import (
     _stemr,
     build_propagator,
     duhamel_iterate,
-    duhamel_lower_bound,
     duhamel_map,
     find_existence_horizon,
     heat_series,
