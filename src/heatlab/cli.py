@@ -27,7 +27,8 @@ from . import _lazy
 from .criteria import (classify_l1, classify_lq, classify_whole_space,
                        duhamel_lower_bound, equivalence_check, jsonable)
 from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
-                         kernel_constants, verify_lower_bounds)
+                         ScheduleError, SolverError, kernel_constants,
+                         verify_lower_bounds)
 from .nonlinearity import (AuditError, ExpressionError, ParseError,
                            builtin_family, eval_f, monotonicity_audit,
                            parse_nonlinearity)
@@ -546,16 +547,9 @@ def main(argv=None) -> int:
             write_csv(args.csv, *table)
         emit_report(report, args.out, argv)
         return code
-    except Exception as exc:
-        # solver's and databuilder's errors are known by module and class
-        # name, so that recognising one executes neither module
-        names = {(c.__module__, c.__qualname__) for c in type(exc).__mro__}
-        if not (isinstance(exc, (CliError, ExpressionError, QuadratureError,
-                                 ValueError, OverflowError, OSError,
-                                 MemoryError))
-                or ("heatlab.solver", "SolverError") in names
-                or ("heatlab.databuilder", "ScheduleError") in names):
-            raise
+    except (CliError, ExpressionError, SolverError, QuadratureError,
+            ScheduleError, ValueError, OverflowError, OSError,
+            MemoryError) as exc:
         audit = "audit failed: " if isinstance(exc, AuditError) else ""
         print(f"error: {audit}{str(exc) or repr(exc)}", file=sys.stderr)
         return EXIT_ERROR

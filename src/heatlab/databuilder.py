@@ -10,7 +10,8 @@ from typing import Optional
 from . import _lazy
 from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, check_scope, \
     series_search, series_verdict
-from .heatkernel import BallIndicator, KernelConstants, kernel_constants
+from .heatkernel import BallIndicator, KernelConstants, ScheduleError, \
+    kernel_constants
 from .nonlinearity import NonlinearityExpr
 from .solver import RadialField, RadialGrid, indicator, lq_norm
 
@@ -19,10 +20,6 @@ np = _lazy("numpy")
 PHI_GRID_RATIO = 1.1
 PHI_CAP = 1e12
 MIN_NODES_PER_BALL = 8
-
-
-class ScheduleError(Exception):
-    """The amplitude/radius schedule could not be built or verified."""
 
 
 class BlowupDataSpec:

@@ -49,6 +49,16 @@ class QuadratureError(Exception):
     """The kernel evaluator cannot meet the certification error budget."""
 
 
+# solver's and databuilder's refusals, defined here so that the CLI catches
+# them without executing either module
+class SolverError(Exception):
+    pass
+
+
+class ScheduleError(Exception):
+    """The amplitude/radius schedule could not be built or verified."""
+
+
 class BallIndicator:
     """amplitude * (characteristic function of the ball B_radius(0))."""
 

@@ -13,11 +13,6 @@ README's run.cfg. Its stdout, stderr, exit code and every file it writes
 same way and compares: keys, strings, verdicts, booleans, integers, exit
 codes and stderr exactly, floats within 1e-12 relative.
 
-USAGE holds every --help text and a set of usage errors; their stdout,
-stderr and exit code (--help's is argparse's SystemExit code), with help
-wrapped at 80 columns, go to ``tests/golden/usage.json``, and
-``tests/test_golden.py`` compares them byte for byte.
-
 A change that moves report bytes on purpose reruns this script, so the diff
 shows the moved values, and lists them in CHANGES.md.
 """
@@ -26,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 import shutil
 import tempfile
@@ -54,24 +48,6 @@ COMMANDS = {name: argv.split() for name, argv in {
     "lower_bound": "experiment lower_bound --f s^2 --d 1 --r 0.5 --t 0.01",
 }.items()}
 
-USAGE = [
-    "--help", "experiment --help", "classify --help", "verify-kernel --help",
-    *(f"experiment {kind} --help" for kind in (
-        "horizon", "iterate", "simulate", "lower_bound", "blowup_trend",
-        "equivalence_suite")),
-    "", "bogus", "experiment", "experiment bogus", "classify --f",
-    "classify --f s^3 --d 1", "classify --f s^3 --d 1 --q 1 --bogus",
-    "classify --f s^3 --d 0 --q 1", "classify --f s^3 --d 1 --q 1 --domain x",
-    "classify --f s^2 --d 1 --q 2 --csv x.csv", "verify-kernel --f s^2",
-    "verify-kernel --r-grid 0,1", "classify --config run.cfg --q 3 --r 1",
-    "experiment --f s^2 horizon --d 1 --u0-l1 1",
-    "experiment horizon --f s+s^2 --d 2 --u0-l1 0.5 --nodes 9",
-    "experiment iterate --f s^2 --d 1 --n-time 1.5",
-    "experiment blowup_trend --f s^4 --d 1 --q 1 --N-range 5..3",
-    "experiment lower_bound --f s^2 --d 1 --r 0.5 --t 0.01 --csv x.csv",
-    "experiment equivalence_suite --seed -1",
-]
-
 RUN_CFG = "# run.cfg\nf = s^2\nd = 2\nq = 2\n"   # the README's config file
 
 
@@ -85,7 +61,7 @@ def run(argv: list, workdir: Path) -> dict:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # --help
+            except SystemExit as exc:  # --help exits through argparse
                 code = exc.code
     finally:
         os.chdir(cwd)
@@ -105,12 +81,6 @@ def regenerate() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             for file, text in run(argv, Path(tmp)).items():
                 (target / file).write_text(text)
-    os.environ["COLUMNS"] = "80"  # the width argparse wraps help to
-    texts = {}
-    for argv in USAGE:
-        with tempfile.TemporaryDirectory() as tmp:
-            texts[argv] = run(argv.split(), Path(tmp))
-    (GOLDEN / "usage.json").write_text(json.dumps(texts, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -509,9 +509,9 @@ class _Refused(SolverError):
     (SolverError, True), (ScheduleError, True), (_Refused, True),
     (ZeroDivisionError, False), (RuntimeError, False)])
 def test_main_catches_its_errors_alone(monkeypatch, capsys, cls, known):
-    # main recognises solver's and databuilder's errors, their subclasses
-    # included, by module and class name, and turns them into one line and
-    # exit 1; any other exception keeps its traceback
+    # main turns solver's and databuilder's errors, their subclasses
+    # included, into one line and exit 1; any other exception keeps its
+    # traceback
     def refuse(args):
         raise cls("refused")
     monkeypatch.setitem(COMMANDS, "classify",
@@ -799,8 +799,8 @@ def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     # registers solver and databuilder the same way, and no record class
     # imports dataclasses. Only the refused horizon executes solver
     # (find_existence_horizon refuses it); every other command executes
-    # neither module, on an error exit too, since main recognises their
-    # errors by module and class name
+    # neither module, on an error exit too, since their errors are defined
+    # in heatkernel
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys, types\n"
               "from heatlab.cli import main\n"

@@ -1,5 +1,6 @@
-"""The eleven reference CLI commands, every --help text and a set of usage
-errors against their golden outputs.
+"""The eleven reference CLI commands against their golden outputs, and every
+--help text and a set of usage errors against the parser that builds every
+command's options up front.
 
 tests/golden/regenerate.py holds the commands and writes the golden files;
 see its docstring for the output pinned although known to be wrong. Keys,
@@ -8,12 +9,15 @@ exactly; floats within 1e-12 relative, since numpy releases and BLAS builds
 may round the last bits differently.
 """
 
+import argparse
 import importlib.util
 import json
 import math
 from pathlib import Path
 
 import pytest
+
+from heatlab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_regenerate",
@@ -73,9 +77,43 @@ def test_cli_output_matches_golden(tmp_path, name):
                      f"{name}/{file}")
 
 
-@pytest.mark.parametrize("argv", golden.USAGE)
-def test_help_and_usage_errors_match_golden(monkeypatch, tmp_path, argv):
-    # every --help text and usage error, byte for byte
-    monkeypatch.setenv("COLUMNS", "80")
-    want = json.loads((GOLDEN / "usage.json").read_text())[argv]
-    assert golden.run(argv.split(), tmp_path) == want
+USAGE = [
+    "--help", "experiment --help", "classify --help", "verify-kernel --help",
+    *(f"experiment {kind} --help" for kind in cli.EXPERIMENTS),
+    "", "bogus", "experiment", "experiment bogus", "classify --f",
+    "classify --f s^3 --d 1", "classify --f s^3 --d 1 --q 1 --bogus",
+    "classify --f s^3 --d 0 --q 1", "classify --f s^3 --d 1 --q 1 --domain x",
+    "classify --f s^2 --d 1 --q 2 --csv x.csv", "verify-kernel --f s^2",
+    "verify-kernel --r-grid 0,1", "classify --config run.cfg --q 3 --r 1",
+    "experiment --f s^2 horizon --d 1 --u0-l1 1",
+    "experiment horizon --f s+s^2 --d 2 --u0-l1 0.5 --nodes 9",
+    "experiment iterate --f s^2 --d 1 --n-time 1.5",
+    "experiment blowup_trend --f s^4 --d 1 --q 1 --N-range 5..3",
+    "experiment lower_bound --f s^2 --d 1 --r 0.5 --t 0.01 --csv x.csv",
+    "experiment equivalence_suite --seed -1",
+]
+
+
+def _eager(parser):
+    """parser with every subparser's options added before it parses."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                if sub.table is not None:
+                    cli._add_options(sub, sub.table)
+                    sub.table = None
+                _eager(sub)
+    return parser
+
+
+@pytest.mark.parametrize("argv", USAGE)
+def test_help_and_usage_errors_match_the_eager_parser(monkeypatch, tmp_path,
+                                                      argv):
+    # a run adds only its own command's options; every --help text and usage
+    # error is byte for byte what the parser with all of them prints
+    (tmp_path / "lazy").mkdir()
+    (tmp_path / "eager").mkdir()
+    lazy = golden.run(argv.split(), tmp_path / "lazy")
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: _eager(build()))
+    assert golden.run(argv.split(), tmp_path / "eager") == lazy
