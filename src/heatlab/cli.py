@@ -26,12 +26,10 @@ import time
 from . import _lazy
 from .criteria import (classify_l1, classify_lq, classify_whole_space,
                        duhamel_lower_bound, equivalence_check, jsonable)
-from .heatkernel import (BallIndicator, KERNEL_REL_TOL, QuadratureError,
-                         ScheduleError, SolverError, kernel_constants,
+from .heatkernel import (BallIndicator, KERNEL_REL_TOL, kernel_constants,
                          verify_lower_bounds)
-from .nonlinearity import (AuditError, ExpressionError, ParseError,
-                           builtin_family, eval_f, monotonicity_audit,
-                           parse_nonlinearity)
+from .nonlinearity import (ParseError, builtin_family, eval_f,
+                           monotonicity_audit, parse_nonlinearity)
 
 np = _lazy("numpy")
 # the experiments' layers, executed on first use, since no deciding command
@@ -45,7 +43,7 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -547,11 +545,9 @@ def main(argv=None) -> int:
             write_csv(args.csv, *table)
         emit_report(report, args.out, argv)
         return code
-    except (CliError, ExpressionError, SolverError, QuadratureError,
-            ScheduleError, ValueError, OverflowError, OSError,
-            MemoryError) as exc:
-        audit = "audit failed: " if isinstance(exc, AuditError) else ""
-        print(f"error: {audit}{str(exc) or repr(exc)}", file=sys.stderr)
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        # every heatlab error is a ValueError
+        print(f"error: {str(exc) or repr(exc)}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -10,8 +10,7 @@ from typing import Optional
 from . import _lazy
 from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, check_scope, \
     series_search, series_verdict
-from .heatkernel import BallIndicator, KernelConstants, ScheduleError, \
-    kernel_constants
+from .heatkernel import BallIndicator, KernelConstants, kernel_constants
 from .nonlinearity import NonlinearityExpr
 from .solver import RadialField, RadialGrid, indicator, lq_norm
 
@@ -20,6 +19,10 @@ np = _lazy("numpy")
 PHI_GRID_RATIO = 1.1
 PHI_CAP = 1e12
 MIN_NODES_PER_BALL = 8
+
+
+class ScheduleError(ValueError):
+    """The amplitude/radius schedule could not be built or verified."""
 
 
 class BlowupDataSpec:
@@ -145,8 +148,7 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     return spec, u0
 
 
-def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
-                    grid: Optional[RadialGrid] = None):
+def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float):
     """Truncated sum u0 = sum_n n^(-2) alpha_n^d chi_(1/alpha_n) built from a
     divergent-series witness: phi_k = c_d^(-1) s_k, zeta_n the smallest index
     with phi_(k_n + 1) <= phi_(zeta_n) / 2, alpha_n = (n^2 phi_(zeta_n))^(1/d).
@@ -197,8 +199,7 @@ def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float,
         if not phi_all[n + 1] <= 0.5 * phi_all[z] + 1e-12:
             raise ScheduleError(f"half-phi constraint fails at n = {n}")
 
-    if grid is None:
-        grid = _auto_grid(d, R, float(radii.min()))
+    grid = _auto_grid(d, R, float(radii.min()))
     _check_resolution(grid, radii)
     u0 = _sample_sum(grid, amplitudes, radii)
 

@@ -45,18 +45,8 @@ _BLOCK = 64                     # weights stepped from one anchor
 _TINY = 2.2250738585072014e-308    # the smallest normal double
 
 
-class QuadratureError(Exception):
+class QuadratureError(ValueError):
     """The kernel evaluator cannot meet the certification error budget."""
-
-
-# solver's and databuilder's refusals, defined here so that the CLI catches
-# them without executing either module
-class SolverError(Exception):
-    pass
-
-
-class ScheduleError(Exception):
-    """The amplitude/radius schedule could not be built or verified."""
 
 
 class BallIndicator:
@@ -225,20 +215,22 @@ def _c_prime(d: int) -> float:
         c'_d = e^(-5/4) 2^-d sum_m 4^-m (sum_(j<=m) 1/j!) / Gamma(d/2+m+1).
 
     Every term is positive and the terms fall faster than 4^-m, so the sum
-    is taken at 40 digits until it stops changing and rounded once.
+    is taken at 40 digits until it stops changing and rounded once. Each
+    sum_(j<=m) 1/j! is at most e and Gamma(d/2+m+1) >= Gamma(d/2+1), so
+    c'_d <= e^(-1/4) (4/3) 2^-d / Gamma(d/2+1); where that is below
+    2^-1075, c'_d rounds to 0 (from d = 279) and no sum is taken.
     """
     if d < 1:
         raise ValueError("d must be a positive dimension")
+    if (math.log(4 / 3) - 0.25 - d * math.log(2) - math.lgamma(d / 2 + 1)
+            < -1075 * math.log(2) - 1e-6):   # the slack covers rounding
+        return 0.0
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         gamma = D(_SQRT_PI) if d % 2 else D(1)  # Gamma(1/2) or Gamma(1)
-        try:
-            for k in range(2 - d % 2, d + 1, 2):    # up to Gamma(d/2 + 1)
-                gamma *= D(k) / 2
-        except decimal.Overflow:
-            raise ValueError(f"d = {d} is too large: Gamma(d/2 + 1) "
-                             "overflows the decimal range") from None
+        for k in range(2 - d % 2, d + 1, 2):    # up to Gamma(d/2 + 1)
+            gamma *= D(k) / 2
         half_d = D(d) / 2
         weight = 1 / gamma          # 4^-m / Gamma(d/2 + m + 1)
         inv_fact, e_partial, total, m = D(1), D(0), D(0), 0
@@ -311,8 +303,7 @@ class CertificationReport:
         }
 
 
-def verify_lower_bounds(d: int, r_grid, t_grid,
-                        constants: KernelConstants = None) -> CertificationReport:
+def verify_lower_bounds(d: int, r_grid, t_grid) -> CertificationReport:
     """Numerically certify the three whole-space ball lower bounds on a
     non-empty grid of (r, t) cells.
 
@@ -331,7 +322,7 @@ def verify_lower_bounds(d: int, r_grid, t_grid,
     n_checked counts cells. The mass is the exact whole-space value
     omega_d r^d (mass conservation).
     """
-    consts = constants if constants is not None else kernel_constants(d)
+    consts = kernel_constants(d)
     r_grid, t_grid = tuple(map(float, r_grid)), tuple(map(float, t_grid))
     if not (r_grid and t_grid):
         raise ValueError("grids must be non-empty")
@@ -349,7 +340,12 @@ def verify_lower_bounds(d: int, r_grid, t_grid,
                                    (r, t, edge)))
             if t <= r ** 2:
                 found["beta"].append((low - consts.beta_d, (r, t, edge)))
-            found["mass"].append((omega * r ** d - consts.alpha_d * r ** d,
+            try:
+                r_d = r ** d
+            except OverflowError:
+                raise OverflowError(
+                    f"r^d overflows in d = {d} at r = {r:g}") from None
+            found["mass"].append((omega * r_d - consts.alpha_d * r_d,
                                   (r, t, math.nan)))
 
     # the first cell of smallest margin is the witness

@@ -34,7 +34,7 @@ from . import _lazy
 np = _lazy("numpy")
 
 
-class ExpressionError(Exception):
+class ExpressionError(ValueError):
     """Base class for expression problems."""
 
 
@@ -57,7 +57,7 @@ class AuditError(ExpressionError):
     .violation is the pair (s_lo, s_hi) with f(s_lo) > f(s_hi), or None."""
 
     def __init__(self, message: str, violation: Optional[tuple] = None):
-        super().__init__(message)
+        super().__init__(f"audit failed: {message}")
         self.violation = violation
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import _lazy
 from .criteria import EXISTS, _lowered, classify_l1
-from .heatkernel import BallIndicator, SolverError, unit_ball_volume
+from .heatkernel import BallIndicator, unit_ball_volume
 from .nonlinearity import NonlinearityExpr, eval_f, sup_ratio_envelope
 
 np = _lazy("numpy")
@@ -40,6 +40,10 @@ HORIZON_T_MAX = 100.0      # the longest horizon find_existence_horizon grants
 # T_max, where the former 80-step bisection stopped, the floor also keeps
 # refused every input that the bisection refused.
 HORIZON_T_MIN = HORIZON_T_MAX * 2.0 ** -80
+
+
+class SolverError(ValueError):
+    pass
 
 
 # --- grids and fields --------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import heatlab
 from heatlab.cli import (
     COMMANDS,
+    CliError,
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -33,6 +34,8 @@ from heatlab.cli import (
     main,
 )
 from heatlab.databuilder import ScheduleError
+from heatlab.heatkernel import QuadratureError
+from heatlab.nonlinearity import AuditError
 from heatlab.solver import SolverError, _lapacke_dstemr
 
 
@@ -111,6 +114,16 @@ def test_classify_beyond_three_dimensions(capsys):
     assert kernel["d"] == 4
     assert 0.0 < kernel["c_d"] < 1.0
     assert kernel["beta_d"] == pytest.approx(kernel["c_d"] / 16, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [10 ** 6, 2 ** 53])
+def test_classify_in_a_huge_dimension(capsys, d):
+    # every d below 2^54 is in scope, and c'_d rounds to 0 from d = 279, so
+    # the constants block reads 0 there without summing its series
+    code, rep = run_json(capsys, ["classify", "--f", "s", "--d", str(d),
+                                  "--q", "1"])
+    assert code == EXIT_OK and rep["verdict"]["outcome"] == "Exists"
+    assert rep["constants"]["kernel"]["c_prime"] == 0.0
 
 
 # --- determinism, config, artifacts -------------------------------------------
@@ -439,7 +452,9 @@ def test_blowup_trend_schedule_error(capsys):
     ["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
      "--nodes", "0"],
     ["experiment", "iterate", "--f", "s^2", "--d", "1", "--nodes", "0"],
-    ["classify", "--f", "s^2", "--d", "1000000", "--q", "2"],
+    # from d = 2^54 on 1 + 2/d rounds to 1; below it classify decides in
+    # every dimension (test_classify_in_a_huge_dimension)
+    ["classify", "--f", "s^2", "--d", str(2 ** 54), "--q", "1"],
     ["verify-kernel", "--d", "1000000"],
     ["classify", "--f", "s^2", "--d", "1" + "0" * 400, "--q", "2"],
     ["experiment", "iterate", "--f", "s^2", "--d", "1" + "0" * 30],
@@ -491,6 +506,9 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     # the band's diagonal underflows to 0 (iterate meets its horizon first)
     (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
       "--R", "1e-200"], ("d = 1", "R = 1e-200", "257 nodes")),
+    # the mass check's r^d overflows at r = 4 of the default grid
+    (["verify-kernel", "--d", "512"], ("d = 512", "r = 4")),
+    (["verify-kernel", "--d", "1000000"], ("d = 1000000", "r = 4")),
 ])
 def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
     import heatlab.solver as solver_mod
@@ -507,11 +525,12 @@ class _Refused(SolverError):
 
 @pytest.mark.parametrize("cls, known", [
     (SolverError, True), (ScheduleError, True), (_Refused, True),
+    (QuadratureError, True), (CliError, True), (AuditError, True),
     (ZeroDivisionError, False), (RuntimeError, False)])
 def test_main_catches_its_errors_alone(monkeypatch, capsys, cls, known):
-    # main turns solver's and databuilder's errors, their subclasses
-    # included, into one line and exit 1; any other exception keeps its
-    # traceback
+    # main turns heatlab's errors, which are all ValueErrors, their
+    # subclasses included, into one line and exit 1; any other exception
+    # keeps its traceback
     def refuse(args):
         raise cls("refused")
     monkeypatch.setitem(COMMANDS, "classify",
@@ -519,10 +538,34 @@ def test_main_catches_its_errors_alone(monkeypatch, capsys, cls, known):
     argv = ["classify", "--f", "s^2", "--d", "1", "--q", "2"]
     if known:
         assert main(argv) == EXIT_ERROR
-        assert _assert_one_line_error(capsys) == "error: refused\n"
+        audit = "audit failed: " if cls is AuditError else ""
+        assert _assert_one_line_error(capsys) == f"error: {audit}refused\n"
     else:
         with pytest.raises(cls, match="refused"):
             main(argv)
+
+
+def test_every_heatlab_error_is_a_value_error():
+    # the one family main catches; solver's and databuilder's errors are
+    # defined in their own modules, and heatkernel hosts only its own
+    import importlib
+    defined = {}
+    for name in ("nonlinearity", "criteria", "heatkernel", "solver",
+                 "databuilder", "cli"):
+        module = importlib.import_module(f"heatlab.{name}")
+        classes = [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+        assert all(issubclass(cls, ValueError) for cls in classes), classes
+        defined[name] = sorted(cls.__name__ for cls in classes)
+    assert defined == {
+        "nonlinearity": ["AuditError", "DomainError", "ExpressionError",
+                         "ParseError"],
+        "criteria": [], "heatkernel": ["QuadratureError"],
+        "solver": ["SolverError"], "databuilder": ["ScheduleError"],
+        "cli": ["CliError"]}
+    assert SolverError.__module__ == "heatlab.solver"
+    assert ScheduleError.__module__ == "heatlab.databuilder"
 
 
 @pytest.mark.parametrize("kind", [["iterate"], ["simulate", "--T", "0.01"]])
@@ -799,8 +842,8 @@ def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     # registers solver and databuilder the same way, and no record class
     # imports dataclasses. Only the refused horizon executes solver
     # (find_existence_horizon refuses it); every other command executes
-    # neither module, on an error exit too, since their errors are defined
-    # in heatkernel
+    # neither module, on an error exit too, since main catches their errors
+    # as ValueErrors without naming them
     (tmp_path / "run.cfg").write_text("f = s^2\nd = 2\nq = 2\n")
     script = ("import sys, types\n"
               "from heatlab.cli import main\n"

@@ -352,9 +352,10 @@ def _c_prime_mpmath(d):
         return float(mp.nstr(val, 45))
 
 
-# d = 270 is subnormal, d = 280 underflows to 0
+# d = 270 and 278 are subnormal; from d = 279 on c'_d underflows to 0,
+# and there its bound, not its series, says so
 @pytest.mark.parametrize("d", list(range(1, 21)) + [30, 50, 100, 200, 260,
-                                                    270, 280])
+                                                    270, 278, 279, 280])
 def test_c_prime_correctly_rounded(d):
     assert kernel_constants(d).c_prime == _c_prime_mpmath(d)
 
@@ -487,14 +488,15 @@ def test_verify_lower_bounds_rejects_empty_grid(r_grid, t_grid):
         verify_lower_bounds(2, r_grid, t_grid)
 
 
-def test_verify_lower_bounds_fails_with_inflated_constant():
-    from heatlab.heatkernel import KernelConstants
+def test_verify_lower_bounds_fails_with_inflated_constant(monkeypatch):
+    # verify_lower_bounds takes its constants from kernel_constants alone
+    import heatlab.heatkernel as heatkernel_mod
     kc = kernel_constants(1)
-    bad = KernelConstants(d=1, c_prime=kc.c_prime,
-                          c_doubleprime=kc.c_doubleprime, c_d=1.0,
-                          alpha_d=1.0 * kc.omega_d, beta_d=0.5,
-                          omega_d=kc.omega_d)
-    rep = verify_lower_bounds(1, [1.0], [1.0], constants=bad)
+    bad = heatkernel_mod.KernelConstants(
+        d=1, c_prime=kc.c_prime, c_doubleprime=kc.c_doubleprime, c_d=1.0,
+        alpha_d=1.0 * kc.omega_d, beta_d=0.5, omega_d=kc.omega_d)
+    monkeypatch.setattr(heatkernel_mod, "kernel_constants", lambda d: bad)
+    rep = verify_lower_bounds(1, [1.0], [1.0])
     assert not rep.passed
     worst = {c.bound: c for c in rep.checks}
     assert worst["lemma"].min_margin < 0.0
