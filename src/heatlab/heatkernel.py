@@ -197,10 +197,9 @@ def _ball_profile(r: float, t: float, rho: float, d: int) -> float:
     return val
 
 
-def heat_on_ball(chi: BallIndicator, x, t: float, d: int) -> float:
-    """[S(t) chi](x) on R^d, x a number or a sequence of coordinates: the
-    amplitude times the ball profile at rho = |x|."""
-    rho = math.hypot(*x) if hasattr(x, "__len__") else abs(x)
+def heat_on_ball(chi: BallIndicator, rho: float, t: float, d: int) -> float:
+    """[S(t) chi](x) on R^d at the distance rho = |x| from the centre: the
+    amplitude times the ball profile."""
     return chi.amplitude * _ball_profile(chi.radius, t, rho, d)
 
 
@@ -271,10 +270,6 @@ class BoundCheck:
         self.witness = witness  # (r, t, rho) achieving the min margin
         self.min_margin, self.n_checked = min_margin, n_checked
 
-    @property
-    def passed(self) -> bool:
-        return self.min_margin >= 0.0
-
 
 class CertificationReport:
     def __init__(self, d: int, r_grid: tuple, t_grid: tuple, checks: tuple,
@@ -284,7 +279,7 @@ class CertificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.min_margin >= 0.0 for c in self.checks)
 
     @property
     def min_margin(self) -> float:
@@ -320,7 +315,8 @@ def verify_lower_bounds(d: int, r_grid, t_grid) -> CertificationReport:
     inequalities on every ball of the grid, up to floating-point rounding,
     however small the value; each is witnessed at (r, t, r + sqrt t) and
     n_checked counts cells. The mass is the exact whole-space value
-    omega_d r^d (mass conservation).
+    omega_d r^d (mass conservation). A constant or an edge value that
+    underflows to 0 certifies nothing and is refused.
     """
     consts = kernel_constants(d)
     r_grid, t_grid = tuple(map(float, r_grid)), tuple(map(float, t_grid))
@@ -328,14 +324,20 @@ def verify_lower_bounds(d: int, r_grid, t_grid) -> CertificationReport:
         raise ValueError("grids must be non-empty")
     if not all(0 < v < math.inf for v in r_grid + t_grid):
         raise ValueError("grids must be finite and positive")
+    if 0.0 in (consts.c_d, consts.alpha_d, consts.beta_d):
+        raise ValueError(f"a constant underflows to 0 in d = {d}: c_d = "
+                         f"{consts.c_d:g}, alpha_d = {consts.alpha_d:g}, "
+                         f"beta_d = {consts.beta_d:g}")
 
     # bound -> [(margin, witness)] over the cells where it applies
     found = {"lemma": [], "mass": [], "beta": []}
-    omega = unit_ball_volume(d)
     for r in r_grid:
         for t in t_grid:
             edge = r + math.sqrt(t)
             low = _ball_profile(r, t, edge, d) * (1.0 - KERNEL_REL_TOL)
+            if low == 0.0:
+                raise ValueError(f"the edge value underflows to 0 in d = {d} "
+                                 f"at r = {r:g}, t = {t:g}")
             found["lemma"].append((low - consts.c_d * (r / edge) ** d,
                                    (r, t, edge)))
             if t <= r ** 2:
@@ -345,7 +347,7 @@ def verify_lower_bounds(d: int, r_grid, t_grid) -> CertificationReport:
             except OverflowError:
                 raise OverflowError(
                     f"r^d overflows in d = {d} at r = {r:g}") from None
-            found["mass"].append((omega * r_d - consts.alpha_d * r_d,
+            found["mass"].append((consts.omega_d * r_d - consts.alpha_d * r_d,
                                   (r, t, math.nan)))
 
     # the first cell of smallest margin is the witness

@@ -14,11 +14,13 @@ The expression grammar (EBNF, also documented in the README):
 nested deeper than MAX_DEPTH levels, or whose tree is deeper, is refused.
 
 A parsed expression is a tree of tuples `(op, *children)`: the leaves are
-`("num", value)` and `("s",)`. One walk evaluates it with either of two op
-tables: numpy's ufuncs on arrays (eval_raw, for the solver's fields and the
-ratio envelope) or math-based functions on Python floats (eval_floats, for
-every read at points), which follow numpy's conventions. + - * / round alike
-in both; libm's pow, exp and log may differ from numpy's in the last bit.
+`("num", value)` and `("s",)`, and each subtree without s folds to one leaf
+when the tree is built. One walk evaluates it with either of two op tables:
+numpy's ufuncs on arrays (eval_raw, for the solver's fields and the ratio
+envelope) or math-based functions on Python floats (eval_floats, for every
+read at points and for the folded constants), which follow numpy's
+conventions. + - * / round alike in both; libm's pow, exp and log may differ
+from numpy's in the last bit.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ _FUNCS = ("log", "exp", "max")
 
 # Deepest nesting (parentheses, unary minus, exponents) and deepest tree the
 # parser accepts: the parser spends up to five frames per nesting level and
-# _eval one per tree level, both well inside the default recursion limit.
+# _fold or _eval one per tree level, well inside the default recursion limit.
 MAX_DEPTH = 100
 
 
@@ -145,6 +147,17 @@ _FLOAT_OPS = {
                    "/": _fdiv, "^": _fpow, "neg": operator.neg,
                    "log": _flog, "exp": _fexp, "max": _fmax}.items()}
 _FLOAT_OPS["num"] = lambda v, s: [v] * len(s)
+
+
+def _fold(node):
+    """The tree with each subtree whose children are all literals replaced,
+    bottom up, by one ("num", value), the value taken on the float table."""
+    if node[0] in ("s", "num"):
+        return node
+    node = (node[0], *map(_fold, node[1:]))
+    if all(child[0] == "num" for child in node[1:]):
+        return ("num", _eval(node, [0.0], _FLOAT_OPS)[0])
+    return node
 
 
 def _tree_depth(node) -> int:
@@ -255,25 +268,14 @@ _RULES = {"+": _add, "-": lambda x, y: _add(x, _mul(_MINUS_ONE, y)),
           "max": lambda *xs: UNKNOWN if UNKNOWN in xs else max(xs, key=_order)}
 
 
-def _constant(node) -> bool:
-    return node[0] == "num" or (node[0] != "s"
-                                and all(map(_constant, node[1:])))
-
-
-def _value(node) -> float:
-    """A constant subtree's double, as eval_floats computes it."""
-    return _eval(node, [0.0], _FLOAT_OPS)[0]
-
-
 def _leading(node, x):
-    """The leading term of the tree, where s has the term x."""
+    """The leading term of the folded tree, where s has the term x."""
     if node[0] == "s":
         return x
-    if _constant(node):
-        v = _value(node)
-        return ZERO if v == 0 else _term(v, 0.0, 0.0, 0.0)
-    if node[0] == "^" and _constant(node[2]):
-        return _power(_leading(node[1], x), _value(node[2]))
+    if node[0] == "num":
+        return ZERO if node[1] == 0 else _term(node[1], 0.0, 0.0, 0.0)
+    if node[0] == "^" and node[2][0] == "num":
+        return _power(_leading(node[1], x), node[2][1])
     return _RULES[node[0]](*(_leading(child, x) for child in node[1:]))
 
 
@@ -394,10 +396,10 @@ class _Parser:
 # --- public types ----------------------------------------------------------
 
 class NonlinearityExpr:
-    """A parsed nonlinearity f: [0, inf) -> [0, inf)."""
+    """A parsed nonlinearity f: [0, inf) -> [0, inf), its tree folded."""
 
     def __init__(self, root: tuple, source_text: str):
-        self.root = root
+        self.root = _fold(root)
         self.source_text = source_text
 
     def eval_raw(self, s):

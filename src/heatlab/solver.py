@@ -173,12 +173,6 @@ class HeatPropagator:
         self.modes = modes    # orthonormal columns of the symmetrized operator
         self.sqrt_w = sqrt_w  # sqrt cell volumes on the interior nodes
 
-    def to_modal(self, interior_values: np.ndarray) -> np.ndarray:
-        return self.modes.T @ (self.sqrt_w * interior_values)
-
-    def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
-        return (self.modes @ coeffs) / self.sqrt_w
-
 
 def _band(grid: RadialGrid) -> tuple:
     """(diag, off, sqrt_w): the band sqrt(V) A / sqrt(V), its off-diagonals
@@ -316,11 +310,11 @@ def _heat_step(P: HeatPropagator, decay: np.ndarray,
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("field values must be finite")
     m = P.grid.n_interior
-    coeffs = decay * P.to_modal(values[:m])
+    coeffs = decay * (P.modes.T @ (P.sqrt_w * values[:m]))
     vals = np.empty(m + 1)
     vals[m] = 0.0  # Dirichlet boundary node
     out = vals[:m]
-    np.divide(P.modes @ coeffs, P.sqrt_w, out=out)  # P.from_modal, in place
+    np.divide(P.modes @ coeffs, P.sqrt_w, out=out)
     tol = CLAMP_TOL * max(1.0, hi, -lo)  # max|values|, exactly
     n_clamped = int(np.count_nonzero(out < -tol))
     if lo >= 0.0:
@@ -360,7 +354,7 @@ def heat_series(P: HeatPropagator, u0: RadialField,
     wherever the partial sums stay above that."""
     coeffs = np.outer(times, -P.eigenvalues)  # negation is exact
     np.exp(coeffs, out=coeffs)
-    coeffs *= P.to_modal(u0.values[:P.grid.n_interior])
+    coeffs *= P.modes.T @ (P.sqrt_w * u0.values[:P.grid.n_interior])
     tiny = np.finfo(float).tiny
     coeffs[(coeffs < tiny) & (coeffs > -tiny)] = 0.0
     out = coeffs @ P.modes.T

@@ -123,7 +123,7 @@ def test_kernel_certification_sweep():
     # d = 1 values cross-checked against direct Gaussian quadrature
     for r, t, rho in ((0.25, 0.0625, 0.2), (1.0, 1.0, 1.5), (4.0, 4.0, 0.0)):
         chi = BallIndicator(r)
-        val = heat_on_ball(chi, (rho,), t, 1)
+        val = heat_on_ball(chi, rho, t, 1)
         ref, _ = quad(lambda y: math.exp(-(rho - y) ** 2 / (4 * t))
                       / math.sqrt(4 * math.pi * t), -r, r,
                       epsabs=1e-13, epsrel=1e-13)

@@ -506,9 +506,18 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     # the band's diagonal underflows to 0 (iterate meets its horizon first)
     (["experiment", "simulate", "--f", "s^2", "--d", "1", "--T", "0.01",
       "--R", "1e-200"], ("d = 1", "R = 1e-200", "257 nodes")),
-    # the mass check's r^d overflows at r = 4 of the default grid
-    (["verify-kernel", "--d", "512"], ("d = 512", "r = 4")),
-    (["verify-kernel", "--d", "1000000"], ("d = 1000000", "r = 4")),
+    # the mass check's r^d overflows at r = 1000
+    (["verify-kernel", "--d", "150", "--r-grid", "1000", "--t-grid", "1"],
+     ("r^d overflows in d = 150 at r = 1000",)),
+    # a constant or an edge value that underflows to 0 certifies nothing:
+    # the edge value at r = 0.25, t = 4 of the default grid from d = 166,
+    # alpha_d from d = 200, c_d, alpha_d and beta_d from d = 279; margins
+    # taken in log space (ROADMAP item 26) would let these dimensions pass
+    (["verify-kernel", "--d", "1000000"], ("d = 1000000", "underflow")),
+    (["verify-kernel", "--d", "166"], ("d = 166", "r = 0.25", "t = 4")),
+    (["verify-kernel", "--d", "200"], ("d = 200", "alpha_d = 0")),
+    (["verify-kernel", "--d", "300"], ("d = 300", "c_d = 0")),
+    (["verify-kernel", "--d", "512"], ("d = 512", "c_d = 0")),
 ])
 def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
     import heatlab.solver as solver_mod

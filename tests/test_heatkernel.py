@@ -101,23 +101,20 @@ def test_kernel_rejects_nonpositive_time():
 def test_heat_on_ball_identity_limit():
     # t = 1e-10 puts r^2/2t = 5e9 just inside the evaluated range
     chi = BallIndicator(radius=1.0)
-    assert heat_on_ball(chi, [0.5], 1e-10, 1) == pytest.approx(1.0, abs=1e-10)
+    assert heat_on_ball(chi, 0.5, 1e-10, 1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_heat_on_ball_erf_oracle():
     chi = BallIndicator(radius=1.0)
-    val = heat_on_ball(chi, [2.0], 1.0, 1)
+    val = heat_on_ball(chi, 2.0, 1.0, 1)
     assert val == pytest.approx(0.5 * (erf(1.5) - erf(0.5)), rel=1e-12)
 
 
 def test_heat_on_ball_amplitude_and_center():
     chi = BallIndicator(radius=1.0, amplitude=2.5)
     ref = BallIndicator(radius=1.0)
-    assert heat_on_ball(chi, [2.0], 1.0, 1) == pytest.approx(
-        2.5 * heat_on_ball(ref, [2.0], 1.0, 1), rel=1e-14)
-    # the ball is centred at the origin: the profile depends on |x| alone
-    assert heat_on_ball(ref, [3.0, 4.0], 1.0, 2) == \
-        heat_on_ball(ref, [0.0, 5.0], 1.0, 2)
+    assert heat_on_ball(chi, 2.0, 1.0, 1) == pytest.approx(
+        2.5 * heat_on_ball(ref, 2.0, 1.0, 1), rel=1e-14)
 
 
 def test_heat_on_ball_d2_monte_carlo():
@@ -132,13 +129,13 @@ def test_heat_on_ball_d2_monte_carlo():
         (4 * math.pi * t) ** -1.0 * np.exp(-(pts ** 2).sum(axis=1) / (4 * t)),
         0.0) * 4.0  # sampling box area
     mc, sd = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
-    val = heat_on_ball(BallIndicator(radius=1.0), [0.0, 0.0], t, 2)
+    val = heat_on_ball(BallIndicator(radius=1.0), 0.0, t, 2)
     assert abs(val - mc) <= 3.0 * sd
 
 
 def test_heat_on_ball_d3_origin_matches_radial_quadrature():
     t, r = 0.3, 1.2
-    val = heat_on_ball(BallIndicator(radius=r), [0.0, 0.0, 0.0], t, 3)
+    val = heat_on_ball(BallIndicator(radius=r), 0.0, t, 3)
     ref, _ = quad(lambda R: (4 * math.pi * t) ** -1.5 * 4 * math.pi * R ** 2 *
                   math.exp(-R * R / (4 * t)), 0.0, r)
     assert val == pytest.approx(ref, rel=1e-10)
@@ -147,8 +144,8 @@ def test_heat_on_ball_d3_origin_matches_radial_quadrature():
 def test_heat_on_ball_d3_small_offset_continuity():
     # the profile is continuous at the centre: tiny offsets change nothing
     chi = BallIndicator(radius=1.0)
-    v0 = heat_on_ball(chi, [0.0, 0.0, 0.0], 0.5, 3)
-    v1 = heat_on_ball(chi, [1e-9, 0.0, 0.0], 0.5, 3)
+    v0 = heat_on_ball(chi, 0.0, 0.5, 3)
+    v1 = heat_on_ball(chi, 1e-9, 0.5, 3)
     assert v1 == pytest.approx(v0, rel=1e-8)
 
 
@@ -156,7 +153,7 @@ def test_heat_on_ball_d3_small_offset_continuity():
 def test_heat_on_ball_radially_nonincreasing(d):
     chi = BallIndicator(radius=1.0)
     rhos = np.linspace(0.0, 4.0, 25)
-    vals = [heat_on_ball(chi, [float(rho)] + [0.0] * (d - 1), 0.7, d)
+    vals = [heat_on_ball(chi, float(rho), 0.7, d)
             for rho in rhos]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -169,7 +166,7 @@ def test_heat_on_ball_mass(d):
     chi = BallIndicator(radius=r)
     sigma = d * unit_ball_volume(d)
     mass, _ = quad(lambda rho: sigma * rho ** (d - 1) *
-                   heat_on_ball(chi, [rho] + [0.0] * (d - 1), t, d),
+                   heat_on_ball(chi, rho, t, d),
                    0.0, r + 12.0 * math.sqrt(t), epsabs=1e-10, epsrel=1e-12,
                    limit=200)
     assert mass == pytest.approx(unit_ball_volume(d) * r ** d, rel=1e-8)
@@ -180,10 +177,10 @@ def test_semigroup_property_d1():
     chi = BallIndicator(radius=1.0)
     t1, t2 = 0.3, 0.5
     for x in (0.0, 0.8, 2.0):
-        direct = heat_on_ball(chi, [x], t1 + t2, 1)
+        direct = heat_on_ball(chi, x, t1 + t2, 1)
         conv, _ = quad(
             lambda y: gaussian_kernel([x], [y], t2, 1) *
-            heat_on_ball(chi, [y], t1, 1),
+            heat_on_ball(chi, y, t1, 1),
             -12.0, 12.0, limit=300)
         assert direct == pytest.approx(conv, abs=1e-6)
 
@@ -305,16 +302,15 @@ def test_series_at_zero_arguments_and_numpy_scalars(d):
 def test_ball_profile_vectorised():
     for rho in np.linspace(0.0, 2.0, 7):
         assert _ball_profile(1.0, 0.3, rho, 3) == heat_on_ball(
-            BallIndicator(radius=1.0), [float(rho), 0.0, 0.0], 0.3, 3)
+            BallIndicator(radius=1.0), float(rho), 0.3, 3)
 
 
 def test_profile_refused_beyond_scaled_radius():
     # r^2/2t above 1e10 is refused rather than evaluated, in every dimension
-    assert heat_on_ball(BallIndicator(radius=1.0), [0.5], 5e-11, 1) == 1.0
+    assert heat_on_ball(BallIndicator(radius=1.0), 0.5, 5e-11, 1) == 1.0
     for d in (1, 2, 3):
         with pytest.raises(QuadratureError):
-            heat_on_ball(BallIndicator(radius=1.0), [0.5] + [0.0] * (d - 1),
-                         1e-12, d)
+            heat_on_ball(BallIndicator(radius=1.0), 0.5, 1e-12, d)
     with pytest.raises(QuadratureError):
         verify_lower_bounds(2, [1e3], [1e-9])
 
@@ -412,7 +408,7 @@ def test_c_prime_against_gauss_ball_quadrature():
 def test_verify_lower_bounds_d1_point_example():
     rep = verify_lower_bounds(1, [1.0], [1.0])
     kc = rep.constants
-    val = heat_on_ball(BallIndicator(radius=1.0), [2.0], 1.0, 1)
+    val = heat_on_ball(BallIndicator(radius=1.0), 2.0, 1.0, 1)
     assert val - kc.c_d * 0.5 >= 0.0
     assert rep.passed
 

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatlab.nonlinearity import (
+    _FLOAT_OPS,
+    _RULES,
     ENVELOPE_GRID_RATIO,
     MAX_DEPTH,
+    ZERO,
     AuditError,
     DomainError,
     NonlinearityExpr,
@@ -21,6 +24,9 @@ from heatlab.nonlinearity import (
     monotonicity_audit,
     parse_nonlinearity,
     sup_ratio_envelope,
+    _eval,
+    _power,
+    _term,
 )
 
 
@@ -103,11 +109,76 @@ def _text(node) -> str:
 @settings(max_examples=200, deadline=None)
 @given(_TREES)
 def test_roundtrip_through_text(tree):
+    # the parsed text folds to the drawn tree, folded (repr tells NaN and
+    # the zeros apart)
     f = NonlinearityExpr(root=tree, source_text="drawn")
     g = parse_nonlinearity(_text(tree))
-    assert g.root == tree
+    assert repr(g.root) == repr(f.root)
     grid = np.array([0.0, 1e-300, 0.5, 1.0, math.e, 7.0, 1e8, 1e300])
     assert np.array_equal(g.eval_raw(grid), f.eval_raw(grid), equal_nan=True)
+
+
+def _constant(node) -> bool:
+    return node[0] == "num" or (node[0] != "s"
+                                and all(map(_constant, node[1:])))
+
+
+def _value(node) -> float:
+    """A constant subtree's double on the float table, walked unfolded."""
+    return _eval(node, [0.0], _FLOAT_OPS)[0]
+
+
+def _unfolded_leading(node, x):
+    """leading_term's rules on the unfolded tree: each constant subtree, and
+    each constant exponent, evaluated where the walk meets it."""
+    if node[0] == "s":
+        return x
+    if _constant(node):
+        v = _value(node)
+        return ZERO if v == 0 else _term(v, 0.0, 0.0, 0.0)
+    if node[0] == "^" and _constant(node[2]):
+        return _power(_unfolded_leading(node[1], x), _value(node[2]))
+    return _RULES[node[0]](*(_unfolded_leading(c, x) for c in node[1:]))
+
+
+def _assert_folded(drawn, folded):
+    """Each constant subtree of drawn is one literal of folded, its value
+    the subtree's double; every other node keeps its op."""
+    if _constant(drawn):
+        assert folded[0] == "num"
+        assert _same_doubles([folded[1]], [_value(drawn)])
+        return
+    assert folded[0] == drawn[0] and len(folded) == len(drawn)
+    for a, b in zip(drawn[1:], folded[1:]):
+        _assert_folded(a, b)
+
+
+# constant subtrees: literals and e under every op of the grammar
+_CONSTANT_TREES = st.recursive(
+    st.one_of(st.floats(min_value=0.0, max_value=1e300).map(
+        lambda v: ("num", v)), st.sampled_from(
+        [("num", math.e), ("num", 0.0), ("num", 0.5), ("num", 2.0)])),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), sub, sub),
+        st.tuples(st.sampled_from(("neg", "log", "exp")), sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: ("max", *a))),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    st.one_of(_CONSTANT_TREES, st.just(("s",))),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), sub, sub),
+        st.tuples(st.sampled_from(("neg", "log", "exp")), sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: ("max", *a))),
+    max_leaves=8))
+def test_constants_fold_when_the_tree_is_built(tree):
+    f = NonlinearityExpr(root=tree, source_text="drawn")
+    _assert_folded(tree, f.root)
+    for at, x in ((math.inf, (1.0, 1.0, 0.0, 0.0)),
+                  (0.0, (1.0, -1.0, 0.0, 0.0))):
+        assert leading_term(f, at) == _unfolded_leading(tree, x)
 
 
 def test_depth_limit():

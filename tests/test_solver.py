@@ -64,6 +64,16 @@ def prop_d1():
     return build_propagator(grid)
 
 
+def _to_modal(P, x):
+    """Modal coefficients Q^T W^1/2 x of interior values x."""
+    return P.modes.T @ (P.sqrt_w * x)
+
+
+def _from_modal(P, c):
+    """Interior values W^-1/2 Q c of modal coefficients c."""
+    return (P.modes @ c) / P.sqrt_w
+
+
 # --- grid and norms ----------------------------------------------------------
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -423,7 +433,7 @@ def test_propagator_build_allocates_one_dense_matrix(stemr_path):
 
 def test_eigenmode_decay(prop_d1):
     P = prop_d1
-    mode = np.concatenate([P.from_modal(np.eye(P.grid.n_interior)[:, 0]),
+    mode = np.concatenate([_from_modal(P, np.eye(P.grid.n_interior)[:, 0]),
                            [0.0]])
     u = RadialField(P.grid, mode)
     out = semigroup_apply(P, 2.0, u)
@@ -450,7 +460,7 @@ def test_semigroup_matches_whole_space_in_bulk(prop_d1):
     for i in range(4, 180, 25):
         rho = P.grid.nodes[i]
         assert out.values[i] == pytest.approx(
-            heat_on_ball(chi, [rho], 0.05, 1), abs=1e-3)
+            heat_on_ball(chi, rho, 0.05, 1), abs=1e-3)
 
 
 def test_max_principle_and_zero_clamps(prop_d1):
@@ -499,7 +509,7 @@ def _history_sum_duhamel(P, u0, f, v, times):
     m = P.grid.n_interior
     dt = times[1] - times[0]
     decay = np.exp(-np.outer(times, P.eigenvalues))
-    u0_hat = P.to_modal(u0.values[:m])
+    u0_hat = _to_modal(P, u0.values[:m])
     g = (f.eval_raw(np.maximum(v, 0.0)) * P.sqrt_w) @ P.modes
     out = np.empty_like(v)
     for j in range(len(times)):
@@ -509,7 +519,7 @@ def _history_sum_duhamel(P, u0, f, v, times):
             c[0] = c[j] = 0.5
             acc = acc + dt * np.einsum("m,mk,mk->k", c, decay[j::-1],
                                        g[:j + 1])
-        out[j] = P.from_modal(acc)
+        out[j] = _from_modal(P, acc)
     return out
 
 
@@ -551,13 +561,76 @@ def test_heat_series_flush_keeps_the_unflushed_product(d, n):
             u0 = indicator(P.grid, BallIndicator(0.4, amplitude=amplitude))
             times = np.linspace(0.0, T, 256)
             coeffs = np.exp(-np.outer(times, P.eigenvalues)) \
-                * P.to_modal(u0.values[:-1])
+                * _to_modal(P, u0.values[:-1])
             assert np.any((coeffs != 0.0)
                           & (np.abs(coeffs) < np.finfo(float).tiny)), \
                 (T, amplitude)
             ref = (coeffs @ P.modes.T) / P.sqrt_w
             assert np.array_equal(heat_series(P, u0, times), ref), \
                 (T, amplitude)
+
+
+
+def _ref_heat_step(P, decay, values):
+    """_heat_step with its products spelled by _to_modal and _from_modal."""
+    lo, hi = float(values.min()), float(values.max())
+    m = P.grid.n_interior
+    coeffs = decay * _to_modal(P, values[:m])
+    vals = np.empty(m + 1)
+    vals[m] = 0.0
+    vals[:m] = _from_modal(P, coeffs)
+    n_clamped = int(np.count_nonzero(vals[:m] < -1e-9 * max(1.0, hi, -lo)))
+    if lo >= 0.0:
+        np.maximum(vals[:m], 0.0, out=vals[:m])
+    return vals, n_clamped
+
+
+def _ref_heat_series(P, u0, times):
+    """heat_series with its forward product spelled by _to_modal."""
+    coeffs = np.exp(np.outer(times, -P.eigenvalues))
+    coeffs *= _to_modal(P, u0.values[:P.grid.n_interior])
+    tiny = np.finfo(float).tiny
+    coeffs[(coeffs < tiny) & (coeffs > -tiny)] = 0.0
+    out = coeffs @ P.modes.T
+    out /= P.sqrt_w
+    return out
+
+
+def _ref_duhamel(P, f, v, dt):
+    """_duhamel with a fresh array per step of the history."""
+    g = (f.eval_raw(np.maximum(v, 0.0)) * P.sqrt_w) @ P.modes
+    r = np.exp(-P.eigenvalues * dt)
+    hist = np.zeros_like(g)
+    hist[1:] = 0.5 * dt * (r * g[:-1] + g[1:])
+    for j in range(1, len(hist)):
+        hist[j] += r * hist[j - 1]
+    return (hist @ P.modes.T) / P.sqrt_w
+
+
+@pytest.mark.parametrize("make_grid", [
+    *(lambda d=d: RadialGrid.uniform(d, 1.0, 257) for d in (1, 2, 3)),
+    lambda: _t1_run_grid(2)], ids=["uniform-d1", "uniform-d2", "uniform-d3",
+                                   "t1-d2-N3"])
+def test_steps_match_the_reference_spelling_bytes(make_grid):
+    # the semigroup step, the heat series and the Duhamel history spell the
+    # modal products on P.modes and P.sqrt_w, in place where they can; each
+    # is the same double as the reference helpers give
+    P = build_propagator(make_grid())
+    u0 = indicator(P.grid, BallIndicator(0.4, amplitude=0.5))
+    mixed = np.cos(7.0 * P.grid.nodes) * (P.grid.nodes < P.grid.R)
+    for values in (u0.values, mixed):
+        decay = np.exp(-P.eigenvalues * 1e-3)
+        got, ref = solver_mod._heat_step(P, decay, values), \
+            _ref_heat_step(P, decay, values)
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+    times = np.linspace(0.0, 0.05, 32)
+    assert np.array_equal(heat_series(P, u0, times),
+                          _ref_heat_series(P, u0, times))
+    f = parse_nonlinearity("s + s^2")
+    v = np.random.default_rng(3).uniform(0.0, 2.0, (32, P.grid.n_interior))
+    dt = times[1] - times[0]
+    assert np.array_equal(solver_mod._duhamel(P, f, v, dt),
+                          _ref_duhamel(P, f, v, dt))
 
 
 @pytest.mark.parametrize("n_time", [0, 1])
@@ -1062,8 +1135,8 @@ def _reference_semigroup_apply(P, t, u):
     modal products, the clamp count against CLAMP_TOL max(1, max|u|) from an
     abs pass, and the clamp to 0 for non-negative u; (values, clamp count)."""
     m = P.grid.n_interior
-    coeffs = np.exp(-P.eigenvalues * t) * P.to_modal(u.values[:m])
-    vals = np.concatenate([P.from_modal(coeffs), [0.0]])
+    coeffs = np.exp(-P.eigenvalues * t) * _to_modal(P, u.values[:m])
+    vals = np.concatenate([_from_modal(P, coeffs), [0.0]])
     tol = 1e-9 * max(1.0, float(np.max(np.abs(u.values))))
     n_clamped = int(np.sum(vals[:m] < -tol))
     if np.min(u.values) >= 0.0:
@@ -1081,10 +1154,11 @@ def test_semigroup_apply_matches_reference_bytes(prop_d1):
     P = prop_d1
     m = P.grid.n_interior
     u = indicator(P.grid, BallIndicator(1.0))
-    raw = P.from_modal(np.exp(-P.eigenvalues * 1e-4) * P.to_modal(u.values[:m]))
+    raw = _from_modal(P, np.exp(-P.eigenvalues * 1e-4)
+                      * _to_modal(P, u.values[:m]))
     assert np.count_nonzero(raw < 0.0) == 106
     mode = RadialField(P.grid, np.concatenate(
-        [P.from_modal(np.eye(m)[:, 3]), [0.0]]))
+        [_from_modal(P, np.eye(m)[:, 3]), [0.0]]))
     sink = RadialField(P.grid, -indicator(
         P.grid, BallIndicator(1.0, amplitude=1e6)).values)
     for field, t, clamps in ((u, 1e-4, 0), (mode, 0.5, 146),
@@ -1120,8 +1194,8 @@ def _reference_simulate(P, u0, f, T, ct):
         cand = RadialField(u.grid,
                            np.concatenate([u.values[:-1] + dt * fu[:-1],
                                            [0.0]]))
-        raw = P.from_modal(np.exp(-P.eigenvalues * dt)
-                           * P.to_modal(cand.values[:m]))
+        raw = _from_modal(P, np.exp(-P.eigenvalues * dt)
+                          * _to_modal(P, cand.values[:m]))
         negative_images += bool(np.any(raw < 0.0))
         u_new = RadialField(P.grid,
                             *_reference_semigroup_apply(P, dt, cand))
