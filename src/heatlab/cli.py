@@ -112,8 +112,8 @@ OPTIONS = {
     "dt": (POSITIVE, "time step"),
     "n_time": (_integer(1), "time slices or steps"),
     "n_iter": (_integer(1), "iteration budget"),
-    "N_range": (_checked(lambda v: len(v) == 2 and v[0] < v[1],
-                         "LO..HI with integers LO < HI",
+    "N_range": (_checked(lambda v: len(v) == 2 and 1 <= v[0] < v[1],
+                         "LO..HI with integers 1 <= LO < HI",
                          lambda text: tuple(map(int, text.split("..")))),
                 "T1 truncation depths N"),
     "epsilon": (POSITIVE, "scale of the T1 data"),

@@ -1,6 +1,6 @@
-"""Builders for the pathological initial data: truncated sums of concentric
+"""Builder for the pathological initial data: truncated sums of concentric
 ball indicators whose amplitude/radius schedules force instantaneous norm
-inflation, together with the predicted per-term lower bounds."""
+inflation."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import math
 from typing import Optional
 
 from . import _lazy
-from .criteria import NO_LOCAL_EXISTENCE, SeriesWitness, check_scope, \
-    series_search, series_verdict
+from .criteria import check_scope
 from .heatkernel import BallIndicator, KernelConstants, kernel_constants
 from .nonlinearity import NonlinearityExpr
 from .solver import RadialField, RadialGrid, indicator, lq_norm
@@ -26,26 +25,13 @@ class ScheduleError(ValueError):
 
 
 class BlowupDataSpec:
-    def __init__(self, kind: str, d: int, q: float, f: NonlinearityExpr,
-                 N: int, amplitudes: np.ndarray, radii: np.ndarray,
+    def __init__(self, amplitudes: np.ndarray, radii: np.ndarray,
                  phi: np.ndarray, constants: KernelConstants,
-                 n0: Optional[int] = None,
-                 zeta: Optional[np.ndarray] = None,
-                 witness: Optional[SeriesWitness] = None,
-                 norm_bound: float = math.nan,
-                 sampled_norm: float = math.nan):
-        self.kind = kind                # "T1" | "Todd"
-        self.d = d
-        self.q = q
-        self.f = f
-        self.N = N
+                 norm_bound: float, sampled_norm: float):
         self.amplitudes = amplitudes    # per-term field amplitude
         self.radii = radii              # per-term ball radius
         self.phi = phi                  # underlying phi_k sequence
         self.constants = constants
-        self.n0 = n0                    # Todd only
-        self.zeta = zeta                # Todd only
-        self.witness = witness
         self.norm_bound = norm_bound    # analytic bound on ||u0||
         self.sampled_norm = sampled_norm
 
@@ -141,126 +127,7 @@ def build_t1_data(f: NonlinearityExpr, d: int, q: float, N: int,
     per_term = consts.beta_d ** -1 * consts.omega_d ** (1.0 / q) * \
         epsilon ** (d / q)
     norm_bound = per_term * float(np.sum(ks ** -2.0))
-    spec = BlowupDataSpec(kind="T1", d=d, q=q, f=f, N=N,
-                          amplitudes=amplitudes, radii=radii, phi=phi,
+    spec = BlowupDataSpec(amplitudes=amplitudes, radii=radii, phi=phi,
                           constants=consts, norm_bound=norm_bound,
                           sampled_norm=lq_norm(u0, q))
     return spec, u0
-
-
-def build_todd_data(f: NonlinearityExpr, d: int, N: int, R: float):
-    """Truncated sum u0 = sum_n n^(-2) alpha_n^d chi_(1/alpha_n) built from a
-    divergent-series witness: phi_k = c_d^(-1) s_k, zeta_n the smallest index
-    with phi_(k_n + 1) <= phi_(zeta_n) / 2, alpha_n = (n^2 phi_(zeta_n))^(1/d).
-
-    The window schedule is k_n = n; the sum starts at the first n0 with
-    1/alpha_(n0) < R/2.
-    """
-    if not 0 < R < math.inf:
-        raise ValueError("R must be finite and positive")
-    consts = kernel_constants(d)
-    witness = series_search(f, d)
-    if series_verdict(witness).outcome != NO_LOCAL_EXISTENCE:
-        raise ScheduleError("the witness series converges, or f's leading "
-                            "term is unknown; the construction needs it "
-                            "to diverge")
-    phi_all = np.asarray(witness.sequence) / consts.c_d
-
-    zeta, alpha = [], []
-    for n in range(1, N + 1):
-        if n + 1 >= len(phi_all):
-            raise ScheduleError(f"witness too short for k_{n} = {n}")
-        target = 2.0 * phi_all[n + 1]
-        idx = int(np.searchsorted(phi_all, target))
-        if idx >= len(phi_all):
-            raise ScheduleError(f"witness too short to satisfy the half-phi "
-                                f"constraint at n = {n}")
-        zeta.append(idx)
-        alpha.append((n * n * phi_all[idx]) ** (1.0 / d))
-    zeta = np.array(zeta, dtype=int)
-    alpha = np.array(alpha)
-
-    delta0 = R / 2.0
-    inside = 1.0 / alpha < delta0
-    if not inside.any():
-        raise ScheduleError("no term fits inside delta_0 = R/2; "
-                            "increase N or R")
-    n0 = int(np.argmax(inside)) + 1
-    if N < n0:
-        raise ScheduleError(f"need N >= n0 = {n0}")
-
-    ns = np.arange(n0, N + 1, dtype=float)
-    sel = slice(n0 - 1, N)
-    radii = 1.0 / alpha[sel]
-    amplitudes = ns ** -2.0 * alpha[sel] ** d
-
-    # term-by-term re-verification of the half-phi constraint
-    for n, z in zip(range(n0, N + 1), zeta[sel]):
-        if not phi_all[n + 1] <= 0.5 * phi_all[z] + 1e-12:
-            raise ScheduleError(f"half-phi constraint fails at n = {n}")
-
-    grid = _auto_grid(d, R, float(radii.min()))
-    _check_resolution(grid, radii)
-    u0 = _sample_sum(grid, amplitudes, radii)
-
-    norm_bound = consts.omega_d * float(np.sum(ns ** -2.0))
-    spec = BlowupDataSpec(kind="Todd", d=d, q=1.0, f=f, N=N,
-                          amplitudes=amplitudes, radii=radii,
-                          phi=phi_all[zeta[sel]], constants=consts,
-                          n0=n0, zeta=zeta[sel], witness=witness,
-                          norm_bound=norm_bound,
-                          sampled_norm=lq_norm(u0, 1.0))
-    return spec, u0
-
-
-class TermPrediction:
-    def __init__(self, k: int, t: float, pointwise: float, lq_q: float,
-                 normalized: float):
-        self.k = k
-        self.t = t
-        self.pointwise = pointwise  # lower bound on u(t_k) over the k-th ball
-        self.lq_q = lq_q            # lower bound on ||u(t_k)||_q^q
-        self.normalized = normalized  # lq_q without the polynomial k-factor
-
-
-def predicted_bounds(spec: BlowupDataSpec):
-    """Per-term predicted lower bounds that the Duhamel functional must
-    dominate.
-
-    T1: at t_k = r_k^2 the solution exceeds beta_d r_k^2 f(phi_k) on the
-    k-th ball, giving ||u(t_k)||_q^q >= beta^q omega_d epsilon^(2q+d)
-    k^(-2q(d+2q)/d) e^k. The e^k factor dominates only once k beats the
-    polynomial prefactor; `normalized` removes that prefactor so the
-    exponential growth is visible term by term.
-
-    Todd: partial sums c''' n^(-2p) sum_k f(s_k) s_k^(-p) with
-    c''' = alpha_d sigma c_d^p.
-    """
-    consts = spec.constants
-    if spec.kind == "T1":
-        q, d = spec.q, spec.d
-        kpow = 2.0 * q * (d + 2.0 * q) / d
-        out = []
-        f_phi = spec.f.eval_floats(spec.phi)
-        for i, k in enumerate(range(1, spec.N + 1)):
-            t_k = float(spec.radii[i] ** 2)
-            pw = consts.beta_d * t_k * f_phi[i]
-            lqq = pw ** q * consts.omega_d * float(spec.radii[i] ** d)
-            out.append(TermPrediction(
-                k=k, t=t_k, pointwise=pw,
-                lq_q=lqq, normalized=lqq * k ** kpow))
-        return out
-
-    p = 1.0 + 2.0 / spec.d
-    theta = spec.witness.theta
-    sigma = (2.0 / (2.0 + spec.d)) * (1.0 - theta ** -p) * \
-        (1.0 - 2.0 ** (-2.0 / spec.d)) ** (spec.d / 2.0 + 1.0)
-    c3 = consts.alpha_d * sigma * consts.c_d ** p
-    partial = spec.witness.partial_sums
-    out = []
-    for n in range(spec.n0, spec.N + 1):  # the window k_n = n
-        value = c3 * n ** (-2.0 * p) * float(partial[n])
-        out.append(TermPrediction(k=n, t=math.nan, pointwise=math.nan,
-                                  lq_q=value,
-                                  normalized=value * n ** (2.0 * p)))
-    return out

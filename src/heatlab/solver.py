@@ -551,7 +551,8 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     The condition is tested at min(T_max, cap); if it fails there, T inverts
     the same knot table, at a bound lowered by the roundings of both
     directions, so that integral_value <= condition_bound holds in floating
-    point. A T below HORIZON_T_MIN is a SolverError.
+    point. A T below HORIZON_T_MIN is a SolverError, as is zero data with an
+    f(1) that overflows.
     classify_l1 runs first, zero data included, so (d, 1) outside
     check_scope's is a ValueError and an f that fails the audit an
     AuditError. Data with ||u0||_1 > 0 get a horizon only where classify_l1
@@ -568,6 +569,9 @@ def find_existence_horizon(u0_l1_norm: float, f: NonlinearityExpr, d: int,
     if u0_l1_norm == 0.0:
         # v = chi_Omega is a supersolution while t f(1) <= 1
         f1 = eval_f(f, 1.0)
+        if f1 == math.inf:  # T = 1/f(1) = 0 would certify nothing
+            raise SolverError(f"no horizon for zero data: f(1) overflows for "
+                              f"f = {f.source_text!r} in d = {d}")
         T = T_max if f1 == 0.0 else min(T_max, 1.0 / f1)
         return HorizonReport(T=T, integral_value=0.0, condition_bound=bound,
                              A=A, u0_l1=0.0, d=d, capped_at_max=(T == T_max),

@@ -518,6 +518,10 @@ def test_out_of_scope_input_is_a_one_line_error(capsys, argv):
     (["verify-kernel", "--d", "200"], ("d = 200", "alpha_d = 0")),
     (["verify-kernel", "--d", "300"], ("d = 300", "c_d = 0")),
     (["verify-kernel", "--d", "512"], ("d = 512", "c_d = 0")),
+    # zero data: T = 1/f(1) is 0 once f(1) overflows, a horizon that
+    # certifies nothing
+    (["experiment", "horizon", "--f", "exp(1000*s)", "--d", "1", "--u0-l1",
+      "0"], ("f(1) overflows", "d = 1")),
 ])
 def test_refusal_names_its_input(monkeypatch, capsys, argv, names):
     import heatlab.solver as solver_mod
@@ -691,11 +695,14 @@ def test_vanishing_or_overflowing_powers_run_clean(tmp_path, argv, codes):
             out.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("N_range", ["3", "3..", "a..b", "3..4..5"])
+@pytest.mark.parametrize("N_range", ["3", "3..", "a..b", "3..4..5", "0..3",
+                                     "-1..2"])
 def test_blowup_trend_names_the_range_form(capsys, N_range):
+    # the = form hands argparse "-1..2" as a value, not as an option; a LO
+    # below 1 is refused before any data are built
     assert main(["experiment", "blowup_trend", "--f", "s^4", "--d", "1",
-                 "--q", "1", "--N-range", N_range]) == EXIT_ERROR
-    assert "LO..HI" in capsys.readouterr().err
+                 "--q", "1", f"--N-range={N_range}"]) == EXIT_ERROR
+    assert "LO..HI with integers 1 <= LO < HI" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d", ["1", "2", "60", "80", "99", "400"])
@@ -843,6 +850,9 @@ def test_deciding_commands_leave_scipy_unimported(tmp_path, argv):
     (["classify", "--f", "s^3", "--d", "100000000000000000", "--q", "1"], 1),
     (["experiment", "lower_bound", "--f", "2-s", "--d", "1", "--r", "0.5",
       "--t", "0.01"], 1),
+    # --N-range is checked when it is parsed, before any T1 data are built
+    (["experiment", "blowup_trend", "--f", "s^4", "--d", "1", "--q", "1",
+      "--N-range", "0..3"], 1),
 ])
 def test_deciding_commands_leave_numpy_unloaded(tmp_path, argv, code):
     # the README's deciding commands, verify-kernel and the lower bound run

@@ -143,13 +143,12 @@ def test_every_route_audits_up_to_2_48(text, route):
 
 
 @pytest.mark.parametrize("route", ["l1", "lq", "whole_space", "equivalence",
-                                   "lower_bound", "t1_predictions"])
+                                   "lower_bound", "t1_schedule"])
 def test_points_are_read_on_floats(monkeypatch, route):
     # eval_floats reads f at points and eval_raw at arrays: the verdicts, the
-    # Duhamel lower bound and the T1 schedule with its predictions read f on
-    # Python floats; only the solver's fields and the ratio envelope take
-    # arrays
-    from heatlab.databuilder import build_t1_data, predicted_bounds
+    # Duhamel lower bound and the T1 schedule read f on Python floats; only
+    # the solver's fields and the ratio envelope take arrays
+    from heatlab.databuilder import build_t1_data
 
     def eval_raw(self, s):
         raise AssertionError("eval_raw was called")
@@ -161,8 +160,8 @@ def test_points_are_read_on_floats(monkeypatch, route):
            "equivalence": lambda: equivalence_check(f, 1),
            "lower_bound": lambda: duhamel_lower_bound(
                BallIndicator(0.5), f, 0.01, 1, q=1.0),
-           "t1_predictions": lambda: predicted_bounds(build_t1_data(
-               f, d=1, q=1.0, N=4, epsilon=0.5, R=1.0)[0])}[route]
+           "t1_schedule": lambda: build_t1_data(
+               f, d=1, q=1.0, N=4, epsilon=0.5, R=1.0)}[route]
     assert run() is not None
 
 
@@ -338,7 +337,7 @@ def _series_search_loop(f, d):
 
 
 @pytest.mark.parametrize("text", [
-    "s^2", "s^1.5/log(e+s)^2", "s + s^3.5", "0*s", "max(s-1,0)^2",
+    "s^2", "s^3", "s^1.5/log(e+s)^2", "s + s^3.5", "0*s", "max(s-1,0)^2",
     "exp(s)", "s^200", "exp(s/100) + (exp(s/1e7) - exp(s/1e7))",
     "s^2 + (exp(s/1e7) - exp(s/1e7))",
     "exp(s/5e6) + (exp(s/1e7) - exp(s/1e7))",
@@ -400,6 +399,8 @@ NEAR_THRESHOLD = [
     ("s + s^2.99", 1, EXISTS),                            # a < 3
     ("s^3/log(e+s)^1.01", 1, EXISTS),                     # b < -1
     ("s^3.01/log(e+s)^2", 1, NO_LOCAL_EXISTENCE),         # a > 3
+    ("s^3", 1, NO_LOCAL_EXISTENCE),                       # a = 3, b = 0
+    ("s^1.5", 1, EXISTS),                                 # a < 3
     ("s^3/(log(e+s)*log(e+log(e+s)))", 1, NO_LOCAL_EXISTENCE),  # c = -1
     ("s^2/log(e+s)^1.2", 2, EXISTS),                      # b < -1
     ("1e300*s^1.5", 2, EXISTS),                           # a < 2
